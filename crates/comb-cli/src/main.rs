@@ -99,17 +99,13 @@ OPTIONS (figure/all/report):
     --no-csv           do not write CSVs
     --plot <WxH>       ASCII plot size (default 72x20; 0x0 disables plots)
     --checks           print every shape check (default: failures only)
-    --resume <ckpt>    checkpoint the campaign in <ckpt>: cells already
-                       journaled there are restored instead of re-run, fresh
-                       cells are journaled as they finish. Exports are
-                       byte-identical to an uninterrupted run at any --jobs
+    --resume           removed: rerun an interrupted command to resume it
     --replicates <n>   adaptive sampling: repeat every sweep cell under
                        seeded run-to-run perturbation, up to <n> replicates
                        per cell, stopping each cell early once its CI
                        target is met; figures plot per-cell means and CSVs
                        gain y_lo,y_hi,n confidence-band columns. Results
-                       stay byte-identical for any --jobs and under
-                       --resume
+                       stay byte-identical for any --jobs
     --ci-target <f>    relative 95% CI half-width to stop at, as a fraction
                        of the mean (default 0.02; needs --replicates)
     --perturb-seed <n> master seed for the perturbation model (default
@@ -118,7 +114,9 @@ OPTIONS (figure/all/report):
     --cache-refresh    recompute every cell and overwrite its cache entry
     --cache-dir <dir>  cache location (default: $COMB_CACHE_DIR, else
                        $XDG_CACHE_HOME/comb, else ~/.cache/comb); cached
-                       campaigns are byte-identical to uncached ones
+                       campaigns are byte-identical to uncached ones, and
+                       every finished cell is stored as it completes, so
+                       rerunning an interrupted command resumes it
 
 OPTIONS (sweep):
     --transport <gm|portals|emp>   platform (default gm)
@@ -143,15 +141,11 @@ OPTIONS (sweep):
                                    separate pid groups; byte-identical for any
                                    --jobs value; serial kernel only, so not
                                    combinable with more than one shard)
-    --resume <ckpt>                checkpoint the sweep in <ckpt>: finished
-                                   points are restored on rerun, fresh points
-                                   journaled as they finish (not combinable
-                                   with --trace); output is byte-identical to
-                                   an uninterrupted sweep at any --jobs
+    --resume                       removed: rerun a sweep to resume it
     --no-cache / --cache-refresh / --cache-dir <dir>
                                    sweep-cell cache controls, as for figure;
-                                   plain (untraced, non-resumed) sweeps
-                                   resolve each point through the cache
+                                   untraced sweeps resolve each point
+                                   through the cache
 
 OPTIONS (soak):
     --iters <n>                    scenarios to run (default 25)
@@ -387,6 +381,17 @@ impl CacheOpts {
                     it.next().ok_or("--cache-dir needs a directory")?,
                 ))
             }
+            "--resume" => {
+                let dir = match self.dir.clone().or_else(default_cache_dir) {
+                    Some(d) => d.display().to_string(),
+                    None => "the directory --cache-dir names".to_string(),
+                };
+                return Err(format!(
+                    "--resume was removed: rerun the same command to resume an \
+                     interrupted run; its finished cells replay from the cell cache \
+                     in {dir} (--no-cache runs cannot resume)"
+                ));
+            }
             _ => return Ok(false),
         }
         Ok(true)
@@ -442,8 +447,8 @@ impl AdaptiveOpts {
                     .ok_or("--ci-target needs a fraction")?
                     .parse()
                     .map_err(|_| "bad --ci-target (expected a number like 0.02)")?;
-                // Non-finite targets would also poison the checkpoint
-                // fingerprint and AdaptiveParams equality.
+                // Non-finite targets would also poison AdaptiveParams
+                // equality.
                 if !t.is_finite() || t < 0.0 {
                     return Err("--ci-target must be a finite non-negative fraction".into());
                 }
@@ -490,12 +495,10 @@ impl AdaptiveOpts {
 fn adaptive_summary(params: &AdaptiveParams, stats: &AdaptiveStats) -> String {
     let fixed = stats.cells * params.replicates as usize;
     format!(
-        "adaptive: {} cells, {} replicates ({} executed, {} restored), \
-         {} converged, {} capped; fixed-N at cap {} would run {} (saved {})",
+        "adaptive: {} cells, {} replicates, {} converged, {} capped; \
+         fixed-N at cap {} would run {} (saved {})",
         stats.cells,
         stats.replicates,
-        stats.executed,
-        stats.restored,
         stats.converged,
         stats.capped,
         params.replicates,
@@ -524,7 +527,6 @@ struct FigureOpts {
     out: Option<PathBuf>,
     plot: (usize, usize),
     show_checks: bool,
-    resume: Option<PathBuf>,
     cache: CacheOpts,
 }
 
@@ -535,7 +537,6 @@ fn parse_figure_opts(args: Vec<String>, all: bool) -> Result<FigureOpts, String>
         out: Some(PathBuf::from("results")),
         plot: (72, 20),
         show_checks: false,
-        resume: None,
         cache: CacheOpts::default(),
     };
     let mut adaptive = AdaptiveOpts::default();
@@ -555,11 +556,6 @@ fn parse_figure_opts(args: Vec<String>, all: bool) -> Result<FigureOpts, String>
             "--out" => opts.out = Some(PathBuf::from(it.next().ok_or("--out needs a directory")?)),
             "--no-csv" => opts.out = None,
             "--checks" => opts.show_checks = true,
-            "--resume" => {
-                opts.resume = Some(PathBuf::from(
-                    it.next().ok_or("--resume needs a checkpoint file")?,
-                ))
-            }
             "--plot" => {
                 let spec = it.next().ok_or("--plot needs WxH")?;
                 let (w, h) = spec
@@ -604,43 +600,14 @@ fn cmd_figures(args: Vec<String>, all: bool) -> Result<(), CombError> {
             &opts.ids,
             opts.fidelity,
             opts.out.as_deref(),
-            opts.resume.as_deref(),
             cache.clone(),
             &comb_trace::Tracer::default(),
             None,
         )?;
-        if let Some(ckpt) = &opts.resume {
-            eprintln!(
-                "checkpoint {}: restored {} replicates, executed {}",
-                ckpt.display(),
-                stats.restored,
-                stats.executed
-            );
-        }
         println!("{}", adaptive_summary(&params, &stats));
         reports
     } else {
-        match &opts.resume {
-            Some(ckpt) => {
-                let (reports, stats) = comb_report::run_figures_checkpointed_cached(
-                    &opts.ids,
-                    opts.fidelity,
-                    opts.out.as_deref(),
-                    ckpt,
-                    cache.clone(),
-                )?;
-                eprintln!(
-                    "checkpoint {}: restored {} cells, executed {}",
-                    ckpt.display(),
-                    stats.restored,
-                    stats.executed
-                );
-                reports
-            }
-            None => {
-                run_figures_cached(&opts.ids, opts.fidelity, opts.out.as_deref(), cache.clone())?
-            }
-        }
+        run_figures_cached(&opts.ids, opts.fidelity, opts.out.as_deref(), cache.clone())?
     };
     let mut failed = 0usize;
     for r in &reports {
@@ -696,7 +663,6 @@ fn cmd_figures(args: Vec<String>, all: bool) -> Result<(), CombError> {
 fn cmd_report(args: Vec<String>) -> Result<(), CombError> {
     let mut fidelity = Fidelity::quick();
     let mut out: Option<PathBuf> = None;
-    let mut resume: Option<PathBuf> = None;
     let mut cache_opts = CacheOpts::default();
     let mut adaptive_opts = AdaptiveOpts::default();
     let mut it = args.into_iter();
@@ -711,11 +677,6 @@ fn cmd_report(args: Vec<String>) -> Result<(), CombError> {
             "--jobs" => fidelity.jobs = parse_jobs(it.next())?,
             "--shards" => fidelity.shards = parse_shards(it.next())?,
             "--out" => out = Some(PathBuf::from(it.next().ok_or("--out needs a file")?)),
-            "--resume" => {
-                resume = Some(PathBuf::from(
-                    it.next().ok_or("--resume needs a checkpoint file")?,
-                ))
-            }
             flag if adaptive_opts.consume(flag, &mut it)? => {}
             flag if cache_opts.consume(flag, &mut it)? => {}
             other => return Err(CombError::usage(format!("unknown option '{other}'"))),
@@ -731,7 +692,6 @@ fn cmd_report(args: Vec<String>) -> Result<(), CombError> {
             &FigureId::ALL,
             fidelity,
             Some(csv_dir),
-            resume.as_deref(),
             cache.clone(),
             &comb_trace::Tracer::default(),
             None,
@@ -739,25 +699,7 @@ fn cmd_report(args: Vec<String>) -> Result<(), CombError> {
         eprintln!("{}", adaptive_summary(&params, &stats));
         reports
     } else {
-        match &resume {
-            Some(ckpt) => {
-                let (reports, stats) = comb_report::run_figures_checkpointed_cached(
-                    &FigureId::ALL,
-                    fidelity,
-                    Some(csv_dir),
-                    ckpt,
-                    cache.clone(),
-                )?;
-                eprintln!(
-                    "checkpoint {}: restored {} cells, executed {}",
-                    ckpt.display(),
-                    stats.restored,
-                    stats.executed
-                );
-                reports
-            }
-            None => run_figures_cached(&FigureId::ALL, fidelity, Some(csv_dir), cache.clone())?,
-        }
+        run_figures_cached(&FigureId::ALL, fidelity, Some(csv_dir), cache.clone())?
     };
     if let Some(c) = &cache {
         eprintln!("{}", cache_summary(c));
@@ -1034,104 +976,6 @@ fn cmd_trace(args: Vec<String>) -> Result<(), CombError> {
     Ok(())
 }
 
-/// The fidelity fingerprint guarding a raw-sweep checkpoint: the knobs
-/// that change per-point results but are not part of the journal key.
-fn sweep_fingerprint(cfg: &MethodConfig, per_decade: u32) -> Fidelity {
-    Fidelity {
-        per_decade,
-        cycles: cfg.cycles,
-        target_iters: cfg.target_iters,
-        max_intervals: cfg.max_intervals,
-        jobs: 0,   // worker count never affects results; excluded on purpose
-        shards: 0, // likewise the shard count: the epoch merge is exact
-        adaptive: None,
-    }
-}
-
-/// Journal key for a raw sweep cell. Identity-bearing knobs (platform,
-/// size, queue/batch, fault plan) live in the key so differently
-/// configured sweeps can share one checkpoint file without colliding.
-fn sweep_key(cfg: &MethodConfig, pww_test: Option<bool>) -> String {
-    // Keys are single whitespace-free tokens in the journal's line format.
-    let fault = cfg.fault.to_string().replace(' ', "_");
-    match pww_test {
-        None => format!(
-            "sweep-polling|{}|{}|q{}|{fault}",
-            cfg.transport.name(),
-            cfg.msg_bytes,
-            cfg.queue_depth
-        ),
-        Some(t) => format!(
-            "sweep-pww|{}|{}|{}|b{}|{fault}",
-            cfg.transport.name(),
-            cfg.msg_bytes,
-            t as u8,
-            cfg.batch
-        ),
-    }
-}
-
-/// Run one raw sweep through the checkpoint journal: restore finished
-/// points from `ckpt`, run the rest through the resilient pool
-/// (journaling each as it finishes), and reassemble in input order.
-/// `restore` extracts the right sample variant; `run` executes one fresh
-/// point. Returns the lowest-input-index error if any fresh point failed
-/// — everything that did finish is journaled first, so a rerun resumes.
-fn resume_sweep<T: Clone + Send>(
-    cfg: &MethodConfig,
-    xs: &[u64],
-    per_decade: u32,
-    ckpt: &std::path::Path,
-    key: String,
-    restore: impl Fn(&comb_report::PointSample) -> Option<T>,
-    run: impl Fn(u64) -> Result<(T, comb_report::PointSample), CombError> + Sync,
-) -> Result<Vec<T>, CombError> {
-    let (journal, state) = comb_report::Journal::open(ckpt, &sweep_fingerprint(cfg, per_decade))?;
-    let mut slots: Vec<Option<T>> = xs
-        .iter()
-        .map(|&x| state.get(&key, x).and_then(&restore))
-        .collect();
-    let restored = slots.iter().filter(|s| s.is_some()).count();
-    let fresh: Vec<(usize, u64)> = slots
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.is_none())
-        .map(|(i, _)| (i, xs[i]))
-        .collect();
-    eprintln!(
-        "checkpoint {}: restored {restored} points, executing {}",
-        ckpt.display(),
-        fresh.len()
-    );
-    let outcomes = comb_core::run_cells(
-        cfg.jobs,
-        &fresh,
-        comb_core::RetryPolicy::none(),
-        |&(_, x), _| {
-            let (sample, journaled) = run(x)?;
-            journal.record(&key, x, &journaled)?;
-            Ok(sample)
-        },
-    );
-    let mut first_err: Option<CombError> = None;
-    for (&(i, x), outcome) in fresh.iter().zip(outcomes) {
-        match outcome {
-            comb_core::CellOutcome::Done { value, .. } => slots[i] = Some(value),
-            comb_core::CellOutcome::Failed { error, .. } => {
-                if first_err.is_none() {
-                    first_err = Some(error.with_cell(format!("{key} @ x={x}")));
-                }
-            }
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        // Every slot is restored or executed (a missing one would have
-        // produced a Failed outcome above).
-        None => Ok(slots.into_iter().flatten().collect()),
-    }
-}
-
 fn cmd_sweep(args: Vec<String>) -> Result<(), CombError> {
     // The method is optional: `comb sweep --fault ...` defaults to polling.
     let mut args = args;
@@ -1152,7 +996,6 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), CombError> {
     let mut fault_specs: Vec<String> = Vec::new();
     let mut fault_seed: Option<u64> = None;
     let mut trace_path: Option<PathBuf> = None;
-    let mut resume: Option<PathBuf> = None;
     let mut cache_opts = CacheOpts::default();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -1192,11 +1035,6 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), CombError> {
             "--test-in-work" => test_in_work = true,
             "--fault" => fault_specs.push(it.next().ok_or("--fault needs a spec")?),
             "--trace" => trace_path = Some(PathBuf::from(it.next().ok_or("--trace needs a file")?)),
-            "--resume" => {
-                resume = Some(PathBuf::from(
-                    it.next().ok_or("--resume needs a checkpoint file")?,
-                ))
-            }
             "--fault-seed" => {
                 fault_seed = Some(
                     it.next()
@@ -1221,11 +1059,6 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), CombError> {
             other => return Err(CombError::usage(format!("unknown option '{other}'"))),
         }
     }
-    if resume.is_some() && trace_path.is_some() {
-        return Err(CombError::usage(
-            "--resume cannot be combined with --trace (trace captures are not checkpointed)",
-        ));
-    }
     if trace_path.is_some() && comb_core::effective_shards(shards) > 1 {
         return Err(CombError::usage(
             "--trace runs on the serial kernel; it cannot be combined with \
@@ -1241,9 +1074,8 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), CombError> {
     cfg.shards = shards;
     cfg.fault = fault.clone();
     // The cache only backs plain sweeps: traced runs capture records the
-    // cache cannot restore, and resumed sweeps already restore through
-    // their journal.
-    let cache = if trace_path.is_none() && resume.is_none() {
+    // cache cannot restore.
+    let cache = if trace_path.is_none() {
         cache_opts.build()
     } else {
         None
@@ -1265,22 +1097,6 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), CombError> {
                 }
                 trace_json = Some(ct.finish());
                 poll_samples = runs.into_iter().map(|r| r.sample).collect();
-            } else if let Some(ckpt) = &resume {
-                poll_samples = resume_sweep(
-                    &cfg,
-                    &xs,
-                    range.2,
-                    ckpt,
-                    sweep_key(&cfg, None),
-                    |p| match p {
-                        comb_report::PointSample::Polling(s) => Some(s.clone()),
-                        comb_report::PointSample::Pww(_) => None,
-                    },
-                    |x| {
-                        let s = comb_core::run_polling_point(&cfg, x)?;
-                        Ok((s.clone(), comb_report::PointSample::Polling(s)))
-                    },
-                )?;
             } else {
                 poll_samples = cached_sweep(cache.as_deref(), &cfg, &xs, CellMethod::Polling)?
                     .into_iter()
@@ -1300,22 +1116,6 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), CombError> {
                 }
                 trace_json = Some(ct.finish());
                 pww_samples = runs.into_iter().map(|r| r.sample).collect();
-            } else if let Some(ckpt) = &resume {
-                pww_samples = resume_sweep(
-                    &cfg,
-                    &xs,
-                    range.2,
-                    ckpt,
-                    sweep_key(&cfg, Some(test_in_work)),
-                    |p| match p {
-                        comb_report::PointSample::Pww(s) => Some(s.clone()),
-                        comb_report::PointSample::Polling(_) => None,
-                    },
-                    |x| {
-                        let s = comb_core::run_pww_point(&cfg, x, test_in_work)?;
-                        Ok((s.clone(), comb_report::PointSample::Pww(s)))
-                    },
-                )?;
             } else {
                 pww_samples = cached_sweep(
                     cache.as_deref(),
@@ -1366,7 +1166,7 @@ fn cached_sweep(
 ) -> Result<Vec<PointSample>, CombError> {
     let hw = cfg.resolved_hw();
     comb_core::run_ordered(cfg.jobs, xs, |&x| {
-        run_cell_cached(cache, &hw, cfg, method, x).map(|(s, _)| s)
+        run_cell_cached(cache, &hw, cfg, method, x, None).map(|(s, _)| s)
     })
     .map_err(CombError::from)
 }
@@ -1941,17 +1741,11 @@ mod tests {
         let stats = AdaptiveStats {
             cells: 4,
             replicates: 11,
-            restored: 3,
-            executed: 8,
             converged: 3,
             capped: 1,
         };
         let line = adaptive_summary(&params, &stats);
-        assert!(line.contains("4 cells"), "{line}");
-        assert!(
-            line.contains("11 replicates (8 executed, 3 restored)"),
-            "{line}"
-        );
+        assert!(line.contains("4 cells, 11 replicates"), "{line}");
         assert!(line.contains("would run 20 (saved 9)"), "{line}");
     }
 

@@ -20,14 +20,13 @@
 //!   automatically keys each `(cell, r)` distinctly — a warm rerun replays
 //!   every replicate as a hit and never collapses two replicates into one
 //!   entry.
-//! * **The journal is a prefix.** The coordinator records finished
-//!   replicates in input order at the end of each round, so the journal an
-//!   interrupted run leaves behind is always a byte prefix of the journal
-//!   an uninterrupted run would write. `--resume` restores that prefix via
-//!   the `restore` hook and continues with identical bytes.
+//! * **Resuming is a warm rerun.** Every replicate is stored in the cell
+//!   cache as it finishes. Because the schedule is a pure function of the
+//!   samples, rerunning an interrupted campaign replays its finished
+//!   replicates as hits, makes the same stopping decisions, and computes
+//!   only the replicates that never finished.
 //! * **Errors are deterministic.** Within a round, the lowest-input-index
-//!   failure wins regardless of worker scheduling; successes that precede
-//!   it in input order are recorded first, so no finished work is lost.
+//!   failure wins regardless of worker scheduling.
 
 use crate::cache::{run_cell_cached, CellCache, CellMethod};
 use crate::codec::PointSample;
@@ -38,10 +37,11 @@ use crate::sweep::MethodConfig;
 use comb_hw::{HwConfig, PerturbPlan};
 use comb_sim::SimTime;
 use comb_trace::{Comp, TraceEvent, Tracer};
+use std::sync::atomic::AtomicUsize;
 use std::time::Instant;
 
-/// The user-facing knobs of an adaptive campaign, as one value so the
-/// checkpoint fingerprint, the CLI, and the executor cannot disagree.
+/// The user-facing knobs of an adaptive campaign, as one value so the CLI
+/// and the executor cannot disagree.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveParams {
     /// Hard cap on replicates per cell (the fixed-N budget the adaptive
@@ -76,28 +76,6 @@ impl AdaptiveParams {
     pub fn perturb(&self) -> PerturbPlan {
         PerturbPlan::new(self.perturb_seed)
     }
-}
-
-/// Journal key for replicate `idx` of the campaign cell keyed `base`:
-/// `polling|GM|102400#r2`. Replicate 0 keeps the legacy bare key so
-/// single-replicate journals are byte-compatible with pre-adaptive ones.
-pub fn replicate_key(base: &str, idx: u32) -> String {
-    if idx == 0 {
-        base.to_string()
-    } else {
-        format!("{base}#r{idx}")
-    }
-}
-
-/// Inverse of [`replicate_key`]: `(base, replicate index)`. A bare key is
-/// replicate 0; a trailing `#r<idx>` names a later replicate.
-pub fn parse_replicate_key(key: &str) -> (&str, u32) {
-    if let Some((base, idx)) = key.rsplit_once("#r") {
-        if let Ok(idx) = idx.parse::<u32>() {
-            return (base, idx);
-        }
-    }
-    (key, 0)
 }
 
 /// One sweep cell of an adaptive campaign: everything needed to run any
@@ -143,12 +121,9 @@ impl CellEstimate {
 pub struct AdaptiveStats {
     /// Cells in the campaign.
     pub cells: usize,
-    /// Total replicates across all cells (restored + executed).
+    /// Total replicates across all cells. The cell cache's counters say
+    /// how many of them were replayed rather than simulated.
     pub replicates: usize,
-    /// Replicates restored from a checkpoint without simulating.
-    pub restored: usize,
-    /// Replicates simulated (and journaled) by this pass.
-    pub executed: usize,
     /// Cells that met the CI target before the cap.
     pub converged: usize,
     /// Cells stopped by the replicate cap with the target unmet.
@@ -158,15 +133,10 @@ pub struct AdaptiveStats {
 /// Run an adaptive campaign over `cells`, returning one [`CellEstimate`]
 /// per cell (input order) and the pass's [`AdaptiveStats`].
 ///
-/// `restore(cell, r)` gives the executor a previously journaled replicate
-/// (a resumed run's prefix); restored replicates are not re-recorded, not
-/// traced, and do not count against `stop_after`. `record(cell, r,
-/// sample)` is called by the coordinator — in input order, once per fresh
-/// replicate — to journal results; it must persist synchronously for the
-/// prefix guarantee to hold. `stop_after` caps fresh replicates before the
-/// pass returns [`crate::ErrorKind::Interrupted`] (the deterministic
-/// interruption hook the resume tests use); `None` runs to completion.
-#[allow(clippy::too_many_arguments)]
+/// `stop_after` caps the replicates this pass may compute fresh; past it
+/// the pass returns [`crate::ErrorKind::Interrupted`] with every finished
+/// replicate already in `cache` (the deterministic interruption hook of
+/// the resume tests, see [`run_cell_cached`]). `None` runs to completion.
 pub fn run_adaptive_cells(
     jobs: usize,
     cells: &[AdaptiveCell],
@@ -175,11 +145,10 @@ pub fn run_adaptive_cells(
     tracer: &Tracer,
     policy: RetryPolicy,
     stop_after: Option<usize>,
-    mut restore: impl FnMut(usize, u32) -> Option<PointSample>,
-    mut record: impl FnMut(usize, u32, &PointSample) -> Result<(), CombError>,
 ) -> Result<(Vec<CellEstimate>, AdaptiveStats), CombError> {
     let rule = params.rule();
     let perturb = params.perturb();
+    let budget = stop_after.map(AtomicUsize::new);
     let n = cells.len();
     // Replicate trace events carry wall-clock-offset times like the cell
     // cache's do: these are campaign-level events, not simulation events.
@@ -197,46 +166,19 @@ pub fn run_adaptive_cells(
         ..AdaptiveStats::default()
     };
 
-    // Phase 1: restore each cell's journaled prefix, stopping exactly
-    // where a live run would have stopped scheduling. Replicates past the
-    // stopping point (possible if the rule was loosened between runs) are
-    // deliberately not consumed, keeping the schedule a pure function of
-    // the current rule.
-    for ci in 0..n {
-        while rule.decide(&acc[ci]) == StopDecision::Continue {
-            let next = samples[ci].len() as u32;
-            match restore(ci, next) {
-                Some(s) => {
-                    acc[ci].push(s.availability());
-                    samples[ci].push(s);
-                    stats.restored += 1;
-                }
-                None => break,
-            }
-        }
-    }
-
-    // Rounds are indexed globally: replicate `r` of every cell runs in
-    // round `r`. A cell whose prefix was restored past the current round
-    // sits the round out, so a resumed run reproduces the uninterrupted
-    // run's exact record sequence — not just its set.
+    // Rounds are indexed globally: replicate `r` of every open cell runs
+    // in round `r`.
     let mut round: u32 = 0;
     loop {
-        // Settle what the rule has decided; collect this round's fresh
+        // Settle what the rule has decided; collect this round's
         // replicates, in input order.
-        let mut work: Vec<(usize, u32)> = Vec::new();
-        let mut open = 0usize;
+        let mut work: Vec<usize> = Vec::new();
         for ci in 0..n {
             if settled[ci].is_some() {
                 continue;
             }
             match rule.decide(&acc[ci]) {
-                StopDecision::Continue => {
-                    open += 1;
-                    if samples[ci].len() as u32 == round {
-                        work.push((ci, round));
-                    }
-                }
+                StopDecision::Continue => work.push(ci),
                 decision => {
                     let converged = decision == StopDecision::Converged;
                     settled[ci] = Some(converged);
@@ -252,22 +194,11 @@ pub fn run_adaptive_cells(
                 }
             }
         }
-        if open == 0 {
+        if work.is_empty() {
             break;
         }
-        if work.is_empty() {
-            // Every open cell was restored past this round; catch up.
-            round += 1;
-            continue;
-        }
 
-        // The interruption budget truncates the round; whatever ran is
-        // still recorded so the journal prefix reflects all finished work.
-        let budget = stop_after.map_or(usize::MAX, |b| b.saturating_sub(stats.executed));
-        let truncated = work.len() > budget;
-        let run_now = &work[..work.len().min(budget)];
-
-        let outcomes = run_cells(jobs, run_now, policy, |&(ci, rep), attempt| {
+        let outcomes = run_cells(jobs, &work, policy, |&ci, attempt| {
             let cell = &cells[ci];
             // Retries reseed the fault plan (the established per-attempt
             // idiom) *before* perturbation, so the replicate's noise spec
@@ -278,50 +209,32 @@ pub fn run_adaptive_cells(
                 cfg.fault = cfg.fault.for_attempt(attempt);
                 cfg.fault.apply_to(&mut base);
             }
-            let hw = perturb.hw_for_replicate(&base, rep);
+            let hw = perturb.hw_for_replicate(&base, round);
             let (sample, _) =
-                run_cell_cached(cache, &hw, &cfg, cell.method, cell.x).map_err(|e| {
-                    CombError::from(e).with_cell(format!("cell {ci} @ x={} r{rep}", cell.x))
-                })?;
+                run_cell_cached(cache, &hw, &cfg, cell.method, cell.x, budget.as_ref()).map_err(
+                    |e| CombError::from(e).with_cell(format!("cell {ci} @ x={} r{round}", cell.x)),
+                )?;
             Ok(sample)
         });
 
-        // Coordinator-ordered fold: successes before the first failure
-        // (by input index) are recorded; the first failure is returned.
-        // Worker scheduling cannot change either.
-        let mut first_err: Option<CombError> = None;
-        for (&(ci, rep), outcome) in run_now.iter().zip(outcomes) {
-            if first_err.is_some() {
-                break;
-            }
+        // Coordinator-ordered fold: the first failure by input index is
+        // returned, whatever the worker scheduling.
+        for (&ci, outcome) in work.iter().zip(outcomes) {
             match outcome {
                 CellOutcome::Done { value, .. } => {
-                    record(ci, rep, &value)?;
-                    stats.executed += 1;
+                    stats.replicates += 1;
                     tracer.emit(now(&epoch), Comp::Adaptive, || TraceEvent::ReplicateDone {
-                        replicate: rep,
+                        replicate: round,
                     });
                     acc[ci].push(value.availability());
                     samples[ci].push(value);
                 }
-                CellOutcome::Failed { error, .. } => first_err = Some(error),
+                CellOutcome::Failed { error, .. } => return Err(error),
             }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        if truncated {
-            return Err(CombError::interrupted(format!(
-                "adaptive campaign stopped after {} fresh replicates \
-                 ({} recorded in total); rerun with the same checkpoint to resume",
-                stats.executed,
-                stats.restored + stats.executed,
-            )));
         }
         round += 1;
     }
 
-    stats.replicates = stats.restored + stats.executed;
     let estimates = samples
         .into_iter()
         .zip(settled)
@@ -336,8 +249,8 @@ pub fn run_adaptive_cells(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheMode;
     use crate::sweep::Transport;
-    use std::cell::RefCell;
 
     fn smoke_cfg(transport: Transport) -> MethodConfig {
         let mut cfg = MethodConfig::new(transport, 100 * 1024);
@@ -357,53 +270,30 @@ mod tests {
         }
     }
 
-    /// The record log: (cell index, replicate, encoded sample) triples.
-    type RecordLog = Vec<(usize, u32, String)>;
-
-    /// Run with no checkpoint interaction, collecting the record log.
-    fn run_plain(
+    fn run(
         jobs: usize,
         cells: &[AdaptiveCell],
         params: AdaptiveParams,
+        cache: Option<&CellCache>,
         stop_after: Option<usize>,
-    ) -> Result<(Vec<CellEstimate>, AdaptiveStats, RecordLog), CombError> {
-        let log = RefCell::new(Vec::new());
-        let tracer = Tracer::default();
-        let (est, stats) = run_adaptive_cells(
+    ) -> Result<(Vec<CellEstimate>, AdaptiveStats), CombError> {
+        run_adaptive_cells(
             jobs,
             cells,
             params,
-            None,
-            &tracer,
+            cache,
+            &Tracer::default(),
             RetryPolicy::none(),
             stop_after,
-            |_, _| None,
-            |ci, rep, s| {
-                log.borrow_mut()
-                    .push((ci, rep, crate::codec::encode_sample(s)));
-                Ok(())
-            },
-        )?;
-        Ok((est, stats, log.into_inner()))
+        )
     }
 
-    #[test]
-    fn replicate_keys_roundtrip_and_keep_legacy_base() {
-        assert_eq!(replicate_key("polling|GM|102400", 0), "polling|GM|102400");
-        assert_eq!(
-            replicate_key("polling|GM|102400", 3),
-            "polling|GM|102400#r3"
-        );
-        assert_eq!(
-            parse_replicate_key("polling|GM|102400#r3"),
-            ("polling|GM|102400", 3)
-        );
-        assert_eq!(
-            parse_replicate_key("polling|GM|102400"),
-            ("polling|GM|102400", 0)
-        );
-        // Junk after #r is not a replicate suffix.
-        assert_eq!(parse_replicate_key("a#rxyz"), ("a#rxyz", 0));
+    fn assert_same(a: &[CellEstimate], b: &[CellEstimate]) {
+        assert_eq!(a.len(), b.len());
+        for (a, b) in a.iter().zip(b) {
+            assert_eq!(a.samples, b.samples);
+            assert_eq!(a.converged, b.converged);
+        }
     }
 
     #[test]
@@ -414,14 +304,10 @@ mod tests {
             ci_target: 0.05,
             perturb_seed: 11,
         };
-        let (e1, s1, log1) = run_plain(1, &cells, params, None).unwrap();
-        let (e4, s4, log4) = run_plain(4, &cells, params, None).unwrap();
+        let (e1, s1) = run(1, &cells, params, None, None).unwrap();
+        let (e4, s4) = run(4, &cells, params, None, None).unwrap();
         assert_eq!(s1, s4);
-        assert_eq!(log1, log4, "journal sequence must not depend on jobs");
-        for (a, b) in e1.iter().zip(&e4) {
-            assert_eq!(a.samples, b.samples);
-            assert_eq!(a.converged, b.converged);
-        }
+        assert_same(&e1, &e4);
     }
 
     #[test]
@@ -432,7 +318,7 @@ mod tests {
             ci_target: 0.5, // loose: two replicates should settle it
             perturb_seed: 3,
         };
-        let (est, stats, log) = run_plain(0, &cells, params, None).unwrap();
+        let (est, stats) = run(0, &cells, params, None, None).unwrap();
         assert_eq!(est[0].samples.len(), 2, "loose target stops at the floor");
         assert!(est[0].converged);
         assert_eq!(stats.converged, 1);
@@ -444,11 +330,10 @@ mod tests {
             &cells[0].cfg,
             CellMethod::Polling,
             100_000,
+            None,
         )
         .unwrap();
         assert_eq!(est[0].samples[0], plain);
-        assert_eq!(log[0].0, 0);
-        assert_eq!(log[0].1, 0);
 
         // An unreachable target runs to the cap instead (on a cell whose
         // availability actually varies under perturbation: a short poll
@@ -458,65 +343,42 @@ mod tests {
             ci_target: 0.0,
             ..params
         };
-        let (est, stats, _) = run_plain(0, &cells, capped, None).unwrap();
+        let (est, stats) = run(0, &cells, capped, None, None).unwrap();
         assert_eq!(est[0].samples.len(), 6);
         assert!(!est[0].converged);
         assert_eq!(stats.capped, 1);
     }
 
     #[test]
-    fn interrupt_and_resume_replays_the_same_replicates() {
+    fn interrupt_and_rerun_replays_the_same_replicates() {
         let cells = [cell(Transport::Gm, 10_000), cell(Transport::Portals, 1_000)];
         let params = AdaptiveParams {
             replicates: 4,
             ci_target: 0.0, // force the cap: 8 replicates total
             perturb_seed: 7,
         };
-        let (_, full_stats, full_log) = run_plain(0, &cells, params, None).unwrap();
-        assert_eq!(full_stats.executed, 8);
+        let (full, full_stats) = run(0, &cells, params, None, None).unwrap();
+        assert_eq!(full_stats.replicates, 8);
 
         // Interrupt after 3 fresh replicates…
-        let err = run_plain(0, &cells, params, Some(3)).unwrap_err();
+        let dir = std::env::temp_dir().join("comb_adaptive_unit_resume");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = CellCache::new(&dir, CacheMode::ReadWrite);
+        let err = run(2, &cells, params, Some(&cache), Some(3)).unwrap_err();
         assert_eq!(err.kind, crate::ErrorKind::Interrupted);
+        assert_eq!(cache.stats().stored, 3);
 
-        // …then resume from the 3-replicate journal prefix.
-        let journal: Vec<(usize, u32, String)> = full_log[..3].to_vec();
-        let restored = RefCell::new(0usize);
-        let log = RefCell::new(Vec::new());
-        let tracer = Tracer::default();
-        let (est, stats) = run_adaptive_cells(
-            0,
-            &cells,
-            params,
-            None,
-            &tracer,
-            RetryPolicy::none(),
-            None,
-            |ci, rep| {
-                let s = journal
-                    .iter()
-                    .find(|(c, r, _)| (*c, *r) == (ci, rep))
-                    .map(|(_, _, enc)| crate::codec::decode_sample(enc).unwrap());
-                if s.is_some() {
-                    *restored.borrow_mut() += 1;
-                }
-                s
-            },
-            |ci, rep, s| {
-                log.borrow_mut()
-                    .push((ci, rep, crate::codec::encode_sample(s)));
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert_eq!(stats.restored, 3, "journaled prefix is not re-run");
-        assert_eq!(stats.executed, 5);
-        // The resumed journal continues exactly where the full run's
-        // sequence left off: prefix + continuation == uninterrupted log.
-        let mut resumed = journal;
-        resumed.extend(log.into_inner());
-        assert_eq!(resumed, full_log);
-        assert_eq!(est.len(), 2);
-        assert!(est.iter().all(|e| e.samples.len() == 4));
+        // …then rerun against the same store: the 3 replay from disk.
+        let cache = CellCache::new(&dir, CacheMode::ReadWrite);
+        let (est, stats) = run(0, &cells, params, Some(&cache), None).unwrap();
+        assert_eq!(
+            cache.stats().hits_disk,
+            3,
+            "finished replicates are not re-run"
+        );
+        assert_eq!(cache.stats().misses, 5);
+        assert_eq!(stats, full_stats);
+        assert_same(&est, &full);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

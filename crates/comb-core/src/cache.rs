@@ -21,13 +21,19 @@
 //!   recomputed and the entry atomically re-healed, never trusted and
 //!   never fatal.
 //!
-//! Results are serialized through [`crate::codec`], the same exact-bit
-//! codec the checkpoint journal uses, so a cache-restored sample is `==`
-//! to a recomputed one and cached campaigns export byte-identically.
+//! Results are serialized through the exact-bit [`crate::codec`], so a
+//! cache-restored sample is `==` to a recomputed one and cached campaigns
+//! export byte-identically.
+//!
+//! The store is also how an interrupted campaign resumes: every cell is
+//! written as it finishes, so rerunning the same command replays the
+//! finished cells as disk hits and computes only the rest. Mixing runs at
+//! different fidelities cannot happen, because every knob that changes a
+//! result is part of the key.
 //!
 //! What the key deliberately **excludes**: `jobs` (worker count never
-//! affects results — the same rule the checkpoint fingerprint applies)
-//! and the watchdog (supervision observes a run without perturbing it).
+//! affects results) and the watchdog (supervision observes a run without
+//! perturbing it).
 //! Faulted retries key on the hardware the caller actually resolved, so
 //! `FaultPlan::for_attempt` reseeding produces distinct keys per attempt.
 
@@ -40,7 +46,7 @@ use comb_trace::{atomic_write, Comp, TraceEvent, Tracer};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -480,17 +486,30 @@ impl CellCache {
 /// directly. This is the executor campaign planners and sweeps share:
 /// `hw` must be the hardware the caller resolved (fault plan applied,
 /// per-attempt reseeding included) so the key covers the exact inputs.
+///
+/// `budget` is the deterministic interruption hook: each fresh
+/// computation first takes one unit from it, and a cell that finds it
+/// empty fails with [`RunError::Interrupted`] without computing. Cache
+/// hits spend nothing, so a campaign interrupted after K computations has
+/// exactly K entries in the store and a rerun resumes from them.
 pub fn run_cell_cached(
     cache: Option<&CellCache>,
     hw: &HwConfig,
     cfg: &MethodConfig,
     method: CellMethod,
     x: u64,
+    budget: Option<&AtomicUsize>,
 ) -> Result<(PointSample, CacheOutcome), RunError> {
-    let compute = || match method {
-        CellMethod::Polling => run_polling_point_on(hw, cfg, x).map(PointSample::Polling),
-        CellMethod::Pww { test_in_work } => {
-            run_pww_point_on(hw, cfg, x, test_in_work).map(PointSample::Pww)
+    let compute = || {
+        if let Some(b) = budget {
+            b.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+                .map_err(|_| RunError::Interrupted)?;
+        }
+        match method {
+            CellMethod::Polling => run_polling_point_on(hw, cfg, x).map(PointSample::Polling),
+            CellMethod::Pww { test_in_work } => {
+                run_pww_point_on(hw, cfg, x, test_in_work).map(PointSample::Pww)
+            }
         }
     };
     match cache {
@@ -1303,41 +1322,42 @@ mod tests {
         let hw = cfg.resolved_hw();
 
         let (plain, outcome) =
-            run_cell_cached(None, &hw, &cfg, CellMethod::Polling, 10_000).unwrap();
+            run_cell_cached(None, &hw, &cfg, CellMethod::Polling, 10_000, None).unwrap();
         assert_eq!(outcome, CacheOutcome::Uncached);
 
         let cache = CellCache::new(&dir, CacheMode::ReadWrite);
         let (cold, outcome) =
-            run_cell_cached(Some(&cache), &hw, &cfg, CellMethod::Polling, 10_000).unwrap();
+            run_cell_cached(Some(&cache), &hw, &cfg, CellMethod::Polling, 10_000, None).unwrap();
         assert_eq!(outcome, CacheOutcome::Miss);
         assert_eq!(cold, plain, "cached compute must equal direct compute");
 
-        // A fresh instance restores the identical sample from disk.
+        // A fresh instance restores the identical sample from disk; a hit
+        // spends no interruption budget, so even an empty one is fine.
         let warm = CellCache::new(&dir, CacheMode::ReadWrite);
-        let (restored, outcome) =
-            run_cell_cached(Some(&warm), &hw, &cfg, CellMethod::Polling, 10_000).unwrap();
+        let empty = AtomicUsize::new(0);
+        let (restored, outcome) = run_cell_cached(
+            Some(&warm),
+            &hw,
+            &cfg,
+            CellMethod::Polling,
+            10_000,
+            Some(&empty),
+        )
+        .unwrap();
         assert_eq!(outcome, CacheOutcome::HitDisk);
         assert_eq!(restored, plain, "disk restore must be bit-exact");
 
-        // PWW goes through the same path.
-        let (a, _) = run_cell_cached(
-            Some(&warm),
-            &hw,
-            &cfg,
-            CellMethod::Pww { test_in_work: true },
-            50_000,
-        )
-        .unwrap();
-        let (b, o) = run_cell_cached(
-            Some(&warm),
-            &hw,
-            &cfg,
-            CellMethod::Pww { test_in_work: true },
-            50_000,
-        )
-        .unwrap();
+        // PWW goes through the same path. A budget of one computes one
+        // fresh cell, then refuses the next before it computes.
+        let pww = CellMethod::Pww { test_in_work: true };
+        let budget = AtomicUsize::new(1);
+        let (a, _) = run_cell_cached(Some(&warm), &hw, &cfg, pww, 50_000, Some(&budget)).unwrap();
+        let (b, o) = run_cell_cached(Some(&warm), &hw, &cfg, pww, 50_000, Some(&budget)).unwrap();
         assert_eq!(o, CacheOutcome::HitMem);
         assert_eq!(a, b);
+        let refused = run_cell_cached(Some(&warm), &hw, &cfg, pww, 60_000, Some(&budget));
+        assert!(matches!(refused, Err(RunError::Interrupted)));
+        assert_eq!(warm.stats().stored, 1, "the refused cell wrote nothing");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

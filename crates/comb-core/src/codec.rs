@@ -1,13 +1,11 @@
 //! Exact-bit serialization of sweep-cell results.
 //!
-//! Both durable result stores — the checkpoint journal in `comb-report`
-//! and the content-addressed cell cache in [`crate::cache`] — persist
-//! samples through this one codec so their round-trip guarantees cannot
-//! drift apart. Samples are serialized **exactly**: every `f64` as its
-//! IEEE-754 bit pattern in hex, durations as nanoseconds, histograms as
-//! raw bucket vectors. A restored sample is therefore `==` to the sample
-//! a re-run would produce, which is what makes cached, checkpointed, and
-//! freshly computed campaign exports byte-identical.
+//! The content-addressed cell cache in [`crate::cache`] persists samples
+//! through this codec. Samples are serialized **exactly**: every `f64` as
+//! its IEEE-754 bit pattern in hex, durations as nanoseconds, histograms
+//! as raw bucket vectors. A restored sample is therefore `==` to the
+//! sample a re-run would produce, which is what makes cached (and so
+//! resumed) and freshly computed campaign exports byte-identical.
 
 use crate::metrics::{FaultCounters, PollingSample, PwwSample};
 use comb_sim::stats::DurationHistogram;
@@ -112,14 +110,15 @@ fn read_faults(f: &mut Fields) -> Option<FaultCounters> {
     })
 }
 
-/// Append `" polling <fields…>"` or `" pww <fields…>"` (note the leading
-/// space) to `out`.
-fn push_sample(out: &mut String, sample: &PointSample) {
+/// Encode one sample as a single line fragment: `polling <fields…>` or
+/// `pww <fields…>` (no trailing newline).
+pub fn encode_sample(sample: &PointSample) -> String {
+    let mut out = String::new();
     match sample {
         PointSample::Polling(s) => {
             let _ = write!(
                 out,
-                " polling {} {} {} {} {} {} {} {} {} {}",
+                "polling {} {} {} {} {} {} {} {} {} {}",
                 s.poll_interval,
                 s.msg_bytes,
                 s.total_iters,
@@ -131,12 +130,12 @@ fn push_sample(out: &mut String, sample: &PointSample) {
                 s.messages_received,
                 s.stolen.as_nanos(),
             );
-            push_faults(out, &s.faults);
+            push_faults(&mut out, &s.faults);
         }
         PointSample::Pww(s) => {
             let _ = write!(
                 out,
-                " pww {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+                "pww {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
                 s.work_interval,
                 s.msg_bytes,
                 s.cycles,
@@ -165,12 +164,16 @@ fn push_sample(out: &mut String, sample: &PointSample) {
                 }
             }
             let _ = write!(out, " {}", s.wait_histogram.sum_nanos());
-            push_faults(out, &s.faults);
+            push_faults(&mut out, &s.faults);
         }
     }
+    out
 }
 
-fn read_sample(f: &mut Fields) -> Option<PointSample> {
+/// Decode a fragment produced by [`encode_sample`]. Trailing tokens are
+/// an error: a line with extra fields is corrupt, not forward-compatible.
+pub fn decode_sample(fragment: &str) -> Option<PointSample> {
+    let mut f = Fields(fragment.split_whitespace());
     let sample = match f.0.next()? {
         "polling" => {
             let s = PollingSample {
@@ -184,7 +187,7 @@ fn read_sample(f: &mut Fields) -> Option<PointSample> {
                 bandwidth_mbs: f.f64()?,
                 messages_received: f.u64()?,
                 stolen: f.dur()?,
-                faults: read_faults(f)?,
+                faults: read_faults(&mut f)?,
             };
             PointSample::Polling(s)
         }
@@ -209,53 +212,14 @@ fn read_sample(f: &mut Fields) -> Option<PointSample> {
                     let sum = f.u128()?;
                     DurationHistogram::from_raw(buckets, sum)
                 },
-                faults: read_faults(f)?,
+                faults: read_faults(&mut f)?,
             };
             PointSample::Pww(s)
         }
         _ => return None,
     };
-    Some(sample)
-}
-
-/// Encode one sample as a single line fragment: `polling <fields…>` or
-/// `pww <fields…>` (no trailing newline).
-pub fn encode_sample(sample: &PointSample) -> String {
-    let mut out = String::new();
-    push_sample(&mut out, sample);
-    out.split_off(1) // drop push_sample's leading separator space
-}
-
-/// Decode a fragment produced by [`encode_sample`]. Trailing tokens are
-/// an error: a line with extra fields is corrupt, not forward-compatible.
-pub fn decode_sample(fragment: &str) -> Option<PointSample> {
-    let mut f = Fields(fragment.split_whitespace());
-    let sample = read_sample(&mut f)?;
     f.done()?;
     Some(sample)
-}
-
-/// Encode one checkpoint-journal line:
-/// `point <key> <x> polling|pww <fields…>\n`.
-pub fn encode_point(key: &str, x: u64, sample: &PointSample) -> String {
-    let mut out = format!("point {key} {x}");
-    push_sample(&mut out, sample);
-    out.push('\n');
-    out
-}
-
-/// Decode a line produced by [`encode_point`] (without its trailing
-/// newline).
-pub fn decode_point(line: &str) -> Option<(String, u64, PointSample)> {
-    let mut f = Fields(line.split_whitespace());
-    if f.0.next()? != "point" {
-        return None;
-    }
-    let key = f.0.next()?.to_string();
-    let x = f.u64()?;
-    let sample = read_sample(&mut f)?;
-    f.done()?;
-    Some((key, x, sample))
 }
 
 #[cfg(test)]
@@ -317,20 +281,6 @@ mod tests {
             let frag = encode_sample(&sample);
             assert!(!frag.starts_with(' ') && !frag.ends_with('\n'), "{frag:?}");
             let got = decode_sample(&frag).expect("fragment must parse");
-            assert_eq!(got, sample, "restore must be bit-exact");
-        }
-    }
-
-    #[test]
-    fn point_lines_roundtrip_exactly() {
-        for (x, sample) in [
-            (1000u64, PointSample::Polling(polling_sample())),
-            (10_000, PointSample::Pww(pww_sample())),
-        ] {
-            let line = encode_point("pww|GM|102400|1", x, &sample);
-            let (key, got_x, got) = decode_point(line.trim_end()).expect("line must parse");
-            assert_eq!(key, "pww|GM|102400|1");
-            assert_eq!(got_x, x);
             assert_eq!(got, sample, "restore must be bit-exact");
         }
     }

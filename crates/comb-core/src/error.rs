@@ -32,7 +32,8 @@ pub enum ErrorKind {
     Watchdog,
     /// Reading or writing an artifact failed.
     Io,
-    /// A checkpoint file is corrupt or belongs to a different campaign.
+    /// A durable job journal (`comb serve --journal`) is corrupt, or a
+    /// record for it is malformed.
     Checkpoint,
     /// The campaign was interrupted before completing (resumable).
     Interrupted,
@@ -93,13 +94,13 @@ impl CombError {
         CombError::new(ErrorKind::Io, format!("{context}: {err}"))
     }
 
-    /// A corrupt or mismatched checkpoint.
+    /// A corrupt or incompatible job journal.
     pub fn checkpoint(message: impl Into<String>) -> CombError {
         CombError::new(ErrorKind::Checkpoint, message)
     }
 
-    /// The campaign stopped early; completed cells are journaled and the
-    /// run can resume.
+    /// The campaign stopped early; completed cells are in the cell cache
+    /// and a rerun resumes.
     pub fn interrupted(message: impl Into<String>) -> CombError {
         CombError::new(ErrorKind::Interrupted, message)
     }
@@ -196,6 +197,7 @@ impl From<RunError> for CombError {
                 }
                 CombError::new(ErrorKind::Watchdog, message)
             }
+            RunError::Interrupted => CombError::interrupted(RunError::Interrupted.to_string()),
         }
     }
 }

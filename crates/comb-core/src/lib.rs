@@ -43,10 +43,7 @@ pub mod stats;
 pub mod sweep;
 pub mod traced;
 
-pub use adaptive::{
-    parse_replicate_key, replicate_key, run_adaptive_cells, AdaptiveCell, AdaptiveParams,
-    AdaptiveStats, CellEstimate,
-};
+pub use adaptive::{run_adaptive_cells, AdaptiveCell, AdaptiveParams, AdaptiveStats, CellEstimate};
 pub use cache::{
     default_cache_dir, gc_store_with_max_age, run_cell_cached, CacheMode, CacheOutcome, CacheStats,
     CellCache, CellKey, CellMethod,

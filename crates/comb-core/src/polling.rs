@@ -47,16 +47,11 @@ fn reap_sends(mpi: &MpiProc, pending: &mut VecDeque<RequestHandle>) {
     }
 }
 
-/// The worker process: computes, polls, replies; returns the sample.
-/// The classic two-rank layout: the support process is rank 1.
-pub fn worker(ctx: &ProcCtx, mpi: &MpiProc, cpu: &Cpu, p: &PollingParams) -> PollingSample {
-    worker_with_peer(ctx, mpi, cpu, p, Rank(1))
-}
-
-/// [`worker`] against an explicit support rank — the building block for
-/// multi-pair workloads that host several independent polling exchanges
-/// in one (possibly sharded) simulation.
-pub fn worker_with_peer(
+/// The worker process: computes, polls, replies to the support process
+/// at rank `peer`; returns the sample. The classic two-rank layout passes
+/// `Rank(1)`; multi-pair workloads host several independent exchanges in
+/// one (possibly sharded) simulation.
+pub fn worker(
     ctx: &ProcCtx,
     mpi: &MpiProc,
     cpu: &Cpu,
@@ -188,14 +183,9 @@ pub fn worker_with_peer(
 }
 
 /// The support process: performs message passing only, echoing every
-/// arrival until the worker's stop message. The classic two-rank layout:
-/// the worker is rank 0.
-pub fn support(ctx: &ProcCtx, mpi: &MpiProc, p: &PollingParams) {
-    support_with_peer(ctx, mpi, p, Rank(0))
-}
-
-/// [`support`] against an explicit worker rank (multi-pair workloads).
-pub fn support_with_peer(ctx: &ProcCtx, mpi: &MpiProc, p: &PollingParams, peer: Rank) {
+/// arrival from the worker at rank `peer` until its stop message. The
+/// classic two-rank layout passes `Rank(0)`.
+pub fn support(ctx: &ProcCtx, mpi: &MpiProc, p: &PollingParams, peer: Rank) {
     let q = p.queue_depth;
     let stop = mpi.irecv(ctx, peer, STOP_TAG);
     let mut recvs: Vec<RequestHandle> = (0..q).map(|_| mpi.irecv(ctx, peer, DATA_TAG)).collect();

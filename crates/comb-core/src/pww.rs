@@ -39,22 +39,10 @@ pub struct PwwParams {
     pub test_in_work: bool,
 }
 
-/// The worker process: post → work → wait, repeated; returns the sample.
-/// The classic two-rank layout: the support process is rank 1.
-pub fn worker(ctx: &ProcCtx, mpi: &MpiProc, cpu: &Cpu, p: &PwwParams) -> PwwSample {
-    worker_with_peer(ctx, mpi, cpu, p, Rank(1))
-}
-
-/// [`worker`] against an explicit support rank — the building block for
-/// multi-pair workloads that host several independent PWW exchanges in
-/// one (possibly sharded) simulation.
-pub fn worker_with_peer(
-    ctx: &ProcCtx,
-    mpi: &MpiProc,
-    cpu: &Cpu,
-    p: &PwwParams,
-    peer: Rank,
-) -> PwwSample {
+/// The worker process: post → work → wait against the support process at
+/// rank `peer`, repeated; returns the sample. The classic two-rank layout
+/// passes `Rank(1)`.
+pub fn worker(ctx: &ProcCtx, mpi: &MpiProc, cpu: &Cpu, p: &PwwParams, peer: Rank) -> PwwSample {
     let trc = mpi.tracer().clone();
     let app = Comp::App(mpi.rank().0 as u32);
 
@@ -196,14 +184,9 @@ pub fn worker_with_peer(
     }
 }
 
-/// The support process: mirrors the exchange with no work phase. The
-/// classic two-rank layout: the worker is rank 0.
-pub fn support(ctx: &ProcCtx, mpi: &MpiProc, p: &PwwParams) {
-    support_with_peer(ctx, mpi, p, Rank(0))
-}
-
-/// [`support`] against an explicit worker rank (multi-pair workloads).
-pub fn support_with_peer(ctx: &ProcCtx, mpi: &MpiProc, p: &PwwParams, peer: Rank) {
+/// The support process: mirrors the exchange of the worker at rank `peer`
+/// with no work phase. The classic two-rank layout passes `Rank(0)`.
+pub fn support(ctx: &ProcCtx, mpi: &MpiProc, p: &PwwParams, peer: Rank) {
     // Stay completely quiet until the worker's dry run has finished.
     mpi.barrier(ctx);
     let _ = mpi.recv(ctx, peer, GO_TAG);
@@ -356,20 +339,11 @@ pub struct InterleavedParams {
     pub interleave: usize,
 }
 
-/// The worker process for interleaved PWW; returns the sample. With
-/// `interleave == 1` the phase structure degenerates to post-work-wait with
-/// the post at the end of the previous cycle.
+/// The worker process for interleaved PWW against the support process at
+/// rank `peer`; returns the sample. With `interleave == 1` the phase
+/// structure degenerates to post-work-wait with the post at the end of the
+/// previous cycle.
 pub fn worker_interleaved(
-    ctx: &ProcCtx,
-    mpi: &MpiProc,
-    cpu: &Cpu,
-    p: &InterleavedParams,
-) -> PwwSample {
-    worker_interleaved_with_peer(ctx, mpi, cpu, p, Rank(1))
-}
-
-/// [`worker_interleaved`] against an explicit support rank.
-pub fn worker_interleaved_with_peer(
     ctx: &ProcCtx,
     mpi: &MpiProc,
     cpu: &Cpu,
@@ -459,19 +433,9 @@ pub fn worker_interleaved_with_peer(
     }
 }
 
-/// Support process for the interleaved variant: mirrors the worker's
-/// pipeline depth so neither side gates the flow.
-pub fn support_interleaved(ctx: &ProcCtx, mpi: &MpiProc, p: &InterleavedParams) {
-    support_interleaved_with_peer(ctx, mpi, p, Rank(0))
-}
-
-/// [`support_interleaved`] against an explicit worker rank.
-pub fn support_interleaved_with_peer(
-    ctx: &ProcCtx,
-    mpi: &MpiProc,
-    p: &InterleavedParams,
-    peer: Rank,
-) {
+/// Support process for the interleaved variant: mirrors the pipeline depth
+/// of the worker at rank `peer` so neither side gates the flow.
+pub fn support_interleaved(ctx: &ProcCtx, mpi: &MpiProc, p: &InterleavedParams, peer: Rank) {
     let base = p.base;
     let k = p.interleave;
     mpi.barrier(ctx);

@@ -40,6 +40,9 @@ pub enum RunError {
         /// leading up to the abort; empty otherwise.
         diagnostic: String,
     },
+    /// The campaign's interruption budget was spent before this cell could
+    /// compute (see [`crate::cache::run_cell_cached`]).
+    Interrupted,
 }
 
 impl fmt::Display for RunError {
@@ -57,6 +60,9 @@ impl fmt::Display for RunError {
                 }
                 Ok(())
             }
+            RunError::Interrupted => f.write_str(
+                "campaign interrupted; finished cells are in the cell cache, rerun to resume",
+            ),
         }
     }
 }
@@ -214,12 +220,12 @@ pub fn run_polling_point_on(
         probe.clone(),
     );
     rig.spawn(0, "worker", move |ctx| {
-        pr.set(polling::worker(ctx, &m0, &cpu0, &p0));
+        pr.set(polling::worker(ctx, &m0, &cpu0, &p0, Rank(1)));
         m0.finalize();
     });
     let (m1, p1) = (world.proc(Rank(1)), params);
     rig.spawn(1, "support", move |ctx| {
-        polling::support(ctx, &m1, &p1);
+        polling::support(ctx, &m1, &p1, Rank(0));
         m1.finalize();
     });
 
@@ -266,12 +272,12 @@ pub fn run_pww_point_on(
         probe.clone(),
     );
     rig.spawn(0, "worker", move |ctx| {
-        pr.set(pww::worker(ctx, &m0, &cpu0, &p0));
+        pr.set(pww::worker(ctx, &m0, &cpu0, &p0, Rank(1)));
         m0.finalize();
     });
     let (m1, p1) = (world.proc(Rank(1)), params);
     rig.spawn(1, "support", move |ctx| {
-        pww::support(ctx, &m1, &p1);
+        pww::support(ctx, &m1, &p1, Rank(0));
         m1.finalize();
     });
 
@@ -310,12 +316,12 @@ pub fn run_pww_interleaved(
         probe.clone(),
     );
     rig.spawn(0, "worker", move |ctx| {
-        pr.set(pww::worker_interleaved(ctx, &m0, &cpu0, &p0));
+        pr.set(pww::worker_interleaved(ctx, &m0, &cpu0, &p0, Rank(1)));
         m0.finalize();
     });
     let (m1, p1) = (world.proc(Rank(1)), params);
     rig.spawn(1, "support", move |ctx| {
-        pww::support_interleaved(ctx, &m1, &p1);
+        pww::support_interleaved(ctx, &m1, &p1, Rank(0));
         m1.finalize();
     });
 
@@ -359,12 +365,12 @@ pub fn run_polling_pairs(
             probe.clone(),
         );
         rig.spawn(2 * p, &format!("worker{p}"), move |ctx| {
-            pr.set(polling::worker_with_peer(ctx, &m0, &cpu0, &p0, sr));
+            pr.set(polling::worker(ctx, &m0, &cpu0, &p0, sr));
             m0.finalize();
         });
         let (m1, p1) = (world.proc(sr), params);
         rig.spawn(2 * p + 1, &format!("support{p}"), move |ctx| {
-            polling::support_with_peer(ctx, &m1, &p1, wr);
+            polling::support(ctx, &m1, &p1, wr);
             m1.finalize();
         });
     }

@@ -89,12 +89,12 @@ pub fn run_polling_point_traced_on(
         probe.clone(),
     );
     sim.spawn("worker", move |ctx| {
-        pr.set(polling::worker(ctx, &m0, &cpu0, &p0));
+        pr.set(polling::worker(ctx, &m0, &cpu0, &p0, Rank(1)));
         m0.finalize();
     });
     let (m1, p1) = (world.proc(Rank(1)), params);
     sim.spawn("support", move |ctx| {
-        polling::support(ctx, &m1, &p1);
+        polling::support(ctx, &m1, &p1, Rank(0));
         m1.finalize();
     });
 
@@ -144,12 +144,12 @@ pub fn run_pww_point_traced_on(
         probe.clone(),
     );
     sim.spawn("worker", move |ctx| {
-        pr.set(pww::worker(ctx, &m0, &cpu0, &p0));
+        pr.set(pww::worker(ctx, &m0, &cpu0, &p0, Rank(1)));
         m0.finalize();
     });
     let (m1, p1) = (world.proc(Rank(1)), params);
     sim.spawn("support", move |ctx| {
-        pww::support(ctx, &m1, &p1);
+        pww::support(ctx, &m1, &p1, Rank(0));
         m1.finalize();
     });
 

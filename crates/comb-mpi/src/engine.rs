@@ -114,13 +114,17 @@ struct EngineInner {
 /// The message-passing engine for one rank. Cloneable handle.
 #[derive(Clone)]
 pub struct MpiEngine {
+    shared: Arc<EngineShared>,
+}
+
+struct EngineShared {
     rank: Rank,
     handle: SimHandle,
     cpu: Cpu,
     nic: Arc<dyn Nic>,
     cfg: MpiCostConfig,
     tracer: Tracer,
-    inner: Arc<Mutex<EngineInner>>,
+    inner: Mutex<EngineInner>,
     /// Notified on every request completion and every ring arrival; blocking
     /// waits park here.
     completion_cond: Condition,
@@ -149,14 +153,14 @@ impl MpiEngine {
         cfg: MpiCostConfig,
         tracer: Tracer,
     ) -> MpiEngine {
-        let engine = MpiEngine {
+        let shared = Arc::new(EngineShared {
             rank,
             handle: handle.clone(),
             cpu: cpu.clone(),
             nic: Arc::clone(nic),
             cfg,
             tracer,
-            inner: Arc::new(Mutex::new(EngineInner {
+            inner: Mutex::new(EngineInner {
                 requests: RequestTable::default(),
                 matcher: MatchEngine::default(),
                 send_pending: HashMap::new(),
@@ -168,46 +172,53 @@ impl MpiEngine {
                 next_token: 0,
                 next_corr: 0,
                 stats: MpiStats::default(),
-            })),
+            }),
             completion_cond: Condition::new(handle),
-        };
-        let push_engine = engine.clone();
-        nic.set_rx_handler(Arc::new(move |src, msg| push_engine.handle_push(src, msg)));
-        let cond = engine.completion_cond.clone();
+        });
+        // The NIC owns its upcalls and the engine owns the NIC, so the
+        // upcall holds the engine weakly: a strong reference would keep a
+        // finished simulation's models alive forever.
+        let push_engine = Arc::downgrade(&shared);
+        nic.set_rx_handler(Arc::new(move |src, msg| {
+            if let Some(shared) = push_engine.upgrade() {
+                MpiEngine { shared }.handle_push(src, msg);
+            }
+        }));
+        let cond = shared.completion_cond.clone();
         nic.set_ring_notify(Arc::new(move || cond.notify_all()));
-        engine
+        MpiEngine { shared }
     }
 
     /// This engine's rank.
     pub fn rank(&self) -> Rank {
-        self.rank
+        self.shared.rank
     }
 
     /// The progress model in effect.
     pub fn progress_model(&self) -> ProgressModel {
-        self.cfg.progress
+        self.shared.cfg.progress
     }
 
     /// Cumulative counters.
     pub fn stats(&self) -> MpiStats {
-        self.inner.lock().stats
+        self.shared.inner.lock().stats
     }
 
     /// The tracer this engine emits to (shared with the cluster fabric
     /// when built via `MpiWorld::attach`). Benchmarks use it to emit
     /// phase-boundary events onto the same record stream.
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        &self.shared.tracer
     }
 
     /// This engine's trace component lane.
     fn comp(&self) -> Comp {
-        Comp::Mpi(self.rank.0 as u32)
+        Comp::Mpi(self.shared.rank.0 as u32)
     }
 
     /// Number of live (unreaped) requests — for leak checks in tests.
     pub fn live_requests(&self) -> usize {
-        self.inner.lock().requests.live()
+        self.shared.inner.lock().requests.live()
     }
 
     fn node_of(&self, rank: Rank) -> NodeId {
@@ -228,28 +239,28 @@ impl MpiEngine {
         payload: Payload,
     ) -> RequestHandle {
         let len = payload.len();
-        let eager_wire = match self.cfg.progress {
+        let eager_wire = match self.shared.cfg.progress {
             ProgressModel::Offload => true,
-            ProgressModel::Library => len < self.cfg.eager_threshold,
+            ProgressModel::Library => len < self.shared.cfg.eager_threshold,
         };
         // Post cost: the small-message path costs more on GM (bounce-buffer
         // copy inside the library, the paper's 45 us); rendezvous posts are
         // cheap. Offload transports pay their kernel-crossing cost here.
-        let small_path = len < self.cfg.eager_threshold;
+        let small_path = len < self.shared.cfg.eager_threshold;
         let cost = if small_path {
-            self.cfg.isend_eager
+            self.shared.cfg.isend_eager
         } else {
-            self.cfg.isend_rndv
+            self.shared.cfg.isend_rndv
         };
-        self.cpu.compute(ctx, cost);
+        self.shared.cpu.compute(ctx, cost);
 
         let env = Envelope {
-            src: self.rank,
+            src: self.shared.rank,
             tag,
             len,
         };
-        let signal = Signal::new(&self.handle);
-        let mut inner = self.inner.lock();
+        let signal = Signal::new(&self.shared.handle);
+        let mut inner = self.shared.inner.lock();
         let req = inner
             .requests
             .insert(Request::new(RequestKind::Send, signal));
@@ -260,20 +271,23 @@ impl MpiEngine {
             *c += 1;
             s
         };
-        let corr = MsgId::new(self.rank.0 as u32, inner.next_corr).0;
+        let corr = MsgId::new(self.shared.rank.0 as u32, inner.next_corr).0;
         inner.next_corr += 1;
-        self.tracer
-            .emit(self.handle.now(), self.comp(), || TraceEvent::SendPosted {
-                msg: MsgId(corr),
-                peer: dst.0 as u32,
-                bytes: len,
-                eager: eager_wire,
+        self.shared
+            .tracer
+            .emit(self.shared.handle.now(), self.comp(), || {
+                TraceEvent::SendPosted {
+                    msg: MsgId(corr),
+                    peer: dst.0 as u32,
+                    bytes: len,
+                    eager: eager_wire,
+                }
             });
         if eager_wire {
             inner.stats.eager_sends += 1;
             inner.stats.bytes_sent += len;
             drop(inner);
-            let class = match self.cfg.progress {
+            let class = match self.shared.cfg.progress {
                 ProgressModel::Offload => DeliveryClass::Direct,
                 ProgressModel::Library => DeliveryClass::Ring,
             };
@@ -288,14 +302,17 @@ impl MpiEngine {
                     payload,
                 }),
             };
-            self.tracer
-                .emit(self.handle.now(), self.comp(), || TraceEvent::DataStart {
-                    msg: MsgId(corr),
-                    peer: dst.0 as u32,
-                    bytes: len,
+            self.shared
+                .tracer
+                .emit(self.shared.handle.now(), self.comp(), || {
+                    TraceEvent::DataStart {
+                        msg: MsgId(corr),
+                        peer: dst.0 as u32,
+                        bytes: len,
+                    }
                 });
             let me = self.clone();
-            self.nic.submit(
+            self.shared.nic.submit(
                 self.node_of(dst),
                 wire,
                 Box::new(move || me.complete_send(req, env, corr)),
@@ -328,10 +345,13 @@ impl MpiEngine {
     }
 
     fn send_rts(&self, dst: Rank, env: Envelope, seq: u64, sender_token: u64, corr: u64) {
-        self.tracer
-            .emit(self.handle.now(), self.comp(), || TraceEvent::RtsSent {
-                msg: MsgId(corr),
-                peer: dst.0 as u32,
+        self.shared
+            .tracer
+            .emit(self.shared.handle.now(), self.comp(), || {
+                TraceEvent::RtsSent {
+                    msg: MsgId(corr),
+                    peer: dst.0 as u32,
+                }
             });
         let wire = WireMsg {
             bytes: CTL_BYTES,
@@ -344,7 +364,9 @@ impl MpiEngine {
                 corr,
             }),
         };
-        self.nic.submit(self.node_of(dst), wire, Box::new(|| {}));
+        self.shared
+            .nic
+            .submit(self.node_of(dst), wire, Box::new(|| {}));
     }
 
     /// Arm (or re-arm) the retry timer for a pending rendezvous send. A
@@ -353,10 +375,10 @@ impl MpiEngine {
     /// events exist and behaviour is byte-identical to the pre-retry
     /// engine.
     fn arm_rts_timer(&self, token: u64) {
-        let Some(retry) = self.cfg.rndv_retry else {
+        let Some(retry) = self.shared.cfg.rndv_retry else {
             return;
         };
-        let mut inner = self.inner.lock();
+        let mut inner = self.shared.inner.lock();
         let Some(pending) = inner.send_pending.get_mut(&token) else {
             return;
         };
@@ -364,6 +386,7 @@ impl MpiEngine {
         let delay = retry.timeout * (retry.backoff as u64).pow(exp);
         let me = self.clone();
         let id = self
+            .shared
             .handle
             .schedule_in(delay, move || me.rts_timeout(token));
         pending.timer = Some(id);
@@ -374,7 +397,7 @@ impl MpiEngine {
     /// duplicate) and back off exponentially.
     fn rts_timeout(&self, token: u64) {
         let resend = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.shared.inner.lock();
             match inner.send_pending.get_mut(&token) {
                 None => None, // CTS arrived; the handshake moved on.
                 Some(pending) => {
@@ -395,10 +418,13 @@ impl MpiEngine {
         let Some((dst, env, seq, corr, attempt)) = resend else {
             return;
         };
-        self.tracer
-            .emit(self.handle.now(), self.comp(), || TraceEvent::Retried {
-                msg: MsgId(corr),
-                attempt,
+        self.shared
+            .tracer
+            .emit(self.shared.handle.now(), self.comp(), || {
+                TraceEvent::Retried {
+                    msg: MsgId(corr),
+                    attempt,
+                }
             });
         self.send_rts(dst, env, seq, token, corr);
         self.arm_rts_timer(token);
@@ -406,11 +432,14 @@ impl MpiEngine {
 
     /// Post a non-blocking receive.
     pub fn irecv(&self, ctx: &ProcCtx, src: RankSel, tag: TagSel) -> RequestHandle {
-        self.tracer
-            .emit(self.handle.now(), self.comp(), || TraceEvent::RecvPosted);
-        self.cpu.compute(ctx, self.cfg.irecv);
-        let signal = Signal::new(&self.handle);
-        let mut inner = self.inner.lock();
+        self.shared
+            .tracer
+            .emit(self.shared.handle.now(), self.comp(), || {
+                TraceEvent::RecvPosted
+            });
+        self.shared.cpu.compute(ctx, self.shared.cfg.irecv);
+        let signal = Signal::new(&self.shared.handle);
+        let mut inner = self.shared.inner.lock();
         let req = inner
             .requests
             .insert(Request::new(RequestKind::Recv, signal));
@@ -424,18 +453,21 @@ impl MpiEngine {
                 body: UnexpectedBody::Eager(payload),
             }) => {
                 drop(inner);
-                self.tracer
-                    .emit(self.handle.now(), self.comp(), || TraceEvent::Matched {
-                        msg: MsgId(corr),
-                        unexpected: true,
+                self.shared
+                    .tracer
+                    .emit(self.shared.handle.now(), self.comp(), || {
+                        TraceEvent::Matched {
+                            msg: MsgId(corr),
+                            unexpected: true,
+                        }
                     });
                 // Landing a buffered eager payload costs a library copy on
                 // library-progress transports (kernel already copied on
                 // offload ones, but it must copy again out of its bounce
                 // buffer — charge the same rate).
-                self.cpu.compute(
+                self.shared.cpu.compute(
                     ctx,
-                    SimDuration::for_bytes(env.len, self.cfg.eager_copy_bandwidth),
+                    SimDuration::for_bytes(env.len, self.shared.cfg.eager_copy_bandwidth),
                 );
                 self.complete_recv(req, env, payload, corr);
             }
@@ -459,10 +491,13 @@ impl MpiEngine {
                     RtsProgress::CtsSent(recv_token, corr),
                 );
                 drop(inner);
-                self.tracer
-                    .emit(self.handle.now(), self.comp(), || TraceEvent::Matched {
-                        msg: MsgId(corr),
-                        unexpected: true,
+                self.shared
+                    .tracer
+                    .emit(self.shared.handle.now(), self.comp(), || {
+                        TraceEvent::Matched {
+                            msg: MsgId(corr),
+                            unexpected: true,
+                        }
                     });
                 self.send_cts(env.src, sender_token, recv_token, corr);
             }
@@ -471,10 +506,13 @@ impl MpiEngine {
     }
 
     fn send_cts(&self, to: Rank, sender_token: u64, recv_token: u64, corr: u64) {
-        self.tracer
-            .emit(self.handle.now(), self.comp(), || TraceEvent::CtsSent {
-                msg: MsgId(corr),
-                peer: to.0 as u32,
+        self.shared
+            .tracer
+            .emit(self.shared.handle.now(), self.comp(), || {
+                TraceEvent::CtsSent {
+                    msg: MsgId(corr),
+                    peer: to.0 as u32,
+                }
             });
         let wire = WireMsg {
             bytes: CTL_BYTES,
@@ -485,7 +523,9 @@ impl MpiEngine {
                 recv_token,
             }),
         };
-        self.nic.submit(self.node_of(to), wire, Box::new(|| {}));
+        self.shared
+            .nic
+            .submit(self.node_of(to), wire, Box::new(|| {}));
     }
 
     // ------------------------------------------------------------------
@@ -493,11 +533,12 @@ impl MpiEngine {
     // ------------------------------------------------------------------
 
     fn complete_send(&self, req: RequestHandle, env: Envelope, corr: u64) {
-        self.tracer
-            .emit(self.handle.now(), self.comp(), || TraceEvent::SendDone {
-                msg: MsgId(corr),
+        self.shared
+            .tracer
+            .emit(self.shared.handle.now(), self.comp(), || {
+                TraceEvent::SendDone { msg: MsgId(corr) }
             });
-        let mut inner = self.inner.lock();
+        let mut inner = self.shared.inner.lock();
         inner.requests.complete(
             req,
             Status {
@@ -508,23 +549,26 @@ impl MpiEngine {
             None,
         );
         drop(inner);
-        self.completion_cond.notify_all();
+        self.shared.completion_cond.notify_all();
     }
 
     fn complete_recv(&self, req: RequestHandle, env: Envelope, payload: Payload, corr: u64) {
-        self.tracer
-            .emit(self.handle.now(), self.comp(), || TraceEvent::DataDone {
-                msg: MsgId(corr),
-                bytes: env.len,
+        self.shared
+            .tracer
+            .emit(self.shared.handle.now(), self.comp(), || {
+                TraceEvent::DataDone {
+                    msg: MsgId(corr),
+                    bytes: env.len,
+                }
             });
-        let mut inner = self.inner.lock();
+        let mut inner = self.shared.inner.lock();
         inner.stats.bytes_received += env.len;
         inner.stats.recvs_completed += 1;
         inner
             .requests
             .complete(req, Status::from_envelope(&env), Some(payload));
         drop(inner);
-        self.completion_cond.notify_all();
+        self.shared.completion_cond.notify_all();
     }
 
     // ------------------------------------------------------------------
@@ -535,11 +579,11 @@ impl MpiEngine {
     /// library costs. No-op on offload transports (the transport itself
     /// progressed everything). Returns the number of messages processed.
     pub fn progress(&self, ctx: &ProcCtx) -> usize {
-        if self.cfg.progress == ProgressModel::Offload {
+        if self.shared.cfg.progress == ProgressModel::Offload {
             return 0;
         }
         let mut handled = 0;
-        while let Some((src, wire)) = self.nic.poll_ring() {
+        while let Some((src, wire)) = self.shared.nic.poll_ring() {
             handled += 1;
             let proto = *wire
                 .payload
@@ -547,12 +591,12 @@ impl MpiEngine {
                 .expect("foreign payload in NIC ring");
             // Per-message library processing, plus the user-buffer copy for
             // eager payloads, happens on the host right now.
-            let mut cost = self.cfg.progress_per_msg;
+            let mut cost = self.shared.cfg.progress_per_msg;
             if let ProtoMsg::Eager { ref env, .. } = proto {
-                cost += SimDuration::for_bytes(env.len, self.cfg.eager_copy_bandwidth);
+                cost += SimDuration::for_bytes(env.len, self.shared.cfg.eager_copy_bandwidth);
             }
-            self.cpu.compute(ctx, cost);
-            self.inner.lock().stats.progress_msgs += 1;
+            self.shared.cpu.compute(ctx, cost);
+            self.shared.inner.lock().stats.progress_msgs += 1;
             self.dispatch_proto(src, proto);
         }
         handled
@@ -568,7 +612,7 @@ impl MpiEngine {
         self.dispatch_proto(src, proto);
         // Wake any blocked waiter: on offload transports completions happen
         // with no library call in flight.
-        self.completion_cond.notify_all();
+        self.shared.completion_cond.notify_all();
     }
 
     fn dispatch_proto(&self, src: NodeId, proto: ProtoMsg) {
@@ -577,7 +621,7 @@ impl MpiEngine {
         // on the per-source sequence number, stashing early arrivals.
         if let Some(seq) = proto.seq() {
             let src_rank = Rank(src.0);
-            let mut inner = self.inner.lock();
+            let mut inner = self.shared.inner.lock();
             let expected = *inner.recv_seq.entry(src_rank).or_insert(0);
             if seq < expected {
                 // An already-sequenced envelope again: a retransmitted RTS
@@ -600,7 +644,7 @@ impl MpiEngine {
             // Drain any consecutive stashed successors.
             loop {
                 let next = {
-                    let mut inner = self.inner.lock();
+                    let mut inner = self.shared.inner.lock();
                     let expected = *inner.recv_seq.get(&src_rank).expect("seq counter vanished");
                     match inner.reorder.get_mut(&src_rank) {
                         Some(buf) => buf.remove(&expected),
@@ -620,7 +664,7 @@ impl MpiEngine {
     /// Handle an envelope message that is next in sequence.
     fn dispatch_in_order(&self, src: NodeId, proto: ProtoMsg) {
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.shared.inner.lock();
             let c = inner
                 .recv_seq
                 .get_mut(&Rank(src.0))
@@ -644,7 +688,7 @@ impl MpiEngine {
             return;
         };
         let resend = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.shared.inner.lock();
             inner.stats.dup_rts += 1;
             match inner.rts_seen.get(&(env.src, sender_token)) {
                 Some(RtsProgress::CtsSent(recv_token, corr)) => Some((*recv_token, *corr)),
@@ -661,14 +705,17 @@ impl MpiEngine {
             ProtoMsg::Eager {
                 env, corr, payload, ..
             } => {
-                let mut inner = self.inner.lock();
+                let mut inner = self.shared.inner.lock();
                 match inner.matcher.match_arrival(env.src, &env) {
                     Some(posted) => {
                         drop(inner);
-                        self.tracer
-                            .emit(self.handle.now(), self.comp(), || TraceEvent::Matched {
-                                msg: MsgId(corr),
-                                unexpected: false,
+                        self.shared
+                            .tracer
+                            .emit(self.shared.handle.now(), self.comp(), || {
+                                TraceEvent::Matched {
+                                    msg: MsgId(corr),
+                                    unexpected: false,
+                                }
                             });
                         self.complete_recv(posted.req, env, payload, corr);
                     }
@@ -688,7 +735,7 @@ impl MpiEngine {
                 corr,
                 ..
             } => {
-                let mut inner = self.inner.lock();
+                let mut inner = self.shared.inner.lock();
                 match inner.matcher.match_arrival(env.src, &env) {
                     Some(posted) => {
                         let recv_token = inner.next_token;
@@ -706,10 +753,13 @@ impl MpiEngine {
                             RtsProgress::CtsSent(recv_token, corr),
                         );
                         drop(inner);
-                        self.tracer
-                            .emit(self.handle.now(), self.comp(), || TraceEvent::Matched {
-                                msg: MsgId(corr),
-                                unexpected: false,
+                        self.shared
+                            .tracer
+                            .emit(self.shared.handle.now(), self.comp(), || {
+                                TraceEvent::Matched {
+                                    msg: MsgId(corr),
+                                    unexpected: false,
+                                }
                             });
                         self.send_cts(env.src, sender_token, recv_token, corr);
                     }
@@ -731,7 +781,7 @@ impl MpiEngine {
                 recv_token,
             } => {
                 let pending = {
-                    let mut inner = self.inner.lock();
+                    let mut inner = self.shared.inner.lock();
                     match inner.send_pending.remove(&sender_token) {
                         Some(p) => p,
                         None => {
@@ -744,14 +794,17 @@ impl MpiEngine {
                     }
                 };
                 if let Some(timer) = pending.timer {
-                    self.handle.cancel(timer);
+                    self.shared.handle.cancel(timer);
                 }
                 let corr = pending.corr;
-                self.tracer
-                    .emit(self.handle.now(), self.comp(), || TraceEvent::DataStart {
-                        msg: MsgId(corr),
-                        peer: pending.dst.0 as u32,
-                        bytes: pending.env.len,
+                self.shared
+                    .tracer
+                    .emit(self.shared.handle.now(), self.comp(), || {
+                        TraceEvent::DataStart {
+                            msg: MsgId(corr),
+                            peer: pending.dst.0 as u32,
+                            bytes: pending.env.len,
+                        }
                     });
                 let wire = WireMsg {
                     bytes: pending.env.len,
@@ -766,7 +819,7 @@ impl MpiEngine {
                 };
                 let me = self.clone();
                 let (req, env) = (pending.req, pending.env);
-                self.nic.submit(
+                self.shared.nic.submit(
                     self.node_of(pending.dst),
                     wire,
                     Box::new(move || me.complete_send(req, env, corr)),
@@ -779,7 +832,7 @@ impl MpiEngine {
                 payload,
             } => {
                 let landing = {
-                    let mut inner = self.inner.lock();
+                    let mut inner = self.shared.inner.lock();
                     let landing = inner
                         .recv_tokens
                         .remove(&recv_token)
@@ -801,22 +854,22 @@ impl MpiEngine {
     /// completed consume it, returning its status (and payload for
     /// receives).
     pub fn test(&self, ctx: &ProcCtx, req: RequestHandle) -> Option<(Status, Option<Payload>)> {
-        self.cpu.compute(ctx, self.cfg.test_call);
-        self.inner.lock().stats.tests += 1;
+        self.shared.cpu.compute(ctx, self.shared.cfg.test_call);
+        self.shared.inner.lock().stats.tests += 1;
         self.progress(ctx);
         self.try_consume(req)
     }
 
     /// Charge the cost of one test-family call (testall/testany/iprobe).
     pub(crate) fn charge_test(&self, ctx: &ProcCtx) {
-        self.cpu.compute(ctx, self.cfg.test_call);
-        self.inner.lock().stats.tests += 1;
+        self.shared.cpu.compute(ctx, self.shared.cfg.test_call);
+        self.shared.inner.lock().stats.tests += 1;
     }
 
     /// Non-charging completion check + consume (wait loops use this after
     /// they already paid for progress).
     pub(crate) fn try_consume(&self, req: RequestHandle) -> Option<(Status, Option<Payload>)> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.shared.inner.lock();
         let complete = inner.requests.get(req).map(|r| r.complete).unwrap_or(false);
         if complete {
             inner.requests.remove(req)
@@ -829,15 +882,16 @@ impl MpiEngine {
     /// whether a matching message is available (posted-receive matching is
     /// NOT performed — probing is non-destructive).
     pub fn iprobe(&self, ctx: &ProcCtx, src: RankSel, tag: TagSel) -> Option<Envelope> {
-        self.cpu.compute(ctx, self.cfg.test_call);
-        self.inner.lock().stats.tests += 1;
+        self.shared.cpu.compute(ctx, self.shared.cfg.test_call);
+        self.shared.inner.lock().stats.tests += 1;
         self.progress(ctx);
-        self.inner.lock().matcher.peek_unexpected(src, tag)
+        self.shared.inner.lock().matcher.peek_unexpected(src, tag)
     }
 
     /// True if the request is complete (without consuming it).
     pub fn is_complete(&self, req: RequestHandle) -> bool {
-        self.inner
+        self.shared
+            .inner
             .lock()
             .requests
             .get(req)
@@ -848,7 +902,7 @@ impl MpiEngine {
     /// Park the calling process until the completion condition is next
     /// notified (arrival or completion).
     pub(crate) fn park_for_activity(&self, ctx: &ProcCtx) {
-        self.completion_cond.wait(ctx);
+        self.shared.completion_cond.wait(ctx);
     }
 
     /// `MPI_Finalize` analogue: abandon unfinished rendezvous handshakes
@@ -861,7 +915,7 @@ impl MpiEngine {
     /// nothing waits on them after the process is gone.
     pub fn finalize(&self) {
         let timers: Vec<EventId> = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.shared.inner.lock();
             inner
                 .send_pending
                 .values_mut()
@@ -869,7 +923,7 @@ impl MpiEngine {
                 .collect()
         };
         for t in timers {
-            self.handle.cancel(t);
+            self.shared.handle.cancel(t);
         }
     }
 }

@@ -3,9 +3,8 @@
 //! record.
 
 use crate::ascii;
-use crate::checkpoint::Journal;
 use crate::expect::{check_figure, Check};
-use crate::figures::{generate, CacheCounts, Campaigns, Fidelity, FigureId, ResumeStats};
+use crate::figures::{generate, CacheCounts, Campaigns, Fidelity, FigureId};
 use crate::series::Dataset;
 use comb_core::{AdaptiveStats, CellCache, CombError};
 use comb_trace::Tracer;
@@ -80,56 +79,21 @@ pub fn run_figures_cached(
     render_reports(ids, &mut campaigns, out_dir)
 }
 
-/// [`run_figures`] under a checkpoint journal at `checkpoint_path`:
-/// finished cells recorded there are restored instead of re-simulated,
-/// fresh cells are journaled as they finish, and the exports are
-/// byte-identical to an uninterrupted [`run_figures`] run at any job
-/// count. Returns the reports plus what the resume pass did.
-pub fn run_figures_checkpointed(
-    ids: &[FigureId],
-    fidelity: Fidelity,
-    out_dir: Option<&Path>,
-    checkpoint_path: &Path,
-) -> Result<(Vec<FigureReport>, ResumeStats), CombError> {
-    run_figures_checkpointed_cached(ids, fidelity, out_dir, checkpoint_path, None)
-}
-
-/// [`run_figures_checkpointed`] with an optional cell cache. Journal
-/// restores bypass the cache entirely; fresh cells resolve through it and
-/// are journaled either way, so the checkpoint stays complete.
-pub fn run_figures_checkpointed_cached(
-    ids: &[FigureId],
-    fidelity: Fidelity,
-    out_dir: Option<&Path>,
-    checkpoint_path: &Path,
-    cache: Option<Arc<CellCache>>,
-) -> Result<(Vec<FigureReport>, ResumeStats), CombError> {
-    let (journal, state) = Journal::open(checkpoint_path, &fidelity)?;
-    let mut campaigns = Campaigns::new(fidelity);
-    if let Some(c) = cache {
-        campaigns.set_cache(c);
-    }
-    let stats = campaigns.prepare_checkpointed(ids, &journal, &state, None)?;
-    let reports = render_reports(ids, &mut campaigns, out_dir)?;
-    Ok((reports, stats))
-}
-
 /// [`run_figures`] with adaptive replicate sampling
 /// ([`Fidelity::adaptive`] must be set): every campaign cell is repeated
 /// under seeded perturbation until its CI target is met or the replicate
 /// cap stops it, figures plot per-cell means, and CSV exports carry
 /// `y_lo,y_hi,n` CI-band columns.
 ///
-/// With `checkpoint_path`, replicates are journaled under
-/// replicate-suffixed keys and a rerun resumes the campaign
-/// byte-identically; `stop_after` caps fresh replicates for the
-/// interrupt/resume tests. `tracer` receives the replicate-level trace
-/// events (pass `&Tracer::default()` to discard them).
+/// With a `cache`, every replicate is stored as it finishes and a rerun
+/// of an interrupted campaign resumes byte-identically from the store;
+/// `stop_after` caps fresh replicates for the interrupt/resume tests.
+/// `tracer` receives the replicate-level trace events (pass
+/// `&Tracer::default()` to discard them).
 pub fn run_figures_adaptive(
     ids: &[FigureId],
     fidelity: Fidelity,
     out_dir: Option<&Path>,
-    checkpoint_path: Option<&Path>,
     cache: Option<Arc<CellCache>>,
     tracer: &Tracer,
     stop_after: Option<usize>,
@@ -138,12 +102,7 @@ pub fn run_figures_adaptive(
     if let Some(c) = cache {
         campaigns.set_cache(c);
     }
-    let opened = match checkpoint_path {
-        Some(path) => Some(Journal::open(path, &fidelity)?),
-        None => None,
-    };
-    let journal = opened.as_ref().map(|(j, s)| (j, s));
-    let stats = campaigns.prepare_adaptive(ids, tracer, journal, stop_after)?;
+    let stats = campaigns.prepare_adaptive(ids, tracer, stop_after)?;
     let reports = render_reports(ids, &mut campaigns, out_dir)?;
     Ok((reports, stats))
 }

@@ -2,19 +2,18 @@
 //! 4–17; Figures 1–3 are method diagrams) and the code that regenerates
 //! them on the simulated platforms.
 
-use crate::checkpoint::{CheckpointState, Journal, PointSample};
 use crate::series::{CiBand, Dataset, Series};
 use comb_core::{
-    lin_spaced, log_spaced, mean_ci, polling_sweep, pww_sweep, replicate_key, run_adaptive_cells,
-    run_cell_cached, run_cells, run_ordered, AdaptiveCell, AdaptiveParams, AdaptiveStats,
-    CacheOutcome, CellCache, CellMethod, CellOutcome, CombError, MethodConfig, PollingSample,
-    PwwSample, RetryPolicy, RunError, Transport, Welford, PAPER_SIZES,
+    lin_spaced, log_spaced, mean_ci, polling_sweep, pww_sweep, run_adaptive_cells, run_cell_cached,
+    run_ordered, AdaptiveCell, AdaptiveParams, AdaptiveStats, CacheOutcome, CellCache, CellMethod,
+    CombError, MethodConfig, PointSample, PollingSample, PwwSample, RetryPolicy, RunError,
+    Transport, Welford, PAPER_SIZES,
 };
 use comb_trace::Tracer;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The paper's data figures.
@@ -186,13 +185,13 @@ pub struct Fidelity {
     /// Kernel shards per simulation (`0` = auto: `COMB_SHARDS`, else the
     /// serial kernel). Like `jobs` this cannot affect results — the
     /// sharded kernel's epoch merge reproduces the serial event order —
-    /// so it is excluded from checkpoint fingerprints and cache identity.
+    /// so it is excluded from cache identity.
     pub shards: usize,
     /// Adaptive replicate sampling: when set, campaigns run each cell
     /// until the CI target is met (or the cap), and exports carry CI
     /// bands. `None` (the default) is the legacy single-shot mode with
-    /// byte-identical exports. Part of the checkpoint fingerprint:
-    /// changing these knobs changes every cell's result.
+    /// byte-identical exports. Changing these knobs changes every cell's
+    /// result (and so its cache key).
     pub adaptive: Option<AdaptiveParams>,
 }
 
@@ -302,10 +301,9 @@ pub enum CampaignKey {
 }
 
 impl CampaignKey {
-    /// Stable one-token identity used by checkpoint journals and failure
-    /// manifests: `polling|GM|102400`, `pww|GM|102400|1`, `overhead|GM`.
-    /// Contains no whitespace (platform names are single tokens), so it
-    /// can be a field in a space-separated journal line.
+    /// Stable one-token identity: `polling|GM|102400`, `pww|GM|102400|1`,
+    /// `overhead|GM`. Keys the per-campaign cache tallies and convergence
+    /// flags.
     pub fn canonical(&self) -> String {
         match self {
             CampaignKey::Polling {
@@ -443,15 +441,6 @@ fn tally(tallies: &[[AtomicU64; 3]], campaign: usize, outcome: CacheOutcome) {
         CacheOutcome::Joined => 2,
     };
     tallies[campaign][slot].fetch_add(1, Ordering::Relaxed);
-}
-
-/// What a checkpointed prepare pass did (for `--resume` progress lines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResumeStats {
-    /// Cells restored from the journal without simulating.
-    pub restored: usize,
-    /// Fresh cells executed (and journaled) by this pass.
-    pub executed: usize,
 }
 
 /// Caches sweep results so figures sharing a campaign run it once.
@@ -605,6 +594,20 @@ impl Campaigns {
     /// per-campaign input order, so a prepared [`generate`] emits datasets
     /// byte-identical to unprepared serial generation.
     pub fn prepare(&mut self, ids: &[FigureId]) -> Result<(), RunError> {
+        self.prepare_until(ids, None)
+    }
+
+    /// [`Campaigns::prepare`] that computes at most `stop_after` fresh
+    /// cells, then fails with [`RunError::Interrupted`]. Every cell is
+    /// stored in the cell cache as it finishes, so exactly `stop_after`
+    /// entries are persisted and rerunning resumes from them. This is the
+    /// deterministic interruption hook the resume tests use; `None` runs
+    /// everything.
+    pub fn prepare_until(
+        &mut self,
+        ids: &[FigureId],
+        stop_after: Option<usize>,
+    ) -> Result<(), RunError> {
         let plan: Vec<PlannedCampaign> = self
             .plan(ids)
             .into_iter()
@@ -622,10 +625,17 @@ impl Campaigns {
 
         let tallies = new_tallies(plan.len());
         let cache = self.cell_cache.clone();
+        let budget = stop_after.map(AtomicUsize::new);
         let results = run_ordered(self.fidelity.jobs, &points, |&(c, x)| {
             let pc = &plan[c];
-            let (sample, outcome) =
-                run_cell_cached(cache.as_deref(), &pc.hw, &pc.cfg, pc.cell_method(), x)?;
+            let (sample, outcome) = run_cell_cached(
+                cache.as_deref(),
+                &pc.hw,
+                &pc.cfg,
+                pc.cell_method(),
+                x,
+                budget.as_ref(),
+            )?;
             tally(&tallies, c, outcome);
             Ok(sample)
         })?;
@@ -642,142 +652,19 @@ impl Campaigns {
         Ok(())
     }
 
-    /// [`Campaigns::prepare`] with a checkpoint journal: cells already in
-    /// `state` are restored without simulating, fresh cells run through
-    /// the shared pool and are journaled **as they finish**, so an
-    /// interruption at any moment loses at most the cells still in
-    /// flight. Restored samples are bit-exact (see [`crate::checkpoint`]),
-    /// so a resumed campaign's exports are byte-identical to an
-    /// uninterrupted run at any `--jobs`.
-    ///
-    /// `stop_after` caps how many *fresh* cells run before the pass
-    /// returns [`comb_core::ErrorKind::Interrupted`] — the hook the
-    /// crash/resume tests use to interrupt a campaign at a deterministic
-    /// spot. `None` runs everything.
-    pub fn prepare_checkpointed(
-        &mut self,
-        ids: &[FigureId],
-        journal: &Journal,
-        state: &CheckpointState,
-        stop_after: Option<usize>,
-    ) -> Result<ResumeStats, CombError> {
-        let plan: Vec<PlannedCampaign> = self
-            .plan(ids)
-            .into_iter()
-            .map(|key| self.plan_campaign(key))
-            .collect();
-        let canon: Vec<String> = plan.iter().map(|pc| pc.key.canonical()).collect();
-        let points: Vec<(usize, u64)> = plan
-            .iter()
-            .enumerate()
-            .flat_map(|(c, pc)| pc.xs.iter().map(move |&x| (c, x)))
-            .collect();
-
-        // Restored cells come straight from the journal; the rest are
-        // fresh work for the pool. `slots` remembers where each fresh
-        // cell's result belongs so reassembly stays in input order.
-        let mut results: Vec<Option<PointSample>> = Vec::with_capacity(points.len());
-        let mut fresh: Vec<(usize, u64)> = Vec::new();
-        let mut fresh_slots: Vec<usize> = Vec::new();
-        for &(c, x) in &points {
-            match state.get(&canon[c], x) {
-                Some(s) => results.push(Some(s.clone())),
-                None => {
-                    fresh_slots.push(results.len());
-                    results.push(None);
-                    fresh.push((c, x));
-                }
-            }
-        }
-        let restored = points.len() - fresh.len();
-        let budget = stop_after.unwrap_or(usize::MAX);
-        let truncated = fresh.len() > budget;
-        let run_now = &fresh[..fresh.len().min(budget)];
-
-        let tallies = new_tallies(plan.len());
-        let cache = self.cell_cache.clone();
-        let outcomes = run_cells(
-            self.fidelity.jobs,
-            run_now,
-            RetryPolicy::none(),
-            |&(c, x), _| {
-                let pc = &plan[c];
-                // Cache hits still pass through `journal.record`, so a
-                // checkpoint journal stays complete (and resumable on a
-                // machine without the cache) no matter how cells resolve.
-                let (sample, outcome) =
-                    run_cell_cached(cache.as_deref(), &pc.hw, &pc.cfg, pc.cell_method(), x)
-                        .map_err(|e| {
-                            CombError::from(e).with_cell(format!("{} @ x={x}", canon[c]))
-                        })?;
-                tally(&tallies, c, outcome);
-                journal.record(&canon[c], x, &sample)?;
-                Ok(sample)
-            },
-        );
-        self.absorb_tallies(&plan, &tallies);
-
-        let mut first_err: Option<CombError> = None;
-        for (&slot, outcome) in fresh_slots.iter().zip(outcomes) {
-            match outcome {
-                CellOutcome::Done { value, .. } => results[slot] = Some(value),
-                CellOutcome::Failed { error, .. } => {
-                    // Lowest input index wins, so the reported error is
-                    // deterministic at any job count.
-                    if first_err.is_none() {
-                        first_err = Some(error);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        if truncated {
-            return Err(CombError::interrupted(format!(
-                "campaign stopped after {budget} fresh cells ({} of {} journaled); \
-                 rerun with the same checkpoint to resume",
-                restored + budget,
-                points.len(),
-            )));
-        }
-
-        // Reassemble campaign-by-campaign, exactly as `prepare` does.
-        let mut iter = results.into_iter();
-        for pc in plan {
-            let samples: Vec<Vec<PointSample>> = iter
-                .by_ref()
-                .take(pc.xs.len())
-                .map(|s| {
-                    vec![s.unwrap_or_else(|| unreachable!("every cell is restored or executed"))]
-                })
-                .collect();
-            self.store_campaign(pc.key, samples);
-        }
-        Ok(ResumeStats {
-            restored,
-            executed: run_now.len(),
-        })
-    }
-
     /// Adaptive prepare: run every campaign the given figures need with
     /// seeded per-replicate perturbation, repeating each cell until the
     /// stopping rule in [`Fidelity::adaptive`] settles it. Cells from all
     /// campaigns share one round-based pool pass, and the resulting
     /// replicate lists feed the CI bands the series builders attach.
     ///
-    /// With a journal, replicate `r` of cell `(campaign, x)` is keyed
-    /// [`replicate_key`]`(canonical, r)`; previously journaled replicates
-    /// are restored without simulating and fresh ones are recorded by the
-    /// coordinator in schedule order, so the journal an interrupted run
-    /// leaves is a byte prefix of an uninterrupted run's (see
-    /// [`run_adaptive_cells`]). `stop_after` caps fresh replicates, then
-    /// the pass returns [`comb_core::ErrorKind::Interrupted`].
+    /// `stop_after` caps fresh replicates, then the pass returns
+    /// [`comb_core::ErrorKind::Interrupted`]; a rerun with the same cell
+    /// cache replays the finished ones (see [`run_adaptive_cells`]).
     pub fn prepare_adaptive(
         &mut self,
         ids: &[FigureId],
         tracer: &Tracer,
-        journal: Option<(&Journal, &CheckpointState)>,
         stop_after: Option<usize>,
     ) -> Result<AdaptiveStats, CombError> {
         let Some(params) = self.fidelity.adaptive else {
@@ -790,19 +677,15 @@ impl Campaigns {
             .into_iter()
             .map(|key| self.plan_campaign(key))
             .collect();
-        let canon: Vec<String> = plan.iter().map(|pc| pc.key.canonical()).collect();
-        let points: Vec<(usize, u64)> = plan
+        let cells: Vec<AdaptiveCell> = plan
             .iter()
-            .enumerate()
-            .flat_map(|(c, pc)| pc.xs.iter().map(move |&x| (c, x)))
-            .collect();
-        let cells: Vec<AdaptiveCell> = points
-            .iter()
-            .map(|&(c, x)| AdaptiveCell {
-                hw: plan[c].hw.clone(),
-                cfg: plan[c].cfg.clone(),
-                method: plan[c].cell_method(),
-                x,
+            .flat_map(|pc| {
+                pc.xs.iter().map(move |&x| AdaptiveCell {
+                    hw: pc.hw.clone(),
+                    cfg: pc.cfg.clone(),
+                    method: pc.cell_method(),
+                    x,
+                })
             })
             .collect();
 
@@ -815,26 +698,17 @@ impl Campaigns {
             tracer,
             RetryPolicy::none(),
             stop_after,
-            |ci, rep| {
-                let (c, x) = points[ci];
-                journal.and_then(|(_, state)| state.get(&replicate_key(&canon[c], rep), x).cloned())
-            },
-            |ci, rep, sample| {
-                let (c, x) = points[ci];
-                match journal {
-                    Some((j, _)) => j.record(&replicate_key(&canon[c], rep), x, sample),
-                    None => Ok(()),
-                }
-            },
         )?;
 
         // Reassemble campaign-by-campaign, exactly as `prepare` does —
         // but each point keeps its whole replicate list.
         let mut iter = estimates.into_iter();
-        for (pc, canonical) in plan.into_iter().zip(canon) {
+        for pc in plan {
             let ests: Vec<comb_core::CellEstimate> = iter.by_ref().take(pc.xs.len()).collect();
-            self.converged
-                .insert(canonical, ests.iter().map(|e| e.converged).collect());
+            self.converged.insert(
+                pc.key.canonical(),
+                ests.iter().map(|e| e.converged).collect(),
+            );
             self.store_campaign(pc.key, ests.into_iter().map(|e| e.samples).collect());
         }
         Ok(stats)
@@ -1253,7 +1127,7 @@ mod tests {
         };
         let mut c = Campaigns::new(Fidelity::smoke().with_adaptive(params));
         let stats = c
-            .prepare_adaptive(&[FigureId::Fig13], &Tracer::default(), None, None)
+            .prepare_adaptive(&[FigureId::Fig13], &Tracer::default(), None)
             .unwrap();
         assert!(stats.replicates >= 2 * stats.cells, "two-replicate floor");
         assert!(
@@ -1284,7 +1158,7 @@ mod tests {
         // Without adaptive params the call is a usage error.
         let mut plain = Campaigns::new(Fidelity::smoke());
         let err = plain
-            .prepare_adaptive(&[FigureId::Fig13], &Tracer::default(), None, None)
+            .prepare_adaptive(&[FigureId::Fig13], &Tracer::default(), None)
             .unwrap_err();
         assert_eq!(err.kind, comb_core::ErrorKind::Usage);
     }

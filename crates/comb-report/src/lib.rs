@@ -18,7 +18,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod ascii;
-pub mod checkpoint;
 pub mod degradation;
 pub mod expect;
 pub mod experiments;
@@ -29,16 +28,14 @@ pub mod soak;
 pub mod sweeptext;
 pub mod timeline;
 
-pub use checkpoint::{CheckpointState, Journal, PointSample};
 pub use degradation::{generate_degradation, DEGRADATION_IDS};
 pub use expect::{check_figure, Check};
 pub use experiments::{
-    markdown_report, run_all, run_figures, run_figures_adaptive, run_figures_cached,
-    run_figures_checkpointed, run_figures_checkpointed_cached, FigureReport,
+    markdown_report, run_all, run_figures, run_figures_adaptive, run_figures_cached, FigureReport,
 };
 pub use figures::{
     generate, generate_all, required_campaigns, CacheCounts, CampaignKey, Campaigns, Fidelity,
-    FigureId, ResumeStats,
+    FigureId,
 };
 pub use halo::generate_halo;
 pub use series::{CiBand, Dataset, Point, Series};

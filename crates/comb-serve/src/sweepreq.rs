@@ -291,7 +291,7 @@ impl SweepRequest {
                 if ctx.poison_x == Some(x) {
                     panic!("injected poison cell x={x}");
                 }
-                run_cell_cached(ctx.cache, &hw, &cfg, self.method, x)
+                run_cell_cached(ctx.cache, &hw, &cfg, self.method, x, None)
             }));
             let r = match attempt {
                 Ok(r) => r,

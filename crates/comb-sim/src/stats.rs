@@ -179,7 +179,7 @@ impl DurationHistogram {
     /// Raw bucket counts, including empty buckets (bucket `i` holds
     /// samples in `[2^(i-1), 2^i)` microseconds; bucket 0 is `< 1 us`).
     /// With [`DurationHistogram::sum_nanos`], this is the histogram's
-    /// complete state — used by checkpoint serialization.
+    /// complete state — used by cell-cache serialization.
     pub fn raw_buckets(&self) -> &[u64] {
         &self.buckets
     }
@@ -189,7 +189,7 @@ impl DurationHistogram {
         self.sum_nanos
     }
 
-    /// Rebuild a histogram from its raw state (checkpoint restore). The
+    /// Rebuild a histogram from its raw state (cell-cache restore). The
     /// sample count is the sum of the bucket counts, so
     /// `from_raw(h.raw_buckets().to_vec(), h.sum_nanos())` reproduces `h`
     /// exactly.

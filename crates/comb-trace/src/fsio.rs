@@ -1,6 +1,6 @@
 //! Crash-safe artifact writes.
 //!
-//! Every exported artifact (figure CSVs, Chrome traces, checkpoints,
+//! Every exported artifact (figure CSVs, Chrome traces, cache entries,
 //! failure manifests) goes through [`atomic_write`]: the bytes land in a
 //! hidden temporary file in the destination directory, are fsynced, and
 //! are then renamed over the target. A crash mid-export therefore leaves

@@ -4,9 +4,11 @@
 //! CSV snapshot.
 //!
 //! The determinism bar is the same as everywhere else in this repo: the
-//! exports AND the checkpoint journal must match byte for byte, at any
+//! exports AND the cell-cache store must match byte for byte, at any
 //! `--jobs`, interrupted or not. Bless the golden snapshot with
 //! `COMB_BLESS=1 cargo test --test adaptive`.
+
+mod common;
 
 use comb::core::{AdaptiveParams, CacheMode, CellCache, ErrorKind};
 use comb::report::{run_figures_adaptive, Fidelity, FigureId};
@@ -38,32 +40,41 @@ fn csv_bytes(dir: &Path, id: FigureId) -> Vec<u8> {
     std::fs::read(dir.join(format!("{id}.csv"))).unwrap()
 }
 
+/// A fresh cache instance over `store`: nothing is served from memory.
+fn cache(store: &Path) -> Arc<CellCache> {
+    Arc::new(CellCache::new(store, CacheMode::ReadWrite))
+}
+
 #[test]
 fn adaptive_campaign_is_byte_identical_across_job_counts() {
     let id = FigureId::Fig08;
     let mut outputs = Vec::new();
     for jobs in [1usize, 4] {
         let dir = fresh_dir(&format!("jobs{jobs}"));
-        let ckpt = dir.join("campaign.journal");
+        let store = dir.join("cells");
         let (reports, stats) = run_figures_adaptive(
             &[id],
             fidelity(jobs),
             Some(&dir),
-            Some(&ckpt),
-            None,
+            Some(cache(&store)),
             &Tracer::default(),
             None,
         )
         .unwrap();
         assert!(reports[0].all_pass(), "{:#?}", reports[0].checks);
-        outputs.push((csv_bytes(&dir, id), std::fs::read(&ckpt).unwrap(), stats));
+        outputs.push((csv_bytes(&dir, id), common::store_files(&store), stats));
     }
-    let (csv1, journal1, stats1) = &outputs[0];
-    let (csv4, journal4, stats4) = &outputs[1];
+    let (csv1, store1, stats1) = &outputs[0];
+    let (csv4, store4, stats4) = &outputs[1];
     assert_eq!(csv1, csv4, "CSV exports differ between --jobs 1 and 4");
     assert_eq!(
-        journal1, journal4,
-        "replicate journals differ between --jobs 1 and 4"
+        store1.keys().collect::<Vec<_>>(),
+        store4.keys().collect::<Vec<_>>(),
+        "the same replicates must be stored at --jobs 1 and 4"
+    );
+    assert!(
+        store1 == store4,
+        "replicate entries differ between --jobs 1 and 4"
     );
     assert_eq!(stats1, stats4);
     // The CSV actually carries the CI-band columns.
@@ -75,30 +86,28 @@ fn adaptive_campaign_is_byte_identical_across_job_counts() {
 fn interrupted_adaptive_campaign_resumes_byte_identically() {
     let id = FigureId::Fig08;
 
-    // Uninterrupted baseline at --jobs 1.
+    // Uninterrupted baseline at --jobs 1, no cache.
     let base_dir = fresh_dir("resume_base");
-    let base_ckpt = base_dir.join("campaign.journal");
     let (_, base_stats) = run_figures_adaptive(
         &[id],
         fidelity(1),
         Some(&base_dir),
-        Some(&base_ckpt),
         None,
         &Tracer::default(),
         None,
     )
     .unwrap();
-    assert!(base_stats.executed > 0);
+    assert!(base_stats.replicates > 3);
 
     // Interrupt after 3 fresh replicates at --jobs 4...
     let dir = fresh_dir("resume_run");
-    let ckpt = dir.join("campaign.journal");
+    let store = dir.join("cells");
+    let interrupted = cache(&store);
     let err = match run_figures_adaptive(
         &[id],
         fidelity(4),
         Some(&dir),
-        Some(&ckpt),
-        None,
+        Some(Arc::clone(&interrupted)),
         &Tracer::default(),
         Some(3),
     ) {
@@ -106,47 +115,44 @@ fn interrupted_adaptive_campaign_resumes_byte_identically() {
         Ok(_) => panic!("interrupting after 3 fresh replicates must fail"),
     };
     assert_eq!(err.kind, ErrorKind::Interrupted, "{err}");
-    let partial = std::fs::read(&ckpt).unwrap();
-    assert!(
-        std::fs::read(&base_ckpt).unwrap().starts_with(&partial),
-        "interrupted journal must be a byte prefix of the uninterrupted one"
+    assert_eq!(
+        interrupted.stats().stored,
+        3,
+        "exactly 3 replicates persist"
     );
 
-    // ...then resume at --jobs 1: same CSV, same journal, byte for byte.
+    // ...then rerun at --jobs 1: the 3 replay from disk, same CSV.
+    let resumed = cache(&store);
     let (_, stats) = run_figures_adaptive(
         &[id],
         fidelity(1),
         Some(&dir),
-        Some(&ckpt),
-        None,
+        Some(Arc::clone(&resumed)),
         &Tracer::default(),
         None,
     )
     .unwrap();
-    assert_eq!(stats.restored, 3, "the interrupted replicates restore");
-    assert_eq!(stats.replicates, base_stats.replicates);
-    assert_eq!(stats.executed, base_stats.executed - 3);
+    let s = resumed.stats();
+    assert_eq!(s.hits_disk, 3, "the interrupted replicates replay");
+    assert_eq!(s.misses as usize, base_stats.replicates - 3);
+    assert_eq!(stats, base_stats);
     assert_eq!(csv_bytes(&dir, id), csv_bytes(&base_dir, id));
-    assert_eq!(
-        std::fs::read(&ckpt).unwrap(),
-        std::fs::read(&base_ckpt).unwrap(),
-        "resumed journal must equal the uninterrupted journal"
-    );
 
-    // A rerun against the finished journal restores everything.
+    // A rerun of the finished campaign computes nothing.
     let again_dir = fresh_dir("resume_again");
+    let again = cache(&store);
     let (_, stats) = run_figures_adaptive(
         &[id],
         fidelity(4),
         Some(&again_dir),
-        Some(&ckpt),
-        None,
+        Some(Arc::clone(&again)),
         &Tracer::default(),
         None,
     )
     .unwrap();
-    assert_eq!(stats.executed, 0, "nothing left to simulate");
-    assert_eq!(stats.restored, base_stats.replicates);
+    assert_eq!(again.stats().misses, 0, "nothing left to simulate");
+    assert_eq!(again.stats().hits_disk as usize, base_stats.replicates);
+    assert_eq!(stats, base_stats);
     assert_eq!(csv_bytes(&again_dir, id), csv_bytes(&base_dir, id));
 }
 
@@ -158,7 +164,6 @@ fn stopping_rule_saves_replicates_while_meeting_the_target() {
     let (_, stats) = run_figures_adaptive(
         &[FigureId::Fig13],
         Fidelity::smoke().with_adaptive(p),
-        None,
         None,
         None,
         &Tracer::default(),
@@ -188,7 +193,6 @@ fn warm_cache_replays_every_replicate() {
         &[id],
         fidelity(0),
         Some(&cold_out),
-        None,
         Some(Arc::clone(&cold)),
         &Tracer::default(),
         None,
@@ -196,12 +200,12 @@ fn warm_cache_replays_every_replicate() {
     .unwrap();
     let s = cold.stats();
     assert_eq!(s.hits(), 0, "fresh store cannot hit");
-    assert_eq!(s.misses as usize, cold_stats.executed);
+    assert_eq!(s.misses as usize, cold_stats.replicates);
     // Every (cell, replicate) pair keys its own entry: the perturbed
     // hardware is part of the content address, so replicates of one cell
     // never collide.
     let report = comb::core::cache::verify_store(&store);
-    assert_eq!(report.entries as usize, cold_stats.executed);
+    assert_eq!(report.entries as usize, cold_stats.replicates);
     assert_eq!(report.invalid, 0);
 
     // A fresh CellCache instance defeats the in-memory tier: the warm
@@ -212,7 +216,6 @@ fn warm_cache_replays_every_replicate() {
         &[id],
         fidelity(0),
         Some(&warm_out),
-        None,
         Some(Arc::clone(&warm)),
         &Tracer::default(),
         None,
@@ -220,7 +223,7 @@ fn warm_cache_replays_every_replicate() {
     .unwrap();
     let s = warm.stats();
     assert_eq!(s.misses, 0, "warm adaptive rerun must be 100% hits");
-    assert_eq!(s.hits() as usize, warm_stats.executed);
+    assert_eq!(s.hits() as usize, warm_stats.replicates);
     assert_eq!(warm_stats, cold_stats);
     assert_eq!(csv_bytes(&warm_out, id), csv_bytes(&cold_out, id));
 }
@@ -236,7 +239,6 @@ fn adaptive_ci_band_csv_matches_golden() {
         &[FigureId::Fig13],
         fidelity(0),
         Some(&dir),
-        None,
         None,
         &Tracer::default(),
         None,
