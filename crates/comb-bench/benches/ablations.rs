@@ -5,7 +5,7 @@
 //! tracks the regeneration cost.
 
 use comb_bench::bench_config;
-use comb_core::{run_polling_point, run_pww_point, Transport};
+use comb_core::{run, PollingParams, PwwParams, RunSpec, Transport};
 use comb_hw::HwConfig;
 use comb_sim::SimDuration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -18,7 +18,8 @@ fn bench_queue_depth(c: &mut Criterion) {
         let mut cfg = bench_config(Transport::Gm, 100 * 1024);
         cfg.queue_depth = q;
         group.bench_with_input(BenchmarkId::from_parameter(q), &cfg, |b, cfg| {
-            b.iter(|| black_box(run_polling_point(cfg, 10_000).unwrap()))
+            let (point, spec) = (PollingParams::new(cfg, 10_000), RunSpec::of(cfg));
+            b.iter(|| black_box(run(&point, &spec).unwrap()))
         });
     }
     group.finish();
@@ -31,7 +32,8 @@ fn bench_batch_size(c: &mut Criterion) {
         let mut cfg = bench_config(Transport::Portals, 100 * 1024);
         cfg.batch = batch;
         group.bench_with_input(BenchmarkId::from_parameter(batch), &cfg, |b, cfg| {
-            b.iter(|| black_box(run_pww_point(cfg, 500_000, false).unwrap()))
+            let (point, spec) = (PwwParams::new(cfg, 500_000, false), RunSpec::of(cfg));
+            b.iter(|| black_box(run(&point, &spec).unwrap()))
         });
     }
     group.finish();
@@ -45,7 +47,8 @@ fn bench_eager_threshold(c: &mut Criterion) {
         hw.mpi.eager_threshold = threshold_kb * 1024;
         let cfg = bench_config(Transport::from(hw), 32 * 1024);
         group.bench_with_input(BenchmarkId::from_parameter(threshold_kb), &cfg, |b, cfg| {
-            b.iter(|| black_box(run_polling_point(cfg, 10_000).unwrap()))
+            let (point, spec) = (PollingParams::new(cfg, 10_000), RunSpec::of(cfg));
+            b.iter(|| black_box(run(&point, &spec).unwrap()))
         });
     }
     group.finish();
@@ -59,7 +62,8 @@ fn bench_isr_cost(c: &mut Criterion) {
         hw.nic.rx_per_packet = SimDuration::from_micros(isr_us);
         let cfg = bench_config(Transport::from(hw), 100 * 1024);
         group.bench_with_input(BenchmarkId::from_parameter(isr_us), &cfg, |b, cfg| {
-            b.iter(|| black_box(run_polling_point(cfg, 10_000).unwrap()))
+            let (point, spec) = (PollingParams::new(cfg, 10_000), RunSpec::of(cfg));
+            b.iter(|| black_box(run(&point, &spec).unwrap()))
         });
     }
     group.finish();

@@ -2,7 +2,7 @@
 //! the workload generators behind every figure.
 
 use comb_bench::bench_config;
-use comb_core::{run_polling_point, run_pww_point, Transport};
+use comb_core::{run, PollingParams, PwwParams, RunSpec, Transport};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -15,7 +15,10 @@ fn bench_polling(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(name, format!("{size_kb}KB")),
                 &cfg,
-                |b, cfg| b.iter(|| black_box(run_polling_point(cfg, 10_000).unwrap())),
+                |b, cfg| {
+                    let (point, spec) = (PollingParams::new(cfg, 10_000), RunSpec::of(cfg));
+                    b.iter(|| black_box(run(&point, &spec).unwrap()))
+                },
             );
         }
     }
@@ -27,12 +30,13 @@ fn bench_pww(c: &mut Criterion) {
     group.sample_size(10);
     for (name, t) in [("gm", Transport::Gm), ("portals", Transport::Portals)] {
         let cfg = bench_config(t.clone(), 100 * 1024);
-        group.bench_with_input(BenchmarkId::new(name, "plain"), &cfg, |b, cfg| {
-            b.iter(|| black_box(run_pww_point(cfg, 500_000, false).unwrap()))
-        });
-        group.bench_with_input(BenchmarkId::new(name, "test_in_work"), &cfg, |b, cfg| {
-            b.iter(|| black_box(run_pww_point(cfg, 500_000, true).unwrap()))
-        });
+        let spec = RunSpec::of(&cfg);
+        for (label, test_in_work) in [("plain", false), ("test_in_work", true)] {
+            let point = PwwParams::new(&cfg, 500_000, test_in_work);
+            group.bench_function(BenchmarkId::new(name, label), |b| {
+                b.iter(|| black_box(run(&point, &spec).unwrap()))
+            });
+        }
     }
     group.finish();
 }

@@ -7,12 +7,12 @@
 //! `jobs/auto`.
 
 use comb_bench::bench_config;
-use comb_core::{available_jobs, log_spaced, polling_sweep_parallel, run_ordered, Transport};
+use comb_core::{available_jobs, log_spaced, polling_sweep, run_ordered, Transport};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 fn bench_sweep_scaling(c: &mut Criterion) {
-    let cfg = bench_config(Transport::Portals, 50 * 1024);
+    let mut cfg = bench_config(Transport::Portals, 50 * 1024);
     // Two decades at 8/decade: enough points that stealing matters.
     let xs = log_spaced(10_000, 1_000_000, 8);
     let mut group = c.benchmark_group("sweep_scaling");
@@ -23,9 +23,10 @@ fn bench_sweep_scaling(c: &mut Criterion) {
         counts.push(available_jobs());
     }
     for jobs in counts {
-        group.bench_with_input(BenchmarkId::new("polling", jobs), &jobs, |b, &jobs| {
+        cfg.jobs = jobs;
+        group.bench_function(BenchmarkId::new("polling", jobs), |b| {
             b.iter(|| {
-                black_box(polling_sweep_parallel(&cfg, &xs, jobs).expect("sweep"));
+                black_box(polling_sweep(&cfg, &xs).expect("sweep"));
             });
         });
     }

@@ -11,7 +11,7 @@
 //!    not even be evaluated.
 
 use comb_bench::bench_config;
-use comb_core::{run_pww_point, run_pww_point_traced, Transport};
+use comb_core::{run, PwwParams, RunSpec, Transport};
 use comb_sim::SimTime;
 use comb_trace::{Comp, TraceEvent, Tracer};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -21,12 +21,14 @@ fn bench_traced_vs_untraced(c: &mut Criterion) {
     let mut group = c.benchmark_group("pww_point");
     group.sample_size(20);
     let cfg = bench_config(Transport::Gm, 100 * 1024);
-    group.bench_function("untraced", |b| {
-        b.iter(|| black_box(run_pww_point(&cfg, 500_000, false).unwrap()))
-    });
-    group.bench_function("traced", |b| {
-        b.iter(|| black_box(run_pww_point_traced(&cfg, 500_000, false).unwrap()))
-    });
+    let point = PwwParams::new(&cfg, 500_000, false);
+    for (label, trace) in [("untraced", false), ("traced", true)] {
+        let spec = RunSpec {
+            trace,
+            ..RunSpec::of(&cfg)
+        };
+        group.bench_function(label, |b| b.iter(|| black_box(run(&point, &spec).unwrap())));
+    }
     group.finish();
 }
 

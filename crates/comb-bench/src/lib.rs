@@ -42,7 +42,10 @@ mod tests {
     #[test]
     fn bench_config_is_runnable() {
         let cfg = bench_config(Transport::Gm, 10 * 1024);
-        let s = comb::core::run_polling_point(&cfg, 10_000).unwrap();
+        let spec = comb::core::RunSpec::of(&cfg);
+        let s = comb::core::run(&comb::core::PollingParams::new(&cfg, 10_000), &spec)
+            .unwrap()
+            .sample;
         assert!(s.messages_received > 0);
     }
 

@@ -36,7 +36,10 @@
 //! baseline is read before the new result is written, so checking
 //! against the file being regenerated is sound.
 
-use comb_core::{run_polling_pairs, CacheMode, CellCache, CombError, MethodConfig, Transport};
+use comb_core::{
+    run, CacheMode, CellCache, CombError, MethodConfig, PollingPairs, PollingParams, RunSpec,
+    Transport,
+};
 use comb_report::{Fidelity, FigureId};
 use comb_sim::{KernelStats, SimDuration, Simulation};
 use std::path::PathBuf;
@@ -376,12 +379,18 @@ fn shard_pass(
     cfg: &MethodConfig,
     poll_interval: u64,
 ) -> Result<(f64, Vec<comb_core::PollingSample>), CombError> {
+    let pairs = PollingPairs {
+        params: PollingParams::new(cfg, poll_interval),
+        pairs: SHARD_PAIRS,
+    };
+    let spec = RunSpec::of(cfg);
     let mut best_ns = u128::MAX;
     let mut samples = None;
     for _ in 0..SHARD_REPS {
         let t0 = Instant::now();
-        let s = run_polling_pairs(cfg, poll_interval, SHARD_PAIRS)
-            .map_err(|e| CombError::internal(format!("shard bench failed: {e}")))?;
+        let s = run(&pairs, &spec)
+            .map_err(|e| CombError::internal(format!("shard bench failed: {e}")))?
+            .sample;
         best_ns = best_ns.min(t0.elapsed().as_nanos());
         if let Some(prev) = &samples {
             assert_eq!(prev, &s, "shard bench run-to-run nondeterminism");

@@ -12,8 +12,9 @@
 mod bench;
 
 use comb_core::{
-    default_cache_dir, log_spaced, polling_sweep, run_cell_cached, AdaptiveParams, AdaptiveStats,
-    CacheMode, CellCache, CellMethod, CombError, ErrorKind, MethodConfig, PointSample, Transport,
+    default_cache_dir, log_spaced, run_cell_cached, run_ordered, AdaptiveParams, AdaptiveStats,
+    CacheMode, CellCache, CellMethod, CombError, ErrorKind, MethodConfig, NetperfParams, PingPong,
+    PointSample, PollingParams, PwwParams, RunSpec, Transport,
 };
 use comb_hw::FaultPlan;
 use comb_report::{generate_degradation, run_figures_cached, Fidelity, FigureId};
@@ -179,6 +180,7 @@ OPTIONS (trace):
     --out <file>                   write Chrome trace JSON (default run.trace.json)
     --csv <file>                   also write the raw event CSV
     --width <cols>                 ASCII timeline width (default 100)
+    Tracing runs on the serial kernel: COMB_SHARDS above 1 is a usage error.
 
 OPTIONS (degrade):
     --fidelity <f> | --smoke | --paper     sweep density (default: quick)
@@ -779,9 +781,15 @@ fn cmd_netperf(args: Vec<String>) -> Result<(), CombError> {
         }
     }
     let cfg = comb_core::MethodConfig::new(transport, size);
-    let busy = comb_core::run_netperf_point(&cfg, 4_000_000, true)?;
-    let sleepy = comb_core::run_netperf_point(&cfg, 4_000_000, false)?;
-    let comb = polling_sweep(&cfg, &[10_000])?;
+    let spec = RunSpec::of(&cfg);
+    let netperf = |busy_wait| NetperfParams {
+        msg_bytes: size,
+        total_iters: 4_000_000,
+        busy_wait,
+    };
+    let busy = comb_core::run(&netperf(true), &spec)?.sample;
+    let sleepy = comb_core::run(&netperf(false), &spec)?.sample;
+    let comb = comb_core::run(&PollingParams::new(&cfg, 10_000), &spec)?.sample;
     println!(
         "methodology comparison on {} ({} B messages):",
         cfg.transport.name(),
@@ -797,7 +805,7 @@ fn cmd_netperf(args: Vec<String>) -> Result<(), CombError> {
     );
     println!(
         "  COMB polling method       : availability {:.3} at {:>6.1} MB/s",
-        comb[0].availability, comb[0].bandwidth_mbs
+        comb.availability, comb.bandwidth_mbs
     );
     Ok(())
 }
@@ -823,7 +831,17 @@ fn cmd_latency(args: Vec<String>) -> Result<(), CombError> {
         256 * 1024,
         1024 * 1024,
     ];
-    let rows = comb_core::run_pingpong(&cfg, &sizes, 50)?;
+    let spec = RunSpec::of(&cfg);
+    let rows = sizes
+        .iter()
+        .map(|&msg_bytes| {
+            let pingpong = PingPong {
+                msg_bytes,
+                iterations: 50,
+            };
+            Ok(comb_core::run(&pingpong, &spec)?.sample)
+        })
+        .collect::<Result<Vec<_>, CombError>>()?;
     println!(
         "ping-pong on {} (50 round trips per size):",
         cfg.transport.name()
@@ -922,9 +940,13 @@ fn cmd_trace(args: Vec<String>) -> Result<(), CombError> {
     cfg.batch = batch;
     cfg.cycles = cycles;
     cfg.queue_depth = queue;
+    let spec = RunSpec {
+        trace: true,
+        ..RunSpec::of(&cfg)
+    };
     let records = match method.as_str() {
         "pww" => {
-            let run = comb_core::run_pww_point_traced(&cfg, work_interval, test_in_work)?;
+            let run = comb_core::run(&PwwParams::new(&cfg, work_interval, test_in_work), &spec)?;
             println!(
                 "pww on {} | {} B messages, work interval {} iters, {} cycles",
                 cfg.transport.name(),
@@ -941,7 +963,7 @@ fn cmd_trace(args: Vec<String>) -> Result<(), CombError> {
             run.records
         }
         "polling" => {
-            let run = comb_core::run_polling_point_traced(&cfg, poll_interval)?;
+            let run = comb_core::run(&PollingParams::new(&cfg, poll_interval), &spec)?;
             println!(
                 "polling on {} | {} B messages, poll interval {} iters",
                 cfg.transport.name(),
@@ -1059,12 +1081,6 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), CombError> {
             other => return Err(CombError::usage(format!("unknown option '{other}'"))),
         }
     }
-    if trace_path.is_some() && comb_core::effective_shards(shards) > 1 {
-        return Err(CombError::usage(
-            "--trace runs on the serial kernel; it cannot be combined with \
-             --shards or COMB_SHARDS above 1",
-        ));
-    }
     let fault = FaultPlan::from_specs(&fault_specs, fault_seed)?;
     let mut cfg = MethodConfig::new(transport, size);
     cfg.queue_depth = queue;
@@ -1080,68 +1096,40 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), CombError> {
     } else {
         None
     };
-    let xs = log_spaced(range.0, range.1, range.2);
-    // Run the sweep once. With --trace the traced variant is used — the
-    // samples it yields are identical to an untraced sweep's — and every
-    // point lands in its own pid group of one Chrome trace file.
-    let mut trace_json: Option<String> = None;
-    let mut poll_samples: Vec<comb_core::PollingSample> = Vec::new();
-    let mut pww_samples: Vec<comb_core::PwwSample> = Vec::new();
-    match method.as_str() {
-        "polling" => {
-            if trace_path.is_some() {
-                let runs = comb_core::polling_sweep_traced(&cfg, &xs)?;
-                let mut ct = comb_trace::ChromeTrace::new();
-                for (i, (run, &x)) in runs.iter().zip(&xs).enumerate() {
-                    ct.add_run(&format!("poll={x}"), i as u32 * 2000, &run.records);
-                }
-                trace_json = Some(ct.finish());
-                poll_samples = runs.into_iter().map(|r| r.sample).collect();
-            } else {
-                poll_samples = cached_sweep(cache.as_deref(), &cfg, &xs, CellMethod::Polling)?
-                    .into_iter()
-                    .map(|s| match s {
-                        PointSample::Polling(p) => p,
-                        PointSample::Pww(_) => unreachable!("polling sweep"),
-                    })
-                    .collect();
-            }
-        }
-        "pww" => {
-            if trace_path.is_some() {
-                let runs = comb_core::pww_sweep_traced(&cfg, &xs, test_in_work)?;
-                let mut ct = comb_trace::ChromeTrace::new();
-                for (i, (run, &x)) in runs.iter().zip(&xs).enumerate() {
-                    ct.add_run(&format!("work={x}"), i as u32 * 2000, &run.records);
-                }
-                trace_json = Some(ct.finish());
-                pww_samples = runs.into_iter().map(|r| r.sample).collect();
-            } else {
-                pww_samples = cached_sweep(
-                    cache.as_deref(),
-                    &cfg,
-                    &xs,
-                    CellMethod::Pww { test_in_work },
-                )?
-                .into_iter()
-                .map(|s| match s {
-                    PointSample::Pww(p) => p,
-                    PointSample::Polling(_) => unreachable!("pww sweep"),
-                })
-                .collect();
-            }
-        }
+    let method = match method.as_str() {
+        "polling" => CellMethod::Polling,
+        "pww" => CellMethod::Pww { test_in_work },
         other => return Err(CombError::usage(format!("unknown sweep method '{other}'"))),
-    }
+    };
+    let xs = log_spaced(range.0, range.1, range.2);
+    // Run the sweep once. With --trace every point is traced — the
+    // samples are identical to an untraced sweep's — and lands in its own
+    // pid group of one Chrome trace file.
+    let mut trace_json: Option<String> = None;
+    let samples = if trace_path.is_some() {
+        let spec = RunSpec {
+            trace: true,
+            ..RunSpec::of(&cfg)
+        };
+        let runs = run_ordered(cfg.jobs, &xs, |&x| method.run(&cfg, x, &spec))?;
+        let axis = match method {
+            CellMethod::Polling => "poll",
+            CellMethod::Pww { .. } => "work",
+        };
+        let mut ct = comb_trace::ChromeTrace::new();
+        for (i, (run, &x)) in runs.iter().zip(&xs).enumerate() {
+            ct.add_run(&format!("{axis}={x}"), i as u32 * 2000, &run.records);
+        }
+        trace_json = Some(ct.finish());
+        runs.into_iter().map(|r| r.sample).collect()
+    } else {
+        cached_sweep(cache.as_deref(), &cfg, &xs, method)?
+    };
     // Faulted sweeps print CSV (with the plan in the header) so runs can be
     // diffed byte-for-byte — the acceptance mode for fault determinism.
     // The shared renderer is the same one `comb serve` uses, which is what
     // makes HTTP sweep bodies byte-identical to this stdout.
-    if method == "polling" {
-        print!("{}", comb_report::render_polling_sweep(&cfg, &poll_samples));
-    } else {
-        print!("{}", comb_report::render_pww_sweep(&cfg, &pww_samples));
-    }
+    print!("{}", comb_report::render_sweep(&cfg, method, samples));
     if let (Some(path), Some(json)) = (&trace_path, &trace_json) {
         comb_trace::atomic_write_str(path, json).map_err(|e| CombError::io(path.display(), &e))?;
         eprintln!("trace: {}", path.display());

@@ -108,9 +108,10 @@ fn sigkill_mid_campaign_recovers_byte_identical() {
     // the bytes must match an uninterrupted in-process run exactly.
     let replay = client_request(&addr, "POST", "/v1/sweep", Some(CAMPAIGN.as_bytes())).unwrap();
     assert_eq!(replay.status, 200, "{}", replay.text());
-    let cfg = comb_core::MethodConfig::new(comb_core::Transport::Gm, 4096);
+    let mut cfg = comb_core::MethodConfig::new(comb_core::Transport::Gm, 4096);
+    cfg.jobs = 1;
     let xs = comb_core::log_spaced(100_000, 1_000_000, 200);
-    let samples = comb_core::polling_sweep_parallel(&cfg, &xs, 1).unwrap();
+    let samples = comb_core::polling_sweep(&cfg, &xs).unwrap();
     let expected = comb_report::render_polling_sweep(&cfg, &samples);
     assert_eq!(
         replay.text(),

@@ -1,7 +1,7 @@
-//! `comb sweep --trace` records on the serial kernel only, so asking for
-//! more than one shard alongside it — by flag or by environment — is a
-//! usage error (exit code 1, the CLI's usage contract) rather than a
-//! silently serial run.
+//! Tracing records on the serial kernel only, so asking for more than one
+//! shard alongside `comb sweep --trace` or `comb trace` — by flag or by
+//! environment — is a usage error (exit code 1, the CLI's usage contract)
+//! rather than a silently serial run.
 
 use std::process::{Command, Output};
 
@@ -26,6 +26,21 @@ fn sweep(extra: &[&str], shards_env: Option<&str>) -> Output {
     let out = cmd.output().expect("run comb sweep");
     let _ = std::fs::remove_file(&trace);
     out
+}
+
+fn trace(shards_env: &str) -> Output {
+    let out = std::env::temp_dir().join(format!(
+        "comb_cli_trace_cmd_shards_{}_{shards_env}.json",
+        std::process::id()
+    ));
+    let output = Command::new(env!("CARGO_BIN_EXE_comb"))
+        .args(["trace", "--cycles", "2", "--out"])
+        .arg(&out)
+        .env("COMB_SHARDS", shards_env)
+        .output()
+        .expect("run comb trace");
+    let _ = std::fs::remove_file(&out);
+    output
 }
 
 fn assert_rejected(out: &Output) {
@@ -58,4 +73,15 @@ fn trace_with_one_shard_still_runs() {
         out.status.success(),
         "one shard by flag must trace: {out:?}"
     );
+}
+
+#[test]
+fn trace_command_with_shards_env_is_a_usage_error() {
+    assert_rejected(&trace("2"));
+}
+
+#[test]
+fn trace_command_with_one_shard_runs() {
+    let out = trace("1");
+    assert!(out.status.success(), "one shard must trace: {out:?}");
 }

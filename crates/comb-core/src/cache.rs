@@ -38,7 +38,9 @@
 //! `FaultPlan::for_attempt` reseeding produces distinct keys per attempt.
 
 use crate::codec::{self, PointSample};
-use crate::runner::{run_polling_point_on, run_pww_point_on, RunError};
+use crate::polling::PollingParams;
+use crate::pww::PwwParams;
+use crate::runner::{run, RunError, RunSpec, TracedRun};
 use crate::sweep::MethodConfig;
 use comb_hw::HwConfig;
 use comb_sim::SimTime;
@@ -73,6 +75,25 @@ pub enum CellMethod {
         /// work phase.
         test_in_work: bool,
     },
+}
+
+impl CellMethod {
+    /// Run this method's point of `cfg` at `x`.
+    pub fn run(
+        self,
+        cfg: &MethodConfig,
+        x: u64,
+        spec: &RunSpec,
+    ) -> Result<TracedRun<PointSample>, RunError> {
+        Ok(match self {
+            CellMethod::Polling => {
+                run(&PollingParams::new(cfg, x), spec)?.map(PointSample::Polling)
+            }
+            CellMethod::Pww { test_in_work } => {
+                run(&PwwParams::new(cfg, x, test_in_work), spec)?.map(PointSample::Pww)
+            }
+        })
+    }
 }
 
 impl fmt::Display for CellMethod {
@@ -505,12 +526,12 @@ pub fn run_cell_cached(
             b.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
                 .map_err(|_| RunError::Interrupted)?;
         }
-        match method {
-            CellMethod::Polling => run_polling_point_on(hw, cfg, x).map(PointSample::Polling),
-            CellMethod::Pww { test_in_work } => {
-                run_pww_point_on(hw, cfg, x, test_in_work).map(PointSample::Pww)
-            }
-        }
+        let spec = RunSpec {
+            shards: cfg.shards,
+            watchdog: cfg.watchdog,
+            ..RunSpec::new(hw.clone())
+        };
+        Ok(method.run(cfg, x, &spec)?.sample)
     };
     match cache {
         None => Ok((compute()?, CacheOutcome::Uncached)),

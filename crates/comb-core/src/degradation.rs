@@ -9,7 +9,8 @@
 //! byte-identical at any `--jobs` value.
 
 use crate::metrics::PollingSample;
-use crate::runner::{pool, run_polling_point_on, RunError};
+use crate::polling::PollingParams;
+use crate::runner::{pool, run, RunError, RunSpec};
 use crate::sweep::MethodConfig;
 use comb_hw::{FaultPlan, LossSpec, StallSpec};
 use comb_sim::SimDuration;
@@ -95,7 +96,8 @@ pub fn degradation_sweep(
     pool::run_ordered(cfg.jobs, xs, |&x| {
         let mut point_cfg = cfg.clone();
         point_cfg.fault = plan_at(&cfg.fault, axis, x);
-        let sample = run_polling_point_on(&point_cfg.resolved_hw(), &point_cfg, poll_interval)?;
+        let point = PollingParams::new(&point_cfg, poll_interval);
+        let sample = run(&point, &RunSpec::of(&point_cfg))?.sample;
         Ok(DegradationPoint { x, sample })
     })
 }

@@ -182,23 +182,17 @@ impl From<SimError> for CombError {
 
 impl From<RunError> for CombError {
     fn from(e: RunError) -> CombError {
-        match e {
-            RunError::Sim(e) => CombError::from(e),
-            RunError::NoResult => CombError::internal("worker produced no sample"),
-            RunError::WorkerPanic { message } => CombError::new(
-                ErrorKind::WorkerPanic,
-                format!("sweep worker panicked: {message}"),
-            ),
-            RunError::Watchdog { error, diagnostic } => {
-                let mut message = error.to_string();
-                if !diagnostic.is_empty() {
-                    message.push('\n');
-                    message.push_str(&diagnostic);
-                }
-                CombError::new(ErrorKind::Watchdog, message)
-            }
-            RunError::Interrupted => CombError::interrupted(RunError::Interrupted.to_string()),
-        }
+        let kind = match e {
+            RunError::Sim(e) => return CombError::from(e),
+            RunError::NoResult => ErrorKind::Internal,
+            RunError::WorkerPanic { .. } => ErrorKind::WorkerPanic,
+            RunError::Watchdog { .. } => ErrorKind::Watchdog,
+            RunError::Interrupted => ErrorKind::Interrupted,
+            RunError::Usage { .. } => ErrorKind::Usage,
+        };
+        // The run error's text already carries the panic message or the
+        // watchdog diagnostic.
+        CombError::new(kind, e.to_string())
     }
 }
 

@@ -9,14 +9,15 @@
 //! reported time is the global maximum across ranks (an `MPI_Allreduce`),
 //! exactly as an application would measure a timestep loop.
 //!
-//! The scenario runs on [`SimRig`], so it is the multi-node (`ranks >= 2`)
-//! workload exercising the sharded kernel end to end: nodes land on
-//! shards round-robin and every halo crosses the wire — and, when sharded,
-//! the epoch mailboxes — without changing a single reported nanosecond.
+//! With more than two ranks it is a multi-node workload exercising the
+//! sharded kernel end to end: nodes land on shards round-robin and every
+//! halo crosses the wire — and, when sharded, the epoch mailboxes —
+//! without changing a single reported nanosecond.
 
-use crate::runner::{RunError, SimRig};
-use comb_hw::{HwConfig, NodeId};
+use crate::runner::{RunError, Scenario, SimRig};
+use comb_hw::{Cluster, NodeId};
 use comb_mpi::{MpiWorld, Payload, Rank, ReduceOp, Tag};
+use comb_sim::Probe;
 
 const LEFT_TAG: Tag = Tag(10);
 const RIGHT_TAG: Tag = Tag(11);
@@ -33,9 +34,6 @@ pub struct HaloParams {
     pub halo_bytes: u64,
     /// Boundary work per iteration, in calibrated loop iterations.
     pub boundary_iters: u64,
-    /// Kernel shards (`0` = auto: `COMB_SHARDS`, else serial). Cannot
-    /// change the result, only wall-clock time.
-    pub shards: usize,
 }
 
 impl HaloParams {
@@ -47,7 +45,6 @@ impl HaloParams {
             iterations: 25,
             halo_bytes: 64 * 1024,
             boundary_iters: 50_000,
-            shards: 0,
         }
     }
 
@@ -59,105 +56,129 @@ impl HaloParams {
             iterations: 6,
             halo_bytes: 32 * 1024,
             boundary_iters: 20_000,
-            shards: 0,
         }
     }
 }
 
-/// Run one halo-exchange point: `interior_iters` of overlappable work per
-/// iteration, overlapped with the halo flight or serialized after it.
-/// Returns the global elapsed time in milliseconds (max across ranks).
-pub fn run_halo_point(
-    hw: &HwConfig,
-    params: &HaloParams,
-    interior_iters: u64,
-    overlap: bool,
-) -> Result<f64, RunError> {
-    assert!(params.ranks >= 2, "a halo exchange needs at least 2 ranks");
-    let (mut rig, cluster) = SimRig::build(hw, params.shards, params.ranks);
-    let world = MpiWorld::attach(&cluster);
-    let probe = rig.probe::<u64>();
-    let p = *params;
-    for r in 0..p.ranks {
-        let mpi = world.proc(Rank(r));
-        let cpu = cluster.node(NodeId(r)).cpu.clone();
-        let pr = probe.clone();
-        rig.spawn(r, &format!("rank{r}"), move |ctx| {
-            let left = (r > 0).then(|| Rank(r - 1));
-            let right = (r + 1 < p.ranks).then(|| Rank(r + 1));
+/// One halo-exchange point: `interior_iters` of overlappable work per
+/// iteration, overlapped with the halo flight or serialized after it. The
+/// sample is the global elapsed time in milliseconds (max across ranks).
+#[derive(Debug, Clone, Copy)]
+pub struct HaloPoint {
+    /// The run's shape.
+    pub params: HaloParams,
+    /// Interior work per iteration, in calibrated loop iterations.
+    pub interior_iters: u64,
+    /// Overlap the interior with the halos (else the no-overlap baseline).
+    pub overlap: bool,
+}
 
-            mpi.barrier(ctx);
-            let t0 = ctx.now();
-            for _ in 0..p.iterations {
-                // 1. Halo posts: receives first, then sends.
-                let mut reqs = Vec::with_capacity(4);
-                if let Some(l) = left {
-                    reqs.push(mpi.irecv(ctx, l, RIGHT_TAG));
-                }
-                if let Some(rt) = right {
-                    reqs.push(mpi.irecv(ctx, rt, LEFT_TAG));
-                }
-                if let Some(l) = left {
-                    reqs.push(mpi.isend(ctx, l, LEFT_TAG, Payload::synthetic(p.halo_bytes)));
-                }
-                if let Some(rt) = right {
-                    reqs.push(mpi.isend(ctx, rt, RIGHT_TAG, Payload::synthetic(p.halo_bytes)));
-                }
-                if overlap {
-                    // 2. Interior while the halos (hopefully) fly.
-                    cpu.compute_iters(ctx, interior_iters);
-                    // 3. Halo completion.
-                    mpi.waitall(ctx, &reqs);
-                } else {
-                    // No-overlap baseline: wait first, then compute.
-                    mpi.waitall(ctx, &reqs);
-                    cpu.compute_iters(ctx, interior_iters);
-                }
-                // 4. Boundary cells need the halos.
-                cpu.compute_iters(ctx, p.boundary_iters);
-            }
-            let elapsed = ctx.now().since(t0);
-            // Agree on the global elapsed time (max across ranks).
-            let global_ns = mpi.allreduce(ctx, ReduceOp::Max, elapsed.as_nanos());
-            if r == 0 {
-                pr.set(global_ns);
-            }
-            mpi.finalize();
-        });
+impl Scenario for HaloPoint {
+    type Sample = f64;
+    type Pending = (Probe<u64>, MpiWorld);
+
+    fn nodes(&self) -> usize {
+        assert!(
+            self.params.ranks >= 2,
+            "a halo exchange needs at least 2 ranks"
+        );
+        self.params.ranks
     }
-    rig.drive_unwatched()?;
-    Ok(probe.take().ok_or(RunError::NoResult)? as f64 / 1e6)
+
+    fn spawn(&self, rig: &mut SimRig, cluster: &Cluster) -> Self::Pending {
+        let world = MpiWorld::attach(cluster);
+        let probe = Probe::new();
+        let HaloPoint {
+            params: p,
+            interior_iters,
+            overlap,
+        } = *self;
+        for r in 0..p.ranks {
+            let mpi = world.proc(Rank(r));
+            let cpu = cluster.node(NodeId(r)).cpu.clone();
+            let pr = probe.clone();
+            rig.spawn(r, &format!("rank{r}"), move |ctx| {
+                let left = (r > 0).then(|| Rank(r - 1));
+                let right = (r + 1 < p.ranks).then(|| Rank(r + 1));
+
+                mpi.barrier(ctx);
+                let t0 = ctx.now();
+                for _ in 0..p.iterations {
+                    // 1. Halo posts: receives first, then sends.
+                    let mut reqs = Vec::with_capacity(4);
+                    if let Some(l) = left {
+                        reqs.push(mpi.irecv(ctx, l, RIGHT_TAG));
+                    }
+                    if let Some(rt) = right {
+                        reqs.push(mpi.irecv(ctx, rt, LEFT_TAG));
+                    }
+                    if let Some(l) = left {
+                        reqs.push(mpi.isend(ctx, l, LEFT_TAG, Payload::synthetic(p.halo_bytes)));
+                    }
+                    if let Some(rt) = right {
+                        reqs.push(mpi.isend(ctx, rt, RIGHT_TAG, Payload::synthetic(p.halo_bytes)));
+                    }
+                    if overlap {
+                        // 2. Interior while the halos (hopefully) fly.
+                        cpu.compute_iters(ctx, interior_iters);
+                        // 3. Halo completion.
+                        mpi.waitall(ctx, &reqs);
+                    } else {
+                        // No-overlap baseline: wait first, then compute.
+                        mpi.waitall(ctx, &reqs);
+                        cpu.compute_iters(ctx, interior_iters);
+                    }
+                    // 4. Boundary cells need the halos.
+                    cpu.compute_iters(ctx, p.boundary_iters);
+                }
+                let elapsed = ctx.now().since(t0);
+                // Agree on the global elapsed time (max across ranks).
+                let global_ns = mpi.allreduce(ctx, ReduceOp::Max, elapsed.as_nanos());
+                if r == 0 {
+                    pr.set(global_ns);
+                }
+                mpi.finalize();
+            });
+        }
+        (probe, world)
+    }
+
+    fn sample(&self, (probe, _): Self::Pending, _: &Cluster) -> Result<f64, RunError> {
+        Ok(probe.take().ok_or(RunError::NoResult)? as f64 / 1e6)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{run, RunSpec};
+    use comb_hw::HwConfig;
+
+    /// One smoke-size halo point on Portals, in milliseconds.
+    fn halo_ms(interior_iters: u64, overlap: bool) -> f64 {
+        let point = HaloPoint {
+            params: HaloParams::smoke(),
+            interior_iters,
+            overlap,
+        };
+        run(&point, &RunSpec::new(HwConfig::portals_myrinet()))
+            .unwrap()
+            .sample
+    }
 
     #[test]
-    fn halo_points_are_deterministic_and_shard_invariant() {
-        let hw = HwConfig::portals_myrinet();
-        let mut p = HaloParams::smoke();
-        let serial = run_halo_point(&hw, &p, 200_000, true).unwrap();
-        assert!(serial > 0.0);
-        assert_eq!(serial, run_halo_point(&hw, &p, 200_000, true).unwrap());
-        for shards in [2, 4] {
-            p.shards = shards;
-            assert_eq!(
-                serial,
-                run_halo_point(&hw, &p, 200_000, true).unwrap(),
-                "halo point differs at shards={shards}"
-            );
-        }
+    fn halo_points_are_deterministic() {
+        let first = halo_ms(200_000, true);
+        assert!(first > 0.0);
+        assert_eq!(first, halo_ms(200_000, true));
     }
 
     #[test]
     fn overlap_beats_no_overlap_on_an_offloaded_transport() {
         // The example's headline finding, pinned: on Portals (full
         // offload) overlapping the interior with the halos is faster.
-        let hw = HwConfig::portals_myrinet();
-        let p = HaloParams::smoke();
-        let base = run_halo_point(&hw, &p, 400_000, false).unwrap();
-        let over = run_halo_point(&hw, &p, 400_000, true).unwrap();
+        let base = halo_ms(400_000, false);
+        let over = halo_ms(400_000, true);
         assert!(
             over < base,
             "overlap ({over} ms) should beat no-overlap ({base} ms) on Portals"

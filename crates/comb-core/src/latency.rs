@@ -8,11 +8,11 @@
 //! (GM vs Portals), which is exactly the paper's motivation.
 
 use crate::polling::DATA_TAG;
-use crate::runner::RunError;
+use crate::runner::{run, RunError, RunSpec, Scenario, SimRig};
 use crate::sweep::MethodConfig;
-use comb_hw::{Cluster, NodeId};
+use comb_hw::Cluster;
 use comb_mpi::{MpiWorld, Payload, Rank};
-use comb_sim::{SimDuration, Simulation};
+use comb_sim::{Probe, SimDuration};
 
 /// One row of the classic ping-pong table.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,56 +27,90 @@ pub struct LatencySample {
     pub iterations: u64,
 }
 
+/// A blocking ping-pong of `iterations` round trips (after one warm-up)
+/// at one message size, between node 0 and node 1.
+#[derive(Debug, Clone, Copy)]
+pub struct PingPong {
+    /// Message payload size in bytes.
+    pub msg_bytes: u64,
+    /// Round trips measured; at least one.
+    pub iterations: u64,
+}
+
+impl Scenario for PingPong {
+    type Sample = LatencySample;
+    type Pending = (Probe<SimDuration>, MpiWorld);
+
+    fn nodes(&self) -> usize {
+        2
+    }
+
+    fn spawn(&self, rig: &mut SimRig, cluster: &Cluster) -> Self::Pending {
+        assert!(self.iterations > 0);
+        let PingPong {
+            msg_bytes: size,
+            iterations,
+        } = *self;
+        let world = MpiWorld::attach(cluster);
+        let (m0, m1) = (world.proc(Rank(0)), world.proc(Rank(1)));
+        let probe = Probe::new();
+        let p = probe.clone();
+        rig.spawn(0, "pinger", move |ctx| {
+            // One warm-up round trip, then the measured ones.
+            m0.send(ctx, Rank(1), DATA_TAG, Payload::synthetic(size));
+            let _ = m0.recv(ctx, Rank(1), DATA_TAG);
+            let t0 = ctx.now();
+            for _ in 0..iterations {
+                m0.send(ctx, Rank(1), DATA_TAG, Payload::synthetic(size));
+                let _ = m0.recv(ctx, Rank(1), DATA_TAG);
+            }
+            p.set(ctx.now().since(t0));
+        });
+        rig.spawn(1, "ponger", move |ctx| {
+            for _ in 0..iterations + 1 {
+                let (st, _) = m1.recv(ctx, Rank(0), DATA_TAG);
+                m1.send(ctx, Rank(0), DATA_TAG, Payload::synthetic(st.len));
+            }
+        });
+        (probe, world)
+    }
+
+    fn sample(&self, (probe, _): Self::Pending, _: &Cluster) -> Result<LatencySample, RunError> {
+        let total = probe.take().ok_or(RunError::NoResult)?;
+        let half_rtt = total / (2 * self.iterations);
+        let bandwidth_mbs = if half_rtt.is_zero() {
+            0.0
+        } else {
+            self.msg_bytes as f64 / half_rtt.as_secs_f64() / 1e6
+        };
+        Ok(LatencySample {
+            msg_bytes: self.msg_bytes,
+            half_rtt,
+            bandwidth_mbs,
+            iterations: self.iterations,
+        })
+    }
+}
+
 /// Run a blocking ping-pong of `iterations` round trips at each of the
-/// given message sizes; returns one row per size.
+/// given message sizes, one simulation per size; returns one row per size.
 pub fn run_pingpong(
     cfg: &MethodConfig,
     sizes: &[u64],
     iterations: u64,
 ) -> Result<Vec<LatencySample>, RunError> {
-    assert!(iterations > 0);
-    let hw = cfg.transport.config();
+    let spec = RunSpec::of(cfg);
     sizes
         .iter()
-        .map(|&size| {
-            let mut sim = Simulation::new();
-            let cluster = Cluster::build(&sim.handle(), &hw, 2);
-            let world = MpiWorld::attach(&cluster);
-            let (m0, m1) = (world.proc(Rank(0)), world.proc(Rank(1)));
-            let probe = sim.probe::<SimDuration>();
-            let p = probe.clone();
-            sim.spawn("pinger", move |ctx| {
-                // One warm-up round trip, then the measured ones.
-                m0.send(ctx, Rank(1), DATA_TAG, Payload::synthetic(size));
-                let _ = m0.recv(ctx, Rank(1), DATA_TAG);
-                let t0 = ctx.now();
-                for _ in 0..iterations {
-                    m0.send(ctx, Rank(1), DATA_TAG, Payload::synthetic(size));
-                    let _ = m0.recv(ctx, Rank(1), DATA_TAG);
-                }
-                p.set(ctx.now().since(t0));
-            });
-            sim.spawn("ponger", move |ctx| {
-                for _ in 0..iterations + 1 {
-                    let (st, _) = m1.recv(ctx, Rank(0), DATA_TAG);
-                    m1.send(ctx, Rank(0), DATA_TAG, Payload::synthetic(st.len));
-                }
-            });
-            let _ = cluster.node(NodeId(0)); // keep cluster alive through the run
-            sim.run()?;
-            let total = probe.take().ok_or(RunError::NoResult)?;
-            let half_rtt = total / (2 * iterations);
-            let bandwidth_mbs = if half_rtt.is_zero() {
-                0.0
-            } else {
-                size as f64 / half_rtt.as_secs_f64() / 1e6
-            };
-            Ok(LatencySample {
-                msg_bytes: size,
-                half_rtt,
-                bandwidth_mbs,
-                iterations,
-            })
+        .map(|&msg_bytes| {
+            Ok(run(
+                &PingPong {
+                    msg_bytes,
+                    iterations,
+                },
+                &spec,
+            )?
+            .sample)
         })
         .collect()
 }

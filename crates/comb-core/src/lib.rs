@@ -12,8 +12,15 @@
 //!   *application offload* and locate communication bottlenecks. The
 //!   `test_in_work` flag gives the Section 4.3 modified variant.
 //!
+//! Both are shorthands for [`run`], the one runner every benchmark point
+//! goes through. A point is a [`Scenario`] — [`PollingParams`],
+//! [`PwwParams`], [`InterleavedParams`], [`PollingPairs`], [`HaloPoint`],
+//! [`NetperfParams`], [`PingPong`] — and a [`RunSpec`] says how to run it:
+//! hardware, kernel shards, tracing, watchdog. Sweeps are [`run_ordered`]
+//! over [`run`].
+//!
 //! ```
-//! use comb_core::{MethodConfig, Transport, run_polling_point, run_pww_point};
+//! use comb_core::{run, run_polling_point, run_pww_point, MethodConfig, PwwParams, RunSpec, Transport};
 //!
 //! let mut cfg = MethodConfig::new(Transport::Portals, 100 * 1024);
 //! cfg.target_iters = 2_000_000; // keep the doctest quick
@@ -23,6 +30,12 @@
 //! cfg.cycles = 4;
 //! let pww = run_pww_point(&cfg, 1_000_000, false).unwrap();
 //! assert!(pww.wait_per_msg < pww.work_with_mh); // offload: work absorbs messaging
+//!
+//! // The same point through the runner, with its trace recorded.
+//! let spec = RunSpec { trace: true, ..RunSpec::of(&cfg) };
+//! let traced = run(&PwwParams::new(&cfg, 1_000_000, false), &spec).unwrap();
+//! assert_eq!(traced.sample, pww);
+//! assert!(!traced.records.is_empty());
 //! ```
 
 #![warn(missing_docs)]
@@ -41,7 +54,6 @@ pub mod pww;
 pub mod runner;
 pub mod stats;
 pub mod sweep;
-pub mod traced;
 
 pub use adaptive::{run_adaptive_cells, AdaptiveCell, AdaptiveParams, AdaptiveStats, CellEstimate};
 pub use cache::{
@@ -53,26 +65,21 @@ pub use degradation::{
     degradation_sweep, DegradationAxis, DegradationPoint, LOSS_RATES, STALL_DUTIES,
 };
 pub use error::{CombError, ErrorKind};
-pub use halo::{run_halo_point, HaloParams};
-pub use latency::{run_pingpong, LatencySample};
+pub use halo::{HaloParams, HaloPoint};
+pub use latency::{run_pingpong, LatencySample, PingPong};
 pub use metrics::{availability, bandwidth_mbs, FaultCounters, PollingSample, PwwSample};
-pub use netperf::{run_netperf_point, NetperfSample};
-pub use polling::{PollingParams, DATA_TAG, STOP_TAG};
+pub use netperf::{NetperfParams, NetperfSample};
+pub use polling::{PollingPairs, PollingParams, DATA_TAG, STOP_TAG};
 pub use pww::{InterleavedParams, PwwParams};
 pub use runner::pool::{
     available_jobs, effective_jobs, effective_shards, run_cells, run_ordered, AdmissionGate,
     AdmissionPermit, CellOutcome, RetryPolicy,
 };
 pub use runner::{
-    polling_sweep, polling_sweep_parallel, pww_sweep, pww_sweep_parallel, run_polling_pairs,
-    run_polling_point, run_polling_point_on, run_pww_interleaved, run_pww_point, run_pww_point_on,
-    RunError,
+    polling_sweep, pww_sweep, run, run_polling_pairs, run_polling_point, run_pww_point, RunError,
+    RunSpec, Scenario, SimRig, TracedRun,
 };
 pub use stats::{
     mean_ci, t_cdf, t_quantile, MeanCi, QuantileWindow, StopDecision, StoppingRule, Welford,
 };
 pub use sweep::{lin_spaced, log_spaced, ConfigSummary, MethodConfig, Transport, PAPER_SIZES};
-pub use traced::{
-    polling_sweep_traced, pww_sweep_traced, run_polling_point_traced, run_pww_point_traced,
-    TracedRun,
-};

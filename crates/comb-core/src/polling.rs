@@ -11,10 +11,12 @@
 //! predetermined amount of work with no communication, then the measured
 //! run; `availability = T(dry) / T(measured)`.
 
-use crate::metrics::{availability, bandwidth_mbs, PollingSample};
-use comb_hw::Cpu;
-use comb_mpi::{MpiProc, Payload, Rank, RequestHandle, Tag};
-use comb_sim::ProcCtx;
+use crate::metrics::{availability, bandwidth_mbs, FaultCounters, PollingSample};
+use crate::runner::{spawn_pair, Exchange, RunError, Scenario, SimRig, SupportFn, WorkerFn};
+use crate::sweep::MethodConfig;
+use comb_hw::{Cluster, Cpu};
+use comb_mpi::{MpiProc, MpiWorld, Payload, Rank, RequestHandle, Tag};
+use comb_sim::{Probe, ProcCtx};
 use comb_trace::{Comp, Phase, TraceEvent};
 use std::collections::VecDeque;
 
@@ -34,6 +36,69 @@ pub struct PollingParams {
     pub poll_interval: u64,
     /// Number of poll intervals in the measured phase.
     pub intervals: u64,
+}
+
+impl PollingParams {
+    /// The point of `cfg`'s polling sweep at `poll_interval` loop
+    /// iterations.
+    pub fn new(cfg: &MethodConfig, poll_interval: u64) -> PollingParams {
+        PollingParams {
+            msg_bytes: cfg.msg_bytes,
+            queue_depth: cfg.queue_depth,
+            poll_interval: poll_interval.max(1),
+            intervals: cfg.intervals_for(poll_interval),
+        }
+    }
+}
+
+/// One polling-method point.
+impl Exchange for PollingParams {
+    type Sample = PollingSample;
+    const WORKER: WorkerFn<Self> = worker;
+    const SUPPORT: SupportFn<Self> = support;
+    fn set_faults(sample: &mut PollingSample, faults: FaultCounters) {
+        sample.faults = faults;
+    }
+}
+
+/// `pairs` independent polling exchanges inside ONE simulation: pair `p`
+/// puts its worker on node `2p` and its support on node `2p + 1`, all
+/// sharing a fabric. A classic two-node point caps useful shards at 2, so
+/// this is the workload that exercises — and benchmarks — higher shard
+/// counts. Samples come back in pair order and are byte-identical at every
+/// shard count. Fault counters are left zero: the pairs share one fabric,
+/// so per-pair attribution is not meaningful.
+#[derive(Debug, Clone, Copy)]
+pub struct PollingPairs {
+    /// The exchange every pair runs.
+    pub params: PollingParams,
+    /// Worker/support pairs; at least one.
+    pub pairs: usize,
+}
+
+impl Scenario for PollingPairs {
+    type Sample = Vec<PollingSample>;
+    type Pending = (Vec<Probe<PollingSample>>, MpiWorld);
+
+    fn nodes(&self) -> usize {
+        assert!(self.pairs >= 1, "need at least one worker/support pair");
+        2 * self.pairs
+    }
+
+    fn spawn(&self, rig: &mut SimRig, cluster: &Cluster) -> Self::Pending {
+        let world = MpiWorld::attach(cluster);
+        let probes = (0..self.pairs)
+            .map(|p| spawn_pair(rig, cluster, &world, 2 * p, &p.to_string(), self.params))
+            .collect();
+        (probes, world)
+    }
+
+    fn sample(&self, (probes, _): Self::Pending, _: &Cluster) -> Result<Self::Sample, RunError> {
+        probes
+            .into_iter()
+            .map(|p| p.take().ok_or(RunError::NoResult))
+            .collect()
+    }
 }
 
 /// Reap completed fire-and-forget sends from the front of `pending`.

@@ -11,8 +11,10 @@
 //! early in the work phase (Section 4.3), which un-sticks library-progress
 //! transports.
 
-use crate::metrics::{availability, bandwidth_mbs, PwwSample};
+use crate::metrics::{availability, bandwidth_mbs, FaultCounters, PwwSample};
 use crate::polling::DATA_TAG;
+use crate::runner::{Exchange, SupportFn, WorkerFn};
+use crate::sweep::MethodConfig;
 use comb_mpi::Tag;
 
 /// One-way release sent by the worker after its dry run; the support
@@ -37,6 +39,30 @@ pub struct PwwParams {
     pub work_interval: u64,
     /// Insert one `MPI_Test` early in the work phase (modified PWW).
     pub test_in_work: bool,
+}
+
+impl PwwParams {
+    /// The point of `cfg`'s PWW sweep at `work_interval` loop iterations;
+    /// `test_in_work` selects the Section 4.3 modified variant.
+    pub fn new(cfg: &MethodConfig, work_interval: u64, test_in_work: bool) -> PwwParams {
+        PwwParams {
+            msg_bytes: cfg.msg_bytes,
+            batch: cfg.batch,
+            cycles: cfg.cycles,
+            work_interval: work_interval.max(1),
+            test_in_work,
+        }
+    }
+}
+
+/// One PWW-method point.
+impl Exchange for PwwParams {
+    type Sample = PwwSample;
+    const WORKER: WorkerFn<Self> = worker;
+    const SUPPORT: SupportFn<Self> = support;
+    fn set_faults(sample: &mut PwwSample, faults: FaultCounters) {
+        sample.faults = faults;
+    }
 }
 
 /// The worker process: post → work → wait against the support process at
@@ -339,6 +365,27 @@ pub struct InterleavedParams {
     pub interleave: usize,
 }
 
+impl InterleavedParams {
+    /// `cfg`'s PWW point at `work_interval` with `interleave` batches in
+    /// flight.
+    pub fn new(cfg: &MethodConfig, work_interval: u64, interleave: usize) -> InterleavedParams {
+        InterleavedParams {
+            base: PwwParams::new(cfg, work_interval, false),
+            interleave,
+        }
+    }
+}
+
+/// One interleaved PWW point.
+impl Exchange for InterleavedParams {
+    type Sample = PwwSample;
+    const WORKER: WorkerFn<Self> = worker_interleaved;
+    const SUPPORT: SupportFn<Self> = support_interleaved;
+    fn set_faults(sample: &mut PwwSample, faults: FaultCounters) {
+        sample.faults = faults;
+    }
+}
+
 /// The worker process for interleaved PWW against the support process at
 /// rank `peer`; returns the sample. With `interleave == 1` the phase
 /// structure degenerates to post-work-wait with the post at the end of the
@@ -468,8 +515,15 @@ pub fn support_interleaved(ctx: &ProcCtx, mpi: &MpiProc, p: &InterleavedParams, 
 
 #[cfg(test)]
 mod interleave_tests {
-    use crate::runner::{run_pww_interleaved, run_pww_point};
+    use super::InterleavedParams;
+    use crate::metrics::PwwSample;
+    use crate::runner::{run, run_pww_point, RunSpec};
     use crate::sweep::{MethodConfig, Transport};
+
+    fn interleaved(cfg: &MethodConfig, work: u64, interleave: usize) -> PwwSample {
+        let point = InterleavedParams::new(cfg, work, interleave);
+        run(&point, &RunSpec::of(cfg)).unwrap().sample
+    }
 
     fn cfg() -> MethodConfig {
         let mut c = MethodConfig::new(Transport::Gm, 100 * 1024);
@@ -484,7 +538,7 @@ mod interleave_tests {
         // cycles, detecting a higher maximum sustained bandwidth.
         let work = 200_000; // 0.8 ms: far below the transfer time
         let plain = run_pww_point(&cfg(), work, false).unwrap();
-        let deep = run_pww_interleaved(&cfg(), work, 3).unwrap();
+        let deep = interleaved(&cfg(), work, 3);
         assert!(
             deep.bandwidth_mbs > plain.bandwidth_mbs * 1.2,
             "interleave=3 {} must beat plain {}",
@@ -497,7 +551,7 @@ mod interleave_tests {
     fn interleave_one_matches_standard_shape() {
         let work = 1_000_000;
         let plain = run_pww_point(&cfg(), work, false).unwrap();
-        let k1 = run_pww_interleaved(&cfg(), work, 1).unwrap();
+        let k1 = interleaved(&cfg(), work, 1);
         // Not identical (post placement differs) but the same regime.
         let ratio = k1.bandwidth_mbs / plain.bandwidth_mbs;
         assert!(
@@ -511,8 +565,8 @@ mod interleave_tests {
 
     #[test]
     fn interleaved_is_deterministic() {
-        let a = run_pww_interleaved(&cfg(), 500_000, 4).unwrap();
-        let b = run_pww_interleaved(&cfg(), 500_000, 4).unwrap();
+        let a = interleaved(&cfg(), 500_000, 4);
+        let b = interleaved(&cfg(), 500_000, 4);
         assert_eq!(a, b);
     }
 
@@ -520,7 +574,7 @@ mod interleave_tests {
     fn interleave_deeper_than_cycles_is_clamped() {
         let mut c = cfg();
         c.cycles = 2;
-        let s = run_pww_interleaved(&c, 100_000, 16).unwrap();
+        let s = interleaved(&c, 100_000, 16);
         assert_eq!(s.cycles, 2);
         assert!(s.bandwidth_mbs > 0.0);
     }

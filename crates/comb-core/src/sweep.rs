@@ -75,8 +75,8 @@ pub struct MethodConfig {
     /// otherwise `1` (the serial kernel). Like [`MethodConfig::jobs`] the
     /// knob is excluded from cell identity — the epoch merge reproduces
     /// the serial event order exactly, so any value yields byte-identical
-    /// samples; only wall-clock time changes. Traced runs always use the
-    /// serial kernel (shard workers would interleave trace emission).
+    /// samples; only wall-clock time changes. Tracing needs the serial
+    /// kernel: [`crate::run`] rejects a traced run on more than one shard.
     pub shards: usize,
     /// Fault-injection plan applied to the transport's hardware (the
     /// default injects nothing). Faulted sweeps stay byte-deterministic:

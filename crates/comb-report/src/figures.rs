@@ -4,10 +4,10 @@
 
 use crate::series::{CiBand, Dataset, Series};
 use comb_core::{
-    lin_spaced, log_spaced, mean_ci, polling_sweep, pww_sweep, run_adaptive_cells, run_cell_cached,
-    run_ordered, AdaptiveCell, AdaptiveParams, AdaptiveStats, CacheOutcome, CellCache, CellMethod,
-    CombError, MethodConfig, PointSample, PollingSample, PwwSample, RetryPolicy, RunError,
-    Transport, Welford, PAPER_SIZES,
+    lin_spaced, log_spaced, mean_ci, run_adaptive_cells, run_cell_cached, run_ordered,
+    AdaptiveCell, AdaptiveParams, AdaptiveStats, CacheOutcome, CellCache, CellMethod, CombError,
+    MethodConfig, PointSample, PollingSample, PwwSample, RetryPolicy, RunError, Transport, Welford,
+    PAPER_SIZES,
 };
 use comb_trace::Tracer;
 use std::collections::{HashMap, HashSet};
@@ -451,16 +451,14 @@ fn tally(tallies: &[[AtomicU64; 3]], campaign: usize, outcome: CacheOutcome) {
 ///   into one work list and run it through the shared worker pool. This
 ///   keeps all cores busy across campaign boundaries instead of
 ///   parallelizing (or serializing) one sweep at a time.
-/// * the lazy accessors used by [`generate`] — any campaign not prepared
-///   is swept on first use, so `generate` works standalone too.
+/// * [`generate`] itself — it prepares whatever campaigns its figure
+///   still needs through the same path, so it works standalone too.
 pub struct Campaigns {
     fidelity: Fidelity,
     // Each campaign is a Vec over x-axis points; each point a Vec over
     // replicates. Single-shot campaigns store singletons, so the legacy
     // path is the `n = 1` case of the replicate-aware one.
-    polling: HashMap<(String, u64), Vec<Vec<PollingSample>>>,
-    pww: HashMap<(String, u64, bool), Vec<Vec<PwwSample>>>,
-    overhead: HashMap<String, Vec<Vec<PwwSample>>>,
+    done: HashMap<CampaignKey, Vec<Vec<PointSample>>>,
     /// Per-campaign convergence flags (one per x point) from the adaptive
     /// pass; absent for single-shot campaigns.
     converged: HashMap<String, Vec<bool>>,
@@ -478,9 +476,7 @@ impl Campaigns {
     pub fn new(fidelity: Fidelity) -> Campaigns {
         Campaigns {
             fidelity,
-            polling: HashMap::new(),
-            pww: HashMap::new(),
-            overhead: HashMap::new(),
+            done: HashMap::new(),
             converged: HashMap::new(),
             cell_cache: None,
             cache_log: HashMap::new(),
@@ -533,30 +529,13 @@ impl Campaigns {
         let mut ordered = Vec::new();
         for &id in ids {
             for key in required_campaigns(id) {
-                if self.is_cached(&key) || !seen.insert(key.clone()) {
+                if self.done.contains_key(&key) || !seen.insert(key.clone()) {
                     continue;
                 }
                 ordered.push(key);
             }
         }
         ordered
-    }
-
-    fn is_cached(&self, key: &CampaignKey) -> bool {
-        match key {
-            CampaignKey::Polling {
-                platform,
-                msg_bytes,
-            } => self.polling.contains_key(&(platform.clone(), *msg_bytes)),
-            CampaignKey::Pww {
-                platform,
-                msg_bytes,
-                test_in_work,
-            } => self
-                .pww
-                .contains_key(&(platform.clone(), *msg_bytes, *test_in_work)),
-            CampaignKey::Overhead { platform } => self.overhead.contains_key(platform),
-        }
     }
 
     fn plan_campaign(&self, key: CampaignKey) -> PlannedCampaign {
@@ -590,9 +569,9 @@ impl Campaigns {
     /// not already cached, running *all* of their points through one
     /// shared worker pool ([`Fidelity::jobs`] workers, `0` = auto).
     ///
-    /// Results land in the same cache the lazy accessors fill, in the same
-    /// per-campaign input order, so a prepared [`generate`] emits datasets
-    /// byte-identical to unprepared serial generation.
+    /// Results land in per-campaign input order, so datasets are
+    /// byte-identical whichever figures were prepared together and at any
+    /// job count.
     pub fn prepare(&mut self, ids: &[FigureId]) -> Result<(), RunError> {
         self.prepare_until(ids, None)
     }
@@ -647,7 +626,8 @@ impl Campaigns {
         for pc in plan {
             let tail = rest.split_off(pc.xs.len());
             let samples = std::mem::replace(&mut rest, tail);
-            self.store_campaign(pc.key, samples.into_iter().map(|s| vec![s]).collect());
+            self.done
+                .insert(pc.key, samples.into_iter().map(|s| vec![s]).collect());
         }
         Ok(())
     }
@@ -709,55 +689,10 @@ impl Campaigns {
                 pc.key.canonical(),
                 ests.iter().map(|e| e.converged).collect(),
             );
-            self.store_campaign(pc.key, ests.into_iter().map(|e| e.samples).collect());
+            self.done
+                .insert(pc.key, ests.into_iter().map(|e| e.samples).collect());
         }
         Ok(stats)
-    }
-
-    /// File one campaign's finished points (replicate lists) under its
-    /// key, unwrapping the method-specific sample type.
-    fn store_campaign(&mut self, key: CampaignKey, points: Vec<Vec<PointSample>>) {
-        let as_polling = |reps: Vec<PointSample>| -> Vec<PollingSample> {
-            reps.into_iter()
-                .map(|r| match r {
-                    PointSample::Polling(s) => s,
-                    PointSample::Pww(_) => unreachable!("polling campaign"),
-                })
-                .collect()
-        };
-        let as_pww = |reps: Vec<PointSample>| -> Vec<PwwSample> {
-            reps.into_iter()
-                .map(|r| match r {
-                    PointSample::Pww(s) => s,
-                    PointSample::Polling(_) => unreachable!("pww campaign"),
-                })
-                .collect()
-        };
-        match key {
-            CampaignKey::Polling {
-                platform,
-                msg_bytes,
-            } => {
-                self.polling.insert(
-                    (platform, msg_bytes),
-                    points.into_iter().map(as_polling).collect(),
-                );
-            }
-            CampaignKey::Pww {
-                platform,
-                msg_bytes,
-                test_in_work,
-            } => {
-                self.pww.insert(
-                    (platform, msg_bytes, test_in_work),
-                    points.into_iter().map(as_pww).collect(),
-                );
-            }
-            CampaignKey::Overhead { platform } => {
-                self.overhead
-                    .insert(platform, points.into_iter().map(as_pww).collect());
-            }
-        }
     }
 
     /// Per-point convergence flags of an adaptively prepared campaign
@@ -767,40 +702,23 @@ impl Campaigns {
         self.converged.get(&key.canonical()).map(Vec::as_slice)
     }
 
-    fn polling(&mut self, t: &Transport, size: u64) -> Result<&[Vec<PollingSample>], RunError> {
-        let key = (t.name(), size);
-        if !self.polling.contains_key(&key) {
-            let cfg = self.fidelity.method_config(t.clone(), size);
-            let xs = log_spaced(POLL_RANGE.0, POLL_RANGE.1, self.fidelity.per_decade);
-            let samples = polling_sweep(&cfg, &xs)?;
-            self.polling
-                .insert(key.clone(), samples.into_iter().map(|s| vec![s]).collect());
-        }
-        Ok(&self.polling[&key])
+    fn polling(&self, t: &Transport, size: u64) -> &[Vec<PointSample>] {
+        &self.done[&CampaignKey::Polling {
+            platform: t.name(),
+            msg_bytes: size,
+        }]
     }
 
-    fn pww(&mut self, t: &Transport, size: u64, test: bool) -> Result<&[Vec<PwwSample>], RunError> {
-        let key = (t.name(), size, test);
-        if !self.pww.contains_key(&key) {
-            let cfg = self.fidelity.method_config(t.clone(), size);
-            let xs = log_spaced(PWW_RANGE.0, PWW_RANGE.1, self.fidelity.per_decade);
-            let samples = pww_sweep(&cfg, &xs, test)?;
-            self.pww
-                .insert(key.clone(), samples.into_iter().map(|s| vec![s]).collect());
-        }
-        Ok(&self.pww[&key])
+    fn pww(&self, t: &Transport, size: u64, test_in_work: bool) -> &[Vec<PointSample>] {
+        &self.done[&CampaignKey::Pww {
+            platform: t.name(),
+            msg_bytes: size,
+            test_in_work,
+        }]
     }
 
-    fn overhead(&mut self, t: &Transport) -> Result<&[Vec<PwwSample>], RunError> {
-        let key = t.name();
-        if !self.overhead.contains_key(&key) {
-            let cfg = self.fidelity.method_config(t.clone(), 100 * 1024);
-            let xs = lin_spaced(OVERHEAD_RANGE.0, OVERHEAD_RANGE.1, OVERHEAD_POINTS);
-            let samples = pww_sweep(&cfg, &xs, false)?;
-            self.overhead
-                .insert(key.clone(), samples.into_iter().map(|s| vec![s]).collect());
-        }
-        Ok(&self.overhead[&key])
+    fn overhead(&self, t: &Transport) -> &[Vec<PointSample>] {
+        &self.done[&CampaignKey::Overhead { platform: t.name() }]
     }
 }
 
@@ -854,28 +772,55 @@ fn replicate_series<T>(
     s
 }
 
+fn as_polling(p: &PointSample) -> &PollingSample {
+    match p {
+        PointSample::Polling(s) => s,
+        PointSample::Pww(_) => unreachable!("polling campaign"),
+    }
+}
+
+fn as_pww(p: &PointSample) -> &PwwSample {
+    match p {
+        PointSample::Pww(s) => s,
+        PointSample::Polling(_) => unreachable!("pww campaign"),
+    }
+}
+
 fn polling_series(
     label: &str,
-    s: &[Vec<PollingSample>],
+    s: &[Vec<PointSample>],
     y: impl Fn(&PollingSample) -> f64,
 ) -> Series {
-    replicate_series(label, s, |p| p.poll_interval as f64, y)
+    replicate_series(
+        label,
+        s,
+        |p| as_polling(p).poll_interval as f64,
+        |p| y(as_polling(p)),
+    )
 }
 
-fn pww_series(label: &str, s: &[Vec<PwwSample>], y: impl Fn(&PwwSample) -> f64) -> Series {
-    replicate_series(label, s, |p| p.work_interval as f64, y)
+fn pww_series(label: &str, s: &[Vec<PointSample>], y: impl Fn(&PwwSample) -> f64) -> Series {
+    replicate_series(
+        label,
+        s,
+        |p| as_pww(p).work_interval as f64,
+        |p| y(as_pww(p)),
+    )
 }
 
-fn avail_vs_bw_series(label: &str, s: &[Vec<PollingSample>]) -> Series {
-    replicate_series(label, s, |p| p.availability, |p| p.bandwidth_mbs)
+fn avail_vs_bw_series(label: &str, s: &[Vec<PointSample>]) -> Series {
+    replicate_series(
+        label,
+        s,
+        PointSample::availability,
+        PointSample::bandwidth_mbs,
+    )
 }
 
-fn pww_avail_vs_bw_series(label: &str, s: &[Vec<PwwSample>]) -> Series {
-    replicate_series(label, s, |p| p.availability, |p| p.bandwidth_mbs)
-}
-
-/// Regenerate one figure, reusing any sweeps already in `campaigns`.
+/// Regenerate one figure, reusing any sweeps already in `campaigns` and
+/// preparing the rest.
 pub fn generate(id: FigureId, campaigns: &mut Campaigns) -> Result<Dataset, RunError> {
+    campaigns.prepare(&[id])?;
     let mut ds = Dataset {
         id: id.id(),
         title: id.title().to_string(),
@@ -893,7 +838,7 @@ pub fn generate(id: FigureId, campaigns: &mut Campaigns) -> Result<Dataset, RunE
                 "Bandwidth (MB/s)".into()
             };
             for &size in &PAPER_SIZES {
-                let s = campaigns.polling(&Transport::Portals, size)?;
+                let s = campaigns.polling(&Transport::Portals, size);
                 ds.series.push(if id == FigureId::Fig04 {
                     polling_series(&size_label(size), s, |p| p.availability)
                 } else {
@@ -909,7 +854,7 @@ pub fn generate(id: FigureId, campaigns: &mut Campaigns) -> Result<Dataset, RunE
                 "Bandwidth (MB/s)".into()
             };
             for &size in &PAPER_SIZES {
-                let s = campaigns.pww(&Transport::Portals, size, false)?;
+                let s = campaigns.pww(&Transport::Portals, size, false);
                 ds.series.push(if id == FigureId::Fig06 {
                     pww_series(&size_label(size), s, |p| p.availability)
                 } else {
@@ -921,7 +866,7 @@ pub fn generate(id: FigureId, campaigns: &mut Campaigns) -> Result<Dataset, RunE
             ds.y_label = "Bandwidth (MB/s)".into();
             for t in [Transport::Gm, Transport::Portals] {
                 let name = t.name();
-                let s = campaigns.polling(&t, kb100)?;
+                let s = campaigns.polling(&t, kb100);
                 ds.series
                     .push(polling_series(&name, s, |p| p.bandwidth_mbs));
             }
@@ -935,7 +880,7 @@ pub fn generate(id: FigureId, campaigns: &mut Campaigns) -> Result<Dataset, RunE
             };
             for t in [Transport::Gm, Transport::Portals] {
                 let name = t.name();
-                let s = campaigns.pww(&t, kb100, false)?;
+                let s = campaigns.pww(&t, kb100, false);
                 ds.series.push(match id {
                     FigureId::Fig09 => pww_series(&name, s, |p| p.bandwidth_mbs),
                     FigureId::Fig10 => pww_series(&name, s, |p| p.post_per_msg.as_micros_f64()),
@@ -952,7 +897,7 @@ pub fn generate(id: FigureId, campaigns: &mut Campaigns) -> Result<Dataset, RunE
             } else {
                 Transport::Gm
             };
-            let s = campaigns.overhead(&t)?;
+            let s = campaigns.overhead(&t);
             ds.series.push(pww_series("Work with MH", s, |p| {
                 p.work_with_mh.as_micros_f64()
             }));
@@ -969,7 +914,7 @@ pub fn generate(id: FigureId, campaigns: &mut Campaigns) -> Result<Dataset, RunE
                 Transport::Portals
             };
             for &size in &PAPER_SIZES {
-                let s = campaigns.polling(&t, size)?;
+                let s = campaigns.polling(&t, size);
                 ds.series.push(avail_vs_bw_series(&size_label(size), s));
             }
         }
@@ -977,14 +922,14 @@ pub fn generate(id: FigureId, campaigns: &mut Campaigns) -> Result<Dataset, RunE
             ds.x_label = "CPU Available to User (fraction of time)".into();
             ds.y_label = "Bandwidth (MB/s)".into();
             ds.log_x = false;
-            let poll = campaigns.polling(&Transport::Gm, kb100)?;
+            let poll = campaigns.polling(&Transport::Gm, kb100);
             ds.series.push(avail_vs_bw_series("Poll", poll));
             if id == FigureId::Fig17 {
-                let tested = campaigns.pww(&Transport::Gm, kb100, true)?;
-                ds.series.push(pww_avail_vs_bw_series("PWW + Test", tested));
+                let tested = campaigns.pww(&Transport::Gm, kb100, true);
+                ds.series.push(avail_vs_bw_series("PWW + Test", tested));
             }
-            let pww = campaigns.pww(&Transport::Gm, kb100, false)?;
-            ds.series.push(pww_avail_vs_bw_series("PWW", pww));
+            let pww = campaigns.pww(&Transport::Gm, kb100, false);
+            ds.series.push(avail_vs_bw_series("PWW", pww));
         }
     }
     Ok(ds)
@@ -1042,9 +987,10 @@ mod tests {
         // Fig 13 and Fig 16 both need GM sweeps; fig13's overhead campaign
         // is distinct, but the polling campaign must be computed once.
         let _ = generate(FigureId::Fig13, &mut c).unwrap();
-        assert_eq!(c.overhead.len(), 1);
-        let before = c.polling.len();
-        assert_eq!(before, 0);
+        let overhead_gm = CampaignKey::Overhead {
+            platform: "GM".into(),
+        };
+        assert_eq!(c.done.keys().collect::<Vec<_>>(), [&overhead_gm]);
     }
 
     #[test]
@@ -1067,12 +1013,14 @@ mod tests {
     fn prepare_fills_cache_and_generate_uses_it() {
         let mut c = Campaigns::new(Fidelity::smoke());
         c.prepare(&[FigureId::Fig12]).unwrap();
-        assert_eq!(c.overhead.len(), 1);
+        let overhead_portals = CampaignKey::Overhead {
+            platform: "Portals".into(),
+        };
+        assert_eq!(c.done.keys().collect::<Vec<_>>(), [&overhead_portals]);
         // Generating now must not add campaigns — the data is cached.
         let ds = generate(FigureId::Fig12, &mut c).unwrap();
         assert_eq!(ds.series.len(), 2);
-        assert_eq!(c.overhead.len(), 1);
-        assert!(c.polling.is_empty() && c.pww.is_empty());
+        assert_eq!(c.done.keys().collect::<Vec<_>>(), [&overhead_portals]);
         // Re-planning the same figure is now a no-op.
         assert!(c.plan(&[FigureId::Fig12]).is_empty());
     }
@@ -1164,12 +1112,12 @@ mod tests {
     }
 
     #[test]
-    fn prepared_generation_matches_lazy_generation() {
+    fn standalone_generation_matches_prepared_generation() {
         let ids = [FigureId::Fig16, FigureId::Fig17];
-        let mut lazy = Campaigns::new(Fidelity::smoke().with_jobs(1));
-        let lazy_ds: Vec<_> = ids
+        let mut standalone = Campaigns::new(Fidelity::smoke().with_jobs(1));
+        let standalone_ds: Vec<_> = ids
             .iter()
-            .map(|&i| generate(i, &mut lazy).unwrap())
+            .map(|&i| generate(i, &mut standalone).unwrap())
             .collect();
         let mut prepped = Campaigns::new(Fidelity::smoke());
         prepped.prepare(&ids).unwrap();
@@ -1177,7 +1125,7 @@ mod tests {
             .iter()
             .map(|&i| generate(i, &mut prepped).unwrap())
             .collect();
-        for (a, b) in lazy_ds.iter().zip(&prep_ds) {
+        for (a, b) in standalone_ds.iter().zip(&prep_ds) {
             assert_eq!(a.to_csv(), b.to_csv(), "datasets diverge for {}", a.id);
         }
     }

@@ -12,7 +12,7 @@
 
 use crate::figures::Fidelity;
 use crate::series::{Dataset, Series};
-use comb_core::{run_halo_point, CombError, HaloParams};
+use comb_core::{run, CombError, HaloParams, HaloPoint, RunSpec};
 use comb_hw::HwConfig;
 
 /// Interior-work grid (calibrated loop iterations): small, spanning
@@ -24,22 +24,31 @@ const INTERIOR_GRID: [u64; 4] = [50_000, 200_000, 800_000, 3_200_000];
 /// small); like every figure, the CSV bytes are identical at any shard
 /// count.
 pub fn generate_halo(fidelity: Fidelity) -> Result<Dataset, CombError> {
-    let mut params = HaloParams::smoke();
-    params.shards = fidelity.shards;
+    let params = HaloParams::smoke();
     let mut series = Vec::new();
     for hw in [HwConfig::gm_myrinet(), HwConfig::portals_myrinet()] {
+        let spec = RunSpec {
+            shards: fidelity.shards,
+            ..RunSpec::new(hw)
+        };
         for overlap in [false, true] {
             let label = format!(
                 "{} {}",
-                hw.name,
+                spec.hw.name,
                 if overlap { "overlap" } else { "no-overlap" }
             );
             let points: Result<Vec<(f64, f64)>, CombError> = INTERIOR_GRID
                 .iter()
-                .map(|&iters| {
-                    let ms = run_halo_point(&hw, &params, iters, overlap)
-                        .map_err(|e| CombError::internal(format!("halo scenario: {e}")))?;
-                    Ok((iters as f64, ms))
+                .map(|&interior_iters| {
+                    let point = HaloPoint {
+                        params,
+                        interior_iters,
+                        overlap,
+                    };
+                    let ms = run(&point, &spec)
+                        .map_err(|e| CombError::internal(format!("halo scenario: {e}")))?
+                        .sample;
+                    Ok((interior_iters as f64, ms))
                 })
                 .collect();
             series.push(Series::new(label, points?));

@@ -40,5 +40,5 @@ pub use figures::{
 pub use halo::generate_halo;
 pub use series::{CiBand, Dataset, Point, Series};
 pub use soak::{run_soak, SoakConfig, SoakReport};
-pub use sweeptext::{render_polling_sweep, render_pww_sweep};
-pub use timeline::{render_pww_timeline, render_traced_run};
+pub use sweeptext::{render_polling_sweep, render_pww_sweep, render_sweep};
+pub use timeline::render_pww_timeline;

@@ -21,7 +21,7 @@
 //! ([`SoakReport::to_json`]) carrying the reproducing seed and command.
 
 use comb_core::{
-    run_cells, run_polling_point, run_pww_point, CellOutcome, CombError, MethodConfig, RetryPolicy,
+    run_cells, CellMethod, CellOutcome, CombError, MethodConfig, PointSample, RetryPolicy, RunSpec,
     Transport,
 };
 use comb_hw::fault::{stream_seed, DetRng};
@@ -167,8 +167,7 @@ struct Scenario {
     cfg: MethodConfig,
     /// Polling poll interval or PWW work interval.
     x: u64,
-    /// `None` = polling method; `Some(test_in_work)` = PWW method.
-    pww: Option<bool>,
+    method: CellMethod,
     summary: String,
 }
 
@@ -238,21 +237,22 @@ fn scenario(fault_seed: u64, iter: u64) -> Scenario {
     cfg.watchdog =
         Some(WatchdogConfig::lenient().with_deadline(SimTime::from_nanos(300_000_000_000)));
 
-    let (x, pww) = if rng.next_f64() < 0.5 {
+    let (x, method) = if rng.next_f64() < 0.5 {
         // Polling: log-uniform poll interval.
         let x = (100.0 * 10f64.powf(rng.next_f64() * 4.0)) as u64;
-        (x, None)
+        (x, CellMethod::Polling)
     } else {
         let x = (10_000.0 * 10f64.powf(rng.next_f64() * 2.0)) as u64;
-        (x, Some(rng.next_f64() < 0.5))
+        let test_in_work = rng.next_f64() < 0.5;
+        (x, CellMethod::Pww { test_in_work })
     };
 
-    let method = match pww {
-        None => "polling".to_string(),
-        Some(t) => format!("pww(test_in_work={t})"),
+    let label = match method {
+        CellMethod::Polling => "polling".to_string(),
+        CellMethod::Pww { test_in_work } => format!("pww(test_in_work={test_in_work})"),
     };
     let summary = format!(
-        "{method} {} msg={} x={x} fault=[{}]",
+        "{label} {} msg={} x={x} fault=[{}]",
         cfg.transport.name(),
         msg_bytes,
         cfg.fault,
@@ -262,7 +262,7 @@ fn scenario(fault_seed: u64, iter: u64) -> Scenario {
         seed,
         cfg,
         x,
-        pww,
+        method,
         summary,
     }
 }
@@ -294,19 +294,17 @@ fn run_scenario(s: &Scenario, attempt: u32) -> Result<(), CombError> {
     // the effective plan is a pure function of (plan, attempt).
     let mut cfg = s.cfg.clone();
     cfg.fault = s.cfg.fault.for_attempt(attempt);
-    let invariants = match s.pww {
-        None => {
-            let p = run_polling_point(&cfg, s.x)
-                .map_err(|e| CombError::from(e).retryable_if(!cfg.fault.is_none()))?;
-            check_invariants(p.availability, p.bandwidth_mbs, Some(p.messages_received))
-        }
-        Some(test_in_work) => {
-            let p = run_pww_point(&cfg, s.x, test_in_work)
-                .map_err(|e| CombError::from(e).retryable_if(!cfg.fault.is_none()))?;
-            check_invariants(p.availability, p.bandwidth_mbs, None)
-        }
+    let sample = s
+        .method
+        .run(&cfg, s.x, &RunSpec::of(&cfg))
+        .map_err(|e| CombError::from(e).retryable_if(!cfg.fault.is_none()))?
+        .sample;
+    let messages = match &sample {
+        PointSample::Polling(p) => Some(p.messages_received),
+        PointSample::Pww(_) => None,
     };
-    invariants.map_err(|msg| CombError::internal(format!("invariant violated: {msg}")))
+    check_invariants(sample.availability(), sample.bandwidth_mbs(), messages)
+        .map_err(|msg| CombError::internal(format!("invariant violated: {msg}")))
 }
 
 /// Run the soak. Never returns an error: every kind of per-iteration

@@ -12,8 +12,25 @@
 //!   so two runs of the same seeded plan can be diffed byte-for-byte.
 //! * **Plain sweeps** render as a right-aligned human table.
 
-use comb_core::{MethodConfig, PollingSample, PwwSample};
+use comb_core::{CellMethod, MethodConfig, PointSample, PollingSample, PwwSample};
 use std::fmt::Write;
+
+/// Render a sweep of `method` cells exactly as `comb sweep` prints it:
+/// [`render_polling_sweep`] or [`render_pww_sweep`].
+pub fn render_sweep(cfg: &MethodConfig, method: CellMethod, samples: Vec<PointSample>) -> String {
+    let mut poll = Vec::new();
+    let mut pww = Vec::new();
+    for sample in samples {
+        match sample {
+            PointSample::Polling(s) => poll.push(s),
+            PointSample::Pww(s) => pww.push(s),
+        }
+    }
+    match method {
+        CellMethod::Polling => render_polling_sweep(cfg, &poll),
+        CellMethod::Pww { .. } => render_pww_sweep(cfg, &pww),
+    }
+}
 
 /// Render a polling sweep exactly as `comb sweep polling` prints it
 /// (faulted CSV when `cfg.fault` is active, plain table otherwise).

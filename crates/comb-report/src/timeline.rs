@@ -4,7 +4,6 @@
 //! a viewer — enough to see *where* a transfer sat relative to the work
 //! phase straight from a terminal.
 
-use comb_core::TracedRun;
 use comb_sim::SimTime;
 use comb_trace::{build_spans, AsyncSpan, Comp, MsgId, Span, TraceRecord};
 
@@ -154,21 +153,20 @@ pub fn render_pww_timeline(records: &[TraceRecord], width: usize) -> String {
     out
 }
 
-/// [`render_pww_timeline`] over a traced run.
-pub fn render_traced_run<S>(run: &TracedRun<S>, width: usize) -> String {
-    render_pww_timeline(&run.records, width)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use comb_core::{run_pww_point_traced, MethodConfig, Transport};
+    use comb_core::{run, MethodConfig, PwwParams, RunSpec, Transport};
 
     #[test]
     fn timeline_renders_phases_messages_and_legend() {
         let mut cfg = MethodConfig::new(Transport::Gm, 100 * 1024);
         cfg.cycles = 3;
-        let traced = run_pww_point_traced(&cfg, 1_000_000, false).unwrap();
+        let spec = RunSpec {
+            trace: true,
+            ..RunSpec::of(&cfg)
+        };
+        let traced = run(&PwwParams::new(&cfg, 1_000_000, false), &spec).unwrap();
         let text = render_pww_timeline(&traced.records, 100);
         assert!(text.contains("pww batch"));
         assert!(text.contains("rank0"));

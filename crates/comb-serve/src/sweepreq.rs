@@ -27,7 +27,7 @@ use crate::overload::Quarantine;
 use comb_core::cache::cell_desc;
 use comb_core::{
     log_spaced, run_cell_cached, run_ordered, CellCache, CellKey, CellMethod, CombError,
-    MethodConfig, PointSample, RunError, Transport,
+    MethodConfig, RunError, Transport,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -333,18 +333,8 @@ impl SweepRequest {
             }
         };
 
-        let mut poll = Vec::new();
-        let mut pww = Vec::new();
-        for (sample, _) in results {
-            match sample {
-                PointSample::Polling(s) => poll.push(s),
-                PointSample::Pww(s) => pww.push(s),
-            }
-        }
-        Ok(match self.method {
-            CellMethod::Polling => comb_report::render_polling_sweep(&cfg, &poll),
-            CellMethod::Pww { .. } => comb_report::render_pww_sweep(&cfg, &pww),
-        })
+        let samples = results.into_iter().map(|(sample, _)| sample).collect();
+        Ok(comb_report::render_sweep(&cfg, self.method, samples))
     }
 }
 

@@ -6,7 +6,7 @@
 //! cargo run --release --example compare_transports
 //! ```
 
-use comb::core::{run_polling_point, run_pww_point, MethodConfig, Transport};
+use comb::core::{run, MethodConfig, PollingParams, PwwParams, RunSpec, Transport};
 use comb::hw::HwConfig;
 
 struct Row {
@@ -21,15 +21,20 @@ struct Row {
 fn measure(transport: Transport) -> Row {
     let name = transport.name();
     let cfg = MethodConfig::new(transport, 100 * 1024);
+    let spec = RunSpec::of(&cfg);
 
     // Peak sustained bandwidth and the availability at that operating
     // point: polling method with a short poll interval.
-    let poll = run_polling_point(&cfg, 10_000).expect("polling");
+    let poll = run(&PollingParams::new(&cfg, 10_000), &spec)
+        .expect("polling")
+        .sample;
 
     // Application offload detector: PWW with a 40 ms work phase. If the
     // per-message wait is still substantial, the transfer could not make
     // progress without library calls.
-    let pww = run_pww_point(&cfg, 10_000_000, false).expect("pww");
+    let pww = run(&PwwParams::new(&cfg, 10_000_000, false), &spec)
+        .expect("pww")
+        .sample;
     let offload = pww.wait_per_msg.as_micros() < 300;
 
     Row {

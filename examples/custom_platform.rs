@@ -7,7 +7,7 @@
 //! cargo run --release --example custom_platform
 //! ```
 
-use comb::core::{run_polling_point, MethodConfig, Transport};
+use comb::core::{run, MethodConfig, PollingParams, RunSpec, Transport};
 use comb::hw::{HwConfig, NicConfig, NicKind};
 use comb::sim::SimDuration;
 
@@ -53,8 +53,11 @@ fn main() {
     ] {
         let name = hw.name.clone();
         let cfg = MethodConfig::new(Transport::from(hw), 100 * 1024);
+        let spec = RunSpec::of(&cfg);
         for poll in [10_000u64, 1_000_000] {
-            let s = run_polling_point(&cfg, poll).expect("point");
+            let s = run(&PollingParams::new(&cfg, poll), &spec)
+                .expect("point")
+                .sample;
             println!(
                 "{:<12} {:>10} {:>9.1} MB/s {:>10.3}",
                 name, poll, s.bandwidth_mbs, s.availability

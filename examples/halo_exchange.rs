@@ -3,16 +3,16 @@
 //! paper's introduction motivates. Shows how COMB's platform-level findings
 //! (offload or not, overhead or not) translate into application time.
 //!
-//! The scenario itself lives in the library (`comb::core::run_halo_point`,
-//! swept form in `comb::report::generate_halo`); this example runs the
-//! full-size configuration and narrates the findings. Set `COMB_SHARDS` to
+//! The scenario itself lives in the library (`comb::core::HaloPoint`, run
+//! by `comb::core::run`; swept form in `comb::report::generate_halo`);
+//! this example runs the full-size configuration and narrates the findings. Set `COMB_SHARDS` to
 //! run each point on the sharded kernel — the numbers do not change.
 //!
 //! ```sh
 //! cargo run --release --example halo_exchange
 //! ```
 
-use comb::core::{run_halo_point, HaloParams};
+use comb::core::{run, HaloParams, HaloPoint, RunSpec};
 use comb::hw::HwConfig;
 
 /// Interior work per iteration, in calibrated loop iterations (4 ms).
@@ -36,11 +36,19 @@ fn main() {
         HwConfig::portals_myrinet(),
         HwConfig::emp_ethernet(),
     ] {
-        let base = run_halo_point(&hw, &params, INTERIOR_ITERS, false).expect("halo run");
-        let over = run_halo_point(&hw, &params, INTERIOR_ITERS, true).expect("halo run");
+        let spec = RunSpec::new(hw);
+        let halo_ms = |overlap| {
+            let point = HaloPoint {
+                params,
+                interior_iters: INTERIOR_ITERS,
+                overlap,
+            };
+            run(&point, &spec).expect("halo run").sample
+        };
+        let (base, over) = (halo_ms(false), halo_ms(true));
         println!(
             "{:<10} {:>11.1} ms {:>11.1} ms {:>9.2}x",
-            hw.name,
+            spec.hw.name,
             base,
             over,
             base / over

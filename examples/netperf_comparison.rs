@@ -12,7 +12,7 @@
 //! cargo run --release --example netperf_comparison
 //! ```
 
-use comb::core::{run_netperf_point, run_polling_point, MethodConfig, Transport};
+use comb::core::{run, MethodConfig, NetperfParams, PollingParams, RunSpec, Transport};
 
 fn main() {
     println!("Availability as seen by two methodologies (100 KB messages)\n");
@@ -24,9 +24,17 @@ fn main() {
     for t in [Transport::Gm, Transport::Portals] {
         let name = t.name();
         let cfg = MethodConfig::new(t, 100 * 1024);
-        let busy = run_netperf_point(&cfg, 4_000_000, true).expect("netperf busy");
-        let sleepy = run_netperf_point(&cfg, 4_000_000, false).expect("netperf select");
-        let comb = run_polling_point(&cfg, 10_000).expect("comb polling");
+        let spec = RunSpec::of(&cfg);
+        let netperf = |busy_wait| NetperfParams {
+            msg_bytes: cfg.msg_bytes,
+            total_iters: 4_000_000,
+            busy_wait,
+        };
+        let busy = run(&netperf(true), &spec).expect("netperf busy").sample;
+        let sleepy = run(&netperf(false), &spec).expect("netperf select").sample;
+        let comb = run(&PollingParams::new(&cfg, 10_000), &spec)
+            .expect("comb polling")
+            .sample;
         println!(
             "{:<10} {:>14.3} ({:>4.1} MB/s) {:>13.3} ({:>4.1} MB/s) {:>9.3} ({:>4.1} MB/s)",
             name,

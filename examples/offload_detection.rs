@@ -6,7 +6,7 @@
 //! cargo run --release --example offload_detection
 //! ```
 
-use comb::core::{run_pww_point, MethodConfig, PwwSample, Transport};
+use comb::core::{run, MethodConfig, PwwParams, PwwSample, RunSpec, Transport};
 
 fn classify(name: &str, plain: &PwwSample, tested: &PwwSample) {
     println!("--- {name} ---");
@@ -56,9 +56,14 @@ fn main() {
     for t in [Transport::Gm, Transport::Portals, Transport::Emp] {
         let name = t.name();
         let cfg = MethodConfig::new(t, 100 * 1024);
+        let spec = RunSpec::of(&cfg);
         let work = 4_000_000; // 16 ms: enough to absorb a 100 KB transfer
-        let plain = run_pww_point(&cfg, work, false).expect("pww");
-        let tested = run_pww_point(&cfg, work, true).expect("pww+test");
+        let plain = run(&PwwParams::new(&cfg, work, false), &spec)
+            .expect("pww")
+            .sample;
+        let tested = run(&PwwParams::new(&cfg, work, true), &spec)
+            .expect("pww+test")
+            .sample;
         classify(&name, &plain, &tested);
     }
 }

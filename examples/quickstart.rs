@@ -5,15 +5,20 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use comb::core::{run_polling_point, run_pww_point, MethodConfig, Transport};
+use comb::core::{run, MethodConfig, PollingParams, PwwParams, RunSpec, Transport};
 
 fn main() {
     // 100 KB messages on the GM-like (OS-bypass, library-progress) platform.
     let cfg = MethodConfig::new(Transport::Gm, 100 * 1024);
+    // How to run each point: the configuration's hardware, serial kernel,
+    // no trace, no watchdog.
+    let spec = RunSpec::of(&cfg);
 
     // Polling method: poll every 10_000 calibrated loop iterations (40 us
     // on the simulated 500 MHz node).
-    let poll = run_polling_point(&cfg, 10_000).expect("polling point");
+    let poll = run(&PollingParams::new(&cfg, 10_000), &spec)
+        .expect("polling point")
+        .sample;
     println!("Polling method @ poll interval 10k iterations:");
     println!("  bandwidth     : {:6.1} MB/s", poll.bandwidth_mbs);
     println!("  availability  : {:6.3}", poll.availability);
@@ -22,7 +27,9 @@ fn main() {
     println!();
 
     // Post-Work-Wait method: 1M iterations (4 ms) of work per cycle.
-    let pww = run_pww_point(&cfg, 1_000_000, false).expect("pww point");
+    let pww = run(&PwwParams::new(&cfg, 1_000_000, false), &spec)
+        .expect("pww point")
+        .sample;
     println!("PWW method @ work interval 1M iterations:");
     println!("  bandwidth     : {:6.1} MB/s", pww.bandwidth_mbs);
     println!("  availability  : {:6.3}", pww.availability);
@@ -34,7 +41,9 @@ fn main() {
 
     // The paper's application-offload question, in one comparison: does the
     // wait phase still contain the whole transfer after a long work phase?
-    let long_work = run_pww_point(&cfg, 10_000_000, false).expect("pww long point");
+    let long_work = run(&PwwParams::new(&cfg, 10_000_000, false), &spec)
+        .expect("pww long point")
+        .sample;
     if long_work.wait_per_msg.as_micros() > 500 {
         println!(
             "GM: wait/msg is still {} after 40 ms of work — the transfer could \

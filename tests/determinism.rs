@@ -3,8 +3,7 @@
 //! bit-for-bit reproducible run to run.
 
 use comb::core::{
-    polling_sweep_parallel, pww_sweep_parallel, run_polling_point, run_pww_point, MethodConfig,
-    Transport,
+    polling_sweep, pww_sweep, run_polling_point, run_pww_point, MethodConfig, Transport,
 };
 use comb::hw::FaultPlan;
 use comb::report::{generate, generate_all, Campaigns, Fidelity, FigureId};
@@ -149,20 +148,22 @@ fn faulted_sweeps_are_byte_identical_across_jobs_and_runs() {
     )
     .unwrap();
     let intervals = [5_000u64, 50_000, 500_000];
-    let serial_poll = polling_sweep_parallel(&c, &intervals, 1).unwrap();
-    let serial_pww = pww_sweep_parallel(&c, &intervals, false, 1).unwrap();
+    c.jobs = 1;
+    let serial_poll = polling_sweep(&c, &intervals).unwrap();
+    let serial_pww = pww_sweep(&c, &intervals, false).unwrap();
     assert!(
         serial_poll.iter().any(|s| s.faults.lost_packets > 0),
         "the plan must actually inject faults"
     );
     for jobs in [1, 4, comb::core::available_jobs()] {
+        c.jobs = jobs;
         assert_eq!(
-            polling_sweep_parallel(&c, &intervals, jobs).unwrap(),
+            polling_sweep(&c, &intervals).unwrap(),
             serial_poll,
             "faulted polling sweep diverges at jobs={jobs}"
         );
         assert_eq!(
-            pww_sweep_parallel(&c, &intervals, false, jobs).unwrap(),
+            pww_sweep(&c, &intervals, false).unwrap(),
             serial_pww,
             "faulted pww sweep diverges at jobs={jobs}"
         );

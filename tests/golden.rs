@@ -12,7 +12,10 @@
 //!
 //! and review the diff like any other code change.
 
-use comb::core::{log_spaced, polling_sweep, pww_sweep, MethodConfig, Transport};
+use comb::core::{
+    log_spaced, polling_sweep, pww_sweep, run, run_ordered, MethodConfig, PwwParams, PwwSample,
+    RunError, RunSpec, TracedRun, Transport,
+};
 use comb::hw::FaultPlan;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -149,12 +152,21 @@ fn traced_pww_config() -> MethodConfig {
     cfg
 }
 
+/// One traced PWW point of `cfg` at `work_interval`.
+fn traced_pww(cfg: &MethodConfig, work_interval: u64) -> Result<TracedRun<PwwSample>, RunError> {
+    let spec = RunSpec {
+        trace: true,
+        ..RunSpec::of(cfg)
+    };
+    run(&PwwParams::new(cfg, work_interval, false), &spec)
+}
+
 #[test]
 fn traced_pww_chrome_export_matches_golden() {
     // The full export pipeline — event emission, span reconstruction,
     // catapult JSON formatting — byte for byte. Any change to event
     // ordering, correlation ids or the JSON writer lands here.
-    let run = comb::core::run_pww_point_traced(&traced_pww_config(), 500_000, false).unwrap();
+    let run = traced_pww(&traced_pww_config(), 500_000).unwrap();
     assert_golden(
         "pww_gm_traced.trace.json",
         &comb::trace::chrome_trace_json(&run.records),
@@ -163,7 +175,7 @@ fn traced_pww_chrome_export_matches_golden() {
 
 #[test]
 fn traced_pww_ascii_timeline_matches_golden() {
-    let run = comb::core::run_pww_point_traced(&traced_pww_config(), 500_000, false).unwrap();
+    let run = traced_pww(&traced_pww_config(), 500_000).unwrap();
     assert_golden(
         "pww_gm_timeline.txt",
         &comb::report::render_pww_timeline(&run.records, 100),
@@ -179,7 +191,7 @@ fn traced_sweep_chrome_export_is_byte_identical_across_jobs() {
     for jobs in [1usize, 8] {
         let mut cfg = traced_pww_config();
         cfg.jobs = jobs;
-        let runs = comb::core::pww_sweep_traced(&cfg, &xs, false).unwrap();
+        let runs = run_ordered(cfg.jobs, &xs, |&x| traced_pww(&cfg, x)).unwrap();
         let mut ct = comb::trace::ChromeTrace::new();
         for (i, (run, &x)) in runs.iter().zip(&xs).enumerate() {
             ct.add_run(&format!("work={x}"), i as u32 * 2000, &run.records);

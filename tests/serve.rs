@@ -95,8 +95,9 @@ fn sweep_body_matches_cli_bytes() {
     assert_eq!(r.status, 200, "body: {}", r.text());
 
     // The same sweep run directly — the bytes `comb sweep` would print.
-    let cfg = cheap_cfg();
-    let samples = comb::core::polling_sweep_parallel(&cfg, &[1000, 10_000], 1).unwrap();
+    let mut cfg = cheap_cfg();
+    cfg.jobs = 1;
+    let samples = comb::core::polling_sweep(&cfg, &[1000, 10_000]).unwrap();
     let expected = comb::report::render_polling_sweep(&cfg, &samples);
     assert_eq!(
         r.text(),
@@ -192,8 +193,9 @@ fn identical_concurrent_sweeps_single_flight() {
     assert_eq!(metric_value(&text, "cache_hits_mem"), Some(0.0), "{text}");
 
     // All N bodies identical, and equal to the direct CLI bytes.
-    let cfg = MethodConfig::new(Transport::Gm, 100 * 1024);
-    let samples = comb::core::polling_sweep_parallel(&cfg, &[100_000], 1).unwrap();
+    let mut cfg = MethodConfig::new(Transport::Gm, 100 * 1024);
+    cfg.jobs = 1;
+    let samples = comb::core::polling_sweep(&cfg, &[100_000]).unwrap();
     let expected = comb::report::render_polling_sweep(&cfg, &samples);
     for b in &bodies {
         assert_eq!(String::from_utf8_lossy(b), expected);

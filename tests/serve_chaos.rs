@@ -330,9 +330,10 @@ fn journal_recovery_replays_incomplete_jobs() {
         c.cycles = 2;
         c.target_iters = 200_000;
         c.max_intervals = 300;
+        c.jobs = 1;
         c
     };
-    let samples = comb::core::polling_sweep_parallel(&cfg, &[3000, 30_000], 1).unwrap();
+    let samples = comb::core::polling_sweep(&cfg, &[3000, 30_000]).unwrap();
     let expected = comb::report::render_polling_sweep(&cfg, &samples);
     assert_eq!(replay.text(), expected, "recovered bytes drifted");
 
