@@ -56,8 +56,9 @@ fn spawn_serve(journal: &Path, cache: &Path) -> (Child, String) {
     (child, addr)
 }
 
-/// A campaign wide enough (~200 moderate cells on one worker) that a
-/// kill 500 ms in lands mid-flight with cells both cached and lost.
+/// A campaign wide enough (~200 moderate cells on one worker) that a kill
+/// right after its first cell is stored lands mid-flight, with cells both
+/// cached and lost.
 const CAMPAIGN: &str = r#"{"msg_bytes":4096,"range":{"lo":100000,"hi":1000000,"per_decade":200}}"#;
 
 #[test]
@@ -75,7 +76,13 @@ fn sigkill_mid_campaign_recovers_byte_identical() {
             let _ = client_request(&addr, "POST", "/v1/sweep", Some(CAMPAIGN.as_bytes()));
         })
     };
-    std::thread::sleep(Duration::from_millis(500));
+    // Kill as soon as the store holds its first cell, however fast the
+    // simulator is.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while comb_core::cache::store_stats(&cache).entries == 0 {
+        assert!(Instant::now() < deadline, "no cell was ever stored");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     child.kill().expect("SIGKILL comb serve"); // Child::kill is SIGKILL on unix
     child.wait().unwrap();
     requester.join().unwrap();

@@ -1,6 +1,8 @@
-//! Simulated-process threads end with their simulation: after many
-//! `run_polling_pairs` calls, serial and sharded, the process has exactly
-//! as many threads as before them.
+//! A simulation's threads end with it: after many `run_polling_pairs`
+//! calls, serial and sharded, the process has exactly as many threads as
+//! before them. Simulated processes are coroutines on the thread that runs
+//! the simulation, so the only threads a run starts are the shard workers
+//! of a sharded run.
 
 #![cfg(target_os = "linux")]
 
@@ -37,6 +39,6 @@ fn fifty_pair_runs_leave_no_threads_behind() {
     assert_eq!(
         status_field("Threads:"),
         threads,
-        "process threads outlived their simulations"
+        "shard worker threads outlived their simulations"
     );
 }

@@ -498,6 +498,14 @@ impl EventQueue {
         if self.tail_head == self.tail.len() {
             self.tail.clear();
             self.tail_head = 0;
+        } else if self.tail_head >= 64 && 2 * self.tail_head >= self.tail.len() {
+            // A tail that never drains — two processes holding in turn keep
+            // one resume queued behind the other — would otherwise grow for
+            // the whole run. Dropping its consumed front once that is half
+            // the buffer keeps the buffer bounded at amortized O(1) a pop,
+            // and leaves its last entry, which routes new keys, in place.
+            self.tail.drain(..self.tail_head);
+            self.tail_head = 0;
         }
     }
 

@@ -1,24 +1,21 @@
 //! The simulation kernel: shared state, scheduling handle, and the
 //! event loop.
 //!
-//! The event loop has no thread of its own. It runs on whichever thread
-//! holds the *baton*: the thread that called [`Simulation::run`] when a run
-//! starts, then the thread of each simulated process that yields (see
-//! `process.rs`). Everything the loop needs — the process table, the run's
-//! limits and counters — therefore lives in [`SimShared`], where every
-//! baton holder can reach it.
+//! The event loop runs on the thread that calls [`Simulation::run`] (a
+//! shard worker, in a sharded run), on that thread's own stack, and never
+//! leaves it: a process resume switches into the process's coroutine until
+//! it parks again (see `process.rs`). The process table therefore lives in
+//! [`Simulation`] itself; [`SimShared`] holds only what event closures and
+//! processes reach through a [`SimHandle`].
 
 use crate::event::{EventId, EventKind, EventQueue, InlineCall, KernelStats};
-use crate::process::{ProcCtx, ProcId, ResumeMsg, ShutdownToken};
+use crate::process::{Proc, ProcCtx, ProcId, ShutdownToken};
 use crate::time::{SimDuration, SimTime};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::any::Any;
 use std::fmt;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// State shared between the kernel, process contexts, and event closures.
 pub(crate) struct SimShared {
@@ -30,12 +27,11 @@ pub(crate) struct SimShared {
     /// carries cross-shard events. `None` for plain simulations, which
     /// keeps the serial scheduling hot path to a single branch.
     pub shard: Option<crate::shard::ShardSlot>,
-    /// The process table and the current run's limits and counters. The
-    /// baton holder locks it once per turn at the loop, not once per event.
-    run: Mutex<RunState>,
-    /// Where the baton holder reports the end of a run to the thread
-    /// blocked in [`Simulation::run`].
-    done_tx: Sender<RunEnd>,
+    /// Where the event loop is suspended while one of this simulation's
+    /// processes runs: the running process switches back to it when it
+    /// parks. Written by the process on every resume, so it is only read
+    /// and written on the loop's own thread.
+    pub loop_sp: AtomicUsize,
 }
 
 /// Cloneable, `Send` handle for interacting with a running simulation:
@@ -65,9 +61,7 @@ impl SimHandle {
         (src != slot.id).then_some((src, slot))
     }
 
-    /// Schedule `f` to run after delay `d`, on whichever thread is running
-    /// the event loop at that moment (the `run` caller or a process thread;
-    /// see the module docs).
+    /// Schedule `f` to run after delay `d`, on the event loop's stack.
     #[inline]
     pub fn schedule_in<F: FnOnce() + Send + 'static>(&self, d: SimDuration, f: F) -> EventId {
         if let Some((src, slot)) = self.cross_route() {
@@ -78,9 +72,8 @@ impl SimHandle {
         self.schedule_kind(now, now + d, Self::wrap(f))
     }
 
-    /// Schedule `f` to run at absolute time `t`, on whichever thread is
-    /// running the event loop at that moment. Panics if `t` is in the
-    /// virtual past.
+    /// Schedule `f` to run at absolute time `t`, on the event loop's
+    /// stack. Panics if `t` is in the virtual past.
     ///
     /// Closures small enough for the inline fast path are stored directly
     /// in the event arena; only larger captures cost a heap allocation.
@@ -276,197 +269,13 @@ impl Default for WatchdogConfig {
     }
 }
 
-struct ProcSlot {
-    name: String,
-    resume_tx: Sender<ResumeMsg>,
-    finished: bool,
-}
-
-/// The loop state every baton holder needs: the process table plus the
-/// limits and counters of the current run.
-struct RunState {
-    procs: Vec<ProcSlot>,
-    max_events: u64,
-    /// Inclusive virtual-time bound of a `run_until`; events after it stay
-    /// queued.
-    deadline: SimTime,
-    wd: Option<WatchdogConfig>,
-    /// Events executed this run.
-    executed: u64,
-    /// Events executed at the current instant (watchdog stall detection).
-    stalled: u64,
-    /// Thread-to-thread baton passes not yet flushed into
-    /// [`handoffs_total`].
-    handoffs: u64,
-}
-
-impl RunState {
-    /// Names of processes that have not finished.
-    fn unfinished(&self) -> Vec<String> {
-        self.procs
-            .iter()
-            .filter(|p| !p.finished)
-            .map(|p| p.name.clone())
-            .collect()
-    }
-
-    /// End the run. From a process thread (`me` is set) that passes the
-    /// baton back to the `run` caller: one handoff.
-    fn end(&mut self, me: Option<ProcId>, end: RunEnd) -> Next {
-        self.handoffs += u64::from(me.is_some());
-        Next::End(end)
-    }
-}
-
-/// How a run ended, as reported to the `run` caller.
-pub(crate) enum RunEnd {
-    /// The queue drained, or the `run_until` deadline was reached.
-    Drained,
-    /// A limit tripped or a process panicked.
-    Failed(SimError),
-    /// An event closure panicked on a process thread; the `run` caller
-    /// re-raises the payload.
-    Panicked(Box<dyn Any + Send>),
-}
-
-/// Where the baton goes after the holder's turn at the loop.
-pub(crate) enum Next {
-    /// The holder is the process due next: it keeps the baton and returns
-    /// to its own code.
-    Stay,
-    /// Another process is due next: wake its thread.
-    Wake(Sender<ResumeMsg>),
-    /// The run is over: report to the `run` caller.
-    End(RunEnd),
-}
-
-static HANDOFFS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of baton passes between threads: from the `run`
-/// caller to a process, between two processes, and from a process back to
-/// the `run` caller. A process that is itself due next keeps the baton and
-/// costs nothing. Each simulation flushes its count at the end of every
-/// run, as it does [`KernelStats::global`].
-pub fn handoffs_total() -> u64 {
-    HANDOFFS.load(Ordering::Relaxed)
-}
-
-impl SimShared {
-    /// Take a turn at the event loop on the calling thread, which holds the
-    /// baton, and say where the baton goes next. `me` is the process whose
-    /// thread this is, `None` on the `run` caller.
-    pub(crate) fn drive(&self, me: Option<ProcId>) -> Next {
-        if me.is_none() {
-            // A panicking event closure simply unwinds out of `run`.
-            return self.run_loop(None);
-        }
-        // On a process thread the panic must not unwind through the
-        // process's code: catch it and re-raise it on the `run` caller.
-        panic::catch_unwind(AssertUnwindSafe(|| self.run_loop(me)))
-            .unwrap_or_else(|payload| self.run.lock().end(me, RunEnd::Panicked(payload)))
-    }
-
-    fn run_loop(&self, me: Option<ProcId>) -> Next {
-        let mut guard = self.run.lock();
-        let st = &mut *guard;
-        // The per-event state lives in locals for the turn, so the hot loop
-        // keeps it in registers across the opaque event calls.
-        let (deadline, max_events, wd) = (st.deadline, st.max_events, st.wd);
-        let (mut executed, mut stalled) = (st.executed, st.stalled);
-        let next = loop {
-            let ev = self.queue.lock().pop_due(deadline);
-            let Some(ev) = ev else {
-                break st.end(me, RunEnd::Drained);
-            };
-            executed += 1;
-            if executed > max_events {
-                let err = SimError::EventLimitExceeded { limit: max_events };
-                break st.end(me, RunEnd::Failed(err));
-            }
-            let now = self.clock.load(Ordering::Relaxed);
-            debug_assert!(
-                ev.time.as_nanos() >= now,
-                "event queue went backwards in time"
-            );
-            if let Some(wd) = &wd {
-                if ev.time.as_nanos() > now {
-                    stalled = 0;
-                } else {
-                    stalled += 1;
-                    if wd.max_stalled_events > 0 && stalled >= wd.max_stalled_events {
-                        let err = SimError::WatchdogStalled {
-                            events: stalled,
-                            at: SimTime::from_nanos(now),
-                        };
-                        break st.end(me, RunEnd::Failed(err));
-                    }
-                }
-                if let Some(dl) = wd.deadline {
-                    if ev.time > dl {
-                        let err = SimError::WatchdogDeadline {
-                            deadline: dl,
-                            unfinished: st.unfinished(),
-                        };
-                        break st.end(me, RunEnd::Failed(err));
-                    }
-                }
-            }
-            self.clock.store(ev.time.as_nanos(), Ordering::Relaxed);
-            match ev.kind {
-                EventKind::Inline(ic) => ic.invoke(),
-                EventKind::Call(f) => f(),
-                EventKind::Resume(pid) => {
-                    let slot = &st.procs[pid.0];
-                    if slot.finished {
-                        // A stale resume for a finished process (e.g. a
-                        // signal fired after the waiter timed out and
-                        // completed). Ignore.
-                        continue;
-                    }
-                    if me == Some(pid) {
-                        break Next::Stay;
-                    }
-                    let tx = slot.resume_tx.clone();
-                    st.handoffs += 1;
-                    break Next::Wake(tx);
-                }
-            }
-        };
-        st.executed = executed;
-        st.stalled = stalled;
-        next
-    }
-
-    /// Pass the baton as `next` says. Returns true when the caller keeps
-    /// it; otherwise the caller must block until it is resumed.
-    pub(crate) fn pass(&self, next: Next) -> bool {
-        match next {
-            Next::Stay => return true,
-            Next::Wake(tx) => tx
-                .send(ResumeMsg::Go)
-                .expect("process thread died unexpectedly"),
-            Next::End(end) => self.done_tx.send(end).expect("run caller vanished mid-run"),
-        }
-        false
-    }
-
-    /// Process `pid`'s function returned, or panicked with `panic`: mark it
-    /// finished and pass the baton on. Its thread then exits.
-    pub(crate) fn retire(&self, pid: ProcId, panic: Option<String>) {
-        let next = {
-            let mut st = self.run.lock();
-            st.procs[pid.0].finished = true;
-            panic.map(|message| {
-                let name = st.procs[pid.0].name.clone();
-                st.end(
-                    Some(pid),
-                    RunEnd::Failed(SimError::ProcessPanicked { name, message }),
-                )
-            })
-        };
-        let next = next.unwrap_or_else(|| self.drive(Some(pid)));
-        self.pass(next);
-    }
+/// Names of the processes in `procs` that have not finished.
+fn unfinished(procs: &[Proc]) -> Vec<String> {
+    procs
+        .iter()
+        .filter(|p| !p.is_finished())
+        .map(|p| p.name.clone())
+        .collect()
 }
 
 /// Thread-safe cell for extracting results out of simulated processes.
@@ -537,10 +346,9 @@ impl<T: Clone> Probe<T> {
 /// ```
 pub struct Simulation {
     shared: Arc<SimShared>,
-    /// Process threads, joined on drop.
-    threads: Vec<JoinHandle<()>>,
-    /// Receives the end of each run from whichever thread held the baton.
-    done_rx: Receiver<RunEnd>,
+    /// The process table: each process's name, body or coroutine. Only the
+    /// event loop, which runs inside `&mut self` methods, touches it.
+    procs: Vec<Proc>,
 }
 
 impl Default for Simulation {
@@ -562,25 +370,14 @@ impl Simulation {
 
     fn new_inner(shard: Option<crate::shard::ShardSlot>) -> Self {
         install_shutdown_panic_hook();
-        let (done_tx, done_rx) = bounded(1);
         Simulation {
             shared: Arc::new(SimShared {
                 queue: Mutex::new(EventQueue::default()),
                 clock: AtomicU64::new(0),
                 shard,
-                run: Mutex::new(RunState {
-                    procs: Vec::new(),
-                    max_events: u64::MAX,
-                    deadline: SimTime::MAX,
-                    wd: None,
-                    executed: 0,
-                    stalled: 0,
-                    handoffs: 0,
-                }),
-                done_tx,
+                loop_sp: AtomicUsize::new(0),
             }),
-            threads: Vec::new(),
-            done_rx,
+            procs: Vec::new(),
         }
     }
 
@@ -598,7 +395,7 @@ impl Simulation {
 
     /// Names of processes that have not finished (watchdog diagnostics).
     pub(crate) fn unfinished_procs(&self) -> Vec<String> {
-        self.shared.run.lock().unfinished()
+        unfinished(&self.procs)
     }
 
     /// A handle for scheduling events and creating signals.
@@ -614,51 +411,16 @@ impl Simulation {
     }
 
     /// Spawn a simulated process. It becomes runnable at the current
-    /// virtual time (after already-scheduled same-time events).
+    /// virtual time (after already-scheduled same-time events). Its stack
+    /// is mapped when it first runs.
     pub fn spawn<F>(&mut self, name: &str, f: F) -> ProcId
     where
         F: FnOnce(&ProcCtx) + Send + 'static,
     {
-        let mut st = self.shared.run.lock();
-        let pid = ProcId(st.procs.len());
-        let (resume_tx, resume_rx) = bounded::<ResumeMsg>(1);
-        let ctx = ProcCtx {
-            pid,
-            handle: self.handle(),
-            resume_rx,
-        };
-        // Processes belong to their simulation's shard (if any): the
-        // thread-local tag is how cross-shard scheduling is detected when
-        // this process drives hardware models holding other shards'
-        // handles, or runs the shard's event loop.
-        let shard_id = self.shared.shard.as_ref().map(|s| s.id);
-        let thread = std::thread::Builder::new()
-            .name(format!("sim-{name}"))
-            .spawn(move || {
-                crate::shard::set_current_shard(shard_id);
-                let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                    // Wait for the first resume before running user code.
-                    ctx.await_resume();
-                    f(&ctx)
-                }));
-                let panic = match result {
-                    Ok(()) => None,
-                    // Quiet teardown unwind: the simulation is gone.
-                    Err(payload) if payload.is::<ShutdownToken>() => return,
-                    Err(payload) => Some(panic_message(payload.as_ref())),
-                };
-                ctx.handle.shared.retire(ctx.pid, panic);
-            })
-            .expect("failed to spawn simulated process thread");
-        st.procs.push(ProcSlot {
-            name: name.to_string(),
-            resume_tx,
-            finished: false,
-        });
-        drop(st);
-        self.threads.push(thread);
+        let pid = ProcId(self.procs.len());
         let handle = self.handle();
         handle.schedule_resume(pid, handle.now());
+        self.procs.push(Proc::new(name, pid, handle, f));
         pid
     }
 
@@ -717,57 +479,87 @@ impl Simulation {
         partial: bool,
         wd: Option<&WatchdogConfig>,
     ) -> Result<SimTime, SimError> {
-        {
-            let mut st = self.shared.run.lock();
-            st.max_events = max_events;
-            st.deadline = deadline;
-            st.wd = wd.copied();
-            st.executed = 0;
-            st.stalled = 0;
-        }
-        // This thread holds the baton first. Once it passes it to a
-        // process, the run continues on process threads until one of them
-        // reports the end.
-        let end = match self.shared.drive(None) {
-            Next::End(end) => end,
-            next => {
-                self.shared.pass(next);
-                self.done_rx
-                    .recv()
-                    .expect("all process threads disappeared")
-            }
-        };
+        let end = self.run_loop(max_events, deadline, wd);
         // Flush per-sim counters into the process-wide totals after every
         // run (success or abort). Drop flushes too, but hardware models
         // keep `SimHandle` clones alive in reference cycles, so many real
         // simulations are never dropped at all — the run boundary is the
         // reliable flush point.
         self.shared.queue.lock().flush_global();
-        let mut st = self.shared.run.lock();
-        HANDOFFS.fetch_add(std::mem::take(&mut st.handoffs), Ordering::Relaxed);
-        match end {
-            RunEnd::Panicked(payload) => {
-                drop(st);
-                panic::resume_unwind(payload)
+        end?;
+        if partial {
+            // Fast-forward the clock to the deadline if nothing else is
+            // pending before it, so repeated run_until calls compose.
+            if deadline != SimTime::MAX {
+                self.shared
+                    .clock
+                    .fetch_max(deadline.as_nanos(), Ordering::Relaxed);
             }
-            RunEnd::Failed(e) => Err(e),
-            RunEnd::Drained if partial => {
-                // Fast-forward the clock to the deadline if nothing else is
-                // pending before it, so repeated run_until calls compose.
-                if deadline != SimTime::MAX {
-                    self.shared
-                        .clock
-                        .fetch_max(deadline.as_nanos(), Ordering::Relaxed);
-                }
-                Ok(self.handle().now())
+            return Ok(self.handle().now());
+        }
+        let parked = unfinished(&self.procs);
+        if parked.is_empty() {
+            Ok(self.handle().now())
+        } else {
+            Err(SimError::Deadlock { parked })
+        }
+    }
+
+    /// The event loop, on the calling thread's own stack: pop each due
+    /// event and run it, switching into a process for a resume. Returns
+    /// when the queue drains (up to `deadline`, inclusive), a limit trips
+    /// or a process panics; a panicking event closure unwinds out of it.
+    fn run_loop(
+        &mut self,
+        max_events: u64,
+        deadline: SimTime,
+        wd: Option<&WatchdogConfig>,
+    ) -> Result<(), SimError> {
+        let Simulation { shared, procs } = self;
+        // The per-event state lives in locals, so the hot loop keeps it in
+        // registers across the opaque event calls and process switches.
+        let wd = wd.copied();
+        let (mut executed, mut stalled) = (0u64, 0u64);
+        loop {
+            let ev = shared.queue.lock().pop_due(deadline);
+            let Some(ev) = ev else {
+                return Ok(());
+            };
+            executed += 1;
+            if executed > max_events {
+                return Err(SimError::EventLimitExceeded { limit: max_events });
             }
-            RunEnd::Drained => {
-                let parked = st.unfinished();
-                if parked.is_empty() {
-                    Ok(self.handle().now())
+            let now = shared.clock.load(Ordering::Relaxed);
+            debug_assert!(
+                ev.time.as_nanos() >= now,
+                "event queue went backwards in time"
+            );
+            if let Some(wd) = &wd {
+                if ev.time.as_nanos() > now {
+                    stalled = 0;
                 } else {
-                    Err(SimError::Deadlock { parked })
+                    stalled += 1;
+                    if wd.max_stalled_events > 0 && stalled >= wd.max_stalled_events {
+                        return Err(SimError::WatchdogStalled {
+                            events: stalled,
+                            at: SimTime::from_nanos(now),
+                        });
+                    }
                 }
+                if let Some(dl) = wd.deadline {
+                    if ev.time > dl {
+                        return Err(SimError::WatchdogDeadline {
+                            deadline: dl,
+                            unfinished: unfinished(procs),
+                        });
+                    }
+                }
+            }
+            shared.clock.store(ev.time.as_nanos(), Ordering::Relaxed);
+            match ev.kind {
+                EventKind::Inline(ic) => ic.invoke(),
+                EventKind::Call(f) => f(),
+                EventKind::Resume(pid) => procs[pid.0].resume()?,
             }
         }
     }
@@ -775,16 +567,9 @@ impl Simulation {
 
 impl Drop for Simulation {
     fn drop(&mut self) {
-        // Between runs every unfinished process thread is blocked waiting
-        // for the baton; unwind them quietly.
-        for slot in &self.shared.run.lock().procs {
-            if !slot.finished {
-                let _ = slot.resume_tx.send(ResumeMsg::Shutdown);
-            }
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        // Unwind every suspended process first (on its home thread; see
+        // `Proc`'s drop): its destructors may still schedule events.
+        self.procs.clear();
         // Hardware models hold `SimHandle`s in reference cycles (an MPI
         // engine and its NIC point at each other), so the shared state can
         // outlive this simulation. Give its bulk — the event arena and
@@ -904,25 +689,25 @@ mod tests {
     }
 
     #[test]
-    fn event_closure_panic_on_a_process_thread_unwinds_out_of_run() {
+    fn event_closure_panic_during_a_hold_unwinds_out_of_run_on_the_callers_thread() {
         let mut sim = Simulation::new();
         let h = sim.handle();
-        let ran_on: Probe<Option<String>> = Probe::new();
+        let ran_on: Probe<std::thread::ThreadId> = Probe::new();
         let r = ran_on.clone();
         sim.spawn("host", move |ctx| {
             h.schedule_in(SimDuration::from_nanos(5), move || {
-                r.set(std::thread::current().name().map(str::to_string));
+                r.set(std::thread::current().id());
                 panic::panic_any(42u32);
             });
-            // The loop runs on this thread during the hold and fires the
-            // closure here.
+            // The process parks here; the loop fires the closure on its
+            // own stack, not on this process's.
             ctx.hold(SimDuration::from_nanos(10));
         });
-        let payload = panic::catch_unwind(AssertUnwindSafe(|| sim.run()))
+        let payload = panic::catch_unwind(panic::AssertUnwindSafe(|| sim.run()))
             .expect_err("the closure's panic must unwind out of run");
         assert_eq!(payload.downcast_ref::<u32>(), Some(&42), "original payload");
-        assert_eq!(ran_on.get(), Some(Some("sim-host".to_string())));
-        drop(sim); // the process still waiting for the baton unwinds quietly
+        assert_eq!(ran_on.get(), Some(std::thread::current().id()));
+        drop(sim); // the suspended process unwinds quietly
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //!   and reading the virtual clock from anywhere (hardware models, tests).
 //! * Simulated processes are spawned with [`Simulation::spawn`]; their code
 //!   receives a [`ProcCtx`] and blocks via [`ProcCtx::hold`] or
-//!   [`Signal::wait`]. Exactly one thread runs at a time — the one holding
-//!   the baton, which also runs the event loop — so every run is
-//!   bit-for-bit reproducible.
+//!   [`Signal::wait`]. Each process is a stackful coroutine on the thread
+//!   that calls `run`: the event loop switches into a process to resume it
+//!   and the process switches back when it blocks, so exactly one of them
+//!   runs at a time, no process needs a thread of its own, and every run is
+//!   bit-for-bit reproducible. Processes need x86_64 Linux (see `coro.rs`).
 //! * [`Signal`] (one-shot latch) and [`Condition`] (broadcast) are the
 //!   wait/notify primitives.
 //!
@@ -39,6 +41,7 @@
 
 #![warn(missing_docs)]
 
+mod coro;
 mod event;
 mod kernel;
 mod process;
@@ -48,7 +51,7 @@ pub mod stats;
 mod time;
 
 pub use event::{EventId, KernelStats};
-pub use kernel::{handoffs_total, Probe, SimError, SimHandle, Simulation, WatchdogConfig};
+pub use kernel::{Probe, SimError, SimHandle, Simulation, WatchdogConfig};
 pub use process::{ProcCtx, ProcId};
 pub use shard::ShardedSimulation;
 pub use signal::{Condition, Signal};

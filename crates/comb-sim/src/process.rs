@@ -1,32 +1,39 @@
 //! Simulated processes.
 //!
-//! Each simulated process runs on its own OS thread, so simulated code
-//! reads like the paper's pseudocode — straight-line loops with blocking
-//! `hold`/`wait` calls. Exactly one thread runs at any moment: the one
-//! holding the *baton*, which is also the thread that runs the event loop.
+//! Each simulated process runs on a stackful coroutine of its own (see
+//! `coro.rs`), so simulated code reads like the paper's pseudocode —
+//! straight-line loops with blocking `hold`/`wait` calls — while the whole
+//! simulation runs on one OS thread: the one that called `run` (or the
+//! shard worker, in a sharded run). The event loop stays on that thread's
+//! own stack:
 //!
-//! A process that yields takes its own turn at the loop. `hold` schedules
-//! the process's resume and parks; [`crate::Signal`] and
-//! [`crate::Condition`] register it as a waiter and park. Parking runs the
-//! loop right here:
+//! * an `EventKind::Resume(pid)` event switches into process `pid`;
+//! * `hold` schedules the process's resume and parks, and
+//!   [`crate::Signal`] and [`crate::Condition`] register it as a waiter and
+//!   park; parking switches back to the loop, which pops the next event;
+//! * a process whose function returns, or panics, switches back for the
+//!   last time; the panic is caught at the coroutine's entry and reported
+//!   as [`crate::SimError::ProcessPanicked`].
 //!
-//! * if the next resume is for this same process, `park` simply returns —
-//!   no thread switch at all;
-//! * if it is for another process, this thread wakes that one and blocks:
-//!   one switch;
-//! * if the run stops (queue drained, `run_until` deadline, a limit or a
-//!   panic), this thread reports to the `run` caller and blocks.
+//! A process that resumes itself (a `hold` with nothing due before it)
+//! costs two stack switches, a few nanoseconds each; handing control to
+//! another process costs the same. Event closures run on the loop's stack,
+//! so a panicking closure unwinds straight out of `run`.
 //!
-//! Because event closures run on whichever thread holds the baton, **no
-//! lock may be held across `hold`, `wait` or `park`**: a closure that takes
-//! the same lock on the same thread would spin on itself forever.
+//! A process is pinned to the OS thread that first resumed it: resuming it
+//! anywhere else panics. **No lock may be held across `hold`, `wait` or
+//! `park`**: an event closure, or another process, that takes the same lock
+//! on the same thread would spin on itself forever.
 //!
-//! Every run stays fully deterministic: the event order is the queue's,
-//! whichever thread pops it.
+//! Every run is fully deterministic: the event order is the queue's.
 
-use crate::kernel::SimHandle;
+use crate::coro::{switch, Coroutine, Transfer};
+use crate::kernel::{panic_message, SimError, SimHandle};
 use crate::time::{SimDuration, SimTime};
-use crossbeam::channel::Receiver;
+use std::cell::Cell;
+use std::marker::PhantomData;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 
 /// Identifier of a simulated process within one [`crate::Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,16 +46,18 @@ impl ProcId {
     }
 }
 
-/// Sent to a process thread that is waiting for the baton.
-pub(crate) enum ResumeMsg {
-    /// This process is due: take the baton and return to its code.
-    Go,
-    /// The simulation is being torn down; unwind the process thread quietly.
-    Shutdown,
-}
+/// Word the loop resumes a parked process with: carry on.
+const GO: usize = 0;
+/// Word the loop resumes a parked process with: the simulation is being
+/// torn down, unwind.
+const SHUTDOWN: usize = 1;
+/// Word a process switches out with when it parks. Any other word is the
+/// `Box<Result<(), String>>` it leaks on its way out: its function
+/// returned, or panicked with that message.
+const PARKED: usize = 0;
 
-/// Panic payload used to unwind process threads during simulation teardown.
-/// Never observable by user code.
+/// Panic payload used to unwind suspended processes during simulation
+/// teardown. Never observable by user code.
 pub(crate) struct ShutdownToken;
 
 /// Execution context handed to each simulated process.
@@ -56,10 +65,14 @@ pub(crate) struct ShutdownToken;
 /// All blocking operations (`hold`, [`crate::Signal::wait`]) go through this
 /// context; everything else (scheduling events, reading the clock) is also
 /// available on the embedded [`SimHandle`].
+///
+/// A `ProcCtx` is `Send` but not `Sync`: a process only ever lends it out
+/// by shared reference, so no other OS thread can reach it, and parking
+/// always happens on the process's own coroutine.
 pub struct ProcCtx {
     pub(crate) pid: ProcId,
     pub(crate) handle: SimHandle,
-    pub(crate) resume_rx: Receiver<ResumeMsg>,
+    _not_sync: PhantomData<Cell<()>>,
 }
 
 impl ProcCtx {
@@ -87,26 +100,163 @@ impl ProcCtx {
         self.park();
     }
 
-    /// Yield until some event resumes this process: run the event loop on
-    /// this thread, waiting for the baton if another thread takes it first.
-    /// Used by `hold` and by the signal and condition primitives, which
-    /// register the waiter before parking.
+    /// Switch back to the event loop until some event resumes this
+    /// process. Used by `hold` and by the signal and condition primitives,
+    /// which register the waiter before parking.
     pub(crate) fn park(&self) {
-        let shared = &self.handle.shared;
-        if !shared.pass(shared.drive(Some(self.pid))) {
-            self.await_resume();
+        let loop_sp = &self.handle.shared.loop_sp;
+        // SAFETY: a `ProcCtx` is only reachable from its own process's
+        // body (it is lent by reference and is not `Sync`), so this runs on
+        // the process's coroutine, on the thread that resumed it. `loop_sp`
+        // is where that resume left the event loop suspended; the loop
+        // switches back here, with its new position, on the next resume.
+        let t = unsafe { switch(loop_sp.load(Ordering::Relaxed), PARKED) };
+        loop_sp.store(t.sp, Ordering::Relaxed);
+        if t.arg == SHUTDOWN {
+            // Unwind quietly to `entry`, which ends the process.
+            panic::panic_any(ShutdownToken);
+        }
+    }
+}
+
+/// A spawned process's body and context, waiting for its first resume.
+struct Start {
+    ctx: ProcCtx,
+    body: Box<dyn FnOnce(&ProcCtx) + Send>,
+}
+
+/// A process's entry in the kernel's process table.
+pub(crate) struct Proc {
+    pub(crate) name: String,
+    state: State,
+}
+
+enum State {
+    /// Spawned and never resumed: no stack yet.
+    New(Box<Start>),
+    /// Started and suspended in `park`.
+    Suspended(Coroutine),
+    /// Its function returned or panicked; its stack is gone.
+    Finished,
+}
+
+impl Proc {
+    pub(crate) fn new<F>(name: &str, pid: ProcId, handle: SimHandle, body: F) -> Proc
+    where
+        F: FnOnce(&ProcCtx) + Send + 'static,
+    {
+        let ctx = ProcCtx {
+            pid,
+            handle,
+            _not_sync: PhantomData,
+        };
+        Proc {
+            name: name.to_string(),
+            state: State::New(Box::new(Start {
+                ctx,
+                body: Box::new(body),
+            })),
         }
     }
 
-    pub(crate) fn await_resume(&self) {
-        match self.resume_rx.recv() {
-            Ok(ResumeMsg::Go) => {}
-            Ok(ResumeMsg::Shutdown) | Err(_) => {
-                // Unwind quietly; caught by the thread wrapper in kernel.rs.
-                std::panic::panic_any(ShutdownToken);
+    pub(crate) fn is_finished(&self) -> bool {
+        matches!(self.state, State::Finished)
+    }
+
+    /// Run the process until it parks or ends. A stale resume of a
+    /// finished process (e.g. a signal fired after the waiter timed out and
+    /// completed) does nothing. Panics if the process first ran on another
+    /// OS thread.
+    #[inline]
+    pub(crate) fn resume(&mut self) -> Result<(), SimError> {
+        let word = match &mut self.state {
+            State::Finished => return Ok(()),
+            // SAFETY: a suspended process sits in `park`, which switches
+            // back to the loop on this thread before the loop goes on.
+            State::Suspended(coro) => unsafe { coro.resume(GO, &self.name) },
+            State::New(_) => {
+                let State::New(start) =
+                    std::mem::replace(&mut self.state, State::Suspended(Coroutine::new(entry)))
+                else {
+                    unreachable!()
+                };
+                let State::Suspended(coro) = &mut self.state else {
+                    unreachable!()
+                };
+                // SAFETY: a fresh coroutine starts in `entry`, which takes
+                // ownership of the leaked `Start` and, like `park`, always
+                // switches back to its resumer.
+                unsafe { coro.resume(Box::into_raw(start) as usize, &self.name) }
+            }
+        };
+        if word == PARKED {
+            return Ok(());
+        }
+        // The process has switched out for the last time: free its stack.
+        self.state = State::Finished;
+        // SAFETY: a non-PARKED word is the box `entry` leaked on its way out.
+        let end = unsafe { Box::from_raw(word as *mut Result<(), String>) };
+        end.map_err(|message| SimError::ProcessPanicked {
+            name: self.name.clone(),
+            message,
+        })
+    }
+}
+
+impl Drop for Proc {
+    fn drop(&mut self) {
+        let State::Suspended(coro) = &mut self.state else {
+            return;
+        };
+        if coro.is_home() {
+            // SAFETY: on its home thread, the suspended process is resumed
+            // with SHUTDOWN: `park` panics with `ShutdownToken`, the body
+            // unwinds — running its destructors on the thread it ran on —
+            // and `entry` switches back for the last time.
+            let word = unsafe { coro.resume(SHUTDOWN, &self.name) };
+            if word != PARKED {
+                // SAFETY: as in `resume`, the box `entry` leaked.
+                drop(unsafe { Box::from_raw(word as *mut Result<(), String>) });
             }
         }
+        // On any other thread the stack is unmapped without being unwound:
+        // its frames never run here, and whatever they own is leaked.
+        // (Dropping `self.state` after this does the unmapping.)
     }
+}
+
+/// Where every process's coroutine starts. Runs the body, then switches
+/// back to the loop for good with the outcome.
+extern "C" fn entry(t: Transfer) -> ! {
+    let (loop_sp, end) = run_body(t);
+    // SAFETY: `loop_sp` is where the loop was suspended when it last
+    // resumed this process. Nothing on this stack owns anything any more
+    // (`run_body` returned), and the loop never resumes a finished process,
+    // so this frame is simply abandoned and its stack unmapped.
+    unsafe { switch(loop_sp, end) };
+    // Unreachable: nothing ever switches back here.
+    std::process::abort()
+}
+
+/// The body of [`entry`], in a frame of its own so every value it owns is
+/// dropped before the final switch. Returns where to switch to and the
+/// word to pass.
+#[inline(never)]
+fn run_body(t: Transfer) -> (usize, usize) {
+    // SAFETY: the first resume passes the `Start` that `Proc::resume`
+    // leaked for this process.
+    let start = unsafe { Box::from_raw(t.arg as *mut Start) };
+    let Start { ctx, body } = *start;
+    let loop_sp = &ctx.handle.shared.loop_sp;
+    loop_sp.store(t.sp, Ordering::Relaxed);
+    let end = match panic::catch_unwind(AssertUnwindSafe(|| body(&ctx))) {
+        Ok(()) => Ok(()),
+        // Quiet teardown unwind: the simulation is being dropped.
+        Err(payload) if payload.is::<ShutdownToken>() => Ok(()),
+        Err(payload) => Err(panic_message(payload.as_ref())),
+    };
+    let end: Box<Result<(), String>> = Box::new(end);
+    (loop_sp.load(Ordering::Relaxed), Box::into_raw(end) as usize)
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@
 //! events are scheduled exactly as in the serial kernel — same code path,
 //! zero coordination. The only cross-shard channel is a [`Router`] of
 //! per-`(src, dst)` mailboxes, used when code running on one shard's worker
-//! (or process) thread schedules through a handle that belongs to another
-//! shard.
+//! thread (an event closure or a process of that shard) schedules through a
+//! handle that belongs to another shard.
 //!
 //! Execution proceeds in *epochs*. With `m` the minimum next-event time
 //! across all shards and `L` the lookahead (the minimum latency of any
@@ -56,9 +56,9 @@ use std::sync::{Arc, OnceLock, Weak};
 
 thread_local! {
     /// Which shard the current thread is executing, if any. Set on shard
-    /// worker threads and on simulated-process threads; `None` on the
-    /// driver thread (build phase, serial runs), where every handle is
-    /// safe to schedule on directly.
+    /// worker threads, which run their shard's event loop and resume its
+    /// processes; `None` on the driver thread (build phase, serial runs),
+    /// where every handle is safe to schedule on directly.
     static CURRENT_SHARD: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
@@ -331,8 +331,8 @@ impl ShardedSimulation {
         self.sims.len()
     }
 
-    /// A scheduling handle for `shard`. Used from that shard's own threads
-    /// it schedules locally; used from another shard's threads it routes
+    /// A scheduling handle for `shard`. Used from that shard's own worker
+    /// it schedules locally; used from another shard's worker it routes
     /// through the epoch mailboxes (the caller must then respect the
     /// lookahead contract — see [`ShardedSimulation::new`]).
     pub fn handle(&self, shard: usize) -> SimHandle {
@@ -725,13 +725,13 @@ mod tests {
     }
 
     #[test]
-    fn event_closure_panic_on_a_process_thread_is_reported_for_its_shard() {
+    fn event_closure_panic_during_a_hold_is_reported_for_its_shard() {
         let mut sim = ShardedSimulation::new(2, L);
         sim.spawn(0, "honest", |ctx| ctx.hold(SimDuration::from_micros(50)));
         let h = sim.handle(1);
         sim.spawn(1, "host", move |ctx| {
             h.schedule_in(SimDuration::from_micros(1), || panic!("closure kaboom"));
-            // Shard 1's loop runs on this thread and fires the closure.
+            // Shard 1's loop fires the closure while this process parks.
             ctx.hold(SimDuration::from_micros(10));
         });
         match sim.run() {

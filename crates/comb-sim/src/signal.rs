@@ -112,11 +112,11 @@ impl Condition {
         ctx.park();
     }
 
-    /// Resume every process currently waiting.
+    /// Resume every process currently waiting. The waiter list keeps its
+    /// buffer, so a warm wait/notify cycle allocates nothing.
     pub fn notify_all(&self) {
-        let waiters = std::mem::take(&mut *self.inner.waiters.lock());
         let now = self.inner.handle.now();
-        for pid in waiters {
+        for pid in self.inner.waiters.lock().drain(..) {
             self.inner.handle.schedule_resume(pid, now);
         }
     }

@@ -1,8 +1,10 @@
-//! Dropping a simulation after an abort neither hangs nor prints, wherever
-//! the abort happened: on the `run` caller or on a process thread that then
-//! waits for a baton that never comes back.
+//! Dropping a simulation after an abort neither hangs nor prints, whatever
+//! stopped the run and wherever the drop happens: on another thread, where
+//! suspended processes are unmapped without running, or on the thread that
+//! ran them, in the middle of another panic's unwinding.
 
 use comb_sim::{Signal, SimDuration, SimError, SimTime, Simulation, WatchdogConfig};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -51,7 +53,7 @@ fn dropping_after_any_abort_neither_hangs_nor_prints() {
     }
     drop_within_deadline(sim, "a deadlock");
 
-    // Watchdog deadline: tripped on the holding process's own thread.
+    // Watchdog deadline: tripped while one process holds and one waits.
     let mut sim = Simulation::new();
     spawn_stuck(&mut sim);
     sim.spawn("turtle", |ctx| loop {
@@ -66,8 +68,7 @@ fn dropping_after_any_abort_neither_hangs_nor_prints() {
     }
     drop_within_deadline(sim, "a watchdog deadline");
 
-    // Event limit: tripped on a process thread while a second process
-    // waits for the baton.
+    // Event limit: tripped between the resumes of two spinning processes.
     let mut sim = Simulation::new();
     for name in ["spin-a", "spin-b"] {
         sim.spawn(name, |ctx| loop {
@@ -85,4 +86,40 @@ fn dropping_after_any_abort_neither_hangs_nor_prints() {
         0,
         "teardown printed a panic"
     );
+
+    // A panic unwinding through the owner: the suspended process is
+    // unwound on this thread, inside the outer unwinding, and the outer
+    // panic, the only one printed, still arrives intact.
+    let stuck_unwound = std::sync::Arc::new(AtomicUsize::new(0));
+    let flag = std::sync::Arc::clone(&stuck_unwound);
+    let outer = panic::catch_unwind(AssertUnwindSafe(move || {
+        let mut sim = Simulation::new();
+        let sig = Signal::new(&sim.handle());
+        sim.spawn("stuck", move |ctx| {
+            let _unwound = OnDrop(flag);
+            sig.wait(ctx);
+        });
+        sim.run_until(SimTime::from_nanos(1_000)).unwrap();
+        panic::panic_any("outer");
+    }));
+    assert_eq!(outer.unwrap_err().downcast_ref::<&str>(), Some(&"outer"));
+    assert_eq!(
+        stuck_unwound.load(Ordering::SeqCst),
+        1,
+        "process not unwound"
+    );
+    assert_eq!(
+        PRINTED.load(Ordering::SeqCst),
+        1,
+        "teardown printed a panic besides the outer one"
+    );
+}
+
+/// Counts its own drop.
+struct OnDrop(std::sync::Arc<AtomicUsize>);
+
+impl Drop for OnDrop {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
 }

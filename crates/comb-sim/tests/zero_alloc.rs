@@ -3,13 +3,16 @@
 //! Small closures ride the inline-call representation inside the slab
 //! arena, slots are recycled through the free list, and the queue regions
 //! reuse their buffers — so once the arena is warm, scheduling and firing
-//! events performs **zero** allocations, and so does a process's `hold`
-//! when it resumes itself. A counting global allocator makes that a hard
-//! regression test rather than a code-review promise.
+//! events performs **zero** allocations, and so does a full hold/park
+//! cycle, whether a process resumes itself or the loop switches to another
+//! one. A counting global allocator makes that a hard regression test
+//! rather than a code-review promise.
 
-use comb_sim::{SimDuration, Simulation};
+use comb_sim::{Condition, SimDuration, Simulation};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 struct CountingAlloc;
 
@@ -91,8 +94,8 @@ fn warm_self_resuming_hold_loop_does_not_allocate() {
     let p = probe.clone();
     sim.spawn("holder", move |ctx| {
         // Warm-up: the arena reaches its steady state. The process is the
-        // only one, so every hold resumes it on its own thread — no
-        // handoff — and the loop runs here.
+        // only one, so every hold resumes it, and the loop, the process and
+        // the counter all run on this thread.
         for _ in 0..EVENTS {
             ctx.hold(SimDuration::from_nanos(1));
         }
@@ -104,6 +107,73 @@ fn warm_self_resuming_hold_loop_does_not_allocate() {
     });
     sim.run().expect("hold loop failed");
     assert_eq!(probe.get(), Some(0), "a warm self-resuming hold allocated");
+}
+
+#[test]
+fn warm_interleaved_holds_of_two_processes_do_not_allocate() {
+    let mut sim = Simulation::new();
+    let probe = sim.probe::<(u64, u64)>();
+    let p = probe.clone();
+    // "odd" resumes at odd times and "even" at even ones, so every resume
+    // switches from one process's stack to the other's.
+    let evens = Arc::new(AtomicU64::new(0));
+    let e = Arc::clone(&evens);
+    sim.spawn("odd", move |ctx| {
+        ctx.hold(SimDuration::from_nanos(1));
+        for _ in 0..EVENTS {
+            ctx.hold(SimDuration::from_nanos(2));
+        }
+        let before = e.load(Ordering::Relaxed);
+        let allocs = allocs_during(|| {
+            for _ in 0..EVENTS {
+                ctx.hold(SimDuration::from_nanos(2));
+            }
+        });
+        p.set((allocs, e.load(Ordering::Relaxed) - before));
+    });
+    let e = Arc::clone(&evens);
+    sim.spawn("even", move |ctx| {
+        for _ in 0..3 * EVENTS {
+            ctx.hold(SimDuration::from_nanos(2));
+            e.fetch_add(1, Ordering::Relaxed);
+        }
+    });
+    sim.run().expect("interleaved hold loop failed");
+    let (allocs, interleaved) = probe.get().expect("probe not set");
+    assert_eq!(
+        interleaved, EVENTS,
+        "the other process ran between every hold"
+    );
+    assert_eq!(allocs, 0, "a warm process-to-process switch allocated");
+}
+
+#[test]
+fn warm_condition_wait_and_notify_do_not_allocate() {
+    let mut sim = Simulation::new();
+    let cond = Condition::new(&sim.handle());
+    let probe = sim.probe::<u64>();
+    let p = probe.clone();
+    let c = cond.clone();
+    sim.spawn("waiter", move |ctx| {
+        for _ in 0..EVENTS {
+            c.wait(ctx);
+        }
+        p.set(allocs_during(|| {
+            for _ in 0..EVENTS {
+                c.wait(ctx);
+            }
+        }));
+    });
+    sim.spawn("notifier", move |ctx| {
+        for _ in 0..2 * EVENTS {
+            ctx.hold(SimDuration::from_nanos(1));
+            cond.notify_all();
+        }
+        // Outlive the waiter's measured loop.
+        ctx.hold(SimDuration::from_nanos(1));
+    });
+    sim.run().expect("wait/notify loop failed");
+    assert_eq!(probe.get(), Some(0), "a warm condition park allocated");
 }
 
 #[test]
