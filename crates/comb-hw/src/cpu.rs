@@ -7,12 +7,14 @@
 //! ("work with message handling" vs "work only").
 //!
 //! Implementation: a computation installs a cancelable completion event at
-//! `now + duration`. Each steal cancels the event, pushes the deadline back
-//! by the stolen time and re-arms it — O(1) per interrupt.
+//! `now + duration` and parks its process on the CPU's one completion
+//! [`Condition`]. Each steal cancels the event, pushes the deadline back by
+//! the stolen time and re-arms it — O(1) per interrupt. A warm computation
+//! allocates nothing: the condition's waiter buffer is reused, and the
+//! completion event captures one pointer.
 
 use crate::config::CpuConfig;
-use comb_sim::{EventId, ProcCtx, Signal, SimDuration, SimHandle, SimTime};
-use parking_lot::Mutex;
+use comb_sim::{Condition, EventId, ProcCtx, SimCell, SimDuration, SimHandle, SimTime};
 use std::sync::Arc;
 
 /// Result of one [`Cpu::compute`] call.
@@ -38,13 +40,20 @@ pub struct CpuStats {
 struct Computing {
     completion: EventId,
     deadline: SimTime,
-    signal: Signal,
     stolen: SimDuration,
 }
 
 struct CpuInner {
     computing: Option<Computing>,
     stats: CpuStats,
+}
+
+/// State shared by every handle onto one CPU.
+struct CpuShared {
+    inner: SimCell<CpuInner>,
+    /// The foreground computation's process parks here until its
+    /// completion event fires.
+    done: Condition,
 }
 
 /// A simulated host CPU. Cloneable handle; all clones share state.
@@ -60,7 +69,7 @@ pub struct Cpu {
     cfg: CpuConfig,
     handle: SimHandle,
     background: bool,
-    inner: Arc<Mutex<CpuInner>>,
+    shared: Arc<CpuShared>,
 }
 
 impl Cpu {
@@ -70,10 +79,16 @@ impl Cpu {
             cfg,
             handle: handle.clone(),
             background: false,
-            inner: Arc::new(Mutex::new(CpuInner {
-                computing: None,
-                stats: CpuStats::default(),
-            })),
+            shared: Arc::new(CpuShared {
+                inner: SimCell::new(
+                    handle,
+                    CpuInner {
+                        computing: None,
+                        stats: CpuStats::default(),
+                    },
+                ),
+                done: Condition::new(handle),
+            }),
         }
     }
 
@@ -126,7 +141,7 @@ impl Cpu {
             // the two processes round-robin — `d` of background work takes
             // 2d of wall time and costs the foreground d (the other half).
             // On an otherwise idle CPU the background just runs.
-            let contended = self.inner.lock().computing.is_some();
+            let contended = self.shared.inner.borrow_mut().computing.is_some();
             if contended {
                 self.steal(d);
                 ctx.hold(d * 2);
@@ -141,114 +156,100 @@ impl Cpu {
                 stolen: SimDuration::ZERO,
             };
         }
-        let signal = Signal::new(&self.handle);
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.shared.inner.borrow_mut();
             assert!(
                 inner.computing.is_none(),
                 "Cpu::compute is not reentrant: one computation per CPU at a time"
             );
             let deadline = start + d;
-            let completion = arm_completion(&self.handle, &self.inner, deadline, &signal);
+            let completion = arm_completion(&self.shared, deadline);
             inner.computing = Some(Computing {
                 completion,
                 deadline,
-                signal: signal.clone(),
                 stolen: SimDuration::ZERO,
             });
         }
-        signal.wait(ctx);
+        // Only this computation's completion notifies `done`, and only
+        // after clearing `computing`: one wait is the whole predicate loop.
+        self.shared.done.wait(ctx);
         let wall = self.handle.now().since(start);
         let stolen = wall.saturating_sub(d);
-        self.inner.lock().stats.compute_wall += wall;
+        self.shared.inner.borrow_mut().stats.compute_wall += wall;
         ComputeSample { wall, stolen }
     }
 
     /// Steal `d` of CPU time for an interrupt service routine: extends any
     /// computation in progress and accumulates the steal counters.
     pub fn steal(&self, d: SimDuration) {
-        steal_from(&self.handle, &self.inner, d);
+        steal_from(&self.shared, d);
     }
 
-    /// A two-word steal handle onto this CPU (see [`Stealer`]).
+    /// A one-word steal handle onto this CPU (see [`Stealer`]).
     pub fn stealer(&self) -> Stealer {
         Stealer {
-            handle: self.handle.clone(),
-            inner: Arc::clone(&self.inner),
+            shared: Arc::clone(&self.shared),
         }
     }
 
     /// Cumulative counters.
     pub fn stats(&self) -> CpuStats {
-        self.inner.lock().stats
+        self.shared.inner.borrow_mut().stats
     }
 
     /// True if a computation is currently in progress.
     pub fn is_computing(&self) -> bool {
-        self.inner.lock().computing.is_some()
+        self.shared.inner.borrow_mut().computing.is_some()
     }
 }
 
-/// A two-word handle for charging CPU steals from scheduled events.
+/// A one-word handle for charging CPU steals from scheduled events.
 ///
 /// `Cpu` itself is five words (config + handle + flags + shared state),
 /// which pushes any event closure that captures it past the simulator's
 /// three-word inline budget — boxing one closure per packet on the kernel
-/// NIC's send path. A `Stealer` carries only the scheduling handle and the
-/// shared state, so `Stealer` plus a `SimDuration` fits the budget exactly.
+/// NIC's send path. A `Stealer` carries only the shared state, so
+/// `Stealer` plus a `SimDuration` fits the budget.
 #[derive(Clone)]
 pub struct Stealer {
-    handle: SimHandle,
-    inner: Arc<Mutex<CpuInner>>,
+    shared: Arc<CpuShared>,
 }
 
 impl Stealer {
     /// Steal `d` of CPU time, exactly like [`Cpu::steal`].
     pub fn steal(&self, d: SimDuration) {
-        steal_from(&self.handle, &self.inner, d);
+        steal_from(&self.shared, d);
     }
 }
 
 /// Shared body of [`Cpu::steal`] and [`Stealer::steal`].
-fn steal_from(handle: &SimHandle, inner: &Arc<Mutex<CpuInner>>, d: SimDuration) {
+fn steal_from(shared: &Arc<CpuShared>, d: SimDuration) {
     if d.is_zero() {
         return;
     }
-    let mut guard = inner.lock();
-    guard.stats.stolen_total += d;
-    guard.stats.steal_events += 1;
-    if let Some(c) = guard.computing.as_mut() {
-        handle.cancel(c.completion);
+    let mut inner = shared.inner.borrow_mut();
+    inner.stats.stolen_total += d;
+    inner.stats.steal_events += 1;
+    if let Some(c) = inner.computing.as_mut() {
+        shared.inner.handle().cancel(c.completion);
         c.deadline += d;
         c.stolen += d;
-        let deadline = c.deadline;
-        let signal = c.signal.clone();
-        c.completion = arm_completion(handle, inner, deadline, &signal);
+        c.completion = arm_completion(shared, c.deadline);
     }
 }
 
-/// Schedule the completion event for the computation at `deadline`.
-///
-/// The closure re-checks that it is still the current completion (a steal
-/// may race it in the same lock epoch) by comparing deadlines; since steals
-/// cancel the event first, firing means we are current.
-fn arm_completion(
-    handle: &SimHandle,
-    inner: &Arc<Mutex<CpuInner>>,
-    deadline: SimTime,
-    signal: &Signal,
-) -> EventId {
-    let inner = Arc::clone(inner);
-    let signal = signal.clone();
-    handle.schedule_at(deadline, move || {
-        let mut guard = inner.lock();
+/// Schedule the completion event for the computation at `deadline`. Steals
+/// cancel the event before re-arming it, so firing means it is current:
+/// it ends the computation and resumes the computing process.
+fn arm_completion(shared: &Arc<CpuShared>, deadline: SimTime) -> EventId {
+    let state = Arc::clone(shared);
+    shared.inner.handle().schedule_at(deadline, move || {
+        let done = state.inner.borrow_mut().computing.take();
         debug_assert!(
-            guard.computing.is_some(),
+            done.is_some(),
             "completion fired with no computation in progress"
         );
-        guard.computing = None;
-        drop(guard);
-        signal.fire();
+        state.done.notify_all();
     })
 }
 

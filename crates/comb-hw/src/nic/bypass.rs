@@ -21,9 +21,8 @@ use crate::nic::{
 use crate::packet::packet_sizes;
 use crate::pending::PendingSlab;
 use crate::switch::Fabric;
-use comb_sim::{SimHandle, SimTime};
+use comb_sim::{SimCell, SimHandle, SimTime};
 use comb_trace::{Comp, TraceEvent, Tracer};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -47,7 +46,7 @@ pub struct BypassNic {
     mtu: u64,
     fabric: Arc<Fabric>,
     tracer: Tracer,
-    inner: Arc<Mutex<BypassInner>>,
+    inner: Arc<SimCell<BypassInner>>,
 }
 
 impl BypassNic {
@@ -62,16 +61,19 @@ impl BypassNic {
             mtu,
             fabric: Arc::clone(fabric),
             tracer: fabric.tracer().clone(),
-            inner: Arc::new(Mutex::new(BypassInner {
-                tx: Station::new(cfg.tx_per_packet, cfg.tx_bandwidth),
-                rx: Station::new(cfg.rx_per_packet, cfg.rx_bandwidth),
-                fault: FaultModel::from_link(fabric.link_config(), fabric.port_count() as u64),
-                ring: VecDeque::new(),
-                handler: None,
-                ring_notify: None,
-                pending: PendingSlab::default(),
-                stats: NicStats::default(),
-            })),
+            inner: Arc::new(SimCell::new(
+                handle,
+                BypassInner {
+                    tx: Station::new(cfg.tx_per_packet, cfg.tx_bandwidth),
+                    rx: Station::new(cfg.rx_per_packet, cfg.rx_bandwidth),
+                    fault: FaultModel::from_link(fabric.link_config(), fabric.port_count() as u64),
+                    ring: VecDeque::new(),
+                    handler: None,
+                    ring_notify: None,
+                    pending: PendingSlab::default(),
+                    stats: NicStats::default(),
+                },
+            )),
         });
         let dyn_nic: Arc<dyn Nic> = nic;
         let assigned = fabric.attach(Arc::downgrade(&dyn_nic), handle);
@@ -91,10 +93,10 @@ impl BypassNic {
         end: SimTime,
         handler: Option<RxHandler>,
     ) {
-        let slot = self.inner.lock().pending.insert((src, msg, handler));
+        let slot = self.inner.borrow_mut().pending.insert((src, msg, handler));
         let inner_ref = Arc::clone(&self.inner);
         self.handle.schedule_at(end, move || {
-            let mut inner = inner_ref.lock();
+            let mut inner = inner_ref.borrow_mut();
             let (src, msg, handler) = inner.pending.take(slot);
             match msg.class {
                 DeliveryClass::Ring => {
@@ -106,7 +108,7 @@ impl BypassNic {
                     }
                 }
                 DeliveryClass::Direct => {
-                    // The handler may re-enter the NIC; call it unlocked.
+                    // The handler may re-enter the NIC; call it unborrowed.
                     drop(inner);
                     let handler = handler.expect("no rx handler installed");
                     handler(src, msg);
@@ -131,7 +133,7 @@ impl Nic for BypassNic {
         let n = sizes.len();
         let comp = Comp::Nic(self.id.0 as u32);
         let msg_bytes = msg.bytes;
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.stats.msgs_tx += 1;
         inner.stats.bytes_tx += msg.bytes;
         inner.stats.packets_tx += n as u64;
@@ -221,23 +223,23 @@ impl Nic for BypassNic {
     }
 
     fn set_rx_handler(&self, handler: RxHandler) {
-        self.inner.lock().handler = Some(handler);
+        self.inner.borrow_mut().handler = Some(handler);
     }
 
     fn set_ring_notify(&self, notify: Arc<dyn Fn() + Send + Sync>) {
-        self.inner.lock().ring_notify = Some(notify);
+        self.inner.borrow_mut().ring_notify = Some(notify);
     }
 
     fn poll_ring(&self) -> Option<(NodeId, WireMsg)> {
-        self.inner.lock().ring.pop_front()
+        self.inner.borrow_mut().ring.pop_front()
     }
 
     fn ring_len(&self) -> usize {
-        self.inner.lock().ring.len()
+        self.inner.borrow_mut().ring.len()
     }
 
     fn stats(&self) -> NicStats {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow_mut();
         let mut stats = inner.stats;
         stats.lost_packets = inner.fault.loss_stats().lost_packets;
         stats.retransmissions = inner.fault.loss_stats().retransmissions;
@@ -246,7 +248,7 @@ impl Nic for BypassNic {
 
     fn deliver_packet(&self, src: NodeId, pkt: Packet) {
         let now = self.handle.now();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.stats.packets_rx += 1;
         inner.stats.bytes_rx += pkt.bytes;
         let end = if pkt.expedited {
@@ -267,7 +269,7 @@ impl Nic for BypassNic {
         // instant. `Station::enqueue` takes the arrival time explicitly, so
         // the arithmetic — and therefore the message-ready time — is
         // bit-identical to the per-packet event path.
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let mut end = self.handle.now();
         for &(arrival, bytes) in &arrivals {
             inner.stats.packets_rx += 1;
@@ -407,7 +409,7 @@ mod tests {
     fn two_messages_fifo_on_the_wire() {
         let mut sim = Simulation::new();
         let (a, b) = setup(&sim);
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let o = Arc::clone(&order);
         b.set_rx_handler(Arc::new(move |_, msg| {
             o.lock().push(*msg.payload.downcast_ref::<u64>().unwrap())

@@ -31,9 +31,8 @@ use crate::nic::{Nic, NicStats, NodeId, Packet, RxHandler, TxDone, WireMsg};
 use crate::packet::packet_sizes;
 use crate::pending::PendingSlab;
 use crate::switch::Fabric;
-use comb_sim::SimHandle;
+use comb_sim::{SimCell, SimHandle};
 use comb_trace::{Comp, TraceEvent, Tracer};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 struct KernelInner {
@@ -57,7 +56,7 @@ pub struct KernelNic {
     fabric: Arc<Fabric>,
     cpu: Cpu,
     tracer: Tracer,
-    inner: Arc<Mutex<KernelInner>>,
+    inner: Arc<SimCell<KernelInner>>,
 }
 
 impl KernelNic {
@@ -79,14 +78,17 @@ impl KernelNic {
             fabric: Arc::clone(fabric),
             cpu: cpu.clone(),
             tracer: fabric.tracer().clone(),
-            inner: Arc::new(Mutex::new(KernelInner {
-                tx: Station::new(cfg.tx_per_packet, cfg.tx_bandwidth),
-                fault: FaultModel::from_link(fabric.link_config(), fabric.port_count() as u64),
-                isr: InterruptController::new(cpu.clone()),
-                handler: None,
-                pending_rx: PendingSlab::default(),
-                stats: NicStats::default(),
-            })),
+            inner: Arc::new(SimCell::new(
+                handle,
+                KernelInner {
+                    tx: Station::new(cfg.tx_per_packet, cfg.tx_bandwidth),
+                    fault: FaultModel::from_link(fabric.link_config(), fabric.port_count() as u64),
+                    isr: InterruptController::new(cpu.clone()),
+                    handler: None,
+                    pending_rx: PendingSlab::default(),
+                    stats: NicStats::default(),
+                },
+            )),
         });
         let dyn_nic: Arc<dyn Nic> = nic;
         let assigned = fabric.attach(Arc::downgrade(&dyn_nic), handle);
@@ -110,7 +112,7 @@ impl Nic for KernelNic {
         let n = sizes.len();
         let comp = Comp::Nic(self.id.0 as u32);
         let msg_bytes = msg.bytes;
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.stats.msgs_tx += 1;
         inner.stats.bytes_tx += msg.bytes;
         inner.stats.packets_tx += n as u64;
@@ -183,7 +185,7 @@ impl Nic for KernelNic {
     }
 
     fn set_rx_handler(&self, handler: RxHandler) {
-        self.inner.lock().handler = Some(handler);
+        self.inner.borrow_mut().handler = Some(handler);
     }
 
     fn set_ring_notify(&self, _notify: Arc<dyn Fn() + Send + Sync>) {
@@ -200,7 +202,7 @@ impl Nic for KernelNic {
     }
 
     fn stats(&self) -> NicStats {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow_mut();
         let mut stats = inner.stats;
         stats.interrupts = inner.isr.stats().interrupts;
         stats.host_stolen = inner.stats.host_stolen + inner.isr.stats().total;
@@ -212,7 +214,7 @@ impl Nic for KernelNic {
 
     fn deliver_packet(&self, src: NodeId, pkt: Packet) {
         let now = self.handle.now();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.stats.packets_rx += 1;
         inner.stats.bytes_rx += pkt.bytes;
         // Spurious storm interrupts accrued since the last delivery fire
@@ -247,9 +249,9 @@ impl Nic for KernelNic {
             drop(inner);
             let inner_ref = Arc::clone(&self.inner);
             self.handle.schedule_at(done, move || {
-                // Take under the lock, then drop the guard before calling:
+                // Take in a borrow that ends before the call:
                 // the handler may re-enter the NIC (e.g. post a reply).
-                let (handler, src, msg) = inner_ref.lock().pending_rx.take(slot);
+                let (handler, src, msg) = inner_ref.borrow_mut().pending_rx.take(slot);
                 handler(src, msg);
             });
         }

@@ -12,17 +12,21 @@ use crate::pending::PendingSlab;
 use comb_sim::{SimHandle, SimTime};
 use comb_trace::{Comp, TraceEvent, Tracer};
 use parking_lot::Mutex;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
+
+/// An attached NIC and the handle of the simulation (shard) its node
+/// lives in.
+type Port = (Weak<dyn Nic>, SimHandle);
 
 /// A wire delivery parked until its arrival event fires.
 enum Delivery {
     Packet {
-        nic: Weak<dyn Nic>,
+        dst: NodeId,
         src: NodeId,
         pkt: Packet,
     },
     Burst {
-        nic: Weak<dyn Nic>,
+        dst: NodeId,
         src: NodeId,
         arrivals: Vec<(SimTime, u64)>,
         msg: WireMsg,
@@ -38,9 +42,18 @@ enum Delivery {
 /// old single-handle behaviour; in a sharded run the destination handle
 /// routes the arrival through the cross-shard mailboxes, and the wire
 /// latency (never below the shard lookahead) is what makes that legal.
+///
+/// The fabric is the one model that threads of two shards touch, so it
+/// keeps no [`comb_sim::SimCell`]. Its port table is frozen when the first
+/// packet goes out, after which every thread reads it without a lock, and
+/// the deliveries in flight stay behind a real lock: a packet is parked by
+/// the sending shard's thread and collected by the receiving one's.
 pub struct Fabric {
     link: LinkConfig,
-    ports: Mutex<Vec<(Weak<dyn Nic>, SimHandle)>>,
+    /// Ports attached while the cluster is built.
+    attaching: Mutex<Vec<Port>>,
+    /// The port table, moved out of `attaching` by the first transmit.
+    ports: OnceLock<Box<[Port]>>,
     tracer: Tracer,
     /// Self-reference so arrival events capture a thin `(fabric, slot)`
     /// pair — two words, on the simulator's inline fast path — instead of
@@ -60,7 +73,8 @@ impl Fabric {
     pub fn new_traced(link: LinkConfig, tracer: Tracer) -> Arc<Fabric> {
         Arc::new_cyclic(|weak| Fabric {
             link,
-            ports: Mutex::new(Vec::new()),
+            attaching: Mutex::new(Vec::new()),
+            ports: OnceLock::new(),
             tracer,
             weak_self: weak.clone(),
             pending: Mutex::new(PendingSlab::default()),
@@ -79,31 +93,43 @@ impl Fabric {
 
     /// Number of attached ports.
     pub fn port_count(&self) -> usize {
-        self.ports.lock().len()
+        match self.ports.get() {
+            Some(ports) => ports.len(),
+            None => self.attaching.lock().len(),
+        }
     }
 
     /// Attach a NIC to the next free port, together with the handle of the
     /// simulation (shard) its node lives in — arrivals for this port are
     /// scheduled on that handle. The NIC's `node_id` must equal the
     /// returned port index (the cluster builder guarantees this).
+    ///
+    /// Panics once the fabric has carried a packet: the port table is
+    /// frozen then.
     pub fn attach(&self, nic: Weak<dyn Nic>, handle: &SimHandle) -> NodeId {
-        let mut ports = self.ports.lock();
+        assert!(
+            self.ports.get().is_none(),
+            "NIC attached to a fabric that already carries traffic"
+        );
+        let mut ports = self.attaching.lock();
         let id = NodeId(ports.len());
         ports.push((nic, handle.clone()));
         id
+    }
+
+    /// The port attached at `dst`, freezing the port table on first use.
+    fn port(&self, dst: NodeId) -> &Port {
+        self.ports
+            .get_or_init(|| std::mem::take(&mut *self.attaching.lock()).into_boxed_slice())
+            .get(dst.0)
+            .unwrap_or_else(|| panic!("no NIC attached at port {dst}"))
     }
 
     /// Put a packet on the wire at `departure` (when its last byte leaves
     /// the source NIC); it reaches the destination NIC one link latency
     /// later.
     pub fn transmit(&self, src: NodeId, dst: NodeId, pkt: Packet, departure: SimTime) {
-        let (nic, handle) = {
-            let ports = self.ports.lock();
-            ports
-                .get(dst.0)
-                .unwrap_or_else(|| panic!("no NIC attached at port {dst}"))
-                .clone()
-        };
+        let handle = &self.port(dst).1;
         let arrival = departure + self.link.latency;
         self.tracer
             .emit(departure, Comp::Fabric, || TraceEvent::PacketOnWire {
@@ -113,7 +139,7 @@ impl Fabric {
                 first: pkt.first,
                 last: pkt.tail.is_some(),
             });
-        self.schedule_delivery(&handle, arrival, Delivery::Packet { nic, src, pkt });
+        self.schedule_delivery(handle, arrival, Delivery::Packet { dst, src, pkt });
     }
 
     /// Park `delivery` and schedule its arrival event on the destination
@@ -134,18 +160,18 @@ impl Fabric {
     fn fire_delivery(&self, slot: usize) {
         let delivery = self.pending.lock().take(slot);
         match delivery {
-            Delivery::Packet { nic, src, pkt } => {
-                if let Some(nic) = nic.upgrade() {
+            Delivery::Packet { dst, src, pkt } => {
+                if let Some(nic) = self.port(dst).0.upgrade() {
                     nic.deliver_packet(src, pkt);
                 }
             }
             Delivery::Burst {
-                nic,
+                dst,
                 src,
                 arrivals,
                 msg,
             } => {
-                if let Some(nic) = nic.upgrade() {
+                if let Some(nic) = self.port(dst).0.upgrade() {
                     nic.deliver_burst(src, arrivals, msg);
                 }
             }
@@ -192,13 +218,7 @@ impl Fabric {
         departures: Vec<(SimTime, u64)>,
         msg: WireMsg,
     ) {
-        let (nic, handle) = {
-            let ports = self.ports.lock();
-            ports
-                .get(dst.0)
-                .unwrap_or_else(|| panic!("no NIC attached at port {dst}"))
-                .clone()
-        };
+        let handle = &self.port(dst).1;
         let latency = self.link.latency;
         let arrivals: Vec<(SimTime, u64)> = departures
             .into_iter()
@@ -209,10 +229,10 @@ impl Fabric {
             .unwrap_or_else(|| panic!("empty packet burst"))
             .0;
         self.schedule_delivery(
-            &handle,
+            handle,
             last_arrival,
             Delivery::Burst {
-                nic,
+                dst,
                 src,
                 arrivals,
                 msg,

@@ -1,19 +1,19 @@
 //! The per-rank MPI engine: request table, matcher, protocol state, and the
 //! progress pump, wired to a simulated NIC.
 //!
-//! Locking rule: the engine lock is **never held across a virtual-time
-//! yield** (every `Cpu::compute` / `Condition::wait` happens outside the
-//! lock), because events that fire during a yield (deliveries, transmit
-//! completions) take the same lock.
+//! Borrowing rule: the engine's state cell is **never borrowed across a
+//! virtual-time yield** (every `Cpu::compute` / `Condition::wait` happens
+//! outside the borrow), because events that fire during a yield
+//! (deliveries, transmit completions) borrow the same cell, and a second
+//! borrow panics.
 
 use crate::matching::{MatchEngine, PostedRecv, Unexpected, UnexpectedBody};
 use crate::protocol::{ProtoMsg, CTL_BYTES};
 use crate::request::{Request, RequestHandle, RequestKind, RequestTable};
 use crate::types::{Envelope, Payload, Rank, RankSel, Status, TagSel};
 use comb_hw::{Cpu, DeliveryClass, MpiCostConfig, Nic, NodeId, ProgressModel, WireMsg};
-use comb_sim::{Condition, EventId, ProcCtx, Signal, SimDuration, SimHandle};
+use comb_sim::{Condition, EventId, ProcCtx, SimCell, SimDuration, SimHandle};
 use comb_trace::{Comp, MsgId, TraceEvent, Tracer};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -124,7 +124,7 @@ struct EngineShared {
     nic: Arc<dyn Nic>,
     cfg: MpiCostConfig,
     tracer: Tracer,
-    inner: Mutex<EngineInner>,
+    inner: SimCell<EngineInner>,
     /// Notified on every request completion and every ring arrival; blocking
     /// waits park here.
     completion_cond: Condition,
@@ -160,19 +160,22 @@ impl MpiEngine {
             nic: Arc::clone(nic),
             cfg,
             tracer,
-            inner: Mutex::new(EngineInner {
-                requests: RequestTable::default(),
-                matcher: MatchEngine::default(),
-                send_pending: HashMap::new(),
-                recv_tokens: HashMap::new(),
-                rts_seen: HashMap::new(),
-                send_seq: HashMap::new(),
-                recv_seq: HashMap::new(),
-                reorder: HashMap::new(),
-                next_token: 0,
-                next_corr: 0,
-                stats: MpiStats::default(),
-            }),
+            inner: SimCell::new(
+                handle,
+                EngineInner {
+                    requests: RequestTable::default(),
+                    matcher: MatchEngine::default(),
+                    send_pending: HashMap::new(),
+                    recv_tokens: HashMap::new(),
+                    rts_seen: HashMap::new(),
+                    send_seq: HashMap::new(),
+                    recv_seq: HashMap::new(),
+                    reorder: HashMap::new(),
+                    next_token: 0,
+                    next_corr: 0,
+                    stats: MpiStats::default(),
+                },
+            ),
             completion_cond: Condition::new(handle),
         });
         // The NIC owns its upcalls and the engine owns the NIC, so the
@@ -201,7 +204,7 @@ impl MpiEngine {
 
     /// Cumulative counters.
     pub fn stats(&self) -> MpiStats {
-        self.shared.inner.lock().stats
+        self.shared.inner.borrow_mut().stats
     }
 
     /// The tracer this engine emits to (shared with the cluster fabric
@@ -218,7 +221,7 @@ impl MpiEngine {
 
     /// Number of live (unreaped) requests — for leak checks in tests.
     pub fn live_requests(&self) -> usize {
-        self.shared.inner.lock().requests.live()
+        self.shared.inner.borrow_mut().requests.live()
     }
 
     fn node_of(&self, rank: Rank) -> NodeId {
@@ -259,11 +262,8 @@ impl MpiEngine {
             tag,
             len,
         };
-        let signal = Signal::new(&self.shared.handle);
-        let mut inner = self.shared.inner.lock();
-        let req = inner
-            .requests
-            .insert(Request::new(RequestKind::Send, signal));
+        let mut inner = self.shared.inner.borrow_mut();
+        let req = inner.requests.insert(Request::new(RequestKind::Send));
         inner.stats.isends += 1;
         let seq = {
             let c = inner.send_seq.entry(dst).or_insert(0);
@@ -378,7 +378,7 @@ impl MpiEngine {
         let Some(retry) = self.shared.cfg.rndv_retry else {
             return;
         };
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.shared.inner.borrow_mut();
         let Some(pending) = inner.send_pending.get_mut(&token) else {
             return;
         };
@@ -397,7 +397,7 @@ impl MpiEngine {
     /// duplicate) and back off exponentially.
     fn rts_timeout(&self, token: u64) {
         let resend = {
-            let mut inner = self.shared.inner.lock();
+            let mut inner = self.shared.inner.borrow_mut();
             match inner.send_pending.get_mut(&token) {
                 None => None, // CTS arrived; the handshake moved on.
                 Some(pending) => {
@@ -438,11 +438,8 @@ impl MpiEngine {
                 TraceEvent::RecvPosted
             });
         self.shared.cpu.compute(ctx, self.shared.cfg.irecv);
-        let signal = Signal::new(&self.shared.handle);
-        let mut inner = self.shared.inner.lock();
-        let req = inner
-            .requests
-            .insert(Request::new(RequestKind::Recv, signal));
+        let mut inner = self.shared.inner.borrow_mut();
+        let req = inner.requests.insert(Request::new(RequestKind::Recv));
         inner.stats.irecvs += 1;
         let hit = inner.matcher.post_recv(PostedRecv { req, src, tag });
         match hit {
@@ -538,7 +535,7 @@ impl MpiEngine {
             .emit(self.shared.handle.now(), self.comp(), || {
                 TraceEvent::SendDone { msg: MsgId(corr) }
             });
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.shared.inner.borrow_mut();
         inner.requests.complete(
             req,
             Status {
@@ -561,7 +558,7 @@ impl MpiEngine {
                     bytes: env.len,
                 }
             });
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.shared.inner.borrow_mut();
         inner.stats.bytes_received += env.len;
         inner.stats.recvs_completed += 1;
         inner
@@ -596,7 +593,7 @@ impl MpiEngine {
                 cost += SimDuration::for_bytes(env.len, self.shared.cfg.eager_copy_bandwidth);
             }
             self.shared.cpu.compute(ctx, cost);
-            self.shared.inner.lock().stats.progress_msgs += 1;
+            self.shared.inner.borrow_mut().stats.progress_msgs += 1;
             self.dispatch_proto(src, proto);
         }
         handled
@@ -621,7 +618,7 @@ impl MpiEngine {
         // on the per-source sequence number, stashing early arrivals.
         if let Some(seq) = proto.seq() {
             let src_rank = Rank(src.0);
-            let mut inner = self.shared.inner.lock();
+            let mut inner = self.shared.inner.borrow_mut();
             let expected = *inner.recv_seq.entry(src_rank).or_insert(0);
             if seq < expected {
                 // An already-sequenced envelope again: a retransmitted RTS
@@ -644,7 +641,7 @@ impl MpiEngine {
             // Drain any consecutive stashed successors.
             loop {
                 let next = {
-                    let mut inner = self.shared.inner.lock();
+                    let mut inner = self.shared.inner.borrow_mut();
                     let expected = *inner.recv_seq.get(&src_rank).expect("seq counter vanished");
                     match inner.reorder.get_mut(&src_rank) {
                         Some(buf) => buf.remove(&expected),
@@ -664,7 +661,7 @@ impl MpiEngine {
     /// Handle an envelope message that is next in sequence.
     fn dispatch_in_order(&self, src: NodeId, proto: ProtoMsg) {
         {
-            let mut inner = self.shared.inner.lock();
+            let mut inner = self.shared.inner.borrow_mut();
             let c = inner
                 .recv_seq
                 .get_mut(&Rank(src.0))
@@ -688,7 +685,7 @@ impl MpiEngine {
             return;
         };
         let resend = {
-            let mut inner = self.shared.inner.lock();
+            let mut inner = self.shared.inner.borrow_mut();
             inner.stats.dup_rts += 1;
             match inner.rts_seen.get(&(env.src, sender_token)) {
                 Some(RtsProgress::CtsSent(recv_token, corr)) => Some((*recv_token, *corr)),
@@ -705,7 +702,7 @@ impl MpiEngine {
             ProtoMsg::Eager {
                 env, corr, payload, ..
             } => {
-                let mut inner = self.shared.inner.lock();
+                let mut inner = self.shared.inner.borrow_mut();
                 match inner.matcher.match_arrival(env.src, &env) {
                     Some(posted) => {
                         drop(inner);
@@ -735,7 +732,7 @@ impl MpiEngine {
                 corr,
                 ..
             } => {
-                let mut inner = self.shared.inner.lock();
+                let mut inner = self.shared.inner.borrow_mut();
                 match inner.matcher.match_arrival(env.src, &env) {
                     Some(posted) => {
                         let recv_token = inner.next_token;
@@ -781,7 +778,7 @@ impl MpiEngine {
                 recv_token,
             } => {
                 let pending = {
-                    let mut inner = self.shared.inner.lock();
+                    let mut inner = self.shared.inner.borrow_mut();
                     match inner.send_pending.remove(&sender_token) {
                         Some(p) => p,
                         None => {
@@ -832,7 +829,7 @@ impl MpiEngine {
                 payload,
             } => {
                 let landing = {
-                    let mut inner = self.shared.inner.lock();
+                    let mut inner = self.shared.inner.borrow_mut();
                     let landing = inner
                         .recv_tokens
                         .remove(&recv_token)
@@ -855,7 +852,7 @@ impl MpiEngine {
     /// receives).
     pub fn test(&self, ctx: &ProcCtx, req: RequestHandle) -> Option<(Status, Option<Payload>)> {
         self.shared.cpu.compute(ctx, self.shared.cfg.test_call);
-        self.shared.inner.lock().stats.tests += 1;
+        self.shared.inner.borrow_mut().stats.tests += 1;
         self.progress(ctx);
         self.try_consume(req)
     }
@@ -863,13 +860,13 @@ impl MpiEngine {
     /// Charge the cost of one test-family call (testall/testany/iprobe).
     pub(crate) fn charge_test(&self, ctx: &ProcCtx) {
         self.shared.cpu.compute(ctx, self.shared.cfg.test_call);
-        self.shared.inner.lock().stats.tests += 1;
+        self.shared.inner.borrow_mut().stats.tests += 1;
     }
 
     /// Non-charging completion check + consume (wait loops use this after
     /// they already paid for progress).
     pub(crate) fn try_consume(&self, req: RequestHandle) -> Option<(Status, Option<Payload>)> {
-        let mut inner = self.shared.inner.lock();
+        let mut inner = self.shared.inner.borrow_mut();
         let complete = inner.requests.get(req).map(|r| r.complete).unwrap_or(false);
         if complete {
             inner.requests.remove(req)
@@ -883,16 +880,20 @@ impl MpiEngine {
     /// NOT performed — probing is non-destructive).
     pub fn iprobe(&self, ctx: &ProcCtx, src: RankSel, tag: TagSel) -> Option<Envelope> {
         self.shared.cpu.compute(ctx, self.shared.cfg.test_call);
-        self.shared.inner.lock().stats.tests += 1;
+        self.shared.inner.borrow_mut().stats.tests += 1;
         self.progress(ctx);
-        self.shared.inner.lock().matcher.peek_unexpected(src, tag)
+        self.shared
+            .inner
+            .borrow_mut()
+            .matcher
+            .peek_unexpected(src, tag)
     }
 
     /// True if the request is complete (without consuming it).
     pub fn is_complete(&self, req: RequestHandle) -> bool {
         self.shared
             .inner
-            .lock()
+            .borrow_mut()
             .requests
             .get(req)
             .map(|r| r.complete)
@@ -915,7 +916,7 @@ impl MpiEngine {
     /// nothing waits on them after the process is gone.
     pub fn finalize(&self) {
         let timers: Vec<EventId> = {
-            let mut inner = self.shared.inner.lock();
+            let mut inner = self.shared.inner.borrow_mut();
             inner
                 .send_pending
                 .values_mut()

@@ -1,7 +1,6 @@
 //! Non-blocking request objects and the per-engine request table.
 
 use crate::types::{Payload, Status};
-use comb_sim::Signal;
 use std::collections::HashMap;
 
 /// Handle to a non-blocking operation, returned by `isend`/`irecv`.
@@ -26,18 +25,15 @@ pub(crate) struct Request {
     pub status: Option<Status>,
     /// Delivered payload (receives only), until taken by the caller.
     pub payload: Option<Payload>,
-    /// Fired at completion; blocking waits park on it.
-    pub signal: Signal,
 }
 
 impl Request {
-    pub fn new(kind: RequestKind, signal: Signal) -> Request {
+    pub fn new(kind: RequestKind) -> Request {
         Request {
             kind,
             complete: false,
             status: None,
             payload: None,
-            signal,
         }
     }
 }
@@ -62,8 +58,9 @@ impl RequestTable {
         self.entries.get(&h.0)
     }
 
-    /// Mark a request complete, firing its signal. Idempotent-hostile by
-    /// design: completing twice is a protocol bug.
+    /// Mark a request complete. Blocking waits park on the engine's
+    /// completion condition, which the engine notifies after this.
+    /// Idempotent-hostile by design: completing twice is a protocol bug.
     pub fn complete(&mut self, h: RequestHandle, status: Status, payload: Option<Payload>) {
         let req = self
             .entries
@@ -74,7 +71,6 @@ impl RequestTable {
         req.status = Some(status);
         req.payload = payload;
         self.completed_total += 1;
-        req.signal.fire();
     }
 
     /// Remove a finished request, returning its status and payload.
@@ -97,7 +93,6 @@ impl RequestTable {
 mod tests {
     use super::*;
     use crate::types::{Rank, Tag};
-    use comb_sim::Simulation;
 
     fn status() -> Status {
         Status {
@@ -109,14 +104,12 @@ mod tests {
 
     #[test]
     fn insert_complete_remove_lifecycle() {
-        let sim = Simulation::new();
         let mut table = RequestTable::default();
-        let h = table.insert(Request::new(RequestKind::Recv, Signal::new(&sim.handle())));
+        let h = table.insert(Request::new(RequestKind::Recv));
         assert!(!table.get(h).unwrap().complete);
         assert_eq!(table.live(), 1);
         table.complete(h, status(), Some(Payload::synthetic(10)));
         assert!(table.get(h).unwrap().complete);
-        assert!(table.get(h).unwrap().signal.is_fired());
         let (st, payload) = table.remove(h).unwrap();
         assert_eq!(st.len, 10);
         assert_eq!(payload, Some(Payload::synthetic(10)));
@@ -126,19 +119,17 @@ mod tests {
 
     #[test]
     fn handles_are_unique() {
-        let sim = Simulation::new();
         let mut table = RequestTable::default();
-        let h1 = table.insert(Request::new(RequestKind::Send, Signal::new(&sim.handle())));
-        let h2 = table.insert(Request::new(RequestKind::Send, Signal::new(&sim.handle())));
+        let h1 = table.insert(Request::new(RequestKind::Send));
+        let h2 = table.insert(Request::new(RequestKind::Send));
         assert_ne!(h1, h2);
     }
 
     #[test]
     #[should_panic(expected = "completed twice")]
     fn double_complete_panics() {
-        let sim = Simulation::new();
         let mut table = RequestTable::default();
-        let h = table.insert(Request::new(RequestKind::Send, Signal::new(&sim.handle())));
+        let h = table.insert(Request::new(RequestKind::Send));
         table.complete(h, status(), None);
         table.complete(h, status(), None);
     }

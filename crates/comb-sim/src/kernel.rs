@@ -7,7 +7,13 @@
 //! it parks again (see `process.rs`). The process table therefore lives in
 //! [`Simulation`] itself; [`SimShared`] holds only what event closures and
 //! processes reach through a [`SimHandle`].
+//!
+//! The event queue sits in an [`OwnedCell`] rather than behind a lock: the
+//! loop claims the simulation's [`Owner`] once per run, so each schedule,
+//! cancel and pop on its thread costs a plain load of the owner word and a
+//! few non-atomic writes (see `cell.rs`).
 
+use crate::cell::{OwnedCell, Owner, SimRefMut};
 use crate::event::{EventId, EventKind, EventQueue, InlineCall, KernelStats};
 use crate::process::{Proc, ProcCtx, ProcId, ShutdownToken};
 use crate::time::{SimDuration, SimTime};
@@ -19,7 +25,10 @@ use std::sync::Arc;
 
 /// State shared between the kernel, process contexts, and event closures.
 pub(crate) struct SimShared {
-    pub queue: Mutex<EventQueue>,
+    /// The thread that may touch this simulation's cells right now.
+    pub owner: Owner,
+    /// Reached only through [`SimShared::queue`], with `owner`.
+    queue: OwnedCell<EventQueue>,
     /// Current virtual time in nanoseconds; written only by the event loop.
     pub clock: AtomicU64,
     /// Set when this simulation is one shard of a
@@ -32,6 +41,17 @@ pub(crate) struct SimShared {
     /// parks. Written by the process on every resume, so it is only read
     /// and written on the loop's own thread.
     pub loop_sp: AtomicUsize,
+}
+
+impl SimShared {
+    /// Borrow the event queue. Panics if another thread holds the
+    /// simulation.
+    #[inline(always)]
+    pub(crate) fn queue(&self) -> SimRefMut<'_, EventQueue> {
+        // SAFETY: the queue is only ever borrowed here, with the owner it
+        // sits next to.
+        unsafe { self.queue.borrow(&self.owner) }
+    }
 }
 
 /// Cloneable, `Send` handle for interacting with a running simulation:
@@ -102,12 +122,25 @@ impl SimHandle {
 
     #[inline]
     fn schedule_kind(&self, now: SimTime, t: SimTime, kind: EventKind) -> EventId {
-        self.shared.queue.lock().schedule(now, t, kind)
+        self.shared.queue().schedule(now, t, kind)
     }
 
     /// Cancel a scheduled event. No-op if it already fired.
+    ///
+    /// Called from another shard of a sharded simulation, the only id it
+    /// can hold for this shard is the [`EventId::CROSS_SHARD`] sentinel
+    /// that `schedule_at` returned, and cancelling it does nothing: this
+    /// shard's queue belongs to its own worker thread.
     pub fn cancel(&self, id: EventId) {
-        self.shared.queue.lock().cancel(id);
+        if self.cross_route().is_some() {
+            debug_assert_eq!(
+                id,
+                EventId::CROSS_SHARD,
+                "cancelling another shard's event from this shard"
+            );
+            return;
+        }
+        self.shared.queue().cancel(id);
     }
 
     /// Schedule a process resume at absolute time `t` (internal; used by the
@@ -122,19 +155,18 @@ impl SimHandle {
              across a shard boundary"
         );
         self.shared
-            .queue
-            .lock()
+            .queue()
             .schedule(self.now(), t, EventKind::Resume(pid))
     }
 
     /// Number of events executed so far (diagnostics).
     pub fn events_executed(&self) -> u64 {
-        self.shared.queue.lock().stats.fired
+        self.shared.queue().stats.fired
     }
 
     /// Snapshot of this simulation's kernel hot-path counters.
     pub fn kernel_stats(&self) -> KernelStats {
-        self.shared.queue.lock().stats
+        self.shared.queue().stats
     }
 }
 
@@ -372,7 +404,8 @@ impl Simulation {
         install_shutdown_panic_hook();
         Simulation {
             shared: Arc::new(SimShared {
-                queue: Mutex::new(EventQueue::default()),
+                owner: Owner::new(),
+                queue: OwnedCell::new(EventQueue::default()),
                 clock: AtomicU64::new(0),
                 shard,
                 loop_sp: AtomicUsize::new(0),
@@ -390,7 +423,7 @@ impl Simulation {
     /// coordinator internals; the clock itself fast-forwards to epoch
     /// boundaries and overshoots it).
     pub(crate) fn last_event_time(&self) -> SimTime {
-        self.shared.queue.lock().last_fired
+        self.shared.queue().last_fired
     }
 
     /// Names of processes that have not finished (watchdog diagnostics).
@@ -479,13 +512,18 @@ impl Simulation {
         partial: bool,
         wd: Option<&WatchdogConfig>,
     ) -> Result<SimTime, SimError> {
+        // Hold the simulation for the whole run, so every borrow on the
+        // loop's thread takes the fast path. Released when the run returns
+        // or unwinds.
+        let shared = Arc::clone(&self.shared);
+        let _claim = shared.owner.enter(|| "Simulation");
         let end = self.run_loop(max_events, deadline, wd);
         // Flush per-sim counters into the process-wide totals after every
         // run (success or abort). Drop flushes too, but hardware models
         // keep `SimHandle` clones alive in reference cycles, so many real
         // simulations are never dropped at all — the run boundary is the
         // reliable flush point.
-        self.shared.queue.lock().flush_global();
+        self.shared.queue().flush_global();
         end?;
         if partial {
             // Fast-forward the clock to the deadline if nothing else is
@@ -521,7 +559,7 @@ impl Simulation {
         let wd = wd.copied();
         let (mut executed, mut stalled) = (0u64, 0u64);
         loop {
-            let ev = shared.queue.lock().pop_due(deadline);
+            let ev = shared.queue().pop_due(deadline);
             let Some(ev) = ev else {
                 return Ok(());
             };
@@ -567,6 +605,17 @@ impl Simulation {
 
 impl Drop for Simulation {
     fn drop(&mut self) {
+        // Hold the simulation throughout: unwinding processes may touch
+        // its models.
+        let shared = Arc::clone(&self.shared);
+        let Some(_claim) = shared.owner.try_enter() else {
+            // Another thread is inside one of this simulation's cells right
+            // now. Unwinding the processes or emptying the queue here would
+            // race it, and a panic in `drop` may abort: leak the processes'
+            // stacks and leave the queue to the last handle instead.
+            std::mem::forget(std::mem::take(&mut self.procs));
+            return;
+        };
         // Unwind every suspended process first (on its home thread; see
         // `Proc`'s drop): its destructors may still schedule events.
         self.procs.clear();
@@ -574,8 +623,9 @@ impl Drop for Simulation {
         // engine and its NIC point at each other), so the shared state can
         // outlive this simulation. Give its bulk — the event arena and
         // queue buffers, with any events still pending — back now. The
-        // events are dropped outside the lock: their captures may schedule.
-        let storage = self.shared.queue.lock().take_storage();
+        // events are dropped outside the borrow: their captures may
+        // schedule.
+        let storage = self.shared.queue().take_storage();
         drop(storage);
     }
 }

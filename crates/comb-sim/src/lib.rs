@@ -15,6 +15,9 @@
 //!   bit-for-bit reproducible. Processes need x86_64 Linux (see `coro.rs`).
 //! * [`Signal`] (one-shot latch) and [`Condition`] (broadcast) are the
 //!   wait/notify primitives.
+//! * [`SimCell`] holds model state owned by one simulation: borrowing it
+//!   on the thread running that simulation takes no lock, and borrowing it
+//!   from any other thread meanwhile panics.
 //!
 //! ```
 //! use comb_sim::{Simulation, SimDuration, Signal};
@@ -41,6 +44,7 @@
 
 #![warn(missing_docs)]
 
+mod cell;
 mod coro;
 mod event;
 mod kernel;
@@ -50,6 +54,7 @@ mod signal;
 pub mod stats;
 mod time;
 
+pub use cell::{SimCell, SimRefMut};
 pub use event::{EventId, KernelStats};
 pub use kernel::{Probe, SimError, SimHandle, Simulation, WatchdogConfig};
 pub use process::{ProcCtx, ProcId};

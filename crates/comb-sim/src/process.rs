@@ -21,9 +21,13 @@
 //! so a panicking closure unwinds straight out of `run`.
 //!
 //! A process is pinned to the OS thread that first resumed it: resuming it
-//! anywhere else panics. **No lock may be held across `hold`, `wait` or
-//! `park`**: an event closure, or another process, that takes the same lock
-//! on the same thread would spin on itself forever.
+//! anywhere else panics. That pinning is what lets models keep their state
+//! in simulation-owned cells (`cell.rs`) instead of mutexes: the loop holds
+//! its simulation for the whole run, so every process and event closure of
+//! that run borrows on the one thread that owns the simulation, and a
+//! borrow from any other thread panics instead of racing. **Hold no borrow
+//! across `hold`, `wait` or `park`**: an event closure, or another process,
+//! that borrows the same cell meanwhile panics with "already borrowed".
 //!
 //! Every run is fully deterministic: the event order is the queue's.
 

@@ -161,7 +161,8 @@ impl Router {
     /// Drain every mailbox into its destination queue, in deterministic
     /// `(time, sched, src-shard, mailbox-index)` order per destination.
     /// Called at epoch barriers while all shard workers are parked, so the
-    /// queues are safe to touch from the coordinator thread.
+    /// queues are safe to touch from the coordinator thread: each borrow
+    /// claims a shard its worker released when its epoch ended.
     fn merge(&self, shareds: &[Arc<SimShared>]) {
         let n = shareds.len();
         let mut batch: Vec<(SimTime, SimTime, usize, usize, EventKind)> = Vec::new();
@@ -182,7 +183,7 @@ impl Router {
             }
             batch.sort_by_key(|a| (a.0, a.1, a.2, a.3));
             let now = SimTime::from_nanos(shared.clock.load(Ordering::Relaxed));
-            let mut queue = shared.queue.lock();
+            let mut queue = shared.queue();
             for (time, sched, _, _, kind) in batch.drain(..) {
                 // The lookahead bound puts every injected event strictly
                 // beyond the epoch the destination just finished, so the
@@ -448,6 +449,8 @@ impl ShardedSimulation {
                                 }
                             }
                         }
+                        // The epoch's run has released this shard, so the
+                        // coordinator may claim it once everyone arrives.
                         sync.arrived.fetch_add(1, Ordering::AcqRel);
                     }
                 });
@@ -458,7 +461,7 @@ impl ShardedSimulation {
             loop {
                 let mut next: Option<SimTime> = None;
                 for shared in &shareds {
-                    if let Some(t) = shared.queue.lock().peek_time() {
+                    if let Some(t) = shared.queue().peek_time() {
                         next = Some(next.map_or(t, |cur| cur.min(t)));
                     }
                 }
@@ -554,6 +557,45 @@ mod tests {
         let end = sim.run().unwrap();
         assert_eq!(probe.get(), Some(6_000));
         assert_eq!(end.as_nanos(), 6_000);
+    }
+
+    /// Cancelling the id of a cross-shard schedule is a no-op that leaves
+    /// the other shard's queue, which its own worker holds, alone.
+    #[test]
+    fn cancelling_a_cross_shard_id_touches_no_queue() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let mut sim = ShardedSimulation::new(2, L);
+        let h1 = sim.handle(1);
+        let probe = sim.probe::<u64>();
+        let p = probe.clone();
+        let (ready_tx, ready_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        sim.spawn(0, "canceller", move |ctx| {
+            ctx.hold(SimDuration::from_micros(1));
+            // Shard 1's worker is mid-epoch, inside its process, now.
+            ready_rx.recv().expect("shard 1 reports in");
+            let t = ctx.now() + L;
+            let p = p.clone();
+            let id = h1.schedule_at(t, move || p.set(t.as_nanos()));
+            h1.cancel(id);
+            let _ = done_tx.send(());
+        });
+        sim.spawn(1, "holder", move |ctx| {
+            ctx.hold(SimDuration::from_micros(1));
+            ready_tx.send(()).expect("shard 0 listens");
+            // Bounded, so a canceller that panics cannot hang the test.
+            let _ = done_rx.recv_timeout(Duration::from_secs(5));
+        });
+        sim.run().unwrap();
+        assert_eq!(probe.get(), Some(6_000), "the routed event still fires");
+        for shard in 0..2 {
+            assert_eq!(
+                sim.handle(shard).kernel_stats().cancelled,
+                0,
+                "shard {shard}"
+            );
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! lost-wakeup races: a process registers itself as a waiter and parks
 //! before anything else can possibly fire the notification.
 
+use crate::cell::SimCell;
 use crate::kernel::SimHandle;
 use crate::process::{ProcCtx, ProcId};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// A one-shot completion latch.
@@ -15,12 +15,7 @@ use std::sync::Arc;
 /// already fired, `wait` returns immediately. Firing is idempotent.
 #[derive(Clone)]
 pub struct Signal {
-    inner: Arc<SignalInner>,
-}
-
-struct SignalInner {
-    handle: SimHandle,
-    state: Mutex<SignalState>,
+    state: Arc<SimCell<SignalState>>,
 }
 
 #[derive(Default)]
@@ -33,10 +28,7 @@ impl Signal {
     /// Create an unfired signal bound to a simulation.
     pub fn new(handle: &SimHandle) -> Signal {
         Signal {
-            inner: Arc::new(SignalInner {
-                handle: handle.clone(),
-                state: Mutex::new(SignalState::default()),
-            }),
+            state: Arc::new(SimCell::new(handle, SignalState::default())),
         }
     }
 
@@ -44,29 +36,30 @@ impl Signal {
     /// Idempotent: only the first call has any effect.
     pub fn fire(&self) {
         let waiters = {
-            let mut st = self.inner.state.lock();
+            let mut st = self.state.borrow_mut();
             if st.fired {
                 return;
             }
             st.fired = true;
             std::mem::take(&mut st.waiters)
         };
-        let now = self.inner.handle.now();
+        let handle = self.state.handle();
+        let now = handle.now();
         for pid in waiters {
-            self.inner.handle.schedule_resume(pid, now);
+            handle.schedule_resume(pid, now);
         }
     }
 
     /// True if `fire` has been called.
     pub fn is_fired(&self) -> bool {
-        self.inner.state.lock().fired
+        self.state.borrow_mut().fired
     }
 
     /// Block the calling process until the signal fires. Returns
     /// immediately (without yielding) if it already fired.
     pub fn wait(&self, ctx: &ProcCtx) {
         {
-            let mut st = self.inner.state.lock();
+            let mut st = self.state.borrow_mut();
             if st.fired {
                 return;
             }
@@ -87,43 +80,36 @@ impl Signal {
 /// ```
 #[derive(Clone)]
 pub struct Condition {
-    inner: Arc<CondInner>,
-}
-
-struct CondInner {
-    handle: SimHandle,
-    waiters: Mutex<Vec<ProcId>>,
+    waiters: Arc<SimCell<Vec<ProcId>>>,
 }
 
 impl Condition {
     /// Create a condition bound to a simulation.
     pub fn new(handle: &SimHandle) -> Condition {
         Condition {
-            inner: Arc::new(CondInner {
-                handle: handle.clone(),
-                waiters: Mutex::new(Vec::new()),
-            }),
+            waiters: Arc::new(SimCell::new(handle, Vec::new())),
         }
     }
 
     /// Park the calling process until the next `notify_all`.
     pub fn wait(&self, ctx: &ProcCtx) {
-        self.inner.waiters.lock().push(ctx.pid());
+        self.waiters.borrow_mut().push(ctx.pid());
         ctx.park();
     }
 
     /// Resume every process currently waiting. The waiter list keeps its
     /// buffer, so a warm wait/notify cycle allocates nothing.
     pub fn notify_all(&self) {
-        let now = self.inner.handle.now();
-        for pid in self.inner.waiters.lock().drain(..) {
-            self.inner.handle.schedule_resume(pid, now);
+        let handle = self.waiters.handle();
+        let now = handle.now();
+        for pid in self.waiters.borrow_mut().drain(..) {
+            handle.schedule_resume(pid, now);
         }
     }
 
     /// Number of processes currently parked on this condition.
     pub fn waiter_count(&self) -> usize {
-        self.inner.waiters.lock().len()
+        self.waiters.borrow_mut().len()
     }
 }
 

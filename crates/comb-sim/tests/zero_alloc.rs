@@ -8,44 +8,13 @@
 //! one. A counting global allocator makes that a hard regression test
 //! rather than a code-review promise.
 
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
 use comb_sim::{Condition, SimDuration, Simulation};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use counting_alloc::allocs_during;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-struct CountingAlloc;
-
-thread_local! {
-    // Per thread, so tests running side by side cannot count each other.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Allocations made on this thread while `f` runs.
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    COUNTING.with(|c| c.set(true));
-    f();
-    COUNTING.with(|c| c.set(false));
-    ALLOCS.with(Cell::get) - before
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.try_with(Cell::get).unwrap_or(false) {
-            let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const EVENTS: u64 = 1024;
 
@@ -74,7 +43,7 @@ fn warm_arena_schedules_and_fires_without_allocating() {
 
     // Steady state: the same load must touch the allocator zero times.
     // With no processes the whole run stays on this thread.
-    let allocs = allocs_during(|| {
+    let (allocs, _) = allocs_during(|| {
         schedule_batch(&sim);
         sim.run().expect("measured run failed");
     });
@@ -99,11 +68,14 @@ fn warm_self_resuming_hold_loop_does_not_allocate() {
         for _ in 0..EVENTS {
             ctx.hold(SimDuration::from_nanos(1));
         }
-        p.set(allocs_during(|| {
-            for _ in 0..EVENTS {
-                ctx.hold(SimDuration::from_nanos(1));
-            }
-        }));
+        p.set(
+            allocs_during(|| {
+                for _ in 0..EVENTS {
+                    ctx.hold(SimDuration::from_nanos(1));
+                }
+            })
+            .0,
+        );
     });
     sim.run().expect("hold loop failed");
     assert_eq!(probe.get(), Some(0), "a warm self-resuming hold allocated");
@@ -124,7 +96,7 @@ fn warm_interleaved_holds_of_two_processes_do_not_allocate() {
             ctx.hold(SimDuration::from_nanos(2));
         }
         let before = e.load(Ordering::Relaxed);
-        let allocs = allocs_during(|| {
+        let (allocs, _) = allocs_during(|| {
             for _ in 0..EVENTS {
                 ctx.hold(SimDuration::from_nanos(2));
             }
@@ -158,11 +130,14 @@ fn warm_condition_wait_and_notify_do_not_allocate() {
         for _ in 0..EVENTS {
             c.wait(ctx);
         }
-        p.set(allocs_during(|| {
-            for _ in 0..EVENTS {
-                c.wait(ctx);
-            }
-        }));
+        p.set(
+            allocs_during(|| {
+                for _ in 0..EVENTS {
+                    c.wait(ctx);
+                }
+            })
+            .0,
+        );
     });
     sim.spawn("notifier", move |ctx| {
         for _ in 0..2 * EVENTS {
