@@ -255,6 +255,10 @@ struct Counters {
     write_errors: AtomicU64,
 }
 
+/// The longest a leader waits for its join quorum
+/// ([`CellCache::set_join_quorum`]) before it goes ahead alone.
+const JOIN_QUORUM_WAIT: std::time::Duration = std::time::Duration::from_secs(60);
+
 // One slot exists per distinct in-flight or completed cell; the sample
 // payload dominating the enum size is the point of the memo map, so the
 // indirection a box would add buys nothing.
@@ -268,6 +272,9 @@ enum SlotState {
 struct Slot {
     state: Mutex<SlotState>,
     cv: Condvar,
+    /// Callers that found this cell in flight and wait for it; changed
+    /// only under `state`'s lock.
+    joiners: AtomicUsize,
 }
 
 impl Slot {
@@ -275,6 +282,7 @@ impl Slot {
         Slot {
             state: Mutex::new(SlotState::InFlight),
             cv: Condvar::new(),
+            joiners: AtomicUsize::new(0),
         }
     }
 }
@@ -288,6 +296,8 @@ pub struct CellCache {
     counters: Counters,
     tracer: Tracer,
     epoch: Instant,
+    /// See [`CellCache::set_join_quorum`]; 0 when off.
+    join_quorum: usize,
 }
 
 impl fmt::Debug for CellCache {
@@ -310,6 +320,7 @@ impl CellCache {
             counters: Counters::default(),
             tracer: Tracer::new(),
             epoch: Instant::now(),
+            join_quorum: 0,
         }
     }
 
@@ -328,6 +339,15 @@ impl CellCache {
     /// timestamped with the wall-clock offset from cache creation.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
+    }
+
+    /// Make every leader wait, before it computes or reads its cell, until
+    /// `n` other callers have joined it, or a minute passes.
+    /// A test hook: it makes single-flight overlap deterministic however
+    /// fast the cell computes. `0` (the default) turns it off.
+    #[doc(hidden)]
+    pub fn set_join_quorum(&mut self, n: usize) {
+        self.join_quorum = n;
     }
 
     /// Snapshot the activity counters.
@@ -400,7 +420,12 @@ impl CellCache {
                 loop {
                     match &*state {
                         SlotState::InFlight => {
-                            waited = true;
+                            if !waited {
+                                waited = true;
+                                slot.joiners.fetch_add(1, Ordering::Relaxed);
+                                // Wake a leader waiting for its quorum.
+                                slot.cv.notify_all();
+                            }
                             state = slot.cv.wait(state).expect("cache slot poisoned");
                         }
                         SlotState::Ready(sample) => {
@@ -422,6 +447,7 @@ impl CellCache {
             }
 
             let compute = compute.take().expect("a caller leads at most once");
+            self.await_join_quorum(&slot);
             return match self.lead(desc, key, compute) {
                 Ok((sample, outcome)) => {
                     *slot.state.lock().expect("cache slot poisoned") =
@@ -440,6 +466,19 @@ impl CellCache {
                 }
             };
         }
+    }
+
+    fn await_join_quorum(&self, slot: &Slot) {
+        if self.join_quorum == 0 {
+            return;
+        }
+        let state = slot.state.lock().expect("cache slot poisoned");
+        let _ = slot
+            .cv
+            .wait_timeout_while(state, JOIN_QUORUM_WAIT, |_| {
+                slot.joiners.load(Ordering::Relaxed) < self.join_quorum
+            })
+            .expect("cache slot poisoned");
     }
 
     fn cv_wake(&self, slot: &Slot) {

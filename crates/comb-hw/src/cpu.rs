@@ -11,7 +11,10 @@
 //! [`Condition`]. Each steal cancels the event, pushes the deadline back by
 //! the stolen time and re-arms it — O(1) per interrupt. A warm computation
 //! allocates nothing: the condition's waiter buffer is reused, and the
-//! completion event captures one pointer.
+//! completion event captures one pointer. A computation with nothing else
+//! due by its deadline cannot be interrupted, so it runs in place instead
+//! ([`SimHandle::advance_in_place`]): the completion and the resume are
+//! charged as fired, and nothing is queued.
 
 use crate::config::CpuConfig;
 use comb_sim::{Condition, EventId, ProcCtx, SimCell, SimDuration, SimHandle, SimTime};
@@ -163,6 +166,16 @@ impl Cpu {
                 "Cpu::compute is not reentrant: one computation per CPU at a time"
             );
             let deadline = start + d;
+            // Nothing due by the deadline: no steal can extend the
+            // computation (a steal is an event), so its completion and the
+            // resume that completion schedules run in place.
+            if self.handle.advance_in_place(deadline, 2) {
+                inner.stats.compute_wall += d;
+                return ComputeSample {
+                    wall: d,
+                    stolen: SimDuration::ZERO,
+                };
+            }
             let completion = arm_completion(&self.shared, deadline);
             inner.computing = Some(Computing {
                 completion,
@@ -349,6 +362,55 @@ mod tests {
         sim.run().unwrap();
         assert_eq!(probe.get(), Some(5_000));
         assert_eq!(cpu.stats().compute_wall, SimDuration::from_micros(5));
+        // Nothing else is queued, so every computation runs in place; each
+        // is still charged as its completion and the resume it schedules.
+        let k = sim.handle().kernel_stats();
+        assert_eq!(
+            (k.scheduled, k.fired, k.lane_scheduled, k.arena_high_water),
+            (11, 11, 6, 1)
+        );
+    }
+
+    #[test]
+    fn a_steal_queued_by_the_deadline_extends_the_computation() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let cpu = Cpu::new(&h, cpu_cfg());
+        let probe = sim.probe::<[ComputeSample; 3]>();
+        let (c, p) = (cpu.clone(), probe.clone());
+        let us = SimDuration::from_micros;
+        sim.spawn("w", move |ctx| {
+            // Nothing queued: runs in place.
+            let a = c.compute(ctx, us(10));
+            // A steal halfway through, then one at the deadline itself:
+            // queued first, it fires before the completion.
+            let mut samples = [a; 3];
+            for (i, at) in [us(5), us(10)].into_iter().enumerate() {
+                let st = c.stealer();
+                ctx.handle().schedule_in(at, move || st.steal(us(3)));
+                samples[i + 1] = c.compute(ctx, us(10));
+            }
+            p.set(samples);
+        });
+        sim.run().unwrap();
+        let [a, b, c] = probe.get().unwrap();
+        assert_eq!((a.wall, a.stolen), (us(10), SimDuration::ZERO));
+        assert_eq!((b.wall, b.stolen), (us(13), us(3)));
+        assert_eq!((c.wall, c.stolen), (us(13), us(3)));
+        let stats = cpu.stats();
+        assert_eq!(stats.compute_wall, us(36));
+        assert_eq!(stats.steal_events, 2);
+        let k = h.kernel_stats();
+        assert_eq!(
+            (
+                k.scheduled,
+                k.fired,
+                k.cancelled,
+                k.lane_scheduled,
+                k.arena_high_water
+            ),
+            (11, 9, 2, 4, 2)
+        );
     }
 
     #[test]

@@ -49,6 +49,7 @@
 //! `dyn FnOnce`. Process resumes and inline calls make up the typed fast
 //! path with zero per-event heap allocations.
 
+use crate::kernel::WatchdogConfig;
 use crate::process::ProcId;
 use crate::time::SimTime;
 use std::collections::VecDeque;
@@ -255,6 +256,38 @@ impl KernelStats {
     }
 }
 
+/// Why [`EventQueue::pop_next`] stopped the run at the event it popped.
+pub(crate) enum Trip {
+    /// The run's event limit was exceeded; carries the limit.
+    Limit(u64),
+    /// The watchdog saw this many events at instant `at` without the clock
+    /// advancing.
+    Stalled { events: u64, at: SimTime },
+    /// The event lies past the watchdog's deadline.
+    Deadline(SimTime),
+}
+
+/// The running event loop's limits and per-run counters. They sit next to
+/// the queue so that a process asking to wake up can check, in the same
+/// borrow, that the loop would pop its wake-up next without tripping any of
+/// them ([`EventQueue::skip`]). The default is a closed run: nothing fits.
+#[derive(Clone, Copy, Default)]
+struct RunState {
+    /// Events the run may execute; one more trips [`Trip::Limit`].
+    max_events: u64,
+    /// `stats.fired` after the run's last allowed event.
+    fired_cap: u64,
+    /// The run pops no event later than this (`run_until`'s deadline, or
+    /// an epoch's end on a shard worker).
+    until: SimTime,
+    /// The watchdog trips [`Trip::Deadline`] on an event later than this.
+    wd_deadline: SimTime,
+    /// Events executed at the current instant without the clock advancing.
+    stalled: u64,
+    /// `stalled` at which the watchdog trips [`Trip::Stalled`].
+    stall_cap: u64,
+}
+
 /// Where `pop` found the next event.
 enum Src {
     Lane,
@@ -291,6 +324,7 @@ pub(crate) struct EventQueue {
     /// partial runs fast-forward the clock to each epoch boundary and the
     /// clock alone overshoots the final event by up to one lookahead.
     pub(crate) last_fired: SimTime,
+    run: RunState,
     pub stats: KernelStats,
     /// Snapshot of `stats` at the last [`EventQueue::flush_global`], so
     /// repeated flushes (one per run, one on drop) only push deltas.
@@ -443,6 +477,110 @@ impl EventQueue {
         self.stats.fired += 1;
         self.last_fired = time;
         Some(FiredEvent { time, id, kind })
+    }
+
+    /// Open a run of the event loop: it pops events up to `until`
+    /// (inclusive) and trips on its `max_events + 1`-th event or on a
+    /// `wd` limit.
+    pub(crate) fn begin_run(
+        &mut self,
+        max_events: u64,
+        until: SimTime,
+        wd: Option<&WatchdogConfig>,
+    ) {
+        let stall_cap = match wd {
+            Some(wd) if wd.max_stalled_events > 0 => wd.max_stalled_events,
+            _ => u64::MAX,
+        };
+        self.run = RunState {
+            max_events,
+            fired_cap: self.stats.fired.saturating_add(max_events),
+            until,
+            wd_deadline: wd.and_then(|wd| wd.deadline).unwrap_or(SimTime::MAX),
+            stalled: 0,
+            stall_cap,
+        };
+    }
+
+    /// Close the run: no [`EventQueue::skip`] fits until the next one.
+    pub(crate) fn end_run(&mut self) {
+        self.run = RunState::default();
+    }
+
+    /// Pop the run's next event, due by the run's deadline, and charge it
+    /// to the run's limits. `now` is the clock reading before the event.
+    /// `None` when nothing is due, or when the event trips a limit: then
+    /// `trip` says which, and the event is dropped unrun.
+    #[inline]
+    pub(crate) fn pop_next(&mut self, now: SimTime, trip: &mut Option<Trip>) -> Option<FiredEvent> {
+        let ev = self.pop_due(self.run.until)?;
+        *trip = self.charge(ev.time, now);
+        trip.is_none().then_some(ev)
+    }
+
+    /// Charge one popped event, firing at `time`, to the run's limits.
+    #[inline(always)]
+    fn charge(&mut self, time: SimTime, now: SimTime) -> Option<Trip> {
+        let run = &mut self.run;
+        if self.stats.fired > run.fired_cap {
+            return Some(Trip::Limit(run.max_events));
+        }
+        if time > now {
+            run.stalled = 0;
+        } else {
+            run.stalled += 1;
+            if run.stalled >= run.stall_cap {
+                return Some(Trip::Stalled {
+                    events: run.stalled,
+                    at: now,
+                });
+            }
+        }
+        if time > run.wd_deadline {
+            return Some(Trip::Deadline(run.wd_deadline));
+        }
+        None
+    }
+
+    /// Charge `n` events exactly as if the loop had scheduled and popped
+    /// them, without queueing any, if it would pop them next: a chain
+    /// whose first event fires at `t`, scheduled at `now`, and whose every
+    /// later event is scheduled by the one before it for the same instant.
+    /// Returns false, charging nothing, when anything is queued at or
+    /// before `t` (a cancelled entry at a region front counts: the
+    /// ordinary path drains it) or when one of the events would trip the
+    /// run's limits — the caller then schedules the events as usual, and
+    /// the loop trips at the same event with the same error.
+    #[inline]
+    pub(crate) fn skip(&mut self, now: SimTime, t: SimTime, n: u64) -> bool {
+        debug_assert!(n > 0 && t >= now);
+        if !self.lane.is_empty()
+            || self.tail.get(self.tail_head).is_some_and(|e| e.time <= t)
+            || self.heap.first().is_some_and(|e| e.time <= t)
+        {
+            return false;
+        }
+        let run = &mut self.run;
+        let fired = self.stats.fired + n;
+        // The first event resets the stall count if it moves the clock;
+        // every later one is at the same instant.
+        let stalled = if t > now { n - 1 } else { run.stalled + n };
+        if fired > run.fired_cap || stalled >= run.stall_cap || t > run.until || t > run.wd_deadline
+        {
+            return false;
+        }
+        run.stalled = stalled;
+        self.stats.fired = fired;
+        self.stats.scheduled += n;
+        // Every event after the first is scheduled for the instant it is
+        // scheduled at; so is the first when `t == now`.
+        self.stats.lane_scheduled += n - 1 + u64::from(t == now);
+        // Each event is scheduled after the one before it left the arena.
+        let live = (self.slots.len() - self.free.len()) as u64 + 1;
+        self.stats.arena_high_water = self.stats.arena_high_water.max(live);
+        self.next_seq += n;
+        self.last_fired = t;
+        true
     }
 
     /// Time of the next live event without popping it.

@@ -14,7 +14,7 @@
 //! few non-atomic writes (see `cell.rs`).
 
 use crate::cell::{OwnedCell, Owner, SimRefMut};
-use crate::event::{EventId, EventKind, EventQueue, InlineCall, KernelStats};
+use crate::event::{EventId, EventKind, EventQueue, InlineCall, KernelStats, Trip};
 use crate::process::{Proc, ProcCtx, ProcId, ShutdownToken};
 use crate::time::{SimDuration, SimTime};
 use parking_lot::Mutex;
@@ -157,6 +157,39 @@ impl SimHandle {
         self.shared
             .queue()
             .schedule(self.now(), t, EventKind::Resume(pid))
+    }
+
+    /// Run `events` would-be events in place: if the event loop would pop
+    /// them next, advance the clock to `t`, charge them to the kernel
+    /// counters and the run's limits exactly as if they had fired, and
+    /// return true. The caller then carries on as it would after the last
+    /// of them, with no schedule, no park and no stack switch.
+    ///
+    /// The events are a chain: the first fires at `t` and was scheduled
+    /// now, and each later one is scheduled by the one before it for the
+    /// same instant (a `Cpu` computation's completion and the resume it
+    /// schedules, say). Only a running process may make the call, for
+    /// events that wake nothing but itself.
+    ///
+    /// Returns false, changing nothing, when anything is queued at or
+    /// before `t`, or when one of the events would trip a limit of the run
+    /// (its event limit, a watchdog limit, `run_until`'s deadline or a
+    /// shard's epoch end); the caller must then schedule the events as
+    /// usual, and the loop trips at the same event with the same error.
+    /// Panics if `t` is in the virtual past.
+    #[inline]
+    pub fn advance_in_place(&self, t: SimTime, events: u64) -> bool {
+        debug_assert!(
+            self.cross_route().is_none(),
+            "running another shard's events in place"
+        );
+        let now = self.now();
+        assert!(t >= now, "cannot advance into the past");
+        if events == 0 || !self.shared.queue().skip(now, t, events) {
+            return false;
+        }
+        self.shared.clock.store(t.as_nanos(), Ordering::Relaxed);
+        true
     }
 
     /// Number of events executed so far (diagnostics).
@@ -518,6 +551,7 @@ impl Simulation {
         let shared = Arc::clone(&self.shared);
         let _claim = shared.owner.enter(|| "Simulation");
         let end = self.run_loop(max_events, deadline, wd);
+        self.shared.queue().end_run();
         // Flush per-sim counters into the process-wide totals after every
         // run (success or abort). Drop flushes too, but hardware models
         // keep `SimHandle` clones alive in reference cycles, so many real
@@ -547,6 +581,10 @@ impl Simulation {
     /// event and run it, switching into a process for a resume. Returns
     /// when the queue drains (up to `deadline`, inclusive), a limit trips
     /// or a process panics; a panicking event closure unwinds out of it.
+    ///
+    /// The run's limits and counters live in the queue, so that a process
+    /// can charge events it runs in place ([`SimHandle::advance_in_place`])
+    /// against them exactly as this loop would.
     fn run_loop(
         &mut self,
         max_events: u64,
@@ -554,45 +592,28 @@ impl Simulation {
         wd: Option<&WatchdogConfig>,
     ) -> Result<(), SimError> {
         let Simulation { shared, procs } = self;
-        // The per-event state lives in locals, so the hot loop keeps it in
-        // registers across the opaque event calls and process switches.
-        let wd = wd.copied();
-        let (mut executed, mut stalled) = (0u64, 0u64);
+        shared.queue().begin_run(max_events, deadline, wd);
+        let mut trip = None;
         loop {
-            let ev = shared.queue().pop_due(deadline);
-            let Some(ev) = ev else {
-                return Ok(());
-            };
-            executed += 1;
-            if executed > max_events {
-                return Err(SimError::EventLimitExceeded { limit: max_events });
-            }
             let now = shared.clock.load(Ordering::Relaxed);
+            let ev = shared.queue().pop_next(SimTime::from_nanos(now), &mut trip);
+            let Some(ev) = ev else {
+                return match trip {
+                    None => Ok(()),
+                    Some(Trip::Limit(limit)) => Err(SimError::EventLimitExceeded { limit }),
+                    Some(Trip::Stalled { events, at }) => {
+                        Err(SimError::WatchdogStalled { events, at })
+                    }
+                    Some(Trip::Deadline(deadline)) => Err(SimError::WatchdogDeadline {
+                        deadline,
+                        unfinished: unfinished(procs),
+                    }),
+                };
+            };
             debug_assert!(
                 ev.time.as_nanos() >= now,
                 "event queue went backwards in time"
             );
-            if let Some(wd) = &wd {
-                if ev.time.as_nanos() > now {
-                    stalled = 0;
-                } else {
-                    stalled += 1;
-                    if wd.max_stalled_events > 0 && stalled >= wd.max_stalled_events {
-                        return Err(SimError::WatchdogStalled {
-                            events: stalled,
-                            at: SimTime::from_nanos(now),
-                        });
-                    }
-                }
-                if let Some(dl) = wd.deadline {
-                    if ev.time > dl {
-                        return Err(SimError::WatchdogDeadline {
-                            deadline: dl,
-                            unfinished: unfinished(procs),
-                        });
-                    }
-                }
-            }
             shared.clock.store(ev.time.as_nanos(), Ordering::Relaxed);
             match ev.kind {
                 EventKind::Inline(ic) => ic.invoke(),
@@ -617,7 +638,10 @@ impl Drop for Simulation {
             return;
         };
         // Unwind every suspended process first (on its home thread; see
-        // `Proc`'s drop): its destructors may still schedule events.
+        // `Proc`'s drop): its destructors may still schedule events. A run
+        // that unwound left its limits open: close them, so nothing runs in
+        // place outside a run.
+        self.shared.queue().end_run();
         self.procs.clear();
         // Hardware models hold `SimHandle`s in reference cycles (an MPI
         // engine and its NIC point at each other), so the shared state can
@@ -988,5 +1012,191 @@ mod run_until_tests {
             assert_eq!(t.as_nanos(), deadline_us * 1000);
         }
         assert_eq!(*count.lock(), 10);
+    }
+}
+
+/// A process that is due next runs on in place (`SimHandle::advance_in_place`):
+/// these check that the kernel's counters, and every limit the loop
+/// enforces, come out exactly as if its wake-up had been queued and popped.
+#[cfg(test)]
+mod in_place_tests {
+    use super::*;
+
+    /// `(scheduled, fired, cancelled, lane_scheduled, arena_high_water)`.
+    fn counts(h: &SimHandle) -> (u64, u64, u64, u64, u64) {
+        let s = h.kernel_stats();
+        (
+            s.scheduled,
+            s.fired,
+            s.cancelled,
+            s.lane_scheduled,
+            s.arena_high_water,
+        )
+    }
+
+    #[test]
+    fn a_lone_hold_loop_charges_every_resume() {
+        let mut sim = Simulation::new();
+        sim.spawn("p", |ctx| {
+            for _ in 0..10 {
+                ctx.hold(SimDuration::from_nanos(3));
+            }
+            ctx.hold(SimDuration::ZERO);
+        });
+        assert_eq!(sim.run().unwrap().as_nanos(), 30);
+        // The spawn's resume and the zero hold take the lane; one event is
+        // live at a time.
+        assert_eq!(counts(&sim.handle()), (12, 12, 0, 2, 1));
+    }
+
+    #[test]
+    fn a_hold_to_the_instant_of_a_queued_event_lets_that_event_run_first() {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (l, hl) = (Arc::clone(&log), h.clone());
+        h.schedule_in(SimDuration::from_nanos(10), move || {
+            l.lock().push(("event", hl.now().as_nanos()))
+        });
+        let l = Arc::clone(&log);
+        sim.spawn("p", move |ctx| {
+            ctx.hold(SimDuration::from_nanos(10));
+            l.lock().push(("process", ctx.now().as_nanos()));
+            // Only later events are queued: this hold runs in place, and
+            // the arena peaks with its resume live beside them.
+            for _ in 0..2 {
+                ctx.handle()
+                    .schedule_in(SimDuration::from_nanos(100), || {});
+            }
+            ctx.hold(SimDuration::from_nanos(5));
+            l.lock().push(("process", ctx.now().as_nanos()));
+        });
+        assert_eq!(sim.run().unwrap().as_nanos(), 110);
+        assert_eq!(
+            *log.lock(),
+            vec![("event", 10), ("process", 10), ("process", 15)]
+        );
+        assert_eq!(counts(&h), (6, 6, 0, 1, 3));
+    }
+
+    #[test]
+    fn the_event_limit_trips_at_the_same_event_over_a_hold_loop() {
+        let mut sim = Simulation::new();
+        sim.spawn("p", |ctx| {
+            for _ in 0..1_000 {
+                ctx.hold(SimDuration::from_nanos(1));
+            }
+        });
+        match sim.run_with_limit(100) {
+            Err(SimError::EventLimitExceeded { limit }) => assert_eq!(limit, 100),
+            other => panic!("expected the event limit, got {other:?}"),
+        }
+        // Event 101, the resume at 100 ns, trips: popped, not run.
+        let h = sim.handle();
+        assert_eq!(h.events_executed(), 101);
+        assert_eq!(h.now().as_nanos(), 99);
+        assert_eq!(counts(&h), (101, 101, 0, 1, 1));
+    }
+
+    #[test]
+    fn the_stall_watchdog_trips_at_the_same_event_over_a_zero_hold_loop() {
+        let mut sim = Simulation::new();
+        sim.spawn("spinner", |ctx| {
+            for _ in 0..10_000 {
+                ctx.hold(SimDuration::ZERO);
+            }
+        });
+        let wd = WatchdogConfig {
+            max_stalled_events: 500,
+            deadline: None,
+            max_events: 0,
+        };
+        match sim.run_with_watchdog(&wd) {
+            Err(SimError::WatchdogStalled { events, at }) => {
+                assert_eq!((events, at.as_nanos()), (500, 0));
+            }
+            other => panic!("expected a stall abort, got {other:?}"),
+        }
+        // The spawn's resume is the first event at instant 0.
+        let h = sim.handle();
+        assert_eq!(h.events_executed(), 500);
+        assert_eq!(counts(&h), (500, 500, 0, 500, 1));
+    }
+
+    #[test]
+    fn the_deadline_watchdog_trips_at_the_same_event_over_a_hold_loop() {
+        let mut sim = Simulation::new();
+        sim.spawn("turtle", |ctx| {
+            for _ in 0..1_000 {
+                ctx.hold(SimDuration::from_micros(10));
+            }
+        });
+        let wd = WatchdogConfig::lenient().with_deadline(SimTime::from_nanos(55_000));
+        match sim.run_with_watchdog(&wd) {
+            Err(SimError::WatchdogDeadline {
+                deadline,
+                unfinished,
+            }) => {
+                assert_eq!(deadline.as_nanos(), 55_000);
+                assert_eq!(unfinished, vec!["turtle".to_string()]);
+            }
+            other => panic!("expected a deadline abort, got {other:?}"),
+        }
+        // The spawn's resume, the wake-ups at 10..=50 us, then the one at
+        // 60 us trips.
+        let h = sim.handle();
+        assert_eq!(h.events_executed(), 7);
+        assert_eq!(h.now().as_nanos(), 50_000);
+    }
+
+    #[test]
+    fn a_hold_past_run_until_stays_parked_and_the_next_run_resumes_it() {
+        let mut sim = Simulation::new();
+        let woke = Arc::new(Mutex::new(Vec::new()));
+        let w = Arc::clone(&woke);
+        sim.spawn("p", move |ctx| {
+            for _ in 0..5 {
+                ctx.hold(SimDuration::from_micros(10));
+                w.lock().push(ctx.now().as_nanos());
+            }
+        });
+        let h = sim.handle();
+        let t = sim.run_until(SimTime::from_nanos(25_000)).unwrap();
+        assert_eq!(t.as_nanos(), 25_000);
+        assert_eq!(*woke.lock(), vec![10_000, 20_000]);
+        // The wake-up at 30 us is queued, not run.
+        assert_eq!(counts(&h), (4, 3, 0, 1, 1));
+        assert_eq!(h.kernel_stats().scheduled - h.events_executed(), 1);
+        assert_eq!(sim.run().unwrap().as_nanos(), 50_000);
+        assert_eq!(*woke.lock(), vec![10_000, 20_000, 30_000, 40_000, 50_000]);
+        assert_eq!(counts(&h), (6, 6, 0, 1, 1));
+    }
+
+    #[test]
+    fn on_two_shards_a_hold_across_the_epoch_end_is_not_run_in_place() {
+        let lookahead = SimDuration::from_micros(5);
+        let mut sim = crate::ShardedSimulation::new(2, lookahead);
+        let h0 = sim.handle(0);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let l = Arc::clone(&log);
+        sim.spawn(0, "sleeper", move |ctx| {
+            // Shard 0's queue is empty, but the first epoch ends before
+            // 5 us, and shard 1's event for 5.001 us arrives at its barrier.
+            ctx.hold(SimDuration::from_micros(6));
+            l.lock().push(("sleeper", ctx.now().as_nanos()));
+            // Inside the epoch from 5.001 us: runs in place, and is still
+            // the run's last event.
+            ctx.hold(SimDuration::from_micros(1));
+        });
+        let l = Arc::clone(&log);
+        sim.spawn(1, "sender", move |ctx| {
+            let t = ctx.now() + lookahead + SimDuration::from_nanos(1);
+            let (l, h) = (Arc::clone(&l), h0.clone());
+            h0.schedule_at(t, move || l.lock().push(("event", h.now().as_nanos())));
+        });
+        assert_eq!(sim.run().unwrap().as_nanos(), 7_000);
+        assert_eq!(*log.lock(), vec![("event", 5_001), ("sleeper", 6_000)]);
+        // Two spawns, the routed event and the sleeper's two wake-ups.
+        assert_eq!(sim.events_executed(), 5);
     }
 }

@@ -15,9 +15,12 @@
 //!   last time; the panic is caught at the coroutine's entry and reported
 //!   as [`crate::SimError::ProcessPanicked`].
 //!
-//! A process that resumes itself (a `hold` with nothing due before it)
-//! costs two stack switches, a few nanoseconds each; handing control to
-//! another process costs the same. Event closures run on the loop's stack,
+//! Handing control to another process costs two stack switches, a few
+//! nanoseconds each. A process whose own wake-up the loop would pop next (a
+//! `hold` with nothing queued at or before it) switches not at all: it
+//! advances the clock in place and carries on, and its resume is charged to
+//! the kernel counters and the run's limits as if it had fired (see
+//! `SimHandle::advance_in_place`). Event closures run on the loop's stack,
 //! so a panicking closure unwinds straight out of `run`.
 //!
 //! A process is pinned to the OS thread that first resumed it: resuming it
@@ -32,6 +35,7 @@
 //! Every run is fully deterministic: the event order is the queue's.
 
 use crate::coro::{switch, Coroutine, Transfer};
+use crate::event::EventKind;
 use crate::kernel::{panic_message, SimError, SimHandle};
 use crate::time::{SimDuration, SimTime};
 use std::cell::Cell;
@@ -97,10 +101,22 @@ impl ProcCtx {
 
     /// Advance virtual time by `d` for this process (cooperatively yields to
     /// the event loop). A zero-duration hold still yields, letting same-time
-    /// events scheduled earlier run first.
+    /// events scheduled earlier run first. When nothing else is due by the
+    /// wake-up, the process runs on in place: the clock moves and its resume
+    /// is charged as fired, but nothing is queued and nothing switches.
     pub fn hold(&self, d: SimDuration) {
         let h = &self.handle;
-        h.schedule_resume(self.pid, h.now() + d);
+        let now = h.now();
+        let t = now + d;
+        {
+            // One borrow both checks and, when the check fails, schedules.
+            let mut queue = h.shared.queue();
+            if queue.skip(now, t, 1) {
+                h.shared.clock.store(t.as_nanos(), Ordering::Relaxed);
+                return;
+            }
+            queue.schedule(now, t, EventKind::Resume(self.pid));
+        }
         self.park();
     }
 

@@ -154,7 +154,11 @@ fn figure_csv_matches_figure_command_bytes() {
 fn identical_concurrent_sweeps_single_flight() {
     const N: usize = 4;
     let dir = fresh_dir("singleflight");
-    let cache = Arc::new(CellCache::new(dir.clone(), CacheMode::ReadWrite));
+    // The leader computes only once the other N-1 requests have joined
+    // it, so the overlap does not depend on how long the cell takes.
+    let mut cache = CellCache::new(dir.clone(), CacheMode::ReadWrite);
+    cache.set_join_quorum(N - 1);
+    let cache = Arc::new(cache);
     let cfg = ServeConfig {
         workers: N,
         queue: 2 * N,
@@ -164,8 +168,7 @@ fn identical_concurrent_sweeps_single_flight() {
     };
     let (addr, handle, join) = spawn_server(cfg);
 
-    // One heavy cell (the paper-default configuration) so every request
-    // is still in flight while the leader computes.
+    // One cell of the paper-default configuration.
     let body = r#"{"xs":[100000]}"#;
     let bodies: Vec<Vec<u8>> = std::thread::scope(|scope| {
         let threads: Vec<_> = (0..N)
