@@ -9,8 +9,6 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-mod bench;
-
 use comb_core::{
     default_cache_dir, log_spaced, run_cell_cached, run_ordered, AdaptiveParams, AdaptiveStats,
     CacheMode, CellCache, CellMethod, CombError, ErrorKind, MethodConfig, NetperfParams, PingPong,
@@ -66,10 +64,6 @@ USAGE:
     comb trace [options]                   run one traced point: overlap
                                            analysis, ASCII timeline, and a
                                            Chrome/Perfetto trace file
-    comb bench [options]                   performance baseline: kernel
-                                           microbenches + per-figure wall
-                                           clock and kernel events/sec,
-                                           written as JSON
     comb cache <stats|verify|gc|clear>     inspect or maintain the on-disk
                                            sweep-cell result cache
     comb serve [options]                   HTTP serving front end: sweep and
@@ -241,30 +235,6 @@ OPTIONS (serve):
                                    cell cache controls, as for figure; the
                                    cache is what makes repeated and
                                    concurrent identical requests cheap
-
-OPTIONS (bench):
-    --fidelity <f> | --smoke | --quick | --paper   figure sweep density
-                                                   (default: smoke)
-    --jobs <n>                     worker threads for figure runs (default: auto)
-    --out <file>                   JSON output path (default: BENCH_pr10.json)
-    --check [file]                 compare kernel microbenches against a
-                                   previously written JSON; exit 2 when
-                                   throughput regressed beyond --tolerance,
-                                   when the cache phase misses its gates
-                                   (warm speedup >= 10x, 100% warm hits), or
-                                   when the serving phase misses its gates
-                                   (warm RPS >= 10x cold, byte-identical
-                                   bodies).
-                                   Without a file, the newest committed
-                                   BENCH_pr<N>.json in the current
-                                   directory is the baseline.
-                                   Also gates the shard-scaling phase:
-                                   sharded samples must be byte-identical
-                                   to serial, and (on hosts with at least
-                                   as many cores as shards) the 4-shard
-                                   pair workloads must beat the serial
-                                   kernel by >= 1.5x
-    --tolerance <pct>              allowed regression for --check (default: 25)
 ";
 
 fn parse_fidelity(name: &str) -> Result<Fidelity, String> {
@@ -305,7 +275,6 @@ fn run(args: Vec<String>) -> Result<(), CombError> {
         Some("trace") => cmd_trace(it.collect()),
         Some("degrade") => cmd_degrade(it.collect()),
         Some("halo") => cmd_halo(it.collect()),
-        Some("bench") => bench::cmd_bench(it.collect()),
         Some("cache") => cmd_cache(it.collect()),
         Some("serve") => cmd_serve(it.collect()),
         Some("help") | Some("--help") | Some("-h") => {
@@ -936,6 +905,7 @@ fn cmd_trace(args: Vec<String>) -> Result<(), CombError> {
             other => return Err(CombError::usage(format!("unknown option '{other}'"))),
         }
     }
+    require_positive(size, queue, batch, cycles)?;
     let mut cfg = MethodConfig::new(transport, size);
     cfg.batch = batch;
     cfg.cycles = cycles;
@@ -996,6 +966,22 @@ fn cmd_trace(args: Vec<String>) -> Result<(), CombError> {
         println!("csv:   {}", path.display());
     }
     Ok(())
+}
+
+/// `comb serve` rejects a zero message size, queue depth, batch or cycle
+/// count in a sweep request, and `sweep` and `trace` reject them the same
+/// way: a zero batch or cycle count would divide by zero inside the run.
+fn require_positive(size: u64, queue: usize, batch: usize, cycles: u64) -> Result<(), CombError> {
+    let knobs = [
+        ("--size", size),
+        ("--queue", queue as u64),
+        ("--batch", batch as u64),
+        ("--cycles", cycles),
+    ];
+    match knobs.into_iter().find(|&(_, v)| v == 0) {
+        Some((flag, _)) => Err(CombError::usage(format!("{flag} must be >= 1"))),
+        None => Ok(()),
+    }
 }
 
 fn cmd_sweep(args: Vec<String>) -> Result<(), CombError> {
@@ -1076,11 +1062,15 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), CombError> {
                 if let Some(pd) = parts.get(2) {
                     range.2 = pd.parse().map_err(|_| "bad range per_decade")?;
                 }
+                if range.0 < 1 || range.1 < range.0 || range.2 < 1 {
+                    return Err("range needs 1 <= lo <= hi and per_decade >= 1".into());
+                }
             }
             flag if cache_opts.consume(flag, &mut it)? => {}
             other => return Err(CombError::usage(format!("unknown option '{other}'"))),
         }
     }
+    require_positive(size, queue, batch, cycles)?;
     let fault = FaultPlan::from_specs(&fault_specs, fault_seed)?;
     let mut cfg = MethodConfig::new(transport, size);
     cfg.queue_depth = queue;

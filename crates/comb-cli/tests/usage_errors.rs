@@ -1,0 +1,76 @@
+//! Inputs the CLI cannot run are usage errors (exit code 1, `[usage]` on
+//! stderr) that run nothing: no cache entry and no output file is written.
+//!
+//! `--resume` is gone: an interrupted run resumes by rerunning it against
+//! the cell cache. Every command that used to take the flag rejects it
+//! with a message that explains the migration and names the cache
+//! directory. `sweep` and `trace` reject the range and the zero knobs that
+//! `comb serve` rejects in a sweep request.
+
+use std::process::Command;
+
+#[test]
+fn unrunnable_inputs_are_usage_errors_that_run_nothing() {
+    let dir = std::env::temp_dir().join(format!("comb_cli_usage_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = dir.join("cells");
+    let journal = dir.join("x");
+    let cache_dir = cache.display().to_string();
+    let resume: &[&str] = &["--resume was removed", "rerun", &cache_dir];
+    let bad_range: &[&str] = &["range needs 1 <= lo <= hi and per_decade >= 1"];
+    let table: [(&[&str], &[&str]); 14] = [
+        (&["all", "--resume", "x"], resume),
+        (&["figure", "fig08", "--resume", "x"], resume),
+        (&["report", "--resume", "x"], resume),
+        (&["sweep", "polling", "--resume", "x"], resume),
+        (&["sweep", "polling", "--range", "1000:100:1"], bad_range),
+        (&["sweep", "polling", "--range", "1000:100000:0"], bad_range),
+        (&["sweep", "polling", "--range", "0:1000:1"], bad_range),
+        (
+            &["sweep", "pww", "--range", "1000:1000:1", "--batch", "0"],
+            &["--batch must be >= 1"],
+        ),
+        (
+            &["sweep", "pww", "--range", "1000:1000:1", "--cycles", "0"],
+            &["--cycles must be >= 1"],
+        ),
+        (
+            &["sweep", "--range", "1000:1000:1", "--size", "0"],
+            &["--size must be >= 1"],
+        ),
+        (
+            &["sweep", "--range", "1000:1000:1", "--queue", "0"],
+            &["--queue must be >= 1"],
+        ),
+        (
+            &["trace", "--batch", "0", "--out", "x"],
+            &["--batch must be >= 1"],
+        ),
+        (
+            &["trace", "--size", "0", "--out", "x"],
+            &["--size must be >= 1"],
+        ),
+        (
+            &["trace", "--method", "polling", "--queue", "0", "--out", "x"],
+            &["--queue must be >= 1"],
+        ),
+    ];
+    for (args, fragments) in table {
+        let out = Command::new(env!("CARGO_BIN_EXE_comb"))
+            .args(args)
+            .env("COMB_CACHE_DIR", &cache)
+            .current_dir(&dir)
+            .output()
+            .expect("run comb");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("[usage]") && fragments.iter().all(|f| stderr.contains(f)),
+            "{args:?} should be a usage error saying {fragments:?}: {stderr}"
+        );
+        assert!(!journal.exists(), "{args:?} created its output file");
+        assert!(!cache.exists(), "{args:?} ran despite the usage error");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -561,23 +561,26 @@ mod tests {
 
     #[test]
     fn polling_pairs_are_identical_at_every_shard_count() {
-        let mut cfg = MethodConfig::new(Transport::Portals, 30 * 1024);
-        cfg.target_iters = 300_000;
-        cfg.max_intervals = 400;
-        let serial = run_polling_pairs(&cfg, 10_000, 3).unwrap();
-        assert_eq!(serial.len(), 3);
-        // Every pair runs the same exchange on a symmetric fabric, so the
-        // samples must agree with each other...
-        assert!(serial.iter().all(|s| s == &serial[0]));
-        // ...and with any sharding of the same six-node simulation.
-        for shards in [2, 3, 6] {
-            let mut sharded = cfg.clone();
-            sharded.shards = shards;
-            assert_eq!(
-                run_polling_pairs(&sharded, 10_000, 3).unwrap(),
-                serial,
-                "pair samples differ at shards={shards}"
-            );
+        for transport in [Transport::Portals, Transport::Gm] {
+            let mut cfg = MethodConfig::new(transport, 30 * 1024);
+            cfg.target_iters = 300_000;
+            cfg.max_intervals = 400;
+            let serial = run_polling_pairs(&cfg, 10_000, 3).unwrap();
+            assert_eq!(serial.len(), 3);
+            // Every pair runs the same exchange on a symmetric fabric, so the
+            // samples must agree with each other...
+            assert!(serial.iter().all(|s| s == &serial[0]));
+            // ...and with any sharding of the same six-node simulation.
+            for shards in [2, 3, 6] {
+                let mut sharded = cfg.clone();
+                sharded.shards = shards;
+                assert_eq!(
+                    run_polling_pairs(&sharded, 10_000, 3).unwrap(),
+                    serial,
+                    "{} pair samples differ at shards={shards}",
+                    cfg.transport.name()
+                );
+            }
         }
     }
 

@@ -4,24 +4,38 @@
 //! kernel, fires a fixed number of events. The counts are part of the
 //! behaviour contract: a kernel change that runs a process in place of an
 //! event must still charge that event, so these numbers stay put while the
-//! work behind them shrinks. `KernelStats::global` is process-wide, so this
-//! is the only test in its binary.
+//! work behind them shrinks. A warm rerun from the store the cold pass
+//! filled simulates nothing: it fires no event and answers every cell from
+//! disk. `KernelStats::global` is process-wide, so this is the only test in
+//! its binary.
 
+use comb::core::{CacheMode, CellCache};
 use comb::hw::burst_batched_packets_total;
 use comb::report::{run_figures_cached, Fidelity, FigureId};
 use comb::sim::KernelStats;
+use std::sync::Arc;
 
 #[test]
 fn smoke_figure_set_fires_the_pinned_kernel_counts() {
-    let before = (KernelStats::global(), burst_batched_packets_total());
-    run_figures_cached(
-        &FigureId::ALL,
-        Fidelity::smoke().with_jobs(1).with_shards(1),
-        None,
-        None,
-    )
-    .expect("smoke figure set failed");
-    let (k0, b0) = before;
+    let store = std::env::temp_dir().join(format!("comb_kernel_counts_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    // Each pass runs on a fresh cache over the same store, so the warm
+    // pass starts with an empty memory tier and reads every cell from disk.
+    let pass = || {
+        let cache = Arc::new(CellCache::new(store.clone(), CacheMode::ReadWrite));
+        let reports = run_figures_cached(
+            &FigureId::ALL,
+            Fidelity::smoke().with_jobs(1).with_shards(1),
+            None,
+            Some(Arc::clone(&cache)),
+        )
+        .expect("smoke figure set failed");
+        let csvs: Vec<String> = reports.iter().map(|r| r.dataset.to_csv()).collect();
+        (csvs, cache.stats())
+    };
+
+    let (k0, b0) = (KernelStats::global(), burst_batched_packets_total());
+    let (cold_csvs, cold) = pass();
     let k = KernelStats::global();
     assert_eq!(k.fired - k0.fired, 1_003_586, "fired");
     assert_eq!(k.scheduled - k0.scheduled, 1_184_638, "scheduled");
@@ -35,4 +49,16 @@ fn smoke_figure_set_fires_the_pinned_kernel_counts() {
         33_535,
         "burst-batched packets"
     );
+    assert_eq!(cold.stored, 104, "cells stored by the cold pass");
+
+    let (warm_csvs, warm) = pass();
+    assert_eq!(
+        KernelStats::global().fired - k.fired,
+        0,
+        "warm events fired"
+    );
+    assert_eq!(warm.misses, 0, "warm misses");
+    assert_eq!(warm.hits_disk, 104, "warm disk hits");
+    assert_eq!(warm_csvs, cold_csvs, "warm CSVs differ from cold");
+    let _ = std::fs::remove_dir_all(&store);
 }
