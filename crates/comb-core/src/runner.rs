@@ -450,7 +450,7 @@ mod tests {
     use crate::netperf::NetperfParams;
     use crate::pww::InterleavedParams;
     use crate::sweep::Transport;
-    use comb_sim::SimTime;
+    use comb_sim::{SimDuration, SimTime};
     use comb_trace::{check_well_nested, Phase, TraceAnalysis, TraceEvent};
 
     #[test]
@@ -582,6 +582,54 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `scenario` on a 2-shard kernel synchronized with `lookahead`: its
+    /// sample and the number of epochs the run took.
+    fn two_shard_run<S: Scenario>(
+        hw: &HwConfig,
+        lookahead: SimDuration,
+        scenario: &S,
+    ) -> (S::Sample, u64) {
+        let sim = ShardedSimulation::new(2, lookahead);
+        let handles: Vec<SimHandle> = (0..2).map(|s| sim.handle(s)).collect();
+        let cluster = Cluster::build_sharded(&handles, hw, scenario.nodes(), Tracer::new());
+        let mut rig = SimRig::Sharded(sim);
+        let pending = scenario.spawn(&mut rig, &cluster);
+        rig.drive(None).unwrap();
+        let SimRig::Sharded(sim) = &rig else {
+            unreachable!("built sharded")
+        };
+        let epochs = sim.epochs();
+        (scenario.sample(pending, &cluster).unwrap(), epochs)
+    }
+
+    /// The epoch window is `HwConfig::lookahead` wide: link latency plus
+    /// the NIC's per-packet send time, 13 µs on GM where the link latency
+    /// alone is 5 µs. On the benchmark's multi-pair input (eight polling
+    /// pairs on jittered GM, 84,329 events) that halves the barriers and
+    /// changes no sample.
+    #[test]
+    fn a_two_shard_gm_pairs_run_takes_a_pinned_number_of_epochs() {
+        let hw = comb_hw::PerturbPlan::new(1).hw_for_replicate(&HwConfig::gm_myrinet(), 1);
+        let mut cfg = MethodConfig::new(Transport::Custom(Box::new(hw)), 100 * 1024);
+        cfg.target_iters = 1_000_000;
+        cfg.max_intervals = 1_000;
+        let hw = cfg.resolved_hw();
+        let pairs = PollingPairs {
+            params: PollingParams::new(&cfg, 3_000),
+            pairs: 8,
+        };
+        let serial = run_polling_pairs(&cfg, 3_000, 8).unwrap();
+        let (sample, epochs) = two_shard_run(&hw, hw.lookahead(), &pairs);
+        assert_eq!(sample, serial);
+        assert_eq!(epochs, 1_214);
+        let (link_sample, link_epochs) = two_shard_run(&hw, hw.link.latency, &pairs);
+        assert_eq!(link_sample, serial);
+        assert!(
+            2 * epochs <= link_epochs,
+            "{epochs} epochs at the lookahead, {link_epochs} at the link latency"
+        );
     }
 
     #[test]

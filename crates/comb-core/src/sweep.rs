@@ -70,7 +70,8 @@ pub struct MethodConfig {
     pub jobs: usize,
     /// Kernel shards per simulation: every point's event kernel is split
     /// across this many conservatively synchronized shards (nodes are
-    /// placed round-robin, lookahead = the transport's wire latency). `0`
+    /// placed round-robin, lookahead = the transport's link latency plus
+    /// its NIC's per-packet send time, see `HwConfig::lookahead`). `0`
     /// means auto: the `COMB_SHARDS` environment variable if set,
     /// otherwise `1` (the serial kernel). Like [`MethodConfig::jobs`] the
     /// knob is excluded from cell identity — the epoch merge reproduces

@@ -2,7 +2,8 @@
 //! calls, serial and sharded, the process has exactly as many threads as
 //! before them. Simulated processes are coroutines on the thread that runs
 //! the simulation, so the only threads a run starts are the shard workers
-//! of a sharded run.
+//! of a sharded run: `S − 1` of them for `S` shards, since the calling
+//! thread runs shard 0 itself.
 
 #![cfg(target_os = "linux")]
 

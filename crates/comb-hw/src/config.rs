@@ -389,14 +389,19 @@ impl HwConfig {
     /// The conservative-synchronization lookahead this platform supports:
     /// the minimum virtual-time distance of any cross-node interaction.
     ///
-    /// Every cross-node effect crosses the wire, so the floor is the
-    /// link's one-way latency — a packet put on the wire *now* cannot be
-    /// seen by another node sooner than `latency` from now. Shard epochs
-    /// (see `comb_sim::ShardedSimulation`) use this as their window width;
-    /// a cluster whose nodes are spread across shards is correct exactly
-    /// because the fabric is the only cross-node channel.
+    /// Every cross-node effect is a packet, and the fabric is the only
+    /// cross-node channel. A packet a NIC is handed *now* leaves it no
+    /// sooner than one per-packet send time from now: both NICs compute
+    /// every departure in `submit`, as the end of its injection-station
+    /// service (`tx_per_packet` plus its bytes at the DMA rate, after any
+    /// queued packet) or, for an expedited packet, `now` plus that service.
+    /// Fault penalties only add to it, and a dropped control packet never
+    /// reaches the fabric. The fabric then adds the link latency. So the
+    /// floor is `link.latency + nic.tx_per_packet`, 13 µs on GM. Shard
+    /// epochs (see `comb_sim::ShardedSimulation`) use this as their window
+    /// width, and the shard router asserts it on every cross-shard event.
     pub fn lookahead(&self) -> SimDuration {
-        self.link.latency
+        self.link.latency + self.nic.tx_per_packet
     }
 }
 

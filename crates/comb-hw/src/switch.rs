@@ -40,8 +40,10 @@ enum Delivery {
 /// delivery is always scheduled on the *destination* port's handle. In a
 /// serial run all handles belong to one simulation and this is exactly the
 /// old single-handle behaviour; in a sharded run the destination handle
-/// routes the arrival through the cross-shard mailboxes, and the wire
-/// latency (never below the shard lookahead) is what makes that legal.
+/// routes the arrival through the cross-shard mailboxes. That is legal
+/// because every arrival lands at least the shard lookahead after the
+/// packet was handed to its NIC: the NIC's per-packet send time, then the
+/// wire latency (see [`crate::HwConfig::lookahead`]).
 ///
 /// The fabric is the one model that threads of two shards touch, so it
 /// keeps no [`comb_sim::SimCell`]. Its port table is frozen when the first

@@ -7,19 +7,25 @@
 //! slab arena, three-region queue, clock, and process set. Intra-shard
 //! events are scheduled exactly as in the serial kernel — same code path,
 //! zero coordination. The only cross-shard channel is a [`Router`] of
-//! per-`(src, dst)` mailboxes, used when code running on one shard's worker
+//! per-`(src, dst)` mailboxes, used when code running on one shard's
 //! thread (an event closure or a process of that shard) schedules through a
 //! handle that belongs to another shard.
 //!
 //! Execution proceeds in *epochs*. With `m` the minimum next-event time
 //! across all shards and `L` the lookahead (the minimum latency of any
-//! cross-shard interaction — for comb-hw topologies, the minimum wire
-//! latency of any link), every shard can safely execute all events in
-//! `[m, m + L)` without hearing from its peers: any cross-shard effect of
-//! an event at `t ≥ m` arrives no earlier than `t + L ≥ m + L`, strictly
-//! after the window. Each epoch the coordinator releases the shard workers
-//! to run until `m + L − 1` (inclusive), waits for all of them at a
-//! barrier, then merges the mailboxes.
+//! cross-shard interaction — for comb-hw topologies, the link latency plus
+//! the NIC's per-packet send time, see `HwConfig::lookahead`), every shard
+//! can safely execute all events in `[m, m + L)` without hearing from its
+//! peers: any cross-shard effect of an event at `t ≥ m` arrives no earlier
+//! than `t + L ≥ m + L`, strictly after the window. The router checks that
+//! bound on every cross-shard event, in release builds too.
+//!
+//! The thread that calls [`ShardedSimulation::run`] (the caller) runs
+//! shard 0 itself; shards `1..S` each get a worker thread. Each epoch
+//! the caller releases the workers to run until `m + L − 1` (inclusive),
+//! runs shard 0 to the same deadline, waits for the `S − 1` workers at a
+//! barrier, then merges the mailboxes. Shard 0's processes therefore live
+//! on the caller's thread, like a serial simulation's.
 //!
 //! # Determinism
 //!
@@ -41,7 +47,7 @@
 //! determinism tests pin this down end to end.
 //!
 //! Epochs advance virtual time by at least `L` each round (all remaining
-//! events after an epoch are `≥ m + L`), so the coordinator always makes
+//! events after an epoch are `≥ m + L`), so the caller always makes
 //! progress; a tripped per-shard watchdog or process panic aborts the run
 //! with the first error in shard-index order.
 
@@ -57,8 +63,9 @@ use std::sync::{Arc, OnceLock, Weak};
 thread_local! {
     /// Which shard the current thread is executing, if any. Set on shard
     /// worker threads, which run their shard's event loop and resume its
-    /// processes; `None` on the driver thread (build phase, serial runs),
-    /// where every handle is safe to schedule on directly.
+    /// processes, and on the calling thread while it runs shard 0's slice
+    /// of an epoch; `None` otherwise (build phase, epoch merges, serial
+    /// runs), where every handle is safe to schedule on directly.
     static CURRENT_SHARD: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
@@ -139,14 +146,17 @@ impl Router {
     /// scheduled from shard `src` *now*. The caller must respect the
     /// lookahead contract: `time` at least one lookahead ahead of the
     /// source clock (comb-hw guarantees this structurally — every
-    /// cross-node interaction crosses a link whose latency is `≥ L`).
+    /// cross-node interaction is a packet that pays the NIC's send time
+    /// and then the link latency). Panics when it does not: a model that
+    /// broke the bound would otherwise misorder events silently. The panic
+    /// ends the run as a [`SimError::ProcessPanicked`].
     ///
     /// The returned id is [`EventId::CROSS_SHARD`]: cancelling it is a
     /// guaranteed no-op, matching the fire-and-forget use of the only
     /// cross-shard call sites (wire deliveries are never cancelled).
     pub(crate) fn push(&self, src: usize, dst: usize, time: SimTime, kind: EventKind) -> EventId {
         let sched = self.src_now(src);
-        debug_assert!(
+        assert!(
             time.as_nanos() >= sched.as_nanos() + self.lookahead.as_nanos(),
             "cross-shard event violates the lookahead horizon: \
              fires at {time} but scheduled at {sched} with lookahead {:?}",
@@ -161,8 +171,8 @@ impl Router {
     /// Drain every mailbox into its destination queue, in deterministic
     /// `(time, sched, src-shard, mailbox-index)` order per destination.
     /// Called at epoch barriers while all shard workers are parked, so the
-    /// queues are safe to touch from the coordinator thread: each borrow
-    /// claims a shard its worker released when its epoch ended.
+    /// queues are safe to touch from the calling thread: each borrow claims
+    /// a shard its thread released when its epoch ended.
     fn merge(&self, shareds: &[Arc<SimShared>]) {
         let n = shareds.len();
         let mut batch: Vec<(SimTime, SimTime, usize, usize, EventKind)> = Vec::new();
@@ -189,7 +199,7 @@ impl Router {
                 // beyond the epoch the destination just finished, so the
                 // injection is always in the destination's future and never
                 // takes the zero-delay lane.
-                debug_assert!(time > now, "cross-shard event inside the finished epoch");
+                assert!(time > now, "cross-shard event inside the finished epoch");
                 queue.schedule_keyed(now, time, sched, kind);
             }
         }
@@ -204,12 +214,14 @@ impl Router {
     }
 }
 
-/// Shared state between the epoch coordinator and the shard workers. All
-/// synchronization is spin-based: epochs are released thousands of times
-/// per run and the workers' epoch bodies are typically tens of
+/// Shared state between the calling thread and the shard workers. All
+/// synchronization is spin-based: epochs are released about a thousand
+/// times per run and the workers' epoch bodies are typically tens of
 /// microseconds, so parking on an OS primitive per epoch would dominate.
+/// The caller runs shard 0 between releasing the workers and waiting for
+/// them, so it only spins once its own slice is done.
 struct EpochSync {
-    /// Bumped by the coordinator to release the workers into an epoch.
+    /// Bumped by the caller to release the workers into an epoch.
     epoch: AtomicU64,
     /// Inclusive virtual-time deadline of the current epoch.
     deadline: AtomicU64,
@@ -236,7 +248,7 @@ fn wait_change(a: &AtomicU64, seen: u64) -> u64 {
     }
 }
 
-/// Spin until at least `n` workers have arrived.
+/// Spin until at least `n` workers (`S − 1` per epoch) have arrived.
 fn wait_arrived(a: &AtomicUsize, n: usize) {
     let mut spins = 0u32;
     while a.load(Ordering::Acquire) < n {
@@ -253,11 +265,10 @@ fn wait_arrived(a: &AtomicUsize, n: usize) {
 enum Outcome {
     /// All queues and mailboxes drained.
     Clean,
-    /// A shard worker returned an error; the first one (in shard-index
-    /// order) is reported.
-    WorkerError,
-    /// The coordinator saw the next epoch start past the watchdog
-    /// deadline.
+    /// A shard (the caller's shard 0 or a worker's) returned an error; the
+    /// first one in shard-index order is reported.
+    ShardError,
+    /// The caller saw the next epoch start past the watchdog deadline.
     Deadline(SimTime),
 }
 
@@ -268,8 +279,10 @@ enum Outcome {
 ///
 /// Build with [`ShardedSimulation::new`], place processes and hardware on
 /// shards via [`ShardedSimulation::handle`] / [`ShardedSimulation::spawn`],
-/// then [`ShardedSimulation::run`]. With one shard this is exactly a
-/// [`Simulation`] — same code path, no worker threads, no barriers.
+/// then [`ShardedSimulation::run`]. The calling thread runs shard 0 and
+/// each other shard gets a worker thread of its own. With one shard this
+/// is exactly a [`Simulation`] — same code path, no worker threads, no
+/// barriers.
 ///
 /// ```
 /// use comb_sim::{ShardedSimulation, SimDuration, SimTime};
@@ -292,12 +305,14 @@ enum Outcome {
 pub struct ShardedSimulation {
     sims: Vec<Simulation>,
     router: Arc<Router>,
+    /// Epochs run so far, counted by the caller.
+    epochs: u64,
 }
 
 impl ShardedSimulation {
     /// Create `shards` shard simulations coupled by `lookahead`: the
     /// minimum virtual-time distance of any cross-shard interaction (for
-    /// comb-hw topologies, the minimum wire latency of any link).
+    /// comb-hw topologies, `HwConfig::lookahead`).
     ///
     /// Panics if `shards` is zero or `lookahead` is zero — a zero
     /// lookahead admits no safe epoch window.
@@ -324,7 +339,11 @@ impl ShardedSimulation {
                     .collect(),
             )
             .unwrap_or_else(|_| unreachable!("router clocks wired twice"));
-        ShardedSimulation { sims, router }
+        ShardedSimulation {
+            sims,
+            router,
+            epochs: 0,
+        }
     }
 
     /// Number of shards.
@@ -332,8 +351,8 @@ impl ShardedSimulation {
         self.sims.len()
     }
 
-    /// A scheduling handle for `shard`. Used from that shard's own worker
-    /// it schedules locally; used from another shard's worker it routes
+    /// A scheduling handle for `shard`. Used from that shard's own code it
+    /// schedules locally; used from another shard's code it routes
     /// through the epoch mailboxes (the caller must then respect the
     /// lookahead contract — see [`ShardedSimulation::new`]).
     pub fn handle(&self, shard: usize) -> SimHandle {
@@ -363,7 +382,7 @@ impl ShardedSimulation {
     /// [`ShardedSimulation::run`] under watchdog limits, applied per
     /// shard: the stall detector works unchanged (a zero-delay livelock
     /// never leaves its epoch), the virtual-time deadline is enforced both
-    /// inside epochs and by the coordinator between them, and the
+    /// inside epochs and by the caller between them, and the
     /// `max_events` budget bounds each shard's events *per epoch* rather
     /// than the whole run.
     pub fn run_with_watchdog(&mut self, wd: &WatchdogConfig) -> Result<SimTime, SimError> {
@@ -391,10 +410,16 @@ impl ShardedSimulation {
         self.sims.iter().map(|s| s.handle().events_executed()).sum()
     }
 
+    /// Epochs (barrier rounds) run so far. A one-shard simulation runs the
+    /// serial kernel and no epochs, so this stays 0 there.
+    pub fn epochs(&self) -> u64 {
+        self.epochs
+    }
+
     fn run_inner(&mut self, wd: Option<&WatchdogConfig>) -> Result<SimTime, SimError> {
         if self.sims.len() == 1 {
             // One shard is exactly the serial kernel; skip the worker
-            // thread and the barriers entirely.
+            // threads and the barriers entirely.
             return match wd {
                 Some(wd) => self.sims[0].run_with_watchdog(wd),
                 None => self.sims[0].run(),
@@ -416,8 +441,12 @@ impl ShardedSimulation {
             done: AtomicBool::new(false),
         };
         let mut outcome = Outcome::Clean;
+        let (first, rest) = self
+            .sims
+            .split_first_mut()
+            .unwrap_or_else(|| unreachable!("a sharded simulation has at least one shard"));
         std::thread::scope(|scope| {
-            for (i, sim) in self.sims.iter_mut().enumerate() {
+            for (i, sim) in (1..).zip(rest.iter_mut()) {
                 let sync = &sync;
                 let errors = &errors;
                 scope.spawn(move || {
@@ -429,35 +458,20 @@ impl ShardedSimulation {
                             break;
                         }
                         let deadline = SimTime::from_nanos(sync.deadline.load(Ordering::Acquire));
-                        if errors[i].lock().is_none() {
-                            // Contain event-closure panics (proc panics are
-                            // already converted by the kernel): an unwinding
-                            // worker that never arrives would hang the
-                            // barrier and every other shard with it.
-                            let run =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    sim.run_until_wd(deadline, wd)
-                                }));
-                            match run {
-                                Ok(Ok(_)) => {}
-                                Ok(Err(e)) => *errors[i].lock() = Some(e),
-                                Err(payload) => {
-                                    *errors[i].lock() = Some(SimError::ProcessPanicked {
-                                        name: format!("shard-{i} event closure"),
-                                        message: crate::kernel::panic_message(payload.as_ref()),
-                                    });
-                                }
-                            }
-                        }
+                        run_epoch(i, sim, deadline, wd, &errors[i]);
                         // The epoch's run has released this shard, so the
-                        // coordinator may claim it once everyone arrives.
+                        // caller may claim it once everyone arrives.
                         sync.arrived.fetch_add(1, Ordering::AcqRel);
                     }
                 });
             }
-            // Epoch coordinator, on the driver thread. Between barriers all
-            // workers are parked in `wait_change`, so the shard queues are
-            // safe to inspect and inject into from here.
+            // Sends the workers home when the epoch loop ends, also when it
+            // unwinds: the scope joins them before it returns.
+            let _release = ReleaseWorkers(&sync);
+            // The epoch loop, on the calling thread, which runs shard 0
+            // itself. Between barriers every worker is parked in
+            // `wait_change`, so the shard queues are safe to inspect and
+            // inject into from here.
             loop {
                 let mut next: Option<SimTime> = None;
                 for shared in &shareds {
@@ -479,28 +493,32 @@ impl ShardedSimulation {
                 }
                 // The epoch window is [m, m + L); run_until's deadline is
                 // inclusive, hence the −1.
-                let epoch_end = m.as_nanos() + lookahead.as_nanos() - 1;
-                sync.deadline.store(epoch_end, Ordering::Release);
+                let epoch_end = SimTime::from_nanos(m.as_nanos() + lookahead.as_nanos() - 1);
+                sync.deadline.store(epoch_end.as_nanos(), Ordering::Release);
                 sync.arrived.store(0, Ordering::Release);
                 sync.epoch.fetch_add(1, Ordering::Release);
-                wait_arrived(&sync.arrived, n);
+                // Shard 0's slice: tagged as shard 0, so its schedules on
+                // other shards' handles route through the mailboxes.
+                set_current_shard(Some(0));
+                run_epoch(0, first, epoch_end, wd, &errors[0]);
+                set_current_shard(None);
+                wait_arrived(&sync.arrived, n - 1);
+                self.epochs += 1;
                 if errors.iter().any(|e| e.lock().is_some()) {
-                    outcome = Outcome::WorkerError;
+                    outcome = Outcome::ShardError;
                     break;
                 }
                 router.merge(&shareds);
             }
-            sync.done.store(true, Ordering::Release);
-            sync.epoch.fetch_add(1, Ordering::Release);
         });
         match outcome {
-            Outcome::WorkerError => {
+            Outcome::ShardError => {
                 for e in &errors {
                     if let Some(err) = e.lock().take() {
                         return Err(err);
                     }
                 }
-                unreachable!("worker-error outcome without a stored error")
+                unreachable!("shard-error outcome without a stored error")
             }
             Outcome::Deadline(deadline) => Err(SimError::WatchdogDeadline {
                 deadline,
@@ -532,6 +550,44 @@ impl ShardedSimulation {
                 }
             }
         }
+    }
+}
+
+/// Run shard `i`'s `sim` through the epoch ending at `deadline`
+/// (inclusive), storing any error in `slot`. Used by the caller for shard
+/// 0 and by each worker for its own shard.
+///
+/// Event-closure panics are caught here (process panics are already
+/// converted by the kernel): a shard that unwound out of its epoch would
+/// never arrive at the barrier and would hang every other shard with it.
+fn run_epoch(
+    i: usize,
+    sim: &mut Simulation,
+    deadline: SimTime,
+    wd: Option<&WatchdogConfig>,
+    slot: &Mutex<Option<SimError>>,
+) {
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        sim.run_until_wd(deadline, wd)
+    }));
+    let error = match run {
+        Ok(Ok(_)) => return,
+        Ok(Err(e)) => e,
+        Err(payload) => SimError::ProcessPanicked {
+            name: format!("shard-{i} event closure"),
+            message: crate::kernel::panic_message(payload.as_ref()),
+        },
+    };
+    *slot.lock() = Some(error);
+}
+
+/// Tells the shard workers to exit when dropped.
+struct ReleaseWorkers<'a>(&'a EpochSync);
+
+impl Drop for ReleaseWorkers<'_> {
+    fn drop(&mut self) {
+        self.0.done.store(true, Ordering::Release);
+        self.0.epoch.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -768,21 +824,69 @@ mod tests {
 
     #[test]
     fn event_closure_panic_during_a_hold_is_reported_for_its_shard() {
+        // Shard 0 runs on the calling thread, shard 1 on a worker: both
+        // contain the panic and report it.
+        for bad in 0..2 {
+            let mut sim = ShardedSimulation::new(2, L);
+            sim.spawn(1 - bad, "honest", |ctx| {
+                ctx.hold(SimDuration::from_micros(50))
+            });
+            let h = sim.handle(bad);
+            sim.spawn(bad, "host", move |ctx| {
+                h.schedule_in(SimDuration::from_micros(1), || panic!("closure kaboom"));
+                // The shard's loop fires the closure while this process parks.
+                ctx.hold(SimDuration::from_micros(10));
+            });
+            match sim.run() {
+                Err(SimError::ProcessPanicked { name, message }) => {
+                    assert_eq!(name, format!("shard-{bad} event closure"));
+                    assert!(message.contains("closure kaboom"));
+                }
+                other => panic!("expected panic error, got {other:?}"),
+            }
+        }
+    }
+
+    /// The lookahead contract holds in release builds too: a cross-shard
+    /// schedule one nanosecond inside the horizon fails the run instead of
+    /// being misordered, and the barrier does not hang on it.
+    #[test]
+    fn a_cross_shard_event_inside_the_horizon_fails_the_run() {
         let mut sim = ShardedSimulation::new(2, L);
-        sim.spawn(0, "honest", |ctx| ctx.hold(SimDuration::from_micros(50)));
-        let h = sim.handle(1);
-        sim.spawn(1, "host", move |ctx| {
-            h.schedule_in(SimDuration::from_micros(1), || panic!("closure kaboom"));
-            // Shard 1's loop fires the closure while this process parks.
-            ctx.hold(SimDuration::from_micros(10));
+        let h1 = sim.handle(1);
+        sim.spawn(1, "honest", |ctx| ctx.hold(SimDuration::from_micros(50)));
+        sim.spawn(0, "eager", move |ctx| {
+            ctx.hold(SimDuration::from_micros(1));
+            h1.schedule_at(ctx.now() + L - SimDuration::from_nanos(1), || {});
         });
         match sim.run() {
             Err(SimError::ProcessPanicked { name, message }) => {
-                assert_eq!(name, "shard-1 event closure");
-                assert!(message.contains("closure kaboom"));
+                assert_eq!(name, "eager");
+                assert!(message.contains("lookahead horizon"), "{message}");
             }
-            other => panic!("expected panic error, got {other:?}"),
+            other => panic!("expected the horizon check to fail the run, got {other:?}"),
         }
+    }
+
+    /// The calling thread runs shard 0 itself; shard 1 runs on a worker.
+    #[test]
+    fn shard_zero_runs_on_the_calling_thread_and_shard_one_does_not() {
+        use std::thread::ThreadId;
+        let mut sim = ShardedSimulation::new(2, L);
+        let probes: Vec<Probe<ThreadId>> = (0..2).map(|_| sim.probe()).collect();
+        for (shard, probe) in probes.iter().enumerate() {
+            let probe = probe.clone();
+            sim.spawn(shard, &format!("p{shard}"), move |ctx| {
+                ctx.hold(SimDuration::from_micros(1));
+                probe.set(std::thread::current().id());
+            });
+        }
+        sim.run().unwrap();
+        let caller = std::thread::current().id();
+        assert_eq!(probes[0].get(), Some(caller));
+        let worker = probes[1].get().expect("shard 1's process ran");
+        assert_ne!(worker, caller);
+        assert_eq!(sim.epochs(), 1, "both holds end inside the first epoch");
     }
 
     #[test]

@@ -134,7 +134,9 @@ fn sharded_kernel_csvs_match_committed_goldens_across_shards_and_jobs() {
 fn faulted_sweeps_are_byte_identical_across_jobs_and_runs() {
     // The fault subsystem's acceptance bar: every fault source active at
     // once, and the sweep's samples (fault counters included) must not
-    // depend on the worker count or the run.
+    // depend on the worker count, the kernel shard count or the run. The
+    // shard epoch is as wide as the lookahead allows, which holds only
+    // because no fault penalty pulls a packet's departure earlier.
     let mut c = cfg(Transport::Portals);
     c.fault = FaultPlan::from_specs(
         &[
@@ -149,23 +151,26 @@ fn faulted_sweeps_are_byte_identical_across_jobs_and_runs() {
     .unwrap();
     let intervals = [5_000u64, 50_000, 500_000];
     c.jobs = 1;
+    c.shards = 1;
     let serial_poll = polling_sweep(&c, &intervals).unwrap();
     let serial_pww = pww_sweep(&c, &intervals, false).unwrap();
     assert!(
         serial_poll.iter().any(|s| s.faults.lost_packets > 0),
         "the plan must actually inject faults"
     );
-    for jobs in [1, 4, comb::core::available_jobs()] {
+    let all = comb::core::available_jobs();
+    for (jobs, shards) in [(1, 1), (4, 1), (all, 1), (1, 2), (all, 3)] {
         c.jobs = jobs;
+        c.shards = shards;
         assert_eq!(
             polling_sweep(&c, &intervals).unwrap(),
             serial_poll,
-            "faulted polling sweep diverges at jobs={jobs}"
+            "faulted polling sweep diverges at jobs={jobs} shards={shards}"
         );
         assert_eq!(
             pww_sweep(&c, &intervals, false).unwrap(),
             serial_pww,
-            "faulted pww sweep diverges at jobs={jobs}"
+            "faulted pww sweep diverges at jobs={jobs} shards={shards}"
         );
     }
 }
