@@ -6,13 +6,16 @@
 //! by the ISR cost, exactly the effect the paper measures in Figure 12
 //! ("work with message handling" vs "work only").
 //!
-//! Implementation: a computation installs a cancelable completion event at
+//! Implementation: a computation schedules one completion event at
 //! `now + duration` and parks its process on the CPU's one completion
-//! [`Condition`]. Each steal cancels the event, pushes the deadline back by
-//! the stolen time and re-arms it — O(1) per interrupt. A warm computation
-//! allocates nothing: the condition's waiter buffer is reused, and the
-//! completion event captures one pointer. A computation with nothing else
-//! due by its deadline cannot be interrupted, so it runs in place instead
+//! [`Condition`]. Each steal pushes the deadline back by the stolen time
+//! and postpones that same event to it ([`SimHandle::postpone`]) — O(1)
+//! per interrupt, with no queue traffic: the event fires, and is counted,
+//! exactly as a cancel and a fresh schedule at the new deadline would
+//! have. A warm computation allocates nothing: the condition's waiter
+//! buffer is reused, and the completion event captures one pointer. A
+//! computation with nothing else due by its deadline cannot be
+//! interrupted, so it runs in place instead
 //! ([`SimHandle::advance_in_place`]): the completion and the resume are
 //! charged as fired, and nothing is queued.
 
@@ -43,7 +46,6 @@ pub struct CpuStats {
 struct Computing {
     completion: EventId,
     deadline: SimTime,
-    stolen: SimDuration,
 }
 
 struct CpuInner {
@@ -180,7 +182,6 @@ impl Cpu {
             inner.computing = Some(Computing {
                 completion,
                 deadline,
-                stolen: SimDuration::ZERO,
             });
         }
         // Only this computation's completion notifies `done`, and only
@@ -244,16 +245,15 @@ fn steal_from(shared: &Arc<CpuShared>, d: SimDuration) {
     inner.stats.stolen_total += d;
     inner.stats.steal_events += 1;
     if let Some(c) = inner.computing.as_mut() {
-        shared.inner.handle().cancel(c.completion);
         c.deadline += d;
-        c.stolen += d;
-        c.completion = arm_completion(shared, c.deadline);
+        shared.inner.handle().postpone(c.completion, c.deadline);
     }
 }
 
 /// Schedule the completion event for the computation at `deadline`. Steals
-/// cancel the event before re-arming it, so firing means it is current:
-/// it ends the computation and resumes the computing process.
+/// postpone the event to each new deadline, so firing means the
+/// computation is over: it ends the computation and resumes the computing
+/// process.
 fn arm_completion(shared: &Arc<CpuShared>, deadline: SimTime) -> EventId {
     let state = Arc::clone(shared);
     shared.inner.handle().schedule_at(deadline, move || {
@@ -332,19 +332,79 @@ mod tests {
 
     #[test]
     fn interrupt_exactly_at_deadline_does_not_extend() {
-        // The completion event is scheduled before the steal event at the
-        // same instant, so the computation ends first.
+        // A steal queued for the deadline after the completion was armed
+        // fires after it at that instant: the computation is already over.
         let mut sim = Simulation::new();
         let h = sim.handle();
         let cpu = Cpu::new(&h, cpu_cfg());
         let probe = sim.probe::<ComputeSample>();
         let (c, p) = (cpu.clone(), probe.clone());
-        sim.spawn("w", move |ctx| {
-            ctx.hold(SimDuration::from_nanos(1)); // let the steal be scheduled later
-            p.set(c.compute(ctx, SimDuration::from_micros(10)));
+        let us = SimDuration::from_micros;
+        sim.spawn("w", move |ctx| p.set(c.compute(ctx, us(10))));
+        // Queued ahead, this event also keeps the computation from running
+        // in place; it fires after the completion is armed.
+        let (st, h2) = (cpu.stealer(), h.clone());
+        h.schedule_in(us(5), move || {
+            h2.schedule_at(SimTime::ZERO + us(10), move || st.steal(us(3)));
         });
         sim.run().unwrap();
-        assert_eq!(probe.get().unwrap().wall, SimDuration::from_micros(10));
+        let s = probe.get().unwrap();
+        assert_eq!((s.wall, s.stolen), (us(10), SimDuration::ZERO));
+        assert_eq!(cpu.stats().steal_events, 1, "the steal did fire");
+    }
+
+    /// A 10 µs computation from 0 that a 3 µs steal at 5 µs moves onto
+    /// T = 13 µs, and a 2 µs steal for T queued at `at_us`: before the
+    /// re-key when `first` (at 5 µs, in the same instant), after it
+    /// otherwise.
+    fn steal_at_rekeyed_deadline(at_us: u64, first: bool) -> ComputeSample {
+        let mut sim = Simulation::new();
+        let h = sim.handle();
+        let cpu = Cpu::new(&h, cpu_cfg());
+        let probe = sim.probe::<ComputeSample>();
+        let (c, p) = (cpu.clone(), probe.clone());
+        let us = SimDuration::from_micros;
+        sim.spawn("w", move |ctx| p.set(c.compute(ctx, us(10))));
+        let rekey = || {
+            let st = cpu.stealer();
+            h.schedule_in(us(5), move || st.steal(us(3)));
+        };
+        let queue_tie = || {
+            let (st, h2) = (cpu.stealer(), h.clone());
+            h.schedule_in(us(at_us), move || {
+                h2.schedule_at(SimTime::ZERO + us(13), move || st.steal(us(2)));
+            });
+        };
+        if first {
+            queue_tie();
+            rekey();
+        } else {
+            rekey();
+            queue_tie();
+        }
+        sim.run().unwrap();
+        assert_eq!(cpu.stats().steal_events, 2);
+        probe.get().unwrap()
+    }
+
+    #[test]
+    fn a_steal_queued_before_a_rekey_onto_its_instant_extends() {
+        // The re-keyed completion orders as if scheduled at the re-key, so
+        // a steal queued for its new deadline before then fires first.
+        let us = SimDuration::from_micros;
+        for (at_us, first) in [(4, true), (5, true)] {
+            let s = steal_at_rekeyed_deadline(at_us, first);
+            assert_eq!((s.wall, s.stolen), (us(15), us(5)), "queued at {at_us} µs");
+        }
+    }
+
+    #[test]
+    fn a_steal_queued_after_a_rekey_onto_its_instant_does_not_extend() {
+        let us = SimDuration::from_micros;
+        for (at_us, first) in [(5, false), (6, false)] {
+            let s = steal_at_rekeyed_deadline(at_us, first);
+            assert_eq!((s.wall, s.stolen), (us(13), us(3)), "queued at {at_us} µs");
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! simulation's per-event path. Its computation parks on the CPU's one
 //! completion condition, whose waiter buffer is reused, and its completion
 //! event captures one pointer, so once the event arena is warm a
-//! computation — including one that an interrupt extends, cancelling and
-//! re-arming its completion — touches the allocator zero times.
+//! computation — including one that an interrupt extends, postponing its
+//! completion — touches the allocator zero times.
 
 #[path = "../../comb-sim/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -59,11 +59,11 @@ fn warm_compute_does_not_allocate() {
 #[test]
 fn warm_compute_extended_by_a_steal_does_not_allocate() {
     let (allocs, sample) = warm_compute_allocs(true);
-    // The steal landed inside the computation and re-armed its completion.
+    // The steal landed inside the computation and postponed its completion.
     assert_eq!(sample.stolen, STEAL);
     assert_eq!(sample.wall, WORK + STEAL);
     assert_eq!(
         allocs, 0,
-        "a warm Cpu::compute with a steal re-arm allocated"
+        "a warm Cpu::compute extended by a steal allocated"
     );
 }

@@ -19,7 +19,7 @@
 //! # Layout
 //!
 //! Event payloads live in a slab of generation-tagged [`Slot`]s; ordering
-//! lives in dense 24-byte [`HeapEntry`] keys split across a four-ary
+//! lives in dense 32-byte [`HeapEntry`] keys split across a four-ary
 //! min-heap, a sorted *tail* run, and a zero-delay *lane* (see
 //! [`EventQueue`]). Cancellation is an O(1) generation bump on the slot —
 //! no `HashSet` insert/probe, no per-pop hash lookup. The cancelled
@@ -31,6 +31,14 @@
 //! fails the tag check. (A tag is 32 bits; a single slot would need to be
 //! reused 2^32 times while a stale id for it is still held for a false
 //! match — not a realistic hazard for simulation runs.)
+//!
+//! Postponing an event queued ahead ([`EventQueue::postpone`]) is O(1) as
+//! well: the slot takes the key a cancel plus a fresh schedule would have
+//! given the event, and its queued entry stays where it is under the old,
+//! earlier key. A queued key is therefore never later than the event's
+//! true key, so the entry surfaces at a region front before the event is
+//! due, and is re-inserted under the slot's key then. An entry is current
+//! when its generation and sequence number match its slot's.
 //!
 //! Zero-delay self-schedules — the dominant pattern in polling-method
 //! runs — skip the heap entirely: an event scheduled for the current
@@ -216,7 +224,8 @@ impl HeapEntry {
 ///
 /// Per-simulation snapshots come from `SimHandle::kernel_stats`; the
 /// process-wide accumulation (flushed when each simulation's queue is
-/// dropped) from [`KernelStats::global`].
+/// dropped) from [`KernelStats::global`]. A postponement counts as the
+/// cancel and the schedule it stands for.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelStats {
     /// Events scheduled (lane + heap).
@@ -295,9 +304,9 @@ enum Src {
     Heap,
 }
 
-/// The mutable core of the event queue. Lives behind a mutex in
-/// [`crate::kernel::SimShared`]; uncontended because at most one simulation
-/// entity runs at any moment.
+/// The mutable core of the event queue. Lives in a simulation-owned cell
+/// in [`crate::kernel::SimShared`] (see `cell.rs`): at most one simulation
+/// entity runs at any moment, so no lock guards it.
 ///
 /// Three ordered regions, popped by comparing their front keys:
 /// - `lane`: FIFO of events at `time == clock` (zero-delay self-schedules).
@@ -307,7 +316,8 @@ enum Src {
 ///
 /// Cancellation is an O(1) generation bump on the slot; the queued entry
 /// goes stale in place and is skipped (one cheap tag check, once) when it
-/// surfaces. No tombstone set, no per-pop hash probe.
+/// surfaces. No tombstone set, no per-pop hash probe. Postponement re-keys
+/// the slot only; its entry is re-inserted, once, when it surfaces.
 #[derive(Default)]
 pub(crate) struct EventQueue {
     slots: Vec<Slot>,
@@ -386,22 +396,13 @@ impl EventQueue {
             self.lane.push_back((slot, generation));
             self.stats.lane_scheduled += 1;
         } else {
-            let entry = HeapEntry {
+            self.push_ahead(HeapEntry {
                 time,
                 sched,
                 seq,
                 slot,
                 generation,
-            };
-            // Keys scheduled in non-decreasing order extend the sorted
-            // tail for free; anything out of order goes to the heap.
-            match self.tail.last() {
-                Some(last) if entry.key() < last.key() => {
-                    self.heap.push(entry);
-                    self.sift_up(self.heap.len() - 1);
-                }
-                _ => self.tail.push(entry),
-            }
+            });
         }
         self.stats.scheduled += 1;
         let live = (self.slots.len() - self.free.len()) as u64;
@@ -425,6 +426,39 @@ impl EventQueue {
         // The queued lane/tail/heap entry goes stale: the bumped generation
         // makes it fail its tag check whenever it surfaces.
         self.free_slot(slot as u32);
+        self.stats.cancelled += 1;
+    }
+
+    /// Move the live event `id`, queued ahead, to `t`: give it exactly the
+    /// key that cancelling it and scheduling its payload at `t` now would
+    /// give, `(t, now, next_seq)`, and charge that cancel and schedule. The
+    /// queued entry stays where it is under its old, earlier key, and is
+    /// re-inserted under the new one when it surfaces at a region front
+    /// ([`EventQueue::drain_stale`]), before the event can be due.
+    ///
+    /// Panics unless `id` is live, not on the lane, and `t` is later than
+    /// its time.
+    pub fn postpone(&mut self, now: SimTime, id: EventId, t: SimTime) {
+        let seq = self.next_seq;
+        let cell = self
+            .slots
+            .get_mut(id.slot() as usize)
+            .filter(|c| c.generation == id.generation() && c.kind.is_some())
+            .expect("postponing an event that is not live");
+        // Only a lane entry is keyed at the instant it was scheduled for.
+        assert!(cell.time != cell.sched, "postponing an event on the lane");
+        assert!(
+            t > cell.time,
+            "postponing an event to no later than its time"
+        );
+        cell.time = t;
+        cell.sched = now;
+        cell.seq = seq;
+        if matches!(cell.kind, Some(EventKind::Call(_))) {
+            self.stats.boxed_calls += 1;
+        }
+        self.next_seq += 1;
+        self.stats.scheduled += 1;
         self.stats.cancelled += 1;
     }
 
@@ -547,10 +581,10 @@ impl EventQueue {
     /// whose first event fires at `t`, scheduled at `now`, and whose every
     /// later event is scheduled by the one before it for the same instant.
     /// Returns false, charging nothing, when anything is queued at or
-    /// before `t` (a cancelled entry at a region front counts: the
-    /// ordinary path drains it) or when one of the events would trip the
-    /// run's limits — the caller then schedules the events as usual, and
-    /// the loop trips at the same event with the same error.
+    /// before `t` (a cancelled or postponed entry at a region front counts:
+    /// the ordinary path drains or re-inserts it) or when one of the events
+    /// would trip the run's limits — the caller then schedules the events
+    /// as usual, and the loop trips at the same event with the same error.
     #[inline]
     pub(crate) fn skip(&mut self, now: SimTime, t: SimTime, n: u64) -> bool {
         debug_assert!(n > 0 && t >= now);
@@ -607,8 +641,10 @@ impl EventQueue {
         self.peek_time().is_none()
     }
 
-    /// Drop cancelled entries sitting at the front of each region so the
-    /// fronts are live (or the region is empty).
+    /// Make each region's front current (or the region empty): drop the
+    /// entries of cancelled events sitting there, and re-insert those of
+    /// postponed events under their slots' keys. A re-inserted entry is
+    /// current, so each postponement costs one re-insertion at most.
     #[inline]
     fn drain_stale(&mut self) {
         while let Some(&(slot, generation)) = self.lane.front() {
@@ -617,17 +653,61 @@ impl EventQueue {
             }
             self.lane.pop_front();
         }
-        while let Some(e) = self.tail.get(self.tail_head) {
-            if self.slots[e.slot as usize].generation == e.generation {
+        while let Some(&e) = self.tail.get(self.tail_head) {
+            let (live, current) = self.check(&e);
+            if current {
                 break;
             }
             self.advance_tail();
+            if live {
+                self.requeue(e.slot);
+            }
         }
-        while let Some(root) = self.heap.first() {
-            if self.slots[root.slot as usize].generation == root.generation {
+        // A heap entry re-inserted onto the tail lands behind its current
+        // front, or is the front itself.
+        while let Some(&root) = self.heap.first() {
+            let (live, current) = self.check(&root);
+            if current {
                 break;
             }
             self.heap_pop_root();
+            if live {
+                self.requeue(root.slot);
+            }
+        }
+    }
+
+    /// Whether `e`'s event is live, and whether `e` is its current entry.
+    #[inline(always)]
+    fn check(&self, e: &HeapEntry) -> (bool, bool) {
+        let cell = &self.slots[e.slot as usize];
+        let live = cell.generation == e.generation;
+        (live, live && cell.seq == e.seq)
+    }
+
+    /// Queue a postponed event's entry again, under its slot's key.
+    fn requeue(&mut self, slot: u32) {
+        let cell = &self.slots[slot as usize];
+        self.push_ahead(HeapEntry {
+            time: cell.time,
+            sched: cell.sched,
+            seq: cell.seq,
+            slot,
+            generation: cell.generation,
+        });
+    }
+
+    /// Queue an entry for a later instant. Keys that arrive in
+    /// non-decreasing order extend the sorted tail for free; anything out
+    /// of order goes to the heap.
+    #[inline]
+    fn push_ahead(&mut self, entry: HeapEntry) {
+        match self.tail.last() {
+            Some(last) if entry.key() < last.key() => {
+                self.heap.push(entry);
+                self.sift_up(self.heap.len() - 1);
+            }
+            _ => self.tail.push(entry),
         }
     }
 
@@ -872,9 +952,114 @@ mod tests {
         assert_eq!(q.stats.boxed_calls, 0);
     }
 
+    fn nanos(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
+    }
+
+    /// Pop every event, returning the ids in firing order.
+    fn drain(q: &mut EventQueue) -> Vec<EventId> {
+        std::iter::from_fn(|| q.pop().map(|e| e.id)).collect()
+    }
+
+    #[test]
+    fn postponing_the_tail_front_requeues_it_among_later_events() {
+        let mut q = EventQueue::default();
+        let a = q.schedule(T0, nanos(10), call());
+        let b = q.schedule(T0, nanos(20), call());
+        let c = q.schedule(T0, nanos(30), call());
+        assert_eq!((q.tail.len(), q.heap.len()), (3, 0), "all on the tail");
+        // Onto b's instant: a is keyed as scheduled now, after b.
+        q.postpone(T0, a, nanos(20));
+        assert_eq!(q.peek_time(), Some(nanos(20)), "the old key never fires");
+        assert_eq!(drain(&mut q), [b, a, c]);
+    }
+
+    #[test]
+    fn postponing_a_heap_entry_requeues_it() {
+        let mut q = EventQueue::default();
+        let c = q.schedule(T0, nanos(30), call());
+        let a = q.schedule(T0, nanos(10), call());
+        let b = q.schedule(T0, nanos(20), call());
+        assert_eq!((q.tail.len(), q.heap.len()), (1, 2), "a and b in the heap");
+        // The root, then an inner entry, past the tail's only entry.
+        q.postpone(T0, a, nanos(40));
+        q.postpone(T0, b, nanos(35));
+        assert_eq!(drain(&mut q), [c, b, a]);
+        assert_eq!(q.stats.fired, 3);
+    }
+
+    #[test]
+    fn postponed_event_orders_as_if_rescheduled_now() {
+        let mut q = EventQueue::default();
+        let a = q.schedule(T0, nanos(10), call());
+        let x = q.schedule(T0, nanos(20), call());
+        let now = nanos(5);
+        let before = q.schedule(now, nanos(20), call());
+        q.postpone(now, a, nanos(20));
+        let after = q.schedule(now, nanos(20), call());
+        assert_eq!(drain(&mut q), [x, before, a, after]);
+    }
+
+    #[test]
+    fn cancel_after_postpone_drops_the_event() {
+        let mut q = EventQueue::default();
+        let a = q.schedule(T0, nanos(10), call());
+        let b = q.schedule(T0, nanos(20), call());
+        q.postpone(T0, a, nanos(30));
+        q.cancel(a);
+        assert_eq!(drain(&mut q), [b]);
+        assert!(q.is_empty());
+        assert_eq!((q.stats.scheduled, q.stats.cancelled), (3, 2));
+        // Postponed twice, the event fires once, at its last time.
+        let c = q.schedule(T0, nanos(40), call());
+        q.postpone(T0, c, nanos(50));
+        q.postpone(T0, c, nanos(60));
+        let fired = q.pop().unwrap();
+        assert_eq!((fired.id, fired.time), (c, nanos(60)));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn postpone_counts_as_cancel_plus_schedule() {
+        let (mut lazy, mut eager) = (EventQueue::default(), EventQueue::default());
+        for q in [&mut lazy, &mut eager] {
+            q.schedule(T0, nanos(10), call());
+            q.schedule(T0, nanos(15), call());
+        }
+        let a = lazy.schedule(T0, nanos(12), call());
+        lazy.postpone(nanos(1), a, nanos(18));
+        let a = eager.schedule(T0, nanos(12), call());
+        eager.cancel(a);
+        eager.schedule(nanos(1), nanos(18), call());
+        let times = |q: &mut EventQueue| -> Vec<SimTime> {
+            std::iter::from_fn(|| q.pop().map(|e| e.time)).collect()
+        };
+        assert_eq!(times(&mut lazy), times(&mut eager));
+        assert_eq!(lazy.stats, eager.stats);
+        assert_eq!(lazy.next_seq, eager.next_seq);
+    }
+
+    #[test]
+    #[should_panic(expected = "postponing an event on the lane")]
+    fn postponing_a_lane_event_panics() {
+        let mut q = EventQueue::default();
+        let a = q.schedule(T0, T0, call());
+        q.postpone(T0, a, nanos(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "postponing an event that is not live")]
+    fn postponing_a_fired_event_panics() {
+        let mut q = EventQueue::default();
+        let a = q.schedule(T0, nanos(1), call());
+        q.pop().unwrap();
+        q.postpone(nanos(1), a, nanos(2));
+    }
+
     /// Naive reference model: a Vec of live `(time, seq)` events, popped by
     /// linear minimum scan. The arena + indexed heap + lane must match its
-    /// time-then-FIFO order under arbitrary schedule/cancel interleavings.
+    /// time-then-FIFO order under arbitrary schedule/cancel/postpone
+    /// interleavings.
     #[derive(Default)]
     struct RefModel {
         live: Vec<(u64, u64, usize)>, // (time, seq, tag)
@@ -888,6 +1073,18 @@ mod tests {
         }
         fn cancel(&mut self, tag: usize) {
             self.live.retain(|&(_, _, t)| t != tag);
+        }
+        /// A postponed event is the one a cancel and a fresh schedule give.
+        fn postpone(&mut self, tag: usize, time: u64) {
+            self.cancel(tag);
+            self.schedule(time, tag);
+        }
+        fn peek(&self) -> Option<u64> {
+            self.live
+                .iter()
+                .map(|&(time, seq, _)| (time, seq))
+                .min()
+                .map(|(t, _)| t)
         }
         fn pop(&mut self) -> Option<(u64, usize)> {
             let (i, _) = self
@@ -903,21 +1100,25 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
-        /// Random interleavings of schedule / cancel / pop against the
-        /// reference model. `op % 8`: 0..=4 schedule, 5..=6 cancel a random
-        /// outstanding id, 7 pop. Times are offset from a moving "clock"
-        /// (the last popped time) so the zero-delay lane is exercised too.
+        /// Random interleavings of schedule / cancel / postpone / pop
+        /// against the reference model. `op % 10`: 0..=4 schedule, 5 cancel
+        /// a random outstanding id, 6..=7 postpone a random outstanding id
+        /// that is not on the lane, 8..=9 pop. Times are offset from a
+        /// moving "clock" (the last popped time) so the zero-delay lane is
+        /// exercised too.
         #[test]
         fn matches_naive_reference_model(
             ops in proptest::collection::vec((any::<u8>(), 0u64..6, 0u64..4096), 1..200)
         ) {
             let mut q = EventQueue::default();
             let mut model = RefModel::default();
-            let mut ids: Vec<(usize, EventId)> = Vec::new();
+            // (tag, id, time, on the lane)
+            let mut ids: Vec<(usize, EventId, u64, bool)> = Vec::new();
             let mut now = 0u64;
             let mut tag = 0usize;
             for &(op, dt, pick) in &ops {
-                match op % 8 {
+                let ahead: Vec<usize> = (0..ids.len()).filter(|&i| !ids[i].3).collect();
+                match op % 10 {
                     0..=4 => {
                         let t = now + dt; // dt == 0 → lane
                         let id = q.schedule(
@@ -926,15 +1127,23 @@ mod tests {
                             call(),
                         );
                         model.schedule(t, tag);
-                        ids.push((tag, id));
+                        ids.push((tag, id, t, dt == 0));
                         tag += 1;
                     }
-                    5 | 6 if !ids.is_empty() => {
-                        let (tag, id) = ids.swap_remove(pick as usize % ids.len());
+                    5 if !ids.is_empty() => {
+                        let (tag, id, _, _) = ids.swap_remove(pick as usize % ids.len());
                         q.cancel(id);
                         model.cancel(tag);
                     }
+                    6 | 7 if !ahead.is_empty() => {
+                        let e = &mut ids[ahead[pick as usize % ahead.len()]];
+                        e.2 += 1 + dt;
+                        q.postpone(SimTime::from_nanos(now), e.1, SimTime::from_nanos(e.2));
+                        model.postpone(e.0, e.2);
+                    }
+                    5..=7 => {}
                     _ => {
+                        prop_assert_eq!(q.peek_time().map(SimTime::as_nanos), model.peek());
                         let got = q.pop();
                         let want = model.pop();
                         match (got, want) {
@@ -944,7 +1153,7 @@ mod tests {
                                 now = t;
                                 let i = ids
                                     .iter()
-                                    .position(|&(_, id)| id == ev.id)
+                                    .position(|&(_, id, _, _)| id == ev.id)
                                     .expect("popped id is not outstanding");
                                 prop_assert_eq!(ids[i].0, want_tag, "FIFO mismatch");
                                 ids.remove(i);
@@ -966,7 +1175,7 @@ mod tests {
                         prop_assert_eq!(ev.time.as_nanos(), t);
                         let i = ids
                             .iter()
-                            .position(|&(_, id)| id == ev.id)
+                            .position(|&(_, id, _, _)| id == ev.id)
                             .expect("drained id is not outstanding");
                         prop_assert_eq!(ids[i].0, want_tag, "FIFO mismatch");
                         ids.remove(i);

@@ -143,6 +143,23 @@ impl SimHandle {
         self.shared.queue().cancel(id);
     }
 
+    /// Move the scheduled event `id` to the later instant `t`: it fires as,
+    /// and is counted as, the event that cancelling it and scheduling the
+    /// same closure at `t` now would give, including its order among other
+    /// events at `t`. O(1); the id stays valid. A computation that is
+    /// interrupted pushes its completion back this way.
+    ///
+    /// Panics unless `id` is a pending event of this shard's queue, for a
+    /// later instant than the one it was scheduled at, and `t` is later
+    /// than its time.
+    pub fn postpone(&self, id: EventId, t: SimTime) {
+        assert!(
+            self.cross_route().is_none(),
+            "postponing another shard's event"
+        );
+        self.shared.queue().postpone(self.now(), id, t);
+    }
+
     /// Schedule a process resume at absolute time `t` (internal; used by the
     /// wait/notify primitives). Processes are pinned to their shard, so a
     /// resume must never cross a shard boundary — wait/notify primitives
