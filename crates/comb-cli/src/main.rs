@@ -1144,7 +1144,7 @@ fn cached_sweep(
 ) -> Result<Vec<PointSample>, CombError> {
     let hw = cfg.resolved_hw();
     comb_core::run_ordered(cfg.jobs, xs, |&x| {
-        run_cell_cached(cache, &hw, cfg, method, x, None).map(|(s, _)| s)
+        run_cell_cached(cache, &hw, cfg, method, x, None, None).map(|(s, _)| s)
     })
     .map_err(CombError::from)
 }

@@ -211,9 +211,10 @@ pub fn run_adaptive_cells(
             }
             let hw = perturb.hw_for_replicate(&base, round);
             let (sample, _) =
-                run_cell_cached(cache, &hw, &cfg, cell.method, cell.x, budget.as_ref()).map_err(
-                    |e| CombError::from(e).with_cell(format!("cell {ci} @ x={} r{round}", cell.x)),
-                )?;
+                run_cell_cached(cache, &hw, &cfg, cell.method, cell.x, budget.as_ref(), None)
+                    .map_err(|e| {
+                        CombError::from(e).with_cell(format!("cell {ci} @ x={} r{round}", cell.x))
+                    })?;
             Ok(sample)
         });
 
@@ -330,6 +331,7 @@ mod tests {
             &cells[0].cfg,
             CellMethod::Polling,
             100_000,
+            None,
             None,
         )
         .unwrap();

@@ -4,7 +4,8 @@
 //! Every COMB sweep cell is a pure function of its simulated inputs: the
 //! resolved hardware description, the method knobs, the fault plan (seed
 //! included), the method variant, and the x value. [`cell_desc`] renders
-//! those inputs as one canonical line, [`CellKey`] is its SHA-256, and
+//! those inputs as one canonical line, [`CellKey`] is its SHA-256
+//! (`crate::sha256`, on the CPU's SHA instructions where it has them), and
 //! [`CellCache`] memoizes cell results under that key in two tiers:
 //!
 //! * **In-process map with single-flight dedup** — the first request for
@@ -13,13 +14,17 @@
 //!   recomputing. Completed results stay in the map, so repeated lookups
 //!   within one campaign are O(1).
 //! * **On-disk content-addressed store** — sharded `aa/bb/<hash>`
-//!   entries under the cache directory, written through the crash-safe
-//!   [`comb_trace::atomic_write`] path. Each entry carries a versioned
-//!   header, the full canonical description, and an FNV-1a checksum of
-//!   the payload; *any* mismatch (magic, version, key, description,
-//!   checksum, parse, truncation) makes the entry a miss — the cell is
-//!   recomputed and the entry atomically re-healed, never trusted and
-//!   never fatal.
+//!   entries under the cache directory, written through
+//!   [`comb_trace::atomic_write_unsynced`]: a temp file with a name unique
+//!   to the write (`.<hash>.<pid>.<n>.tmp`), renamed over the entry, with
+//!   no fsync. Concurrent readers and writers, in one process or several,
+//!   see an entry whole or not at all; a machine crash may lose or tear an
+//!   unsynced entry, and that reads as a miss. Each entry carries a
+//!   versioned header, the full canonical description, and an FNV-1a
+//!   checksum of the payload; *any* mismatch (magic, version, key,
+//!   description, checksum, parse, truncation) makes the entry a miss —
+//!   the cell is recomputed and the entry atomically re-healed, never
+//!   trusted and never fatal.
 //!
 //! Results are serialized through the exact-bit [`crate::codec`], so a
 //! cache-restored sample is `==` to a recomputed one and cached campaigns
@@ -41,10 +46,11 @@ use crate::codec::{self, PointSample};
 use crate::polling::PollingParams;
 use crate::pww::PwwParams;
 use crate::runner::{run, RunError, RunSpec, TracedRun};
+use crate::sha256::sha256_hex;
 use crate::sweep::MethodConfig;
 use comb_hw::HwConfig;
 use comb_sim::SimTime;
-use comb_trace::{atomic_write, Comp, TraceEvent, Tracer};
+use comb_trace::{atomic_write_unsynced, Comp, TraceEvent, Tracer};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -506,7 +512,7 @@ impl CellCache {
             }
         }
         let sample = compute()?;
-        match atomic_write(
+        match atomic_write_unsynced(
             &key.entry_path(&self.dir),
             encode_entry(key, desc, &sample).as_bytes(),
         ) {
@@ -552,6 +558,11 @@ impl CellCache {
 /// empty fails with [`RunError::Interrupted`] without computing. Cache
 /// hits spend nothing, so a campaign interrupted after K computations has
 /// exactly K entries in the store and a rerun resumes from them.
+///
+/// `ident` is the cell's [`cell_desc`] and its [`CellKey`] when the
+/// caller already made them (a server needs the key to quarantine a
+/// cell); with `None` they are made here, and only when a cache is
+/// configured, so an uncached run renders and hashes nothing.
 pub fn run_cell_cached(
     cache: Option<&CellCache>,
     hw: &HwConfig,
@@ -559,6 +570,7 @@ pub fn run_cell_cached(
     method: CellMethod,
     x: u64,
     budget: Option<&AtomicUsize>,
+    ident: Option<(&str, &CellKey)>,
 ) -> Result<(PointSample, CacheOutcome), RunError> {
     let compute = || {
         if let Some(b) = budget {
@@ -572,12 +584,12 @@ pub fn run_cell_cached(
         };
         Ok(method.run(cfg, x, &spec)?.sample)
     };
-    match cache {
-        None => Ok((compute()?, CacheOutcome::Uncached)),
-        Some(c) => {
+    match (cache, ident) {
+        (None, _) => Ok((compute()?, CacheOutcome::Uncached)),
+        (Some(c), Some((desc, key))) => c.get_or_compute(desc, key, compute),
+        (Some(c), None) => {
             let desc = cell_desc(hw, cfg, method, x);
-            let key = CellKey::from_desc(&desc);
-            c.get_or_compute(&desc, &key, compute)
+            c.get_or_compute(&desc, &CellKey::from_desc(&desc), compute)
         }
     }
 }
@@ -833,83 +845,6 @@ fn fnv1a64(data: &[u8]) -> u64 {
     h
 }
 
-/// SHA-256 (FIPS 180-4), implemented here because the workspace
-/// deliberately carries no external hashing dependency. Keys only need
-/// to be collision-resistant content addresses; performance is
-/// irrelevant next to a cell simulation.
-fn sha256_hex(data: &[u8]) -> String {
-    const K: [u32; 64] = [
-        0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
-        0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
-        0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
-        0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
-        0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
-        0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-        0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
-        0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-        0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
-        0xc67178f2,
-    ];
-    let mut h: [u32; 8] = [
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-        0x5be0cd19,
-    ];
-
-    // Pad: message || 0x80 || zeros || 64-bit bit length.
-    let mut msg = data.to_vec();
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
-
-    let mut w = [0u32; 64];
-    for block in msg.chunks_exact(64) {
-        for (i, word) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = hh
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (slot, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-            *slot = slot.wrapping_add(v);
-        }
-    }
-
-    let mut out = String::with_capacity(64);
-    for word in h {
-        out.push_str(&format!("{word:08x}"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -938,27 +873,6 @@ mod tests {
             stolen: SimDuration::from_nanos(7),
             faults: FaultCounters::default(),
         })
-    }
-
-    #[test]
-    fn sha256_matches_fips_vectors() {
-        assert_eq!(
-            sha256_hex(b""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            sha256_hex(b"abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            sha256_hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-        // Padding boundary cases: 55/56/64 bytes exercise one vs two blocks.
-        for n in [55, 56, 63, 64, 65] {
-            let v = vec![b'x'; n];
-            assert_eq!(sha256_hex(&v).len(), 64, "length {n}");
-        }
     }
 
     #[test]
@@ -1328,7 +1242,11 @@ mod tests {
         let victim_desc = "comb-cell v1 maint-1";
         let victim = CellKey::from_desc(victim_desc).entry_path(&dir);
         std::fs::write(&victim, "garbage").unwrap();
-        let stray = victim.with_file_name(".stray.tmp");
+        // A temp file named as a writer names it, left by a killed one.
+        let stray = victim.with_file_name(format!(
+            ".{}.4242.7.tmp",
+            CellKey::from_desc(victim_desc).hex()
+        ));
         std::fs::write(&stray, "tmp").unwrap();
         assert_eq!(verify_store(&dir).invalid, 1);
         let gc = gc_store(&dir);
@@ -1382,19 +1300,29 @@ mod tests {
         let hw = cfg.resolved_hw();
 
         let (plain, outcome) =
-            run_cell_cached(None, &hw, &cfg, CellMethod::Polling, 10_000, None).unwrap();
+            run_cell_cached(None, &hw, &cfg, CellMethod::Polling, 10_000, None, None).unwrap();
         assert_eq!(outcome, CacheOutcome::Uncached);
 
         let cache = CellCache::new(&dir, CacheMode::ReadWrite);
-        let (cold, outcome) =
-            run_cell_cached(Some(&cache), &hw, &cfg, CellMethod::Polling, 10_000, None).unwrap();
+        let (cold, outcome) = run_cell_cached(
+            Some(&cache),
+            &hw,
+            &cfg,
+            CellMethod::Polling,
+            10_000,
+            None,
+            None,
+        )
+        .unwrap();
         assert_eq!(outcome, CacheOutcome::Miss);
         assert_eq!(cold, plain, "cached compute must equal direct compute");
 
-        // A fresh instance restores the identical sample from disk; a hit
-        // spends no interruption budget, so even an empty one is fine.
+        // A fresh instance restores the identical sample from disk, also
+        // under a description and key the caller made; a hit spends no
+        // interruption budget, so even an empty one is fine.
         let warm = CellCache::new(&dir, CacheMode::ReadWrite);
         let empty = AtomicUsize::new(0);
+        let desc = cell_desc(&hw, &cfg, CellMethod::Polling, 10_000);
         let (restored, outcome) = run_cell_cached(
             Some(&warm),
             &hw,
@@ -1402,6 +1330,7 @@ mod tests {
             CellMethod::Polling,
             10_000,
             Some(&empty),
+            Some((&desc, &CellKey::from_desc(&desc))),
         )
         .unwrap();
         assert_eq!(outcome, CacheOutcome::HitDisk);
@@ -1411,11 +1340,13 @@ mod tests {
         // fresh cell, then refuses the next before it computes.
         let pww = CellMethod::Pww { test_in_work: true };
         let budget = AtomicUsize::new(1);
-        let (a, _) = run_cell_cached(Some(&warm), &hw, &cfg, pww, 50_000, Some(&budget)).unwrap();
-        let (b, o) = run_cell_cached(Some(&warm), &hw, &cfg, pww, 50_000, Some(&budget)).unwrap();
+        let (a, _) =
+            run_cell_cached(Some(&warm), &hw, &cfg, pww, 50_000, Some(&budget), None).unwrap();
+        let (b, o) =
+            run_cell_cached(Some(&warm), &hw, &cfg, pww, 50_000, Some(&budget), None).unwrap();
         assert_eq!(o, CacheOutcome::HitMem);
         assert_eq!(a, b);
-        let refused = run_cell_cached(Some(&warm), &hw, &cfg, pww, 60_000, Some(&budget));
+        let refused = run_cell_cached(Some(&warm), &hw, &cfg, pww, 60_000, Some(&budget), None);
         assert!(matches!(refused, Err(RunError::Interrupted)));
         assert_eq!(warm.stats().stored, 1, "the refused cell wrote nothing");
         let _ = std::fs::remove_dir_all(&dir);

@@ -52,6 +52,7 @@ pub mod netperf;
 pub mod polling;
 pub mod pww;
 pub mod runner;
+mod sha256;
 pub mod stats;
 pub mod sweep;
 

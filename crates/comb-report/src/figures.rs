@@ -3,6 +3,7 @@
 //! them on the simulated platforms.
 
 use crate::series::{CiBand, Dataset, Series};
+use comb_core::cache::cell_desc;
 use comb_core::{
     lin_spaced, log_spaced, mean_ci, run_adaptive_cells, run_cell_cached, run_ordered,
     AdaptiveCell, AdaptiveParams, AdaptiveStats, CacheOutcome, CellCache, CellMethod, CombError,
@@ -538,6 +539,18 @@ impl Campaigns {
         ordered
     }
 
+    /// The canonical description of every cell [`Campaigns::prepare`]
+    /// would resolve for `ids`, in plan order: what their cache keys hash.
+    pub fn cell_descs(&self, ids: &[FigureId]) -> Vec<String> {
+        let mut descs = Vec::new();
+        for key in self.plan(ids) {
+            let pc = self.plan_campaign(key);
+            let method = pc.cell_method();
+            descs.extend(pc.xs.iter().map(|&x| cell_desc(&pc.hw, &pc.cfg, method, x)));
+        }
+        descs
+    }
+
     fn plan_campaign(&self, key: CampaignKey) -> PlannedCampaign {
         let f = &self.fidelity;
         let (cfg, xs) = match &key {
@@ -614,6 +627,7 @@ impl Campaigns {
                 pc.cell_method(),
                 x,
                 budget.as_ref(),
+                None,
             )?;
             tally(&tallies, c, outcome);
             Ok(sample)

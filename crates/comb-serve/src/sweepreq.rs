@@ -276,7 +276,8 @@ impl SweepRequest {
                     return Err(RunError::NoResult);
                 }
             }
-            let key = CellKey::from_desc(&cell_desc(&hw, &cfg, self.method, x));
+            let desc = cell_desc(&hw, &cfg, self.method, x);
+            let key = CellKey::from_desc(&desc);
             if let Some(q) = ctx.quarantine {
                 if q.is_quarantined(key.hex()) {
                     note_special(SweepRunError::Quarantined {
@@ -291,7 +292,15 @@ impl SweepRequest {
                 if ctx.poison_x == Some(x) {
                     panic!("injected poison cell x={x}");
                 }
-                run_cell_cached(ctx.cache, &hw, &cfg, self.method, x, None)
+                run_cell_cached(
+                    ctx.cache,
+                    &hw,
+                    &cfg,
+                    self.method,
+                    x,
+                    None,
+                    Some((&desc, &key)),
+                )
             }));
             let r = match attempt {
                 Ok(r) => r,

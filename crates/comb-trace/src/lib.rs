@@ -15,7 +15,8 @@
 //!   in `chrome://tracing` and Perfetto.
 //! * [`analysis`] — per-phase time breakdown, latency percentiles, and
 //!   overlap efficiency (overlapped bytes / total bytes).
-//! * [`fsio`] — crash-safe artifact writes (temp file + fsync + rename)
+//! * [`fsio`] — atomic artifact writes (temp file + rename; fsynced for
+//!   exported artifacts, unsynced for self-validating cache entries)
 //!   used by every exporter above this crate.
 //!
 //! The format and pairing rules are documented in DESIGN.md §7.
@@ -34,6 +35,6 @@ pub use analysis::{LatencyStats, PhaseTotal, TraceAnalysis};
 pub use chrome::{chrome_trace_json, ChromeTrace};
 pub use csv::csv_export;
 pub use event::{Comp, MsgId, Phase, TraceEvent, TraceRecord};
-pub use fsio::{atomic_write, atomic_write_str};
+pub use fsio::{atomic_write, atomic_write_str, atomic_write_unsynced};
 pub use span::{build_spans, check_well_nested, AsyncSpan, InstantEvent, Span, SpanSet};
 pub use tracer::Tracer;

@@ -1,7 +1,8 @@
-//! Golden-file regression tests for faulted campaigns.
+//! Golden-file regression tests for faulted campaigns and cache keys.
 //!
 //! Each test runs a small-fidelity faulted sweep, renders it to CSV, and
-//! diffs the bytes against a checked-in snapshot under `tests/golden/`.
+//! diffs the bytes against a checked-in snapshot under `tests/golden/`;
+//! one pins the cell-cache keys of the smoke figure set.
 //! Any change to the fault models, the retry protocol, the RNG streams or
 //! the sweep pipeline that shifts a single byte fails here — that is the
 //! point. To accept an intentional change, regenerate the snapshots with:
@@ -13,10 +14,11 @@
 //! and review the diff like any other code change.
 
 use comb::core::{
-    log_spaced, polling_sweep, pww_sweep, run, run_ordered, MethodConfig, PwwParams, PwwSample,
-    RunError, RunSpec, TracedRun, Transport,
+    log_spaced, polling_sweep, pww_sweep, run, run_ordered, CellKey, MethodConfig, PwwParams,
+    PwwSample, RunError, RunSpec, TracedRun, Transport,
 };
 use comb::hw::FaultPlan;
+use comb::report::{Campaigns, Fidelity, FigureId};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -144,6 +146,25 @@ fn pww_gm_faulted_campaign_matches_golden() {
         );
     }
     assert_golden("pww_gm_faulted.csv", &out);
+}
+
+#[test]
+fn smoke_figure_set_cell_keys_match_golden() {
+    // The cache key of every cell the smoke figure set resolves, in plan
+    // order, then the SHA-256 over those lines. A change to the canonical
+    // description or to the hash that moves one key would turn every
+    // existing store into misses; it fails here first.
+    let descs = Campaigns::new(Fidelity::smoke()).cell_descs(&FigureId::ALL);
+    let keys: String = descs
+        .iter()
+        .map(|d| format!("{}\n", CellKey::from_desc(d)))
+        .collect();
+    let mut out = String::new();
+    let _ = writeln!(out, "# golden: smoke figure set cell keys, plan order");
+    let _ = writeln!(out, "# cells: {}", descs.len());
+    out.push_str(&keys);
+    let _ = writeln!(out, "sha256 {}", CellKey::from_desc(&keys));
+    assert_golden("smoke_cell_keys.txt", &out);
 }
 
 fn traced_pww_config() -> MethodConfig {
