@@ -214,10 +214,8 @@ OPTIONS (serve):
                                    sweeps served, the rest shed with a
                                    derived Retry-After); 0 restores plain
                                    inline 429s (default 16)
-    --journal <file>               durable job journal: accepted sweeps are
-                                   logged before running and replayed on
-                                   restart, recomputing only uncached cells
-                                   (also persists poison-cell quarantine)
+    --journal                      removed: restart the server and resend;
+                                   stored cells replay from the cell cache
     --breaker <n:secs>             circuit breaker: n consecutive worker
                                    panics refuse campaigns for secs, then a
                                    half-open probe (default 3:2)
@@ -228,9 +226,6 @@ OPTIONS (serve):
                                    server connections (repeatable):
                                    delay=P:MAX_US, partial=P, torn=P,
                                    reset=P, seed=N
-    --poison-x <x>                 chaos hook: panic any worker computing
-                                   sweep point x (drives quarantine and
-                                   breaker paths end to end)
     --no-cache / --cache-refresh / --cache-dir <dir>
                                    cell cache controls, as for figure; the
                                    cache is what makes repeated and
@@ -353,19 +348,25 @@ impl CacheOpts {
                 ))
             }
             "--resume" => {
-                let dir = match self.dir.clone().or_else(default_cache_dir) {
-                    Some(d) => d.display().to_string(),
-                    None => "the directory --cache-dir names".to_string(),
-                };
                 return Err(format!(
                     "--resume was removed: rerun the same command to resume an \
                      interrupted run; its finished cells replay from the cell cache \
-                     in {dir} (--no-cache runs cannot resume)"
+                     in {} (--no-cache runs cannot resume)",
+                    self.resume_dir()
                 ));
             }
             _ => return Ok(false),
         }
         Ok(true)
+    }
+
+    /// The cache directory an interrupted run's stored cells replay
+    /// from, as the removed resume flags' messages name it.
+    fn resume_dir(&self) -> String {
+        match self.dir.clone().or_else(default_cache_dir) {
+            Some(d) => d.display().to_string(),
+            None => "the directory --cache-dir names".to_string(),
+        }
     }
 
     /// Build the cache these flags describe. `None` when caching is off
@@ -1314,7 +1315,12 @@ fn cmd_serve(args: Vec<String>) -> Result<(), CombError> {
                     .map_err(|_| "bad --shed-queue")?
             }
             "--journal" => {
-                cfg.journal = Some(PathBuf::from(it.next().ok_or("--journal needs a file")?))
+                return Err(CombError::usage(format!(
+                    "--journal was removed: restart the server and resend the request; \
+                     its stored cells replay from the cell cache in {} \
+                     (--no-cache servers cannot resume)",
+                    cache_opts.resume_dir()
+                )))
             }
             "--net-fault" => {
                 let spec = it.next().ok_or("--net-fault needs KEY=VALUE")?;
@@ -1345,14 +1351,6 @@ fn cmd_serve(args: Vec<String>) -> Result<(), CombError> {
                     .filter(|&n| n >= 1)
                     .ok_or("bad --quarantine (integer >= 1)")?
             }
-            "--poison-x" => {
-                cfg.poison_x = Some(
-                    it.next()
-                        .ok_or("--poison-x needs an x value")?
-                        .parse()
-                        .map_err(|_| "bad --poison-x")?,
-                )
-            }
             flag if cache_opts.consume(flag, &mut it)? => {}
             other => return Err(CombError::usage(format!("unknown option '{other}'"))),
         }
@@ -1362,12 +1360,6 @@ fn cmd_serve(args: Vec<String>) -> Result<(), CombError> {
         println!("serve: net-fault {}", cfg.net_fault);
     }
     let server = comb_serve::Server::bind(cfg)?;
-    if server.pending_recovery() > 0 {
-        println!(
-            "serve: journal holds {} incomplete job(s) to recover",
-            server.pending_recovery()
-        );
-    }
     // The parseable line CI and loopback tests anchor on. Stdout is
     // line-buffered, so this is visible even when redirected to a file.
     println!("serve: listening on {}", server.local_addr());

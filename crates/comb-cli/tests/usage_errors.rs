@@ -4,7 +4,10 @@
 //! `--resume` is gone: an interrupted run resumes by rerunning it against
 //! the cell cache. Every command that used to take the flag rejects it
 //! with a message that explains the migration and names the cache
-//! directory. `sweep` and `trace` reject the range and the zero knobs that
+//! directory. `comb serve --journal` is gone the same way: a restarted
+//! server replays a resent request's stored cells from the cell cache, so
+//! the flag is rejected, naming that cache directory, before anything is
+//! bound. `sweep` and `trace` reject the range and the zero knobs that
 //! `comb serve` rejects in a sweep request.
 
 use std::process::Command;
@@ -15,15 +18,17 @@ fn unrunnable_inputs_are_usage_errors_that_run_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let cache = dir.join("cells");
-    let journal = dir.join("x");
+    let output = dir.join("x");
     let cache_dir = cache.display().to_string();
     let resume: &[&str] = &["--resume was removed", "rerun", &cache_dir];
+    let journal_gone: &[&str] = &["--journal was removed", "resend", &cache_dir, "--no-cache"];
     let bad_range: &[&str] = &["range needs 1 <= lo <= hi and per_decade >= 1"];
-    let table: [(&[&str], &[&str]); 14] = [
+    let table: [(&[&str], &[&str]); 15] = [
         (&["all", "--resume", "x"], resume),
         (&["figure", "fig08", "--resume", "x"], resume),
         (&["report", "--resume", "x"], resume),
         (&["sweep", "polling", "--resume", "x"], resume),
+        (&["serve", "--journal", "x"], journal_gone),
         (&["sweep", "polling", "--range", "1000:100:1"], bad_range),
         (&["sweep", "polling", "--range", "1000:100000:0"], bad_range),
         (&["sweep", "polling", "--range", "0:1000:1"], bad_range),
@@ -69,7 +74,7 @@ fn unrunnable_inputs_are_usage_errors_that_run_nothing() {
             stderr.contains("[usage]") && fragments.iter().all(|f| stderr.contains(f)),
             "{args:?} should be a usage error saying {fragments:?}: {stderr}"
         );
-        assert!(!journal.exists(), "{args:?} created its output file");
+        assert!(!output.exists(), "{args:?} created its output file");
         assert!(!cache.exists(), "{args:?} ran despite the usage error");
     }
     let _ = std::fs::remove_dir_all(&dir);

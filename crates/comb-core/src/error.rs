@@ -32,9 +32,6 @@ pub enum ErrorKind {
     Watchdog,
     /// Reading or writing an artifact failed.
     Io,
-    /// A durable job journal (`comb serve --journal`) is corrupt, or a
-    /// record for it is malformed.
-    Checkpoint,
     /// The campaign was interrupted before completing (resumable).
     Interrupted,
     /// A harness invariant broke — always a bug, never retryable.
@@ -50,7 +47,6 @@ impl ErrorKind {
             ErrorKind::WorkerPanic => "worker-panic",
             ErrorKind::Watchdog => "watchdog",
             ErrorKind::Io => "io",
-            ErrorKind::Checkpoint => "checkpoint",
             ErrorKind::Interrupted => "interrupted",
             ErrorKind::Internal => "internal",
         }
@@ -92,11 +88,6 @@ impl CombError {
     /// An I/O error with the path (or operation) it hit.
     pub fn io(context: impl fmt::Display, err: &std::io::Error) -> CombError {
         CombError::new(ErrorKind::Io, format!("{context}: {err}"))
-    }
-
-    /// A corrupt or incompatible job journal.
-    pub fn checkpoint(message: impl Into<String>) -> CombError {
-        CombError::new(ErrorKind::Checkpoint, message)
     }
 
     /// The campaign stopped early; completed cells are in the cell cache

@@ -48,8 +48,9 @@ pub struct ServeSoakConfig {
     pub shed_queue: usize,
     /// Transport fault plan installed on the server.
     pub fault: NetFaultPlan,
-    /// Optional poison cell: sweeps touching this x panic a worker,
-    /// driving the quarantine and circuit-breaker paths under load.
+    /// Test hook: sweeps touching this x panic a worker, driving the
+    /// quarantine and circuit-breaker paths under load.
+    #[doc(hidden)]
     pub poison_x: Option<u64>,
 }
 
@@ -300,7 +301,14 @@ mod tests {
         cfg.fault = NetFaultPlan::none();
         cfg.requests = 32;
         cfg.clients = 4;
-        cfg.workers = 2;
+        // A client opens a fresh connection per request, and the server
+        // holds a finished connection's permit until it reads the EOF, so
+        // each worker can pin one such permit on top of the clients' live
+        // connections. Admission capacity is `2 × workers` here; with
+        // `workers >= clients` it holds both, no poison sweep is ever shed
+        // as a 429 before it reaches a worker, and the 5xx count does not
+        // depend on scheduling.
+        cfg.workers = 4;
         cfg.poison_x = Some(SOAK_POISON_X);
         let report = run_serve_soak(&cfg).unwrap();
         assert!(report.passed(), "{}", report.summary());

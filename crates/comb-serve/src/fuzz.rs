@@ -12,8 +12,7 @@
 //!   depth budgets, and the parsers' own limits (`MAX_HEAD`, `MAX_BODY`,
 //!   `MAX_DEPTH`) must hold them to termination;
 //! * **idempotence**: for structured cases,
-//!   `parse → render → reparse → render` must be a fixed point — the
-//!   canonicalization the job journal depends on.
+//!   `parse → render → reparse → render` must be a fixed point.
 //!
 //! Case seeds derive from `(harness seed, case index)` via comb-hw's
 //! `stream_seed`, so `comb soak --serve` manifests can name the single

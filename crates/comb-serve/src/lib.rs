@@ -29,7 +29,6 @@ pub mod chaos;
 pub mod fuzz;
 pub mod http;
 pub mod jobs;
-pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod netfault;
@@ -41,7 +40,6 @@ pub use chaos::{run_serve_soak, ServeSoakConfig, ServeSoakReport};
 pub use fuzz::{run_fuzz, FuzzConfig, FuzzReport};
 pub use http::{client_request, ClientResponse};
 pub use jobs::{Job, JobRegistry, JobState};
-pub use journal::{JobJournal, JournalRecovery};
 pub use json::Json;
 pub use metrics::{metric_value, ServeMetrics};
 pub use netfault::{FaultedStream, NetFaultCounters, NetFaultPlan};

@@ -25,8 +25,6 @@ pub struct ServeMetrics {
     /// Campaign requests refused because their deadline expired before or
     /// during execution (503).
     pub deadline_expired: AtomicU64,
-    /// Journaled jobs re-admitted by restart recovery.
-    pub recovered_jobs: AtomicU64,
     latency_us: Mutex<QuantileWindow>,
 }
 
@@ -48,7 +46,6 @@ impl ServeMetrics {
             shed_rejected: AtomicU64::new(0),
             breaker_opens: AtomicU64::new(0),
             deadline_expired: AtomicU64::new(0),
-            recovered_jobs: AtomicU64::new(0),
             latency_us: Mutex::new(QuantileWindow::new(4096)),
         }
     }
@@ -140,10 +137,6 @@ impl ServeMetrics {
         line(
             "deadline_expired_total",
             self.deadline_expired.load(Ordering::Relaxed).to_string(),
-        );
-        line(
-            "recovered_jobs_total",
-            self.recovered_jobs.load(Ordering::Relaxed).to_string(),
         );
         line("queue_depth", queue_depth.to_string());
         line("queue_capacity", queue_capacity.to_string());

@@ -150,8 +150,8 @@ impl Default for CircuitBreaker {
 /// Poison-cell quarantine: after `threshold` panics attributed to one
 /// cell key, the cell is quarantined and every later request for it gets
 /// a structured error instead of a recompute. Keys are the cache's
-/// `CellKey` hex (stable across restarts, so the journal can pre-seed
-/// panic counts during recovery).
+/// `CellKey` hex. The quarantine lives in process: a restarted server
+/// starts with it empty.
 #[derive(Debug)]
 pub struct Quarantine {
     threshold: u32,

@@ -22,12 +22,13 @@
 //!
 //! ## Failure model
 //!
-//! Accepted campaign jobs are journaled (canonical JSON) before they run
-//! and marked done after; a killed-and-restarted server replays
-//! incomplete jobs, recomputing only uncached cells (see
-//! [`crate::journal`]). Worker panics feed a poison-cell quarantine and a
-//! half-open circuit breaker (see [`crate::overload`]); transport faults
-//! are injected deterministically under a seeded [`NetFaultPlan`] (see
+//! Every finished cell is stored in the cell cache as it completes, so a
+//! killed-and-restarted server keeps no job state of its own: a client
+//! that resends its request gets the same bytes, with only the cells
+//! that were never stored computed. Worker panics are caught per cell and
+//! feed an in-process poison-cell quarantine and a half-open circuit
+//! breaker (see [`crate::overload`]); transport faults are injected
+//! deterministically under a seeded [`NetFaultPlan`] (see
 //! [`crate::netfault`]). DESIGN.md §13 describes the full taxonomy.
 //!
 //! ## Request canonicalization
@@ -43,7 +44,6 @@ use crate::http::{
     read_request_limited, write_response, ChunkedWriter, Conn, ReadLimits, ReadOutcome, Request,
 };
 use crate::jobs::JobRegistry;
-use crate::journal::{JobJournal, RecoveredJob};
 use crate::metrics::ServeMetrics;
 use crate::netfault::{FaultedStream, NetFaultCounters, NetFaultPlan};
 use crate::overload::{BreakerDecision, CircuitBreaker, Quarantine};
@@ -55,7 +55,6 @@ use comb_sim::SimTime;
 use comb_trace::{Comp, TraceEvent, Tracer};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -90,16 +89,15 @@ pub struct ServeConfig {
     pub shed_queue: usize,
     /// Seeded transport fault injection plan (default: none).
     pub net_fault: NetFaultPlan,
-    /// Durable job journal path; `None` disables journaling + recovery.
-    pub journal: Option<PathBuf>,
     /// Worker-panic circuit breaker: consecutive panics to trip.
     pub breaker_threshold: u32,
     /// Worker-panic circuit breaker: cooldown before the half-open probe.
     pub breaker_cooldown: Duration,
     /// Poison-cell quarantine: panics per cell before quarantining it.
     pub quarantine_threshold: u32,
-    /// Chaos hook: deterministically panic any worker computing this
-    /// sweep x (drives quarantine/breaker paths in tests and CI).
+    /// Test hook: deterministically panic any worker computing this
+    /// sweep x (drives the quarantine and breaker paths in tests).
+    #[doc(hidden)]
     pub poison_x: Option<u64>,
     /// Trace sink for serve events (disabled tracers cost one atomic
     /// load per emit).
@@ -119,7 +117,6 @@ impl Default for ServeConfig {
             request_deadline: Duration::from_secs(30),
             shed_queue: 16,
             net_fault: NetFaultPlan::none(),
-            journal: None,
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_secs(2),
             quarantine_threshold: 3,
@@ -156,11 +153,9 @@ struct Shared {
     net_fault: NetFaultPlan,
     net_counters: Arc<NetFaultCounters>,
     conn_seq: AtomicU64,
-    journal: Option<JobJournal>,
     breaker: CircuitBreaker,
     quarantine: Quarantine,
     poison_x: Option<u64>,
-    recovered: Mutex<Vec<RecoveredJob>>,
 }
 
 impl Shared {
@@ -237,8 +232,7 @@ impl ServerHandle {
 
 impl Server {
     /// Bind the listener (resolving an ephemeral port) without accepting
-    /// yet, opening (and replaying) the job journal when configured.
-    /// Fails with an [`ErrorKind::Io`] error on bind problems — exit
+    /// yet. Fails with an [`ErrorKind::Io`] error on bind problems — exit
     /// code 2 under the CLI's contract.
     pub fn bind(cfg: ServeConfig) -> Result<Server, CombError> {
         let listener = TcpListener::bind(&cfg.addr)
@@ -247,23 +241,6 @@ impl Server {
             .local_addr()
             .map_err(|e| CombError::io("local_addr", &e))?;
         let workers = cfg.workers.max(1);
-
-        let quarantine = Quarantine::new(cfg.quarantine_threshold);
-        let (journal, recovered, max_id) = match &cfg.journal {
-            Some(path) => {
-                let (journal, recovery) = JobJournal::open(path)?;
-                // Pre-seed the quarantine from journaled panic lines, so
-                // a cell that crash-looped the previous process is
-                // refused (not recomputed) from the first request on.
-                for (key, count) in &recovery.panic_counts {
-                    for _ in 0..*count {
-                        let _ = quarantine.note_panic(key);
-                    }
-                }
-                (Some(journal), recovery.incomplete, recovery.max_id)
-            }
-            None => (None, Vec::new(), 0),
-        };
 
         let shed = (cfg.shed_queue > 0).then(|| ShedLane {
             capacity: cfg.shed_queue,
@@ -288,15 +265,13 @@ impl Server {
             shutdown: AtomicBool::new(false),
             metrics: ServeMetrics::new(),
             jobs_reg: JobRegistry::new(),
-            next_req: AtomicU64::new(max_id),
+            next_req: AtomicU64::new(0),
             net_fault: cfg.net_fault,
             net_counters: Arc::new(NetFaultCounters::default()),
             conn_seq: AtomicU64::new(0),
-            journal,
             breaker: CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown),
-            quarantine,
+            quarantine: Quarantine::new(cfg.quarantine_threshold),
             poison_x: cfg.poison_x,
-            recovered: Mutex::new(recovered),
         });
         Ok(Server { listener, shared })
     }
@@ -313,21 +288,11 @@ impl Server {
         }
     }
 
-    /// Incomplete journaled jobs awaiting recovery (what the recovery
-    /// thread will replay once the server runs).
-    pub fn pending_recovery(&self) -> usize {
-        self.shared
-            .recovered
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .len()
-    }
-
     /// Run until a shutdown is requested (`POST /admin/shutdown` or
     /// [`ServerHandle::shutdown`]), then drain queued connections and
     /// join the workers. Returns `Ok(())` on a clean drain.
     pub fn run(self) -> Result<(), CombError> {
-        let mut threads = Vec::with_capacity(self.shared.workers + 2);
+        let mut threads = Vec::with_capacity(self.shared.workers + 1);
         for i in 0..self.shared.workers {
             let shared = Arc::clone(&self.shared);
             let t = std::thread::Builder::new()
@@ -342,16 +307,6 @@ impl Server {
                 .name("comb-serve-shedder".to_string())
                 .spawn(move || shed_loop(&shared))
                 .map_err(|e| CombError::io("spawn shedder", &e))?;
-            threads.push(t);
-        }
-        let pending = self.pending_recovery();
-        if pending > 0 {
-            println!("serve: recovering {pending} interrupted job(s)");
-            let shared = Arc::clone(&self.shared);
-            let t = std::thread::Builder::new()
-                .name("comb-serve-recovery".to_string())
-                .spawn(move || recovery_loop(&shared))
-                .map_err(|e| CombError::io("spawn recovery", &e))?;
             threads.push(t);
         }
 
@@ -580,50 +535,6 @@ fn sweep_fully_cached(shared: &Shared, req: &Request) -> bool {
     })
 }
 
-/// Restart recovery: replay every incomplete journaled job under its
-/// original id. Cached cells are hits, so only the work the crash
-/// actually lost is recomputed; the rendered body is discarded (clients
-/// re-request and get byte-identical bytes from the warmed cache).
-fn recovery_loop(shared: &Shared) {
-    let jobs = std::mem::take(&mut *shared.recovered.lock().unwrap_or_else(|p| p.into_inner()));
-    for recovered in jobs {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let Ok(sweep) = SweepRequest::parse(&recovered.body) else {
-            if let Some(j) = &shared.journal {
-                let _ = j.record_done(recovered.id, "error: unreplayable journal body");
-            }
-            continue;
-        };
-        let job = shared
-            .jobs_reg
-            .create(recovered.id, &recovered.kind, sweep.xs.len() as u64);
-        job.push_event("recovered from journal".to_string());
-        let ctx = SweepRunCtx {
-            jobs: shared.jobs,
-            cache: shared.cache.as_deref(),
-            quarantine: Some(&shared.quarantine),
-            journal: shared.journal.as_ref(),
-            deadline: None,
-            poison_x: shared.poison_x,
-        };
-        let status = match sweep.run_guarded(&ctx, &job) {
-            Ok(_) => "ok".to_string(),
-            Err(e) => format!("error: {e}"),
-        };
-        job.finish(&status);
-        if let Some(j) = &shared.journal {
-            let _ = j.record_done(recovered.id, &status);
-        }
-        shared
-            .metrics
-            .recovered_jobs
-            .fetch_add(1, Ordering::Relaxed);
-        shared.trace(|| TraceEvent::ServeRecovered { job: recovered.id });
-    }
-}
-
 fn handle_connection(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     // Writes get the same hard budget reads do: a client that stops
@@ -849,32 +760,19 @@ fn handle_sweep<S: Conn>(
     }
     let deadline = Instant::now() + budget;
 
-    let canonical = sweep.canonical_json();
-    if let Some(j) = &shared.journal {
-        let _ = j.record_job(req_id, "sweep", &canonical);
-    }
     let job = shared
         .jobs_reg
         .create(req_id, "sweep", sweep.xs.len() as u64);
     let ctx = SweepRunCtx {
         jobs: shared.jobs,
         cache: shared.cache.as_deref(),
-        quarantine: Some(&shared.quarantine),
-        journal: shared.journal.as_ref(),
-        deadline: Some(deadline),
+        quarantine: &shared.quarantine,
+        deadline,
         poison_x: shared.poison_x,
     };
-    let result = sweep.run_guarded(&ctx, &job);
-
-    let finish = |status: &str| {
-        job.finish(status);
-        if let Some(j) = &shared.journal {
-            let _ = j.record_done(req_id, status);
-        }
-    };
-    match result {
+    match sweep.run(&ctx, &job) {
         Ok(text) => {
-            finish("ok");
+            job.finish("ok");
             if shared.breaker.on_success() {
                 shared.trace(|| TraceEvent::ServeBreaker { open: false });
             }
@@ -889,7 +787,7 @@ fn handle_sweep<S: Conn>(
             )
         }
         Err(SweepRunError::DeadlineExpired) => {
-            finish("error: deadline expired");
+            job.finish("error: deadline expired");
             shared
                 .metrics
                 .deadline_expired
@@ -906,7 +804,7 @@ fn handle_sweep<S: Conn>(
             )
         }
         Err(SweepRunError::Quarantined { key, x }) => {
-            finish("error: quarantined cell");
+            job.finish("error: quarantined cell");
             let body = format!("{{\"error\":\"quarantined\",\"cell\":\"{key}\",\"x\":{x}}}\n");
             reply(
                 stream,
@@ -924,7 +822,7 @@ fn handle_sweep<S: Conn>(
             message,
             quarantined,
         }) => {
-            finish("error: worker panic");
+            job.finish("error: worker panic");
             if quarantined {
                 shared.trace(|| TraceEvent::ServeQuarantined {
                     panics: shared.quarantine.len() as u32,
@@ -949,7 +847,7 @@ fn handle_sweep<S: Conn>(
             )
         }
         Err(SweepRunError::Run(e)) => {
-            finish(&format!("error: {e}"));
+            job.finish(&format!("error: {e}"));
             reply(
                 stream,
                 req_id,

@@ -21,13 +21,12 @@
 //! order or whitespace.
 
 use crate::jobs::Job;
-use crate::journal::JobJournal;
 use crate::json::Json;
 use crate::overload::Quarantine;
 use comb_core::cache::cell_desc;
 use comb_core::{
-    log_spaced, run_cell_cached, run_ordered, CellCache, CellKey, CellMethod, CombError,
-    MethodConfig, RunError, Transport,
+    log_spaced, run_cell_cached, run_ordered, CellCache, CellKey, CellMethod, MethodConfig,
+    RunError, Transport,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -185,77 +184,13 @@ impl SweepRequest {
         })
     }
 
-    /// The request's canonical JSON: every identity-bearing field made
-    /// explicit (defaults resolved, a `range` expanded into its `xs`),
-    /// keys sorted, rendered single-line. This is what the job journal
-    /// stores — replaying it reconstructs an equal request regardless of
-    /// how the original body was spelled, so a recovered job hits the
-    /// same cache cells and renders the same bytes. `deadline_ms` is a
-    /// QoS knob, not identity, and is deliberately excluded.
-    pub fn canonical_json(&self) -> String {
-        let (method, test_in_work) = match self.method {
-            CellMethod::Polling => ("polling", false),
-            CellMethod::Pww { test_in_work } => ("pww", test_in_work),
-        };
-        let transport = match self.cfg.transport {
-            Transport::Gm => "gm",
-            Transport::Portals => "portals",
-            Transport::Emp => "emp",
-            // The serving API never constructs a custom transport; the
-            // name keeps a hand-built request visibly non-replayable
-            // instead of silently re-labelling it.
-            Transport::Custom(_) => "custom",
-        };
-        let num = |n: u64| Json::Num(n as f64);
-        // Already sorted by key, the canonical order.
-        Json::Obj(vec![
-            ("batch".to_string(), num(self.cfg.batch as u64)),
-            ("cycles".to_string(), num(self.cfg.cycles)),
-            ("max_intervals".to_string(), num(self.cfg.max_intervals)),
-            ("method".to_string(), Json::Str(method.to_string())),
-            ("msg_bytes".to_string(), num(self.cfg.msg_bytes)),
-            ("queue_depth".to_string(), num(self.cfg.queue_depth as u64)),
-            ("target_iters".to_string(), num(self.cfg.target_iters)),
-            ("test_in_work".to_string(), Json::Bool(test_in_work)),
-            ("transport".to_string(), Json::Str(transport.to_string())),
-            (
-                "xs".to_string(),
-                Json::Arr(self.xs.iter().map(|&x| num(x)).collect()),
-            ),
-        ])
-        .render()
-    }
-
-    /// Execute on the shared pool, resolving every cell through the cache
-    /// (the server's single-flight map joins identical concurrent
-    /// requests), and render the canonical sweep text — byte-identical to
-    /// the stdout of the equivalent `comb sweep` run.
-    pub fn run(
-        &self,
-        jobs: usize,
-        cache: Option<&CellCache>,
-        job: &Job,
-    ) -> Result<String, CombError> {
-        self.run_guarded(
-            &SweepRunCtx {
-                jobs,
-                cache,
-                ..SweepRunCtx::default()
-            },
-            job,
-        )
-        .map_err(|e| match e {
-            SweepRunError::Run(r) => CombError::from(r),
-            other => CombError::internal(other.to_string()),
-        })
-    }
-
-    /// [`SweepRequest::run`] with the chaos-hardening guards threaded in:
-    /// per-cell deadline checks, poison-cell quarantine (panic accounting
-    /// into the journal), and the deterministic poison hook. Cells still
-    /// resolve through the cache, and a fully successful run renders the
-    /// same bytes `run` would.
-    pub fn run_guarded(&self, ctx: &SweepRunCtx<'_>, job: &Job) -> Result<String, SweepRunError> {
+    /// Execute on the shared pool under the server's guards (per-cell
+    /// deadline checks, the poison-cell quarantine and the poison test
+    /// hook), resolving every cell through the cache (the cache's
+    /// single-flight map joins identical concurrent requests), and render
+    /// the canonical sweep text — byte-identical to the stdout of the
+    /// equivalent `comb sweep` run.
+    pub fn run(&self, ctx: &SweepRunCtx<'_>, job: &Job) -> Result<String, SweepRunError> {
         let mut cfg = self.cfg.clone();
         cfg.jobs = ctx.jobs;
         let hw = cfg.resolved_hw();
@@ -269,24 +204,20 @@ impl SweepRequest {
             s.get_or_insert(e);
         };
         let results = run_ordered(cfg.jobs, &self.xs, |&x| {
-            if let Some(deadline) = ctx.deadline {
-                if Instant::now() >= deadline {
-                    note_special(SweepRunError::DeadlineExpired);
-                    job.push_event(format!("cell x={x} skipped: deadline expired"));
-                    return Err(RunError::NoResult);
-                }
+            if Instant::now() >= ctx.deadline {
+                note_special(SweepRunError::DeadlineExpired);
+                job.push_event(format!("cell x={x} skipped: deadline expired"));
+                return Err(RunError::NoResult);
             }
             let desc = cell_desc(&hw, &cfg, self.method, x);
             let key = CellKey::from_desc(&desc);
-            if let Some(q) = ctx.quarantine {
-                if q.is_quarantined(key.hex()) {
-                    note_special(SweepRunError::Quarantined {
-                        key: key.hex().to_string(),
-                        x,
-                    });
-                    job.push_event(format!("cell x={x} refused: quarantined"));
-                    return Err(RunError::NoResult);
-                }
+            if ctx.quarantine.is_quarantined(key.hex()) {
+                note_special(SweepRunError::Quarantined {
+                    key: key.hex().to_string(),
+                    x,
+                });
+                job.push_event(format!("cell x={x} refused: quarantined"));
+                return Err(RunError::NoResult);
             }
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 if ctx.poison_x == Some(x) {
@@ -312,13 +243,7 @@ impl SweepRequest {
                     } else {
                         "worker panic".to_string()
                     };
-                    if let Some(j) = ctx.journal {
-                        let _ = j.record_panic(key.hex());
-                    }
-                    let quarantined = ctx
-                        .quarantine
-                        .map(|q| q.note_panic(key.hex()).is_some())
-                        .unwrap_or(false);
+                    let quarantined = ctx.quarantine.note_panic(key.hex()).is_some();
                     note_special(SweepRunError::Panicked {
                         key: key.hex().to_string(),
                         x,
@@ -347,25 +272,19 @@ impl SweepRequest {
     }
 }
 
-/// Execution context for [`SweepRequest::run_guarded`] — the guards are
-/// all optional, so the legacy [`SweepRequest::run`] path is just the
-/// default context.
-#[derive(Default)]
+/// Execution context for [`SweepRequest::run`].
 pub struct SweepRunCtx<'a> {
     /// Pool width (`0` = auto).
     pub jobs: usize,
     /// Shared cell cache.
     pub cache: Option<&'a CellCache>,
     /// Poison-cell quarantine (panic bookkeeping + refusal).
-    pub quarantine: Option<&'a Quarantine>,
-    /// Durable journal for panic lines.
-    pub journal: Option<&'a JobJournal>,
+    pub quarantine: &'a Quarantine,
     /// Absolute wall-clock deadline; cells not started by then are
     /// skipped and the request fails with
     /// [`SweepRunError::DeadlineExpired`].
-    pub deadline: Option<Instant>,
-    /// Chaos hook: deterministically panic while computing this x (used
-    /// by tests and the CI chaos job to drive the quarantine + breaker).
+    pub deadline: Instant,
+    /// Test hook: deterministically panic while computing this x.
     pub poison_x: Option<u64>,
 }
 
@@ -440,37 +359,6 @@ mod tests {
     fn range_matches_cli_log_spacing() {
         let r = SweepRequest::parse(r#"{"range":{"lo":1000,"hi":100000,"per_decade":2}}"#).unwrap();
         assert_eq!(r.xs, log_spaced(1000, 100_000, 2));
-    }
-
-    #[test]
-    fn canonical_json_is_a_replayable_fixed_point() {
-        // Two spellings of the same request canonicalize identically...
-        let a = SweepRequest::parse(
-            r#"{"method":"pww","msg_bytes":4096,"xs":[100,200],"cycles":3,"deadline_ms":500}"#,
-        )
-        .unwrap();
-        let b = SweepRequest::parse(
-            r#"{ "cycles": 3, "xs": [100, 200], "msg_bytes": 4096, "method": "pww" }"#,
-        )
-        .unwrap();
-        let canon = a.canonical_json();
-        assert_eq!(
-            canon,
-            b.canonical_json(),
-            "deadline_ms is QoS, not identity"
-        );
-
-        // ...the canonical form re-parses to the same request (what
-        // journal recovery relies on), and is itself a fixed point.
-        let replayed = SweepRequest::parse(&canon).unwrap();
-        assert_eq!(replayed.cfg, a.cfg);
-        assert_eq!(replayed.xs, a.xs);
-        assert_eq!(replayed.canonical_json(), canon);
-        assert!(!canon.contains('\n'), "journal lines must be single-line");
-
-        // A range request canonicalizes to its expanded xs.
-        let r = SweepRequest::parse(r#"{"range":{"lo":1000,"hi":100000,"per_decade":1}}"#).unwrap();
-        assert!(r.canonical_json().contains("\"xs\":[1000,10000,100000]"));
     }
 
     #[test]

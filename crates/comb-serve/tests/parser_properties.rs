@@ -80,8 +80,7 @@ proptest! {
         }
     }
 
-    /// render → parse → render is the identity on valid documents
-    /// (exactly what journal replay relies on).
+    /// render → parse → render is the identity on valid documents.
     #[test]
     fn render_parse_round_trip(seed in any::<u64>()) {
         let mut rng = DetRng::new(seed);

@@ -72,7 +72,6 @@ fn fields(e: &TraceEvent) -> (u64, String) {
         TraceEvent::ServeShed { served } => (0, format!("served={served}")),
         TraceEvent::ServeBreaker { open } => (0, format!("open={open}")),
         TraceEvent::ServeQuarantined { panics } => (0, format!("panics={panics}")),
-        TraceEvent::ServeRecovered { job } => (0, format!("job={job}")),
         TraceEvent::Custom(s) => (0, s.to_string()),
     }
 }

@@ -378,12 +378,6 @@ pub enum TraceEvent {
         /// Panics observed for the cell when it was quarantined.
         panics: u32,
     },
-    /// Restart recovery re-admitted one incomplete journaled job under
-    /// its original id.
-    ServeRecovered {
-        /// The re-admitted job's original id.
-        job: u64,
-    },
 
     // -- escape hatch ---------------------------------------------------
     /// Free-form marker for ad-hoc debugging; static so the off-path stays
@@ -442,7 +436,6 @@ impl TraceEvent {
             TraceEvent::ServeShed { .. } => "serve_shed",
             TraceEvent::ServeBreaker { .. } => "serve_breaker",
             TraceEvent::ServeQuarantined { .. } => "serve_quarantined",
-            TraceEvent::ServeRecovered { .. } => "serve_recovered",
             TraceEvent::Custom(_) => "custom",
         }
     }

@@ -258,8 +258,7 @@ pub fn build_spans(records: &[TraceRecord]) -> SpanSet {
             | TraceEvent::ServeRejected
             | TraceEvent::ServeShed { .. }
             | TraceEvent::ServeBreaker { .. }
-            | TraceEvent::ServeQuarantined { .. }
-            | TraceEvent::ServeRecovered { .. } => set.instants.push(InstantEvent {
+            | TraceEvent::ServeQuarantined { .. } => set.instants.push(InstantEvent {
                 name: r.event.kind(),
                 comp: r.comp,
                 time: r.time,

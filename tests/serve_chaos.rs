@@ -1,14 +1,13 @@
 //! Chaos-hardening integration tests for `comb serve`: shed-lane
 //! priority triage under saturation, slowloris cutoff, deadline
 //! propagation, the worker-panic circuit breaker + poison-cell
-//! quarantine, journal-backed restart recovery (in-process), and
-//! transport fault injection surfaced in `/metrics`.
+//! quarantine, and transport fault injection surfaced in `/metrics`.
+//! Restart is covered by `crates/comb-cli/tests/serve_recovery.rs`: a
+//! killed server keeps no job state, and a resent request replays its
+//! stored cells from the cell cache.
 
 use comb::core::{CacheMode, CellCache, CombError};
-use comb::serve::sweepreq::SweepRequest;
-use comb::serve::{
-    client_request, metric_value, JobJournal, NetFaultPlan, ServeConfig, Server, ServerHandle,
-};
+use comb::serve::{client_request, metric_value, NetFaultPlan, ServeConfig, Server, ServerHandle};
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -265,91 +264,6 @@ fn quarantined_cell_is_refused_not_recomputed() {
     );
 
     stop(handle, join);
-}
-
-/// In-process restart recovery: an incomplete journaled job is replayed
-/// under its original id on the next boot, and a client re-requesting
-/// the campaign gets byte-identical bytes.
-#[test]
-fn journal_recovery_replays_incomplete_jobs() {
-    let dir = fresh_dir("recovery");
-    let journal_path = dir.join("serve.journal");
-    let cache_dir = dir.join("cache");
-    let mk_cfg = || ServeConfig {
-        jobs: 1,
-        journal: Some(journal_path.clone()),
-        cache: Some(Arc::new(CellCache::new(
-            cache_dir.clone(),
-            CacheMode::ReadWrite,
-        ))),
-        ..ServeConfig::default()
-    };
-
-    // Boot 1: serve one campaign normally (journaled, completed).
-    let (addr, handle, join) = spawn_server(mk_cfg());
-    let first = client_request(&addr, "POST", "/v1/sweep", Some(CHEAP_SWEEP.as_bytes())).unwrap();
-    assert_eq!(first.status, 200, "{}", first.text());
-    stop(handle, join);
-
-    // Simulate a crash mid-campaign: append an admitted-but-unfinished
-    // job directly (what a kill -9 after admission leaves behind).
-    let interrupted = r#"{"msg_bytes":8192,"cycles":2,"target_iters":200000,"max_intervals":300,"xs":[3000,30000]}"#;
-    let canonical = SweepRequest::parse(interrupted).unwrap().canonical_json();
-    {
-        let (journal, _) = JobJournal::open(&journal_path).unwrap();
-        journal.record_job(77, "sweep", &canonical).unwrap();
-    }
-
-    // Boot 2: the incomplete job is recovered under its original id.
-    let server = Server::bind(mk_cfg()).unwrap();
-    assert_eq!(server.pending_recovery(), 1);
-    let addr = server.local_addr().to_string();
-    let (handle, join) = server.spawn();
-
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let text = metrics(&addr);
-        if metric_value(&text, "recovered_jobs_total") == Some(1.0) {
-            break;
-        }
-        assert!(Instant::now() < deadline, "recovery never finished: {text}");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-
-    // The recovered job is visible under its journaled id, finished ok.
-    let r = client_request(&addr, "GET", "/v1/jobs/77", None).unwrap();
-    assert_eq!(r.status, 200, "{}", r.text());
-    assert!(r.text().contains("\"status\":\"ok\""), "{}", r.text());
-
-    // Re-requesting the interrupted campaign serves the recovered cells
-    // from cache, byte-identical to an uninterrupted run.
-    let replay = client_request(&addr, "POST", "/v1/sweep", Some(interrupted.as_bytes())).unwrap();
-    assert_eq!(replay.status, 200, "{}", replay.text());
-    let cfg = {
-        let mut c = comb::core::MethodConfig::new(comb::core::Transport::Gm, 8192);
-        c.cycles = 2;
-        c.target_iters = 200_000;
-        c.max_intervals = 300;
-        c.jobs = 1;
-        c
-    };
-    let samples = comb::core::polling_sweep(&cfg, &[3000, 30_000]).unwrap();
-    let expected = comb::report::render_polling_sweep(&cfg, &samples);
-    assert_eq!(replay.text(), expected, "recovered bytes drifted");
-
-    // Fresh request ids must not collide with recovered ones.
-    let req_id: u64 = replay.header("x-comb-request").unwrap().parse().unwrap();
-    assert!(
-        req_id > 77,
-        "request counter must start past journal max id"
-    );
-
-    // The journal now marks everything done: a third boot recovers nothing.
-    stop(handle, join);
-    let server = Server::bind(mk_cfg()).unwrap();
-    assert_eq!(server.pending_recovery(), 0);
-    drop(server);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Transport fault injection is visible end to end: a storm of faulted
