@@ -11,8 +11,8 @@
 
 use comb_core::{
     default_cache_dir, log_spaced, run_cell_cached, run_ordered, AdaptiveParams, AdaptiveStats,
-    CacheMode, CellCache, CellMethod, CombError, ErrorKind, MethodConfig, NetperfParams, PingPong,
-    PointSample, PollingParams, PwwParams, RunSpec, Transport,
+    CacheMode, CampaignDesc, CellCache, CellMethod, CombError, ErrorKind, MethodConfig,
+    NetperfParams, PingPong, PointSample, PollingParams, PwwParams, RunSpec, Transport,
 };
 use comb_hw::FaultPlan;
 use comb_report::{generate_degradation, run_figures_cached, Fidelity, FigureId};
@@ -330,15 +330,25 @@ struct CacheOpts {
     no_cache: bool,
     refresh: bool,
     dir: Option<PathBuf>,
+    /// The first removed resume flag given, see [`CacheOpts::remove`].
+    removed: Option<Removed>,
 }
+
+/// A removed flag whose message names the cache directory: an
+/// interrupted run now resumes from the cell cache.
+#[derive(Clone, Copy)]
+enum Removed {
+    /// `--resume <ckpt>` on the campaign commands.
+    Resume,
+    /// `comb serve --journal <file>`.
+    Journal,
+}
+
+type Args = std::iter::Peekable<std::vec::IntoIter<String>>;
 
 impl CacheOpts {
     /// Consume one flag if it is a cache flag. Returns false otherwise.
-    fn consume(
-        &mut self,
-        flag: &str,
-        it: &mut impl Iterator<Item = String>,
-    ) -> Result<bool, String> {
+    fn consume(&mut self, flag: &str, it: &mut Args) -> Result<bool, String> {
         match flag {
             "--no-cache" => self.no_cache = true,
             "--cache-refresh" => self.refresh = true,
@@ -347,26 +357,42 @@ impl CacheOpts {
                     it.next().ok_or("--cache-dir needs a directory")?,
                 ))
             }
-            "--resume" => {
-                return Err(format!(
-                    "--resume was removed: rerun the same command to resume an \
-                     interrupted run; its finished cells replay from the cell cache \
-                     in {} (--no-cache runs cannot resume)",
-                    self.resume_dir()
-                ));
-            }
+            "--resume" => self.remove(Removed::Resume, it),
             _ => return Ok(false),
         }
         Ok(true)
     }
 
-    /// The cache directory an interrupted run's stored cells replay
-    /// from, as the removed resume flags' messages name it.
-    fn resume_dir(&self) -> String {
-        match self.dir.clone().or_else(default_cache_dir) {
+    /// Note a removed flag and skip the value it used to take. The error
+    /// waits for [`CacheOpts::reject_removed`], after the whole argument
+    /// list, so that it names the directory a later `--cache-dir` chose.
+    fn remove(&mut self, flag: Removed, it: &mut Args) {
+        self.removed.get_or_insert(flag);
+        it.next_if(|value| !value.starts_with('-'));
+    }
+
+    /// The usage error for a removed flag given anywhere in the
+    /// arguments; call once they are all parsed.
+    fn reject_removed(&self) -> Result<(), String> {
+        let Some(flag) = self.removed else {
+            return Ok(());
+        };
+        let dir = match self.dir.clone().or_else(default_cache_dir) {
             Some(d) => d.display().to_string(),
             None => "the directory --cache-dir names".to_string(),
-        }
+        };
+        Err(match flag {
+            Removed::Resume => format!(
+                "--resume was removed: rerun the same command to resume an \
+                 interrupted run; its finished cells replay from the cell cache \
+                 in {dir} (--no-cache runs cannot resume)"
+            ),
+            Removed::Journal => format!(
+                "--journal was removed: restart the server and resend the request; \
+                 its stored cells replay from the cell cache in {dir} \
+                 (--no-cache servers cannot resume)"
+            ),
+        })
     }
 
     /// Build the cache these flags describe. `None` when caching is off
@@ -514,7 +540,7 @@ fn parse_figure_opts(args: Vec<String>, all: bool) -> Result<FigureOpts, String>
     let mut adaptive = AdaptiveOpts::default();
     let mut jobs: Option<usize> = None;
     let mut shards: Option<usize> = None;
-    let mut it = args.into_iter();
+    let mut it = args.into_iter().peekable();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--paper" => opts.fidelity = Fidelity::paper(),
@@ -546,6 +572,7 @@ fn parse_figure_opts(args: Vec<String>, all: bool) -> Result<FigureOpts, String>
             other => return Err(format!("unknown option '{other}'")),
         }
     }
+    opts.cache.reject_removed()?;
     if let Some(jobs) = jobs {
         opts.fidelity.jobs = jobs;
     }
@@ -637,7 +664,7 @@ fn cmd_report(args: Vec<String>) -> Result<(), CombError> {
     let mut out: Option<PathBuf> = None;
     let mut cache_opts = CacheOpts::default();
     let mut adaptive_opts = AdaptiveOpts::default();
-    let mut it = args.into_iter();
+    let mut it = args.into_iter().peekable();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--paper" => fidelity = Fidelity::paper(),
@@ -654,6 +681,7 @@ fn cmd_report(args: Vec<String>) -> Result<(), CombError> {
             other => return Err(CombError::usage(format!("unknown option '{other}'"))),
         }
     }
+    cache_opts.reject_removed()?;
     if let Some(params) = adaptive_opts.build()? {
         fidelity = fidelity.with_adaptive(params);
     }
@@ -992,7 +1020,7 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), CombError> {
         Some(a) if !a.starts_with('-') => args.remove(0),
         _ => "polling".to_string(),
     };
-    let mut it = args.into_iter();
+    let mut it = args.into_iter().peekable();
     let mut transport = Transport::Gm;
     let mut size: u64 = 100 * 1024;
     let mut queue: usize = 4;
@@ -1071,6 +1099,7 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), CombError> {
             other => return Err(CombError::usage(format!("unknown option '{other}'"))),
         }
     }
+    cache_opts.reject_removed()?;
     require_positive(size, queue, batch, cycles)?;
     let fault = FaultPlan::from_specs(&fault_specs, fault_seed)?;
     let mut cfg = MethodConfig::new(transport, size);
@@ -1144,8 +1173,11 @@ fn cached_sweep(
     method: CellMethod,
 ) -> Result<Vec<PointSample>, CombError> {
     let hw = cfg.resolved_hw();
+    let shared = cache.map(|_| CampaignDesc::new(&hw, cfg));
     comb_core::run_ordered(cfg.jobs, xs, |&x| {
-        run_cell_cached(cache, &hw, cfg, method, x, None, None).map(|(s, _)| s)
+        let ident = shared.as_ref().map(|d| d.ident(method, x));
+        let ident = ident.as_ref().map(|(desc, key)| (desc.as_str(), key));
+        run_cell_cached(cache, &hw, cfg, method, x, None, ident).map(|(s, _)| s)
     })
     .map_err(CombError::from)
 }
@@ -1258,7 +1290,7 @@ fn cmd_serve(args: Vec<String>) -> Result<(), CombError> {
         ..comb_serve::ServeConfig::default()
     };
     let mut cache_opts = CacheOpts::default();
-    let mut it = args.into_iter();
+    let mut it = args.into_iter().peekable();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--addr" => cfg.addr = it.next().ok_or("--addr needs host:port")?,
@@ -1314,14 +1346,7 @@ fn cmd_serve(args: Vec<String>) -> Result<(), CombError> {
                     .parse()
                     .map_err(|_| "bad --shed-queue")?
             }
-            "--journal" => {
-                return Err(CombError::usage(format!(
-                    "--journal was removed: restart the server and resend the request; \
-                     its stored cells replay from the cell cache in {} \
-                     (--no-cache servers cannot resume)",
-                    cache_opts.resume_dir()
-                )))
-            }
+            "--journal" => cache_opts.remove(Removed::Journal, &mut it),
             "--net-fault" => {
                 let spec = it.next().ok_or("--net-fault needs KEY=VALUE")?;
                 cfg.net_fault.parse_spec(&spec).map_err(CombError::usage)?;
@@ -1355,6 +1380,7 @@ fn cmd_serve(args: Vec<String>) -> Result<(), CombError> {
             other => return Err(CombError::usage(format!("unknown option '{other}'"))),
         }
     }
+    cache_opts.reject_removed()?;
     cfg.cache = cache_opts.build();
     if !cfg.net_fault.is_none() {
         println!("serve: net-fault {}", cfg.net_fault);

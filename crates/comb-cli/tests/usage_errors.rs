@@ -7,7 +7,9 @@
 //! directory. `comb serve --journal` is gone the same way: a restarted
 //! server replays a resent request's stored cells from the cell cache, so
 //! the flag is rejected, naming that cache directory, before anything is
-//! bound. `sweep` and `trace` reject the range and the zero knobs that
+//! bound. Both errors are raised once the whole argument list is parsed,
+//! so a `--cache-dir` after the removed flag is the directory named.
+//! `sweep` and `trace` reject the range and the zero knobs that
 //! `comb serve` rejects in a sweep request.
 
 use std::process::Command;
@@ -20,15 +22,37 @@ fn unrunnable_inputs_are_usage_errors_that_run_nothing() {
     let cache = dir.join("cells");
     let output = dir.join("x");
     let cache_dir = cache.display().to_string();
+    // A `--cache-dir` on either side of a removed flag is the directory
+    // its message names.
+    let other = dir.join("elsewhere");
+    let other_dir = other.display().to_string();
     let resume: &[&str] = &["--resume was removed", "rerun", &cache_dir];
     let journal_gone: &[&str] = &["--journal was removed", "resend", &cache_dir, "--no-cache"];
+    let resume_other: &[&str] = &["--resume was removed", "rerun", &other_dir];
+    let journal_other: &[&str] = &["--journal was removed", "resend", &other_dir];
     let bad_range: &[&str] = &["range needs 1 <= lo <= hi and per_decade >= 1"];
-    let table: [(&[&str], &[&str]); 15] = [
+    let table: [(&[&str], &[&str]); 19] = [
         (&["all", "--resume", "x"], resume),
         (&["figure", "fig08", "--resume", "x"], resume),
         (&["report", "--resume", "x"], resume),
         (&["sweep", "polling", "--resume", "x"], resume),
         (&["serve", "--journal", "x"], journal_gone),
+        (
+            &["all", "--resume", "--cache-dir", &other_dir],
+            resume_other,
+        ),
+        (
+            &["all", "--cache-dir", &other_dir, "--resume"],
+            resume_other,
+        ),
+        (
+            &["serve", "--journal", "x", "--cache-dir", &other_dir],
+            journal_other,
+        ),
+        (
+            &["serve", "--cache-dir", &other_dir, "--journal", "x"],
+            journal_other,
+        ),
         (&["sweep", "polling", "--range", "1000:100:1"], bad_range),
         (&["sweep", "polling", "--range", "1000:100000:0"], bad_range),
         (&["sweep", "polling", "--range", "0:1000:1"], bad_range),
@@ -76,6 +100,7 @@ fn unrunnable_inputs_are_usage_errors_that_run_nothing() {
         );
         assert!(!output.exists(), "{args:?} created its output file");
         assert!(!cache.exists(), "{args:?} ran despite the usage error");
+        assert!(!other.exists(), "{args:?} ran despite the usage error");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -121,20 +121,59 @@ impl fmt::Display for CellMethod {
 /// `Debug` — any change to the hardware model's fields automatically
 /// changes the description and therefore invalidates stale entries.
 /// `jobs` and the watchdog are excluded on purpose (see module docs).
+/// A caller describing many cells of one (hw, cfg) renders a
+/// [`CampaignDesc`] once instead.
 pub fn cell_desc(hw: &HwConfig, cfg: &MethodConfig, method: CellMethod, x: u64) -> String {
-    format!(
-        "{DESC_VERSION} method={method} x={x} msg_bytes={} queue_depth={} batch={} \
-         cycles={} target_iters={} min_intervals={} max_intervals={} fault={:?} hw={:?}",
-        cfg.msg_bytes,
-        cfg.queue_depth,
-        cfg.batch,
-        cfg.cycles,
-        cfg.target_iters,
-        cfg.min_intervals,
-        cfg.max_intervals,
-        cfg.fault,
-        hw,
-    )
+    CampaignDesc::new(hw, cfg).cell(method, x)
+}
+
+/// The part of [`cell_desc`] that every cell of one (hw, cfg) shares: the
+/// method knobs, the fault plan and the hardware, which are most of the
+/// line. Render it once per campaign; each cell then adds only its method
+/// and x in front.
+#[derive(Debug)]
+pub struct CampaignDesc {
+    tail: String,
+}
+
+impl CampaignDesc {
+    /// Render the shared part for cells of `cfg` on `hw`.
+    pub fn new(hw: &HwConfig, cfg: &MethodConfig) -> Self {
+        CampaignDesc {
+            tail: format!(
+                " msg_bytes={} queue_depth={} batch={} cycles={} target_iters={} \
+                 min_intervals={} max_intervals={} fault={:?} hw={:?}",
+                cfg.msg_bytes,
+                cfg.queue_depth,
+                cfg.batch,
+                cfg.cycles,
+                cfg.target_iters,
+                cfg.min_intervals,
+                cfg.max_intervals,
+                cfg.fault,
+                hw,
+            ),
+        }
+    }
+
+    /// The canonical description of the cell at `x` run with `method`.
+    pub fn cell(&self, method: CellMethod, x: u64) -> String {
+        use std::fmt::Write;
+        // The prefix is at most 51 bytes: `method=pww+test` and a
+        // 20-digit x.
+        let mut desc = String::with_capacity(64 + self.tail.len());
+        let _ = write!(desc, "{DESC_VERSION} method={method} x={x}");
+        desc.push_str(&self.tail);
+        desc
+    }
+
+    /// The cell's description and its key, as [`run_cell_cached`] takes
+    /// them.
+    pub fn ident(&self, method: CellMethod, x: u64) -> (String, CellKey) {
+        let desc = self.cell(method, x);
+        let key = CellKey::from_desc(&desc);
+        (desc, key)
+    }
 }
 
 /// Content address of one sweep cell: the SHA-256 of its canonical
@@ -560,9 +599,10 @@ impl CellCache {
 /// exactly K entries in the store and a rerun resumes from them.
 ///
 /// `ident` is the cell's [`cell_desc`] and its [`CellKey`] when the
-/// caller already made them (a server needs the key to quarantine a
-/// cell); with `None` they are made here, and only when a cache is
-/// configured, so an uncached run renders and hashes nothing.
+/// caller already made them, from a [`CampaignDesc`] rendered once for
+/// many cells (a server also needs the key to quarantine a cell); with
+/// `None` they are made here, and only when a cache is configured, so an
+/// uncached run renders and hashes nothing.
 pub fn run_cell_cached(
     cache: Option<&CellCache>,
     hw: &HwConfig,
@@ -623,7 +663,7 @@ enum ReadEntry {
 }
 
 fn read_entry(path: &Path, want_desc: &str) -> ReadEntry {
-    let text = match std::fs::read_to_string(path) {
+    let text = match read_entry_text(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return ReadEntry::Missing,
         Err(_) => return ReadEntry::Invalid,
@@ -632,6 +672,39 @@ fn read_entry(path: &Path, want_desc: &str) -> ReadEntry {
         Some(sample) => ReadEntry::Ok(sample),
         None => ReadEntry::Invalid,
     }
+}
+
+/// Bytes asked for per read while loading an entry. Entries are 1.4–1.5 KB
+/// (a ~1.2 KB description and the payload), so one read takes one whole.
+const ENTRY_READ_CHUNK: usize = 4096;
+
+/// The entry file at `path` as text: an open and, for an entry shorter
+/// than [`ENTRY_READ_CHUNK`], one read. Unlike `fs::read_to_string` it
+/// neither stats the file to size its buffer nor reads again to find the
+/// end. A read of a regular file comes back short only at the end of the
+/// file; were one to come back short anywhere else, the text would read
+/// as a torn entry, which validation turns into a recompute.
+fn read_entry_text(path: &Path) -> std::io::Result<String> {
+    use std::io::Read;
+    let mut file = std::fs::File::open(path)?;
+    let mut buf = vec![0u8; ENTRY_READ_CHUNK];
+    let mut len = 0;
+    loop {
+        match file.read(&mut buf[len..]) {
+            Ok(0) => break,
+            Ok(n) => {
+                len += n;
+                if len < buf.len() {
+                    break;
+                }
+                buf.resize(len + ENTRY_READ_CHUNK, 0);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    buf.truncate(len);
+    String::from_utf8(buf).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 /// Validate and decode one entry. With `want_desc`, the stored

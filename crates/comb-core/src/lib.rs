@@ -59,7 +59,7 @@ pub mod sweep;
 pub use adaptive::{run_adaptive_cells, AdaptiveCell, AdaptiveParams, AdaptiveStats, CellEstimate};
 pub use cache::{
     default_cache_dir, gc_store_with_max_age, run_cell_cached, CacheMode, CacheOutcome, CacheStats,
-    CellCache, CellKey, CellMethod,
+    CampaignDesc, CellCache, CellKey, CellMethod,
 };
 pub use codec::PointSample;
 pub use degradation::{

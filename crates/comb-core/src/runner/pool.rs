@@ -8,6 +8,8 @@
 //! results are reassembled **in input order**, which this pool
 //! guarantees by writing each result into its item's slot.
 //!
+//! The calling thread is one of the workers: `jobs` workers spawn
+//! `jobs − 1` scoped threads, and a single worker spawns none.
 //! Scheduling is a shared atomic cursor: idle workers steal the next
 //! unclaimed item, so long points (small poll intervals simulate many
 //! more events) do not leave the other workers idle behind a static
@@ -72,13 +74,53 @@ pub fn effective_shards(requested: usize) -> usize {
     1
 }
 
+/// Claim the indices `0..n` from one shared cursor on `jobs` workers: the
+/// calling thread and `jobs − 1` scoped threads. Once `work` returns false
+/// for an index, no worker claims another.
+fn drain(jobs: usize, n: usize, work: impl Fn(usize) -> bool + Sync) {
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let worker = || {
+        while !stop.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            if !work(i) {
+                stop.store(true, Ordering::Relaxed);
+            }
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..jobs {
+            scope.spawn(worker);
+        }
+        worker();
+    });
+}
+
+/// One result slot per item, filled by whichever worker ran the item.
+fn slots<T>(n: usize) -> Vec<Mutex<Option<T>>> {
+    (0..n).map(|_| Mutex::new(None)).collect()
+}
+
+fn fill<T>(slot: &Mutex<Option<T>>, value: T) {
+    *slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(value);
+}
+
+fn take<T>(slot: Mutex<Option<T>>) -> Option<T> {
+    slot.into_inner().unwrap_or_else(|p| p.into_inner())
+}
+
 /// Run `f` over every item on up to `jobs` workers (`0` = auto, see
-/// [`effective_jobs`]) and return the results **in input order**.
+/// [`effective_jobs`]) and return the results **in input order**. The
+/// calling thread is one of the workers, so `jobs` workers spawn
+/// `jobs − 1` threads and one worker spawns none.
 ///
 /// The first failing item's error is returned (lowest index wins, so
-/// the error is deterministic too); a panicking worker is converted
-/// into [`RunError::WorkerPanic`]. After any failure the remaining
-/// unstarted items are skipped.
+/// the error is deterministic too); a panicking item, on any worker, is
+/// converted into [`RunError::WorkerPanic`]. After any failure the
+/// remaining unstarted items are skipped.
 pub fn run_ordered<I, T>(
     jobs: usize,
     items: &[I],
@@ -89,42 +131,22 @@ where
     T: Send,
 {
     let jobs = effective_jobs(jobs).min(items.len().max(1));
-    if jobs <= 1 {
-        return items.iter().map(f).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let slots: Vec<Mutex<Option<Result<T, RunError>>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let result = match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
-                    Ok(r) => r,
-                    Err(payload) => Err(RunError::WorkerPanic {
-                        message: panic_message(payload.as_ref()),
-                    }),
-                };
-                if result.is_err() {
-                    abort.store(true, Ordering::Relaxed);
-                }
-                *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(result);
-            });
-        }
+    let slots = slots(items.len());
+    drain(jobs, items.len(), |i| {
+        let result = match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
+            Ok(r) => r,
+            Err(payload) => Err(RunError::WorkerPanic {
+                message: panic_message(payload.as_ref()),
+            }),
+        };
+        let ok = result.is_ok();
+        fill(&slots[i], result);
+        ok
     });
 
     let mut out = Vec::with_capacity(items.len());
     for slot in slots {
-        match slot.into_inner().unwrap_or_else(|p| p.into_inner()) {
+        match take(slot) {
             Some(Ok(v)) => out.push(v),
             Some(Err(e)) => return Err(e),
             // Skipped after an abort; the error lives in an earlier or
@@ -213,14 +235,16 @@ impl<T> CellOutcome<T> {
 
 /// Run `f` over every item on up to `jobs` workers (`0` = auto, see
 /// [`effective_jobs`]) and return one [`CellOutcome`] per item, **in
-/// input order** — the resilient counterpart of [`run_ordered`].
+/// input order** — the resilient counterpart of [`run_ordered`], with the
+/// calling thread as one of the workers in the same way.
 ///
 /// Unlike [`run_ordered`], nothing aborts the pool: a failing or
 /// panicking cell is recorded as [`CellOutcome::Failed`] and the
 /// remaining cells keep draining. A panic inside `f` is caught per
-/// attempt and becomes an [`ErrorKind::WorkerPanic`] error (panics are
-/// deterministic replays, so they are never retried). An error the
-/// producer marked [`CombError::retryable`] is retried up to
+/// attempt and becomes an
+/// [`ErrorKind::WorkerPanic`](crate::error::ErrorKind::WorkerPanic) error
+/// (panics are deterministic replays, so they are never retried). An
+/// error the producer marked [`CombError::retryable`] is retried up to
 /// [`RetryPolicy::max_attempts`] times with doubling backoff; `f`
 /// receives the attempt number (0-based) so it can reseed per-attempt
 /// randomness, e.g. via `FaultPlan::for_attempt`.
@@ -261,34 +285,18 @@ where
     };
 
     let jobs = effective_jobs(jobs).min(items.len().max(1));
-    if jobs <= 1 {
-        return items.iter().map(run_one).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CellOutcome<T>>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(run_one(&items[i]));
-            });
-        }
+    let slots = slots(items.len());
+    drain(jobs, items.len(), |i| {
+        fill(&slots[i], run_one(&items[i]));
+        true
     });
-
     slots
         .into_iter()
         .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                .unwrap_or_else(|| CellOutcome::Failed {
-                    error: CombError::internal("cell never ran (pool bug)"),
-                    attempts: 0,
-                })
+            take(slot).unwrap_or_else(|| CellOutcome::Failed {
+                error: CombError::internal("cell never ran (pool bug)"),
+                attempts: 0,
+            })
         })
         .collect()
 }
@@ -473,6 +481,70 @@ mod tests {
             RunError::WorkerPanic { message } => assert!(message.contains("exploded")),
             other => panic!("expected WorkerPanic, got {other:?}"),
         }
+    }
+
+    /// With two workers, items 0 and 1 meet at a barrier, so each runs on
+    /// its own worker and one of them on the calling thread; that one
+    /// panics.
+    fn panic_on_the_calling_thread(
+        i: u64,
+        meet: &std::sync::Barrier,
+        caller: std::thread::ThreadId,
+    ) {
+        if i < 2 {
+            meet.wait();
+            if std::thread::current().id() == caller {
+                panic!("item {i} exploded on the calling thread");
+            }
+        }
+    }
+
+    #[test]
+    fn calling_thread_panic_becomes_worker_panic() {
+        let caller = std::thread::current().id();
+        let items: Vec<u64> = (0..8).collect();
+
+        let meet = std::sync::Barrier::new(2);
+        let err = run_ordered(2, &items, |&i| {
+            panic_on_the_calling_thread(i, &meet, caller);
+            Ok(i)
+        })
+        .unwrap_err();
+        match err {
+            RunError::WorkerPanic { message } => assert!(message.contains("calling thread")),
+            other => panic!("expected WorkerPanic, got {other:?}"),
+        }
+
+        let meet = std::sync::Barrier::new(2);
+        let outcomes = run_cells(2, &items, RetryPolicy::none(), |&i, _| {
+            panic_on_the_calling_thread(i, &meet, caller);
+            Ok::<u64, CombError>(i)
+        });
+        let failed: Vec<&CombError> = outcomes.iter().filter_map(|o| o.error()).collect();
+        assert_eq!(failed.len(), 1, "exactly the calling thread's item fails");
+        assert_eq!(failed[0].kind, ErrorKind::WorkerPanic);
+        assert!(failed[0].message.contains("calling thread"));
+    }
+
+    #[test]
+    fn calling_thread_is_one_of_the_workers() {
+        let caller = std::thread::current().id();
+        let items: Vec<u64> = (0..8).collect();
+        let ran_on = |jobs| {
+            run_ordered(jobs, &items, |_| {
+                std::thread::sleep(Duration::from_millis(2));
+                Ok(std::thread::current().id())
+            })
+            .unwrap()
+        };
+        assert!(
+            ran_on(2).contains(&caller),
+            "the calling thread ran no item"
+        );
+        assert!(
+            ran_on(1).iter().all(|&t| t == caller),
+            "one worker spawns no thread"
+        );
     }
 
     #[test]

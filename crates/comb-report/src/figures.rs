@@ -3,7 +3,7 @@
 //! them on the simulated platforms.
 
 use crate::series::{CiBand, Dataset, Series};
-use comb_core::cache::cell_desc;
+use comb_core::cache::CampaignDesc;
 use comb_core::{
     lin_spaced, log_spaced, mean_ci, run_adaptive_cells, run_cell_cached, run_ordered,
     AdaptiveCell, AdaptiveParams, AdaptiveStats, CacheOutcome, CellCache, CellMethod, CombError,
@@ -545,8 +545,8 @@ impl Campaigns {
         let mut descs = Vec::new();
         for key in self.plan(ids) {
             let pc = self.plan_campaign(key);
-            let method = pc.cell_method();
-            descs.extend(pc.xs.iter().map(|&x| cell_desc(&pc.hw, &pc.cfg, method, x)));
+            let (shared, method) = (CampaignDesc::new(&pc.hw, &pc.cfg), pc.cell_method());
+            descs.extend(pc.xs.iter().map(|&x| shared.cell(method, x)));
         }
         descs
     }
@@ -617,17 +617,28 @@ impl Campaigns {
 
         let tallies = new_tallies(plan.len());
         let cache = self.cell_cache.clone();
+        // Each campaign's shared description part is rendered once, and
+        // only when a cache will hash it: an uncached run renders nothing.
+        let shared: Vec<CampaignDesc> = match cache {
+            Some(_) => plan
+                .iter()
+                .map(|pc| CampaignDesc::new(&pc.hw, &pc.cfg))
+                .collect(),
+            None => Vec::new(),
+        };
         let budget = stop_after.map(AtomicUsize::new);
         let results = run_ordered(self.fidelity.jobs, &points, |&(c, x)| {
             let pc = &plan[c];
+            let method = pc.cell_method();
+            let ident = shared.get(c).map(|d| d.ident(method, x));
             let (sample, outcome) = run_cell_cached(
                 cache.as_deref(),
                 &pc.hw,
                 &pc.cfg,
-                pc.cell_method(),
+                method,
                 x,
                 budget.as_ref(),
-                None,
+                ident.as_ref().map(|(desc, key)| (desc.as_str(), key)),
             )?;
             tally(&tallies, c, outcome);
             Ok(sample)

@@ -73,7 +73,7 @@ pub struct SoakFailure {
     pub seed: u64,
     /// Human-readable scenario summary.
     pub scenario: String,
-    /// Failure classification ([`ErrorKind::label`]).
+    /// Failure classification ([`ErrorKind::label`](comb_core::ErrorKind::label)).
     pub kind: &'static str,
     /// The failure message.
     pub message: String,

@@ -149,7 +149,7 @@ const SOAK_SWEEP: &str =
 const SOAK_POISON_SWEEP: &str =
     r#"{"msg_bytes":4096,"cycles":1,"target_iters":100000,"max_intervals":200,"xs":[777]}"#;
 
-/// The x [`SOAK_POISON_SWEEP`] touches; pass it as
+/// The x `SOAK_POISON_SWEEP` touches; pass it as
 /// [`ServeSoakConfig::poison_x`] to arm it.
 pub const SOAK_POISON_X: u64 = 777;
 

@@ -48,8 +48,7 @@ use crate::metrics::ServeMetrics;
 use crate::netfault::{FaultedStream, NetFaultCounters, NetFaultPlan};
 use crate::overload::{BreakerDecision, CircuitBreaker, Quarantine};
 use crate::sweepreq::{SweepRequest, SweepRunCtx, SweepRunError};
-use comb_core::cache::cell_desc;
-use comb_core::{AdmissionGate, AdmissionPermit, CellCache, CellKey, CombError, ErrorKind};
+use comb_core::{AdmissionGate, AdmissionPermit, CampaignDesc, CellCache, CombError};
 use comb_report::{Fidelity, FigureId};
 use comb_sim::SimTime;
 use comb_trace::{Comp, TraceEvent, Tracer};
@@ -232,8 +231,8 @@ impl ServerHandle {
 
 impl Server {
     /// Bind the listener (resolving an ephemeral port) without accepting
-    /// yet. Fails with an [`ErrorKind::Io`] error on bind problems — exit
-    /// code 2 under the CLI's contract.
+    /// yet. Fails with an [`ErrorKind::Io`](comb_core::ErrorKind::Io) error
+    /// on bind problems — exit code 2 under the CLI's contract.
     pub fn bind(cfg: ServeConfig) -> Result<Server, CombError> {
         let listener = TcpListener::bind(&cfg.addr)
             .map_err(|e| CombError::io(format!("bind {}", cfg.addr), &e))?;
@@ -528,11 +527,11 @@ fn sweep_fully_cached(shared: &Shared, req: &Request) -> bool {
     };
     let mut cfg = sweep.cfg.clone();
     cfg.jobs = shared.jobs;
-    let hw = cfg.resolved_hw();
-    sweep.xs.iter().all(|&x| {
-        let key = CellKey::from_desc(&cell_desc(&hw, &cfg, sweep.method, x));
-        cache.probe(&key)
-    })
+    let desc = CampaignDesc::new(&cfg.resolved_hw(), &cfg);
+    sweep
+        .xs
+        .iter()
+        .all(|&x| cache.probe(&desc.ident(sweep.method, x).1))
 }
 
 fn handle_connection(shared: &Shared, stream: TcpStream) {
@@ -1028,9 +1027,4 @@ fn handle_jobs<S: Conn>(
         status: 200,
         keep_open: false,
     }
-}
-
-/// Convenience used by the CLI exit-code path: classify a serve error.
-pub fn is_usage_error(e: &CombError) -> bool {
-    e.kind == ErrorKind::Usage
 }

@@ -23,9 +23,8 @@
 use crate::jobs::Job;
 use crate::json::Json;
 use crate::overload::Quarantine;
-use comb_core::cache::cell_desc;
 use comb_core::{
-    log_spaced, run_cell_cached, run_ordered, CellCache, CellKey, CellMethod, MethodConfig,
+    log_spaced, run_cell_cached, run_ordered, CampaignDesc, CellCache, CellMethod, MethodConfig,
     RunError, Transport,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -194,6 +193,7 @@ impl SweepRequest {
         let mut cfg = self.cfg.clone();
         cfg.jobs = ctx.jobs;
         let hw = cfg.resolved_hw();
+        let shared = CampaignDesc::new(&hw, &cfg);
         // run_ordered reports only the first generic error; the guard
         // records the first *special* outcome (deadline/quarantine/panic
         // with its cell key) on the side so the server can answer with
@@ -209,8 +209,7 @@ impl SweepRequest {
                 job.push_event(format!("cell x={x} skipped: deadline expired"));
                 return Err(RunError::NoResult);
             }
-            let desc = cell_desc(&hw, &cfg, self.method, x);
-            let key = CellKey::from_desc(&desc);
+            let (desc, key) = shared.ident(self.method, x);
             if ctx.quarantine.is_quarantined(key.hex()) {
                 note_special(SweepRunError::Quarantined {
                     key: key.hex().to_string(),

@@ -128,7 +128,7 @@ impl SimHandle {
     /// Cancel a scheduled event. No-op if it already fired.
     ///
     /// Called from another shard of a sharded simulation, the only id it
-    /// can hold for this shard is the [`EventId::CROSS_SHARD`] sentinel
+    /// can hold for this shard is the `EventId::CROSS_SHARD` sentinel
     /// that `schedule_at` returned, and cancelling it does nothing: this
     /// shard's queue belongs to its own worker thread.
     pub fn cancel(&self, id: EventId) {

@@ -2,7 +2,8 @@
 //!
 //! Each test runs a small-fidelity faulted sweep, renders it to CSV, and
 //! diffs the bytes against a checked-in snapshot under `tests/golden/`;
-//! one pins the cell-cache keys of the smoke figure set.
+//! one pins the cell-cache keys of the smoke figure set, and another checks
+//! that preparing that set stores exactly those keys.
 //! Any change to the fault models, the retry protocol, the RNG streams or
 //! the sweep pipeline that shifts a single byte fails here — that is the
 //! point. To accept an intentional change, regenerate the snapshots with:
@@ -14,13 +15,14 @@
 //! and review the diff like any other code change.
 
 use comb::core::{
-    log_spaced, polling_sweep, pww_sweep, run, run_ordered, CellKey, MethodConfig, PwwParams,
-    PwwSample, RunError, RunSpec, TracedRun, Transport,
+    log_spaced, polling_sweep, pww_sweep, run, run_ordered, CacheMode, CellCache, CellKey,
+    MethodConfig, PwwParams, PwwSample, RunError, RunSpec, TracedRun, Transport,
 };
 use comb::hw::FaultPlan;
-use comb::report::{Campaigns, Fidelity, FigureId};
+use comb::report::{run_figures_cached, Campaigns, Fidelity, FigureId};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -165,6 +167,44 @@ fn smoke_figure_set_cell_keys_match_golden() {
     out.push_str(&keys);
     let _ = writeln!(out, "sha256 {}", CellKey::from_desc(&keys));
     assert_golden("smoke_cell_keys.txt", &out);
+}
+
+/// Every file name two directory levels below `dir`: the entries of a
+/// cell store, sorted.
+fn store_entry_names(dir: &Path) -> Vec<String> {
+    let mut names = Vec::new();
+    for shard in std::fs::read_dir(dir).unwrap() {
+        for sub in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+            for entry in std::fs::read_dir(sub.unwrap().path()).unwrap() {
+                names.push(entry.unwrap().file_name().into_string().unwrap());
+            }
+        }
+    }
+    names.sort();
+    names
+}
+
+#[test]
+fn smoke_figure_set_stores_the_pinned_keys() {
+    // The golden above pins what `Campaigns::cell_descs` renders; this
+    // checks that preparing the figures hashes the same descriptions: a
+    // fresh store holds exactly the pinned keys.
+    let dir = std::env::temp_dir().join(format!("comb_golden_store_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = Arc::new(CellCache::new(&dir, CacheMode::ReadWrite));
+    run_figures_cached(&FigureId::ALL, Fidelity::smoke(), None, Some(cache)).unwrap();
+    let stored = store_entry_names(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let golden = std::fs::read_to_string(golden_path("smoke_cell_keys.txt")).unwrap();
+    let mut pinned: Vec<String> = golden
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.starts_with("sha256 "))
+        .map(str::to_string)
+        .collect();
+    pinned.sort();
+    assert_eq!(pinned.len(), 104);
+    assert_eq!(stored, pinned);
 }
 
 fn traced_pww_config() -> MethodConfig {
