@@ -2,7 +2,9 @@
 //! chunked streaming, and a small loopback client for tests and benches.
 //!
 //! Deliberately the minimum the serving API needs: `Content-Length`
-//! bodies, keep-alive, and chunked transfer-encoding on responses only.
+//! bodies, keep-alive (pipelined requests are answered in order), and
+//! chunked transfer-encoding on responses only. Every frame goes out in
+//! one write.
 //! Limits are hard (16 KiB of headers, 1 MiB of body) so a misbehaving
 //! client cannot grow server memory.
 
@@ -167,12 +169,42 @@ pub fn read_request<S: Conn>(stream: &mut S) -> ReadOutcome {
     read_request_limited(stream, ReadLimits::default())
 }
 
-/// Read one request under [`ReadLimits`]. The idle window doubles as the
-/// keep-alive reaper (timeout with zero buffered bytes is a clean
-/// [`ReadOutcome::Closed`]); the total deadline bounds how long a worker
-/// can be held by one request once bytes start flowing.
+/// Read one request under [`ReadLimits`] through a fresh
+/// [`RequestReader`], for callers that answer one request per connection.
+/// Bytes past the request are dropped with the reader.
 pub fn read_request_limited<S: Conn>(stream: &mut S, limits: ReadLimits) -> ReadOutcome {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
+    RequestReader::new().read(stream, limits)
+}
+
+/// Reads the requests of one connection through one buffer. Bytes that
+/// arrive past a request's body belong to the next request (HTTP/1.1
+/// pipelining) and are parsed first by the next [`RequestReader::read`],
+/// so pipelined requests are answered in order.
+#[derive(Debug, Default)]
+pub struct RequestReader {
+    buf: Vec<u8>,
+}
+
+impl RequestReader {
+    /// A reader with nothing buffered.
+    pub fn new() -> RequestReader {
+        RequestReader::default()
+    }
+
+    /// Read the next request under [`ReadLimits`]. The idle window
+    /// doubles as the keep-alive reaper (timeout with zero buffered bytes
+    /// is a clean [`ReadOutcome::Closed`]); the total deadline bounds how
+    /// long a worker can be held by one request once bytes start flowing.
+    /// Bytes left over from the previous request count as arrived.
+    pub fn read<S: Conn>(&mut self, stream: &mut S, limits: ReadLimits) -> ReadOutcome {
+        read_buffered(&mut self.buf, stream, limits)
+    }
+}
+
+/// [`RequestReader::read`] over the reader's buffer: parses the request
+/// at the front of `buf`, reading more as needed, and leaves the bytes
+/// after its body in `buf`.
+fn read_buffered<S: Conn>(buf: &mut Vec<u8>, stream: &mut S, limits: ReadLimits) -> ReadOutcome {
     let mut chunk = [0u8; 4096];
     // Armed by the first byte of the request.
     let mut deadline: Option<Instant> = None;
@@ -207,7 +239,7 @@ pub fn read_request_limited<S: Conn>(stream: &mut S, limits: ReadLimits) -> Read
     };
 
     let head_end = loop {
-        if let Some(i) = find_head_end(&buf) {
+        if let Some(i) = find_head_end(buf) {
             break i;
         }
         if buf.len() > MAX_HEAD {
@@ -259,6 +291,7 @@ pub fn read_request_limited<S: Conn>(stream: &mut S, limits: ReadLimits) -> Read
         (Some(m), Some(p), Some(v)) if !m.is_empty() && p.starts_with('/') => (m, p, v),
         _ => return ReadOutcome::Malformed(format!("bad request line '{request_line}'")),
     };
+    let (method, path, http11) = (method.to_string(), path.to_string(), version == "HTTP/1.1");
     let mut headers = Vec::new();
     for line in lines {
         if line.is_empty() {
@@ -278,14 +311,14 @@ pub fn read_request_limited<S: Conn>(stream: &mut S, limits: ReadLimits) -> Read
     if content_len > MAX_BODY {
         return ReadOutcome::Malformed("request body too large".to_string());
     }
-    let mut body = buf[head_end + 4..].to_vec();
-    while body.len() < content_len {
+    let end = head_end + 4 + content_len;
+    while buf.len() < end {
         if arm(stream, &mut deadline).is_none() {
             return ReadOutcome::TimedOut;
         }
         match stream.read(&mut chunk) {
             Ok(0) => return ReadOutcome::Malformed("connection closed mid-body".to_string()),
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -303,14 +336,16 @@ pub fn read_request_limited<S: Conn>(stream: &mut S, limits: ReadLimits) -> Read
             Err(e) => return ReadOutcome::Malformed(format!("body read error: {e}")),
         }
     }
-    body.truncate(content_len);
+    let body = buf[head_end + 4..end].to_vec();
+    // Keep what follows the body: the start of the next request.
+    buf.drain(..end);
 
     ReadOutcome::Request(Request {
-        method: method.to_string(),
-        path: path.to_string(),
+        method,
+        path,
         headers,
         body,
-        http11: version == "HTTP/1.1",
+        http11,
     })
 }
 
@@ -335,7 +370,9 @@ pub fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// Write one complete (non-chunked) response.
+/// Write one complete (non-chunked) response: head and body are built
+/// into one buffer and go out in one write, so a small response is one
+/// TCP segment.
 pub fn write_response<S: Write>(
     stream: &mut S,
     status: u16,
@@ -344,24 +381,35 @@ pub fn write_response<S: Write>(
     body: &[u8],
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let mut head = format!(
+    let extra: usize = extra_headers
+        .iter()
+        .map(|(k, v)| k.len() + v.len() + 4)
+        .sum();
+    let mut frame = Vec::with_capacity(128 + content_type.len() + extra + body.len());
+    write!(
+        frame,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
         status,
         status_text(status),
         content_type,
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
-    );
-    for (k, v) in extra_headers {
-        head.push_str(k);
-        head.push_str(": ");
-        head.push_str(v);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    )?;
+    push_headers(&mut frame, extra_headers);
+    frame.extend_from_slice(body);
+    stream.write_all(&frame)?;
     stream.flush()
+}
+
+/// Append `Name: value` lines and the blank line that ends a head.
+fn push_headers(frame: &mut Vec<u8>, headers: &[(&str, String)]) {
+    for (k, v) in headers {
+        frame.extend_from_slice(k.as_bytes());
+        frame.extend_from_slice(b": ");
+        frame.extend_from_slice(v.as_bytes());
+        frame.extend_from_slice(b"\r\n");
+    }
+    frame.extend_from_slice(b"\r\n");
 }
 
 /// Incremental chunked-transfer response writer (used by the job event
@@ -380,28 +428,25 @@ impl<'a, S: Write> ChunkedWriter<'a, S> {
         let mut head = format!(
             "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\n\
              Transfer-Encoding: chunked\r\nConnection: close\r\n"
-        );
-        for (k, v) in extra_headers {
-            head.push_str(k);
-            head.push_str(": ");
-            head.push_str(v);
-            head.push_str("\r\n");
-        }
-        head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
+        )
+        .into_bytes();
+        push_headers(&mut head, extra_headers);
+        stream.write_all(&head)?;
         stream.flush()?;
         Ok(ChunkedWriter { stream })
     }
 
-    /// Emit one chunk (empty input is skipped — an empty chunk would
-    /// terminate the stream).
+    /// Emit one chunk in one write (empty input is skipped — an empty
+    /// chunk would terminate the stream).
     pub fn chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data)?;
-        self.stream.write_all(b"\r\n")?;
+        let mut frame = Vec::with_capacity(data.len() + 20);
+        write!(frame, "{:x}\r\n", data.len())?;
+        frame.extend_from_slice(data);
+        frame.extend_from_slice(b"\r\n");
+        self.stream.write_all(&frame)?;
         self.stream.flush()
     }
 
@@ -452,20 +497,23 @@ pub fn client_request(
     read_client_response(&mut stream)
 }
 
-/// Write one request on an existing connection (keep-alive friendly).
+/// Write one request on an existing connection (keep-alive friendly),
+/// head and body in one write.
 pub fn send_request(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     method: &str,
     path: &str,
     body: Option<&[u8]>,
 ) -> std::io::Result<()> {
     let body = body.unwrap_or(&[]);
-    let head = format!(
+    let mut frame = Vec::with_capacity(64 + method.len() + path.len() + body.len());
+    write!(
+        frame,
         "{method} {path} HTTP/1.1\r\nHost: comb\r\nContent-Length: {}\r\n\r\n",
         body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    )?;
+    frame.extend_from_slice(body);
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
@@ -630,6 +678,85 @@ mod tests {
         let text = String::from_utf8(s.out.clone()).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.ends_with("ok\n"), "{text}");
+    }
+
+    #[test]
+    fn pipelined_requests_are_read_in_order_from_one_buffer() {
+        let wire = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n\
+                     POST /v1/sweep HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"
+            .to_vec();
+        let mut s = MemStream::new(wire);
+        let mut reader = RequestReader::new();
+        let limits = ReadLimits::default();
+        let first = match reader.read(&mut s, limits) {
+            ReadOutcome::Request(r) => r,
+            other => panic!("expected the first request, got {other:?}"),
+        };
+        assert_eq!(
+            (first.method.as_str(), first.path.as_str()),
+            ("GET", "/healthz")
+        );
+        assert!(first.body.is_empty());
+        let second = match reader.read(&mut s, limits) {
+            ReadOutcome::Request(r) => r,
+            other => panic!("expected the second request, got {other:?}"),
+        };
+        assert_eq!(
+            (second.method.as_str(), second.path.as_str()),
+            ("POST", "/v1/sweep")
+        );
+        assert_eq!(second.body, b"hello");
+        assert!(matches!(reader.read(&mut s, limits), ReadOutcome::Closed));
+    }
+
+    /// Accepts every byte and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_goes_out_in_one_write() {
+        for body in [Vec::new(), vec![b'x'; 64 * 1024]] {
+            let mut w = CountingWriter::default();
+            let extra = [("X-Comb-Request", "7".to_string())];
+            write_response(&mut w, 200, "text/plain", &extra, &body, true).unwrap();
+            assert_eq!(w.writes, 1, "response with a {}-byte body", body.len());
+            let head = format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: {}\r\n\
+                 Connection: keep-alive\r\nX-Comb-Request: 7\r\n\r\n",
+                body.len()
+            );
+            assert_eq!(&w.bytes[..head.len()], head.as_bytes());
+            assert_eq!(&w.bytes[head.len()..], &body[..]);
+        }
+
+        let mut w = CountingWriter::default();
+        let mut chunked = ChunkedWriter { stream: &mut w };
+        chunked.chunk(b"hello, world").unwrap();
+        assert_eq!(w.writes, 1, "one chunk");
+        assert_eq!(w.bytes, b"c\r\nhello, world\r\n");
+
+        let mut w = CountingWriter::default();
+        send_request(&mut w, "POST", "/v1/sweep", Some(b"{}")).unwrap();
+        assert_eq!(w.writes, 1, "one request");
+        assert_eq!(
+            w.bytes,
+            b"POST /v1/sweep HTTP/1.1\r\nHost: comb\r\nContent-Length: 2\r\n\r\n{}"
+        );
     }
 
     #[test]

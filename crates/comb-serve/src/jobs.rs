@@ -6,11 +6,21 @@
 //! until new lines (or completion) arrive. Job ids are the request
 //! correlation ids, so a trace, a response header and a `/v1/jobs/<id>`
 //! poll all name the same thing.
+//!
+//! The registry keeps every running job plus the most recent
+//! [`FINISHED_JOBS_KEPT`] finished ones; older finished jobs are evicted
+//! as new ones finish, so a long-running server's registry stays bounded.
+//! A job keeps its whole log in one string, so evicting it frees two
+//! blocks (the log and the job) however many lines it logged: an evicted
+//! job is long out of cache, and every block freed costs a miss.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Mutable state of one job.
+/// How many finished jobs stay queryable after they finish.
+pub const FINISHED_JOBS_KEPT: usize = 1024;
+
+/// Snapshot of one job's state.
 #[derive(Debug, Clone)]
 pub struct JobState {
     /// What the job is ("sweep", "figure").
@@ -27,81 +37,135 @@ pub struct JobState {
     pub events: Vec<String>,
 }
 
+/// What a job holds while it lives.
+#[derive(Debug)]
+struct Log {
+    kind: &'static str,
+    total: u64,
+    completed: u64,
+    done: bool,
+    /// Progress lines, each ending in `\n`, oldest first.
+    lines: String,
+    /// How many lines `lines` holds.
+    count: usize,
+    /// Where the final status starts in `lines` (the rest of the last
+    /// line), once done.
+    status_at: usize,
+}
+
+impl Log {
+    fn push(&mut self, line: &str) {
+        self.lines.push_str(line);
+        self.lines.push('\n');
+        self.count += 1 + line.matches('\n').count();
+    }
+
+    fn lines_from(&self, from: usize) -> Vec<String> {
+        self.lines
+            .split_terminator('\n')
+            .skip(from)
+            .map(str::to_string)
+            .collect()
+    }
+}
+
 /// One observable request-scoped job.
 #[derive(Debug)]
 pub struct Job {
     /// Correlation id (equals the request id that created the job).
     pub id: u64,
-    state: Mutex<JobState>,
+    state: Mutex<Log>,
     cv: Condvar,
 }
 
 impl Job {
-    fn new(id: u64, kind: &str, total: u64) -> Job {
+    fn new(id: u64, kind: &'static str, total: u64) -> Job {
+        let mut log = Log {
+            kind,
+            total,
+            completed: 0,
+            done: false,
+            // Room for a one-cell sweep's start, cell and done lines.
+            lines: String::with_capacity(128),
+            count: 0,
+            status_at: 0,
+        };
+        log.push(&format!("start kind={kind} total={total}"));
         Job {
             id,
-            state: Mutex::new(JobState {
-                kind: kind.to_string(),
-                total,
-                completed: 0,
-                done: false,
-                status: "running".to_string(),
-                events: vec![format!("start kind={kind} total={total}")],
-            }),
+            state: Mutex::new(log),
             cv: Condvar::new(),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, JobState> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Log> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Append a progress line.
     pub fn push_event(&self, line: String) {
-        let mut st = self.lock();
-        st.events.push(line);
+        self.lock().push(&line);
         self.cv.notify_all();
     }
 
     /// Record one finished cell (with a progress line).
     pub fn advance(&self, line: String) {
-        let mut st = self.lock();
-        st.completed += 1;
-        st.events.push(line);
+        let mut log = self.lock();
+        log.completed += 1;
+        log.push(&line);
         self.cv.notify_all();
     }
 
     /// Mark the job finished with the given status line.
-    pub fn finish(&self, status: &str) {
-        let mut st = self.lock();
-        st.done = true;
-        st.status = status.to_string();
-        st.events.push(format!("done status={status}"));
+    fn finish(&self, status: &str) {
+        let mut log = self.lock();
+        log.done = true;
+        log.status_at = log.lines.len() + "done status=".len();
+        log.push(&format!("done status={status}"));
         self.cv.notify_all();
     }
 
     /// Copy of the current state.
     pub fn snapshot(&self) -> JobState {
-        self.lock().clone()
+        let log = self.lock();
+        let status = if log.done {
+            &log.lines[log.status_at..log.lines.len() - 1]
+        } else {
+            "running"
+        };
+        JobState {
+            kind: log.kind.to_string(),
+            total: log.total,
+            completed: log.completed,
+            done: log.done,
+            status: status.to_string(),
+            events: log.lines_from(0),
+        }
     }
 
     /// Block until events beyond `from` exist (or the job is done), then
     /// return the new events and whether the job has finished. Returns
     /// immediately with `(vec![], true)` when fully drained.
     pub fn wait_events(&self, from: usize) -> (Vec<String>, bool) {
-        let mut st = self.lock();
-        while st.events.len() <= from && !st.done {
-            st = self.cv.wait(st).unwrap_or_else(|p| p.into_inner());
+        let mut log = self.lock();
+        while log.count <= from && !log.done {
+            log = self.cv.wait(log).unwrap_or_else(|p| p.into_inner());
         }
-        let fresh = st.events.get(from..).unwrap_or(&[]).to_vec();
-        (fresh, st.done)
+        (log.lines_from(from), log.done)
     }
 }
 
-/// All jobs the server has seen, by id.
+/// Running jobs and the most recent finished ones, by id.
 #[derive(Debug, Default)]
 pub struct JobRegistry {
-    jobs: Mutex<HashMap<u64, Arc<Job>>>,
+    jobs: Mutex<Jobs>,
+}
+
+#[derive(Debug, Default)]
+struct Jobs {
+    by_id: HashMap<u64, Arc<Job>>,
+    /// Ids of finished jobs still held, oldest first.
+    finished: VecDeque<u64>,
 }
 
 impl JobRegistry {
@@ -110,23 +174,33 @@ impl JobRegistry {
         JobRegistry::default()
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, Jobs> {
+        self.jobs.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Create and register a job under the given correlation id.
-    pub fn create(&self, id: u64, kind: &str, total: u64) -> Arc<Job> {
+    pub fn create(&self, id: u64, kind: &'static str, total: u64) -> Arc<Job> {
         let job = Arc::new(Job::new(id, kind, total));
-        self.jobs
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(id, Arc::clone(&job));
+        self.lock().by_id.insert(id, Arc::clone(&job));
         job
+    }
+
+    /// Mark `job` finished with the given status line, evicting the
+    /// oldest finished job once more than [`FINISHED_JOBS_KEPT`] are held.
+    pub fn finish(&self, job: &Job, status: &str) {
+        job.finish(status);
+        let mut jobs = self.lock();
+        jobs.finished.push_back(job.id);
+        if jobs.finished.len() > FINISHED_JOBS_KEPT {
+            if let Some(old) = jobs.finished.pop_front() {
+                jobs.by_id.remove(&old);
+            }
+        }
     }
 
     /// Look a job up by id.
     pub fn get(&self, id: u64) -> Option<Arc<Job>> {
-        self.jobs
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&id)
-            .cloned()
+        self.lock().by_id.get(&id).cloned()
     }
 }
 
@@ -159,7 +233,7 @@ mod tests {
 
         job.advance("cell x=1".to_string());
         job.advance("cell x=2".to_string());
-        job.finish("ok");
+        reg.finish(&job, "ok");
         let seen = watcher.join().unwrap();
         assert_eq!(seen.len(), 4, "start + 2 cells + done: {seen:?}");
         assert!(seen[0].starts_with("start kind=sweep"));
@@ -169,5 +243,22 @@ mod tests {
         assert!(st.done);
         assert_eq!(st.completed, 2);
         assert_eq!(st.status, "ok");
+    }
+
+    #[test]
+    fn registry_keeps_running_jobs_and_the_newest_finished_ones() {
+        let reg = JobRegistry::new();
+        let running = reg.create(1, "sweep", 1);
+        for id in 2..1_102 {
+            let job = reg.create(id, "sweep", 0);
+            reg.finish(&job, "ok");
+        }
+        assert_eq!(reg.get(1_101).unwrap().id, 1_101, "newest finished job");
+        assert!(reg.get(2).is_none(), "oldest finished job is evicted");
+        assert!(reg.get(1_101 - FINISHED_JOBS_KEPT as u64).is_none());
+        assert!(reg.get(1_102 - FINISHED_JOBS_KEPT as u64).is_some());
+        assert_eq!(reg.get(1).unwrap().id, 1, "a running job is never evicted");
+        assert!(!running.snapshot().done);
+        assert_eq!(reg.lock().by_id.len(), FINISHED_JOBS_KEPT + 1);
     }
 }

@@ -10,12 +10,18 @@
 //!   single-flighted through the cache's in-process map (one computes,
 //!   the rest join); repeats are served from memory.
 //! * `GET /v1/jobs/<id>` / `GET /v1/jobs/<id>/events` — job status and a
-//!   chunked live event stream for a running request.
+//!   chunked live event stream for a running request. Every running job
+//!   and the most recent [`jobs::FINISHED_JOBS_KEPT`] finished ones are
+//!   kept; an evicted id answers `404`.
 //! * `GET /v1/figures/<name>.csv` — byte-identical to `comb figure`'s
 //!   CSV export.
 //! * `GET /healthz`, `GET /metrics` — liveness and counters (requests,
 //!   admission rejections, cache hit/miss/joined, p50/p99 latency).
 //! * `POST /admin/shutdown` — loopback-only graceful drain.
+//!
+//! Each frame goes out in one write and each connection is read through
+//! one [`http::RequestReader`], so pipelined requests are answered in
+//! order.
 //!
 //! Admission is bounded by an [`comb_core::AdmissionGate`]: when
 //! `workers + queue` connections are in the building, new ones are

@@ -42,6 +42,7 @@
 
 use crate::http::{
     read_request_limited, write_response, ChunkedWriter, Conn, ReadLimits, ReadOutcome, Request,
+    RequestReader,
 };
 use crate::jobs::JobRegistry;
 use crate::metrics::ServeMetrics;
@@ -53,6 +54,7 @@ use comb_report::{Fidelity, FigureId};
 use comb_sim::SimTime;
 use comb_trace::{Comp, TraceEvent, Tracer};
 use std::collections::VecDeque;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -549,8 +551,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         idle: Some(shared.read_timeout),
         total: Some(shared.request_deadline),
     };
+    let mut reader = RequestReader::new();
     loop {
-        match read_request_limited(&mut stream, limits) {
+        match reader.read(&mut stream, limits) {
             ReadOutcome::Closed => return,
             ReadOutcome::TimedOut => {
                 shared
@@ -585,8 +588,12 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 shared.trace(|| TraceEvent::ServeAdmitted { req: req_id });
                 let t0 = Instant::now();
                 let keep_wanted = req.keep_alive() && !shared.shutdown.load(Ordering::Acquire);
-                let done = route(shared, &req, &mut stream, req_id, keep_wanted);
-                shared.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
+                let mut answering = Answering {
+                    stream: &mut stream,
+                    in_flight: Some(&shared.metrics.in_flight),
+                };
+                let done = route(shared, &req, &mut answering, req_id, keep_wanted);
+                answering.answered();
                 shared
                     .metrics
                     .record_latency_us(t0.elapsed().as_secs_f64() * 1e6);
@@ -599,6 +606,52 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 }
             }
         }
+    }
+}
+
+/// The connection as a request's handler sees it: the response's first
+/// write takes the request out of the in-flight count before any byte
+/// leaves, so a client that has read its answer never finds itself still
+/// counted in `/metrics`. A response is one write (an event stream's
+/// first write is its head).
+struct Answering<'a, S> {
+    stream: &'a mut S,
+    /// The counter to decrement, until it has been.
+    in_flight: Option<&'a AtomicU64>,
+}
+
+impl<S> Answering<'_, S> {
+    fn answered(&mut self) {
+        if let Some(count) = self.in_flight.take() {
+            count.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
+impl<S: Read> Read for Answering<'_, S> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.stream.read(buf)
+    }
+}
+
+impl<S: Write> Write for Answering<'_, S> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.answered();
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+impl<S: Conn> Conn for Answering<'_, S> {
+    fn set_read_window(&mut self, window: Option<Duration>) -> std::io::Result<()> {
+        self.stream.set_read_window(window)
+    }
+
+    fn is_loopback(&self) -> bool {
+        self.stream.is_loopback()
     }
 }
 
@@ -771,7 +824,7 @@ fn handle_sweep<S: Conn>(
     };
     match sweep.run(&ctx, &job) {
         Ok(text) => {
-            job.finish("ok");
+            shared.jobs_reg.finish(&job, "ok");
             if shared.breaker.on_success() {
                 shared.trace(|| TraceEvent::ServeBreaker { open: false });
             }
@@ -786,7 +839,7 @@ fn handle_sweep<S: Conn>(
             )
         }
         Err(SweepRunError::DeadlineExpired) => {
-            job.finish("error: deadline expired");
+            shared.jobs_reg.finish(&job, "error: deadline expired");
             shared
                 .metrics
                 .deadline_expired
@@ -803,7 +856,7 @@ fn handle_sweep<S: Conn>(
             )
         }
         Err(SweepRunError::Quarantined { key, x }) => {
-            job.finish("error: quarantined cell");
+            shared.jobs_reg.finish(&job, "error: quarantined cell");
             let body = format!("{{\"error\":\"quarantined\",\"cell\":\"{key}\",\"x\":{x}}}\n");
             reply(
                 stream,
@@ -821,7 +874,7 @@ fn handle_sweep<S: Conn>(
             message,
             quarantined,
         }) => {
-            job.finish("error: worker panic");
+            shared.jobs_reg.finish(&job, "error: worker panic");
             if quarantined {
                 shared.trace(|| TraceEvent::ServeQuarantined {
                     panics: shared.quarantine.len() as u32,
@@ -846,7 +899,7 @@ fn handle_sweep<S: Conn>(
             )
         }
         Err(SweepRunError::Run(e)) => {
-            job.finish(&format!("error: {e}"));
+            shared.jobs_reg.finish(&job, &format!("error: {e}"));
             reply(
                 stream,
                 req_id,
@@ -896,7 +949,7 @@ fn handle_figure<S: Conn>(
         Ok(reports) => match reports.into_iter().next() {
             Some(report) => {
                 job.advance(format!("figure {id} rendered"));
-                job.finish("ok");
+                shared.jobs_reg.finish(&job, "ok");
                 // `Dataset::write_csv` writes exactly `to_csv()`'s bytes,
                 // so this body is byte-identical to `comb figure` output.
                 let csv = report.dataset.to_csv();
@@ -911,7 +964,7 @@ fn handle_figure<S: Conn>(
                 )
             }
             None => {
-                job.finish("error: empty report");
+                shared.jobs_reg.finish(&job, "error: empty report");
                 reply(
                     stream,
                     req_id,
@@ -924,7 +977,7 @@ fn handle_figure<S: Conn>(
             }
         },
         Err(e) => {
-            job.finish(&format!("error: {e}"));
+            shared.jobs_reg.finish(&job, &format!("error: {e}"));
             reply(
                 stream,
                 req_id,

@@ -6,10 +6,13 @@
 //! structured inputs are built in the test bodies (the workspace idiom).
 
 use comb_hw::fault::DetRng;
-use comb_serve::http::{read_request, MemStream, ReadOutcome, MAX_BODY, MAX_HEAD};
+use comb_serve::http::{
+    read_request, MemStream, ReadLimits, ReadOutcome, RequestReader, MAX_BODY, MAX_HEAD,
+};
 use comb_serve::json::{Json, MAX_DEPTH};
-use comb_serve::NetFaultPlan;
+use comb_serve::{FaultedStream, NetFaultCounters, NetFaultPlan};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Build a random JSON tree from a deterministic generator. Keys are
 /// made unique per object (the parser rejects duplicates by design) and
@@ -56,6 +59,35 @@ fn gen_string(rng: &mut DetRng) -> String {
     (0..len)
         .map(|_| ALPHABET[(rng.next_u64() as usize) % ALPHABET.len()])
         .collect()
+}
+
+/// One generated request: its wire bytes and the `(method, path,
+/// headers, body)` the reader must return for them.
+type Expected = (String, String, Vec<(String, String)>, Vec<u8>);
+
+/// A well-formed request with lowercase header names, trimmed values and
+/// an arbitrary-byte body framed by `Content-Length` (omitted at random
+/// when the body is empty).
+fn gen_request(rng: &mut DetRng) -> (Vec<u8>, Expected) {
+    const METHODS: &[&str] = &["GET", "POST", "PUT", "DELETE"];
+    let method = METHODS[(rng.next_u64() as usize) % METHODS.len()].to_string();
+    let path = format!("/p{}/q?x={}", rng.next_u64() % 100, rng.next_u64() % 1000);
+    let mut headers: Vec<(String, String)> = (0..rng.next_u64() % 4)
+        .map(|i| (format!("x-h{i}"), format!("v{}", rng.next_u64() % 10_000)))
+        .collect();
+    let body: Vec<u8> = (0..rng.next_u64() % 64)
+        .map(|_| rng.next_u64() as u8)
+        .collect();
+    if !body.is_empty() || rng.next_u64() & 1 == 1 {
+        headers.push(("content-length".to_string(), body.len().to_string()));
+    }
+    let mut wire = format!("{method} {path} HTTP/1.1\r\n").into_bytes();
+    for (k, v) in &headers {
+        wire.extend_from_slice(format!("{k}: {v}\r\n").as_bytes());
+    }
+    wire.extend_from_slice(b"\r\n");
+    wire.extend_from_slice(&body);
+    (wire, (method, path, headers, body))
 }
 
 proptest! {
@@ -112,6 +144,49 @@ proptest! {
             }
             ReadOutcome::Closed | ReadOutcome::TimedOut | ReadOutcome::Malformed(_) => {}
         }
+    }
+
+    /// Concatenated well-formed requests (HTTP/1.1 pipelining) come back
+    /// from one connection reader exactly and in order, then `Closed` —
+    /// whether the bytes arrive in full buffers or in short reads.
+    #[test]
+    fn connection_reader_returns_concatenated_requests_in_order(
+        seed in any::<u64>(),
+        count in 1usize..6,
+        short_reads in any::<bool>(),
+    ) {
+        let mut rng = DetRng::new(seed);
+        let mut wire = Vec::new();
+        let mut expected = Vec::new();
+        for _ in 0..count {
+            let (bytes, want) = gen_request(&mut rng);
+            wire.extend_from_slice(&bytes);
+            expected.push(want);
+        }
+        let plan = if short_reads {
+            NetFaultPlan::from_specs(&["partial=0.5"], Some(seed)).unwrap()
+        } else {
+            NetFaultPlan::none()
+        };
+        let mut stream = FaultedStream::new(
+            MemStream::new(wire),
+            plan.for_conn(0),
+            Arc::new(NetFaultCounters::default()),
+        );
+        let mut reader = RequestReader::new();
+        for (i, (method, path, headers, body)) in expected.into_iter().enumerate() {
+            match reader.read(&mut stream, ReadLimits::default()) {
+                ReadOutcome::Request(req) => {
+                    prop_assert_eq!(req.method, method);
+                    prop_assert_eq!(req.path, path);
+                    prop_assert_eq!(req.headers, headers);
+                    prop_assert_eq!(req.body, body);
+                }
+                other => panic!("request {i} of {count}: {other:?}"),
+            }
+        }
+        let tail = reader.read(&mut stream, ReadLimits::default());
+        prop_assert!(matches!(tail, ReadOutcome::Closed), "after {count}: {tail:?}");
     }
 
     /// Fault-plan specs round-trip through their canonical rendering.
