@@ -9,12 +9,12 @@
 
 use crate::matching::{MatchEngine, PostedRecv, Unexpected, UnexpectedBody};
 use crate::protocol::{ProtoMsg, CTL_BYTES};
-use crate::request::{Request, RequestHandle, RequestKind, RequestTable};
+use crate::request::{RequestHandle, RequestTable};
 use crate::types::{Envelope, Payload, Rank, RankSel, Status, TagSel};
 use comb_hw::{Cpu, DeliveryClass, MpiCostConfig, Nic, NodeId, ProgressModel, WireMsg};
 use comb_sim::{Condition, EventId, ProcCtx, SimCell, SimDuration, SimHandle};
 use comb_trace::{Comp, MsgId, TraceEvent, Tracer};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Cumulative per-rank MPI counters.
@@ -86,29 +86,50 @@ struct RndvLanding {
     sender_token: u64,
 }
 
+/// Envelope ordering and handshake state for one peer rank.
+#[derive(Default)]
+struct Peer {
+    /// Next envelope sequence number to send to this peer.
+    send_seq: u64,
+    /// Next envelope sequence expected from this peer, plus a reorder
+    /// buffer for envelopes whose predecessors (e.g. a bulk eager payload
+    /// overtaken by an expedited RTS) have not arrived yet. This is the
+    /// reliability layer's in-order delivery guarantee.
+    recv_seq: u64,
+    reorder: BTreeMap<u64, ProtoMsg>,
+    /// Progress of this peer's handshakes by its sender token, consulted
+    /// when a retransmitted RTS arrives. Entries live from first RTS to
+    /// DATA.
+    rts_seen: BTreeMap<u64, RtsProgress>,
+}
+
 struct EngineInner {
     requests: RequestTable,
     matcher: MatchEngine,
     /// Sender-side rendezvous state awaiting CTS, by sender token.
-    send_pending: HashMap<u64, PendingRndvSend>,
+    send_pending: BTreeMap<u64, PendingRndvSend>,
     /// Receiver-side rendezvous landing zones awaiting DATA, by recv token.
-    recv_tokens: HashMap<u64, RndvLanding>,
-    /// Handshake progress per (sender, sender token), consulted when a
-    /// retransmitted RTS arrives. Entries live from first RTS to DATA.
-    rts_seen: HashMap<(Rank, u64), RtsProgress>,
-    /// Next envelope sequence number per destination rank.
-    send_seq: HashMap<Rank, u64>,
-    /// Next expected envelope sequence per source rank, plus a reorder
-    /// buffer for envelopes whose predecessors (e.g. a bulk eager payload
-    /// overtaken by an expedited RTS) have not arrived yet. This is the
-    /// reliability layer's in-order delivery guarantee.
-    recv_seq: HashMap<Rank, u64>,
-    reorder: HashMap<Rank, BTreeMap<u64, ProtoMsg>>,
+    recv_tokens: BTreeMap<u64, RndvLanding>,
+    /// Per-peer state, indexed by rank and grown on first contact.
+    peers: Vec<Peer>,
+    /// Next rendezvous token, shared by both sides' handshakes. Tokens are
+    /// never reused, so a late retransmitted RTS or CTS can only match the
+    /// handshake it belongs to, never a newer one.
     next_token: u64,
     /// Next trace correlation counter (combined with the rank into a
     /// globally unique [`MsgId`] per posted send).
     next_corr: u64,
     stats: MpiStats,
+}
+
+impl EngineInner {
+    /// The state kept for `rank`, created on first contact.
+    fn peer(&mut self, rank: Rank) -> &mut Peer {
+        if rank.0 >= self.peers.len() {
+            self.peers.resize_with(rank.0 + 1, Peer::default);
+        }
+        &mut self.peers[rank.0]
+    }
 }
 
 /// The message-passing engine for one rank. Cloneable handle.
@@ -163,14 +184,11 @@ impl MpiEngine {
             inner: SimCell::new(
                 handle,
                 EngineInner {
-                    requests: RequestTable::default(),
+                    requests: RequestTable::new(),
                     matcher: MatchEngine::default(),
-                    send_pending: HashMap::new(),
-                    recv_tokens: HashMap::new(),
-                    rts_seen: HashMap::new(),
-                    send_seq: HashMap::new(),
-                    recv_seq: HashMap::new(),
-                    reorder: HashMap::new(),
+                    send_pending: BTreeMap::new(),
+                    recv_tokens: BTreeMap::new(),
+                    peers: Vec::new(),
                     next_token: 0,
                     next_corr: 0,
                     stats: MpiStats::default(),
@@ -263,14 +281,11 @@ impl MpiEngine {
             len,
         };
         let mut inner = self.shared.inner.borrow_mut();
-        let req = inner.requests.insert(Request::new(RequestKind::Send));
+        let req = inner.requests.insert();
         inner.stats.isends += 1;
-        let seq = {
-            let c = inner.send_seq.entry(dst).or_insert(0);
-            let s = *c;
-            *c += 1;
-            s
-        };
+        let peer = inner.peer(dst);
+        let seq = peer.send_seq;
+        peer.send_seq += 1;
         let corr = MsgId::new(self.shared.rank.0 as u32, inner.next_corr).0;
         inner.next_corr += 1;
         self.shared
@@ -439,7 +454,7 @@ impl MpiEngine {
             });
         self.shared.cpu.compute(ctx, self.shared.cfg.irecv);
         let mut inner = self.shared.inner.borrow_mut();
-        let req = inner.requests.insert(Request::new(RequestKind::Recv));
+        let req = inner.requests.insert();
         inner.stats.irecvs += 1;
         let hit = inner.matcher.post_recv(PostedRecv { req, src, tag });
         match hit {
@@ -483,10 +498,10 @@ impl MpiEngine {
                         sender_token,
                     },
                 );
-                inner.rts_seen.insert(
-                    (env.src, sender_token),
-                    RtsProgress::CtsSent(recv_token, corr),
-                );
+                inner
+                    .peer(env.src)
+                    .rts_seen
+                    .insert(sender_token, RtsProgress::CtsSent(recv_token, corr));
                 drop(inner);
                 self.shared
                     .tracer
@@ -616,59 +631,43 @@ impl MpiEngine {
         // Envelope-carrying messages must be matched in send order even if
         // the expedited control lane reordered them on the wire: gate them
         // on the per-source sequence number, stashing early arrivals.
-        if let Some(seq) = proto.seq() {
-            let src_rank = Rank(src.0);
+        let Some(seq) = proto.seq() else {
+            return self.dispatch_unordered(proto);
+        };
+        let src = Rank(src.0);
+        {
             let mut inner = self.shared.inner.borrow_mut();
-            let expected = *inner.recv_seq.entry(src_rank).or_insert(0);
-            if seq < expected {
+            let peer = inner.peer(src);
+            if seq < peer.recv_seq {
                 // An already-sequenced envelope again: a retransmitted RTS
                 // whose original (or whose CTS) is racing it. Answer
                 // idempotently instead of re-dispatching.
                 drop(inner);
-                self.handle_duplicate(proto);
+                return self.handle_duplicate(proto);
+            }
+            if seq != peer.recv_seq {
+                peer.reorder.insert(seq, proto);
                 return;
             }
-            if seq != expected {
-                inner
-                    .reorder
-                    .entry(src_rank)
-                    .or_default()
-                    .insert(seq, proto);
-                return;
-            }
-            drop(inner);
-            self.dispatch_in_order(src, proto);
-            // Drain any consecutive stashed successors.
-            loop {
-                let next = {
-                    let mut inner = self.shared.inner.borrow_mut();
-                    let expected = *inner.recv_seq.get(&src_rank).expect("seq counter vanished");
-                    match inner.reorder.get_mut(&src_rank) {
-                        Some(buf) => buf.remove(&expected),
-                        None => None,
-                    }
-                };
-                match next {
-                    Some(m) => self.dispatch_in_order(src, m),
-                    None => break,
+            peer.recv_seq += 1;
+        }
+        self.dispatch_unordered(proto);
+        // Drain any consecutive stashed successors.
+        loop {
+            let next = {
+                let mut inner = self.shared.inner.borrow_mut();
+                let peer = &mut inner.peers[src.0];
+                let next = peer.reorder.remove(&peer.recv_seq);
+                if next.is_some() {
+                    peer.recv_seq += 1;
                 }
+                next
+            };
+            match next {
+                Some(m) => self.dispatch_unordered(m),
+                None => break,
             }
-            return;
         }
-        self.dispatch_unordered(src, proto);
-    }
-
-    /// Handle an envelope message that is next in sequence.
-    fn dispatch_in_order(&self, src: NodeId, proto: ProtoMsg) {
-        {
-            let mut inner = self.shared.inner.borrow_mut();
-            let c = inner
-                .recv_seq
-                .get_mut(&Rank(src.0))
-                .expect("sequence counter must exist");
-            *c += 1;
-        }
-        self.dispatch_unordered(src, proto);
     }
 
     /// Idempotent handling of an envelope message that was already
@@ -687,7 +686,7 @@ impl MpiEngine {
         let resend = {
             let mut inner = self.shared.inner.borrow_mut();
             inner.stats.dup_rts += 1;
-            match inner.rts_seen.get(&(env.src, sender_token)) {
+            match inner.peer(env.src).rts_seen.get(&sender_token) {
                 Some(RtsProgress::CtsSent(recv_token, corr)) => Some((*recv_token, *corr)),
                 Some(RtsProgress::Queued) | None => None,
             }
@@ -697,7 +696,7 @@ impl MpiEngine {
         }
     }
 
-    fn dispatch_unordered(&self, _src: NodeId, proto: ProtoMsg) {
+    fn dispatch_unordered(&self, proto: ProtoMsg) {
         match proto {
             ProtoMsg::Eager {
                 env, corr, payload, ..
@@ -745,10 +744,10 @@ impl MpiEngine {
                                 sender_token,
                             },
                         );
-                        inner.rts_seen.insert(
-                            (env.src, sender_token),
-                            RtsProgress::CtsSent(recv_token, corr),
-                        );
+                        inner
+                            .peer(env.src)
+                            .rts_seen
+                            .insert(sender_token, RtsProgress::CtsSent(recv_token, corr));
                         drop(inner);
                         self.shared
                             .tracer
@@ -763,8 +762,9 @@ impl MpiEngine {
                     None => {
                         inner.stats.unexpected += 1;
                         inner
+                            .peer(env.src)
                             .rts_seen
-                            .insert((env.src, sender_token), RtsProgress::Queued);
+                            .insert(sender_token, RtsProgress::Queued);
                         inner.matcher.add_unexpected(Unexpected {
                             env,
                             corr,
@@ -835,7 +835,10 @@ impl MpiEngine {
                         .remove(&recv_token)
                         .expect("DATA for unknown receive token");
                     // The handshake is over; forget its duplicate tracker.
-                    inner.rts_seen.remove(&(landing.src, landing.sender_token));
+                    inner
+                        .peer(landing.src)
+                        .rts_seen
+                        .remove(&landing.sender_token);
                     landing
                 };
                 self.complete_recv(landing.req, env, payload, corr);
@@ -866,13 +869,7 @@ impl MpiEngine {
     /// Non-charging completion check + consume (wait loops use this after
     /// they already paid for progress).
     pub(crate) fn try_consume(&self, req: RequestHandle) -> Option<(Status, Option<Payload>)> {
-        let mut inner = self.shared.inner.borrow_mut();
-        let complete = inner.requests.get(req).map(|r| r.complete).unwrap_or(false);
-        if complete {
-            inner.requests.remove(req)
-        } else {
-            None
-        }
+        self.shared.inner.borrow_mut().requests.try_consume(req)
     }
 
     /// `MPI_Iprobe`: charge one test-call, run library progress, and report
@@ -891,13 +888,7 @@ impl MpiEngine {
 
     /// True if the request is complete (without consuming it).
     pub fn is_complete(&self, req: RequestHandle) -> bool {
-        self.shared
-            .inner
-            .borrow_mut()
-            .requests
-            .get(req)
-            .map(|r| r.complete)
-            .unwrap_or(false)
+        self.shared.inner.borrow_mut().requests.is_complete(req)
     }
 
     /// Park the calling process until the completion condition is next
@@ -912,8 +903,9 @@ impl MpiEngine {
     /// control messages under fault injection) whose peer has stopped
     /// making MPI calls would re-arm its RTS timer forever — a
     /// self-perpetuating event stream that keeps the simulation's event
-    /// queue from ever draining. The abandoned sends stay incomplete;
-    /// nothing waits on them after the process is gone.
+    /// queue from ever draining. Timers are cancelled in token order. The
+    /// abandoned sends stay incomplete; nothing waits on them after the
+    /// process is gone.
     pub fn finalize(&self) {
         let timers: Vec<EventId> = {
             let mut inner = self.shared.inner.borrow_mut();

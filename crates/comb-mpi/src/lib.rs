@@ -48,5 +48,5 @@ pub use api::{MpiProc, MpiWorld, BARRIER_TAG};
 pub use collectives::ReduceOp;
 pub use engine::{MpiEngine, MpiStats};
 pub use protocol::CTL_BYTES;
-pub use request::RequestHandle;
+pub use request::{RequestHandle, RequestTable};
 pub use types::{Envelope, MpiError, Payload, Rank, RankSel, Status, Tag, TagSel};

@@ -4,10 +4,12 @@
 //! still be delivered exactly once, in per-flow order, and the packet-loss
 //! machinery must cost monotonically more as the loss rate rises.
 
-use comb_hw::{Cluster, FaultPlan, HwConfig};
-use comb_mpi::{MpiWorld, Payload, Rank, Tag};
-use comb_sim::{Probe, Simulation};
+use comb_hw::nic::{Nic, NicStats, NodeId, Packet, RxHandler, TxDone, WireMsg};
+use comb_hw::{Cluster, FaultPlan, HwConfig, NicKind, RndvRetryConfig};
+use comb_mpi::{MpiEngine, MpiProc, MpiStats, MpiWorld, Payload, Rank, Tag};
+use comb_sim::{Probe, SimDuration, Simulation};
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 /// One message in the generated schedule: (tag index, payload length).
 /// Lengths straddle the eager/rendezvous threshold so lost RTS/CTS
@@ -181,4 +183,131 @@ fn abandoned_handshake_at_exit_cannot_wedge_the_simulation() {
     });
     sim.run()
         .expect("the event queue must drain after finalize");
+}
+
+/// A sender-side NIC that holds back the second expedited message it is
+/// given (on a pure sender, the first RTS retransmission) until
+/// [`HoldingNic::release`], and passes everything else straight through.
+struct HoldingNic {
+    inner: Arc<dyn Nic>,
+    expedited: Mutex<u32>,
+    held: Mutex<Option<(NodeId, WireMsg, TxDone)>>,
+}
+
+impl HoldingNic {
+    /// Put the held message on the wire now.
+    fn release(&self) {
+        let (dst, msg, done) = self.held.lock().unwrap().take().expect("nothing was held");
+        self.inner.submit(dst, msg, done);
+    }
+}
+
+impl Nic for HoldingNic {
+    fn node_id(&self) -> NodeId {
+        self.inner.node_id()
+    }
+    fn kind(&self) -> NicKind {
+        self.inner.kind()
+    }
+    fn submit(&self, dst: NodeId, msg: WireMsg, on_tx_done: TxDone) {
+        if msg.expedited {
+            let mut n = self.expedited.lock().unwrap();
+            *n += 1;
+            if *n == 2 {
+                *self.held.lock().unwrap() = Some((dst, msg, on_tx_done));
+                return;
+            }
+        }
+        self.inner.submit(dst, msg, on_tx_done)
+    }
+    fn set_rx_handler(&self, handler: RxHandler) {
+        self.inner.set_rx_handler(handler)
+    }
+    fn set_ring_notify(&self, notify: Arc<dyn Fn() + Send + Sync>) {
+        self.inner.set_ring_notify(notify)
+    }
+    fn poll_ring(&self) -> Option<(NodeId, WireMsg)> {
+        self.inner.poll_ring()
+    }
+    fn ring_len(&self) -> usize {
+        self.inner.ring_len()
+    }
+    fn stats(&self) -> NicStats {
+        self.inner.stats()
+    }
+    fn deliver_packet(&self, src: NodeId, pkt: Packet) {
+        self.inner.deliver_packet(src, pkt)
+    }
+}
+
+#[test]
+fn late_duplicate_rts_of_a_finished_handshake_is_ignored() {
+    // GM with the retry protocol armed on a reliable wire. The receiver
+    // stays out of the library for 800 us, so the sender's first RTS
+    // retransmission (at the 500 us timeout) goes out before the CTS comes
+    // back; the sender's NIC holds that copy. Handshake 0 then completes,
+    // handshakes 1 and 2 run start to finish, and only then is the held
+    // RTS of handshake 0 released. Its token belongs to no live handshake,
+    // so the receiver must count it as a duplicate and send no CTS.
+    let mut cfg = HwConfig::gm_myrinet();
+    cfg.mpi.rndv_retry = Some(RndvRetryConfig::default());
+    let mut sim = Simulation::new();
+    let cluster = Cluster::build(&sim.handle(), &cfg, 2);
+    let (n0, n1) = (&cluster.nodes[0], &cluster.nodes[1]);
+    let holding = Arc::new(HoldingNic {
+        inner: Arc::clone(&n0.nic),
+        expedited: Mutex::new(0),
+        held: Mutex::new(None),
+    });
+    let nic0: Arc<dyn Nic> = holding.clone();
+    let m0 = MpiProc::from_engine(
+        MpiEngine::new(Rank(0), &n0.handle, &n0.cpu, &nic0, cfg.mpi.clone()),
+        2,
+    );
+    let m1 = MpiProc::from_engine(
+        MpiEngine::new(Rank(1), &n1.handle, &n1.cpu, &n1.nic, cfg.mpi.clone()),
+        2,
+    );
+    let big = || Payload::synthetic(256 * 1024);
+    let sender_stats: Probe<MpiStats> = Probe::new();
+    let s = sender_stats.clone();
+    sim.spawn("sender", move |ctx| {
+        let first = m0.isend(ctx, Rank(1), Tag(0), big());
+        m0.wait(ctx, first);
+        let later: Vec<_> = (1..3)
+            .map(|t| m0.isend(ctx, Rank(1), Tag(t), big()))
+            .collect();
+        m0.waitall(ctx, &later);
+        holding.release();
+        // Sequenced after the duplicate: once it is received, the
+        // duplicate has been handled.
+        m0.send(ctx, Rank(1), Tag(9), Payload::synthetic(8));
+        m0.finalize();
+        s.set(m0.stats());
+    });
+    let receiver: Probe<(MpiStats, u64, u64)> = Probe::new();
+    let r = receiver.clone();
+    let nic1 = Arc::clone(&n1.nic);
+    sim.spawn("receiver", move |ctx| {
+        let reqs: Vec<_> = (0..3).map(|t| m1.irecv(ctx, Rank(0), Tag(t))).collect();
+        ctx.hold(SimDuration::from_micros(800));
+        m1.waitall(ctx, &reqs);
+        let ctl_after_handshakes = nic1.stats().msgs_tx;
+        m1.recv(ctx, Rank(0), Tag(9));
+        m1.finalize();
+        r.set((m1.stats(), ctl_after_handshakes, nic1.stats().msgs_tx));
+    });
+    sim.run().expect("the exchange must complete");
+
+    let sender = sender_stats.get().expect("sender stats");
+    assert_eq!(sender.rndv_retries, 1, "exactly one RTS retransmission");
+    assert_eq!(sender.dup_cts, 0);
+    let (stats, ctl_after_handshakes, ctl_at_end) = receiver.get().expect("receiver stats");
+    assert_eq!(ctl_after_handshakes, 3, "one CTS per handshake");
+    assert_eq!(stats.dup_rts, 1, "the late RTS is counted as a duplicate");
+    assert_eq!(
+        ctl_at_end, ctl_after_handshakes,
+        "a duplicate of a finished handshake must not be answered"
+    );
+    assert_eq!(stats.recvs_completed, 4);
 }

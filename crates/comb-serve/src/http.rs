@@ -517,106 +517,140 @@ pub fn send_request(
     stream.flush()
 }
 
-/// Read one response from an existing connection.
+/// Read one response from an existing connection through a fresh
+/// [`ResponseReader`]. Bytes past the response are dropped with the
+/// reader, so a client that pipelines requests keeps one reader instead.
 pub fn read_client_response(stream: &mut TcpStream) -> std::io::Result<ClientResponse> {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(i) = find_head_end(&buf) {
-            break i;
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "eof before response head",
-            ));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("bad status line '{status_line}'"),
-            )
-        })?;
-    let mut headers = Vec::new();
-    for line in lines {
-        if let Some((k, v)) = line.split_once(':') {
-            headers.push((k.trim().to_ascii_lowercase(), v.trim().to_string()));
-        }
+    ResponseReader::new().read(stream)
+}
+
+/// Reads the responses of one client connection through one buffer, the
+/// client-side mirror of [`RequestReader`]: bytes that arrive past a
+/// response's body belong to the next response (HTTP/1.1 pipelining) and
+/// are parsed first by the next [`ResponseReader::read`].
+#[derive(Debug, Default)]
+pub struct ResponseReader {
+    buf: Vec<u8>,
+}
+
+impl ResponseReader {
+    /// A reader with nothing buffered.
+    pub fn new() -> ResponseReader {
+        ResponseReader::default()
     }
-    let mut rest = buf[head_end + 4..].to_vec();
-    let chunked = headers
-        .iter()
-        .any(|(k, v)| k == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
-    let body = if chunked {
-        // Read until the zero-length terminator chunk, then decode.
-        while !has_chunked_end(&rest) {
-            let n = stream.read(&mut chunk)?;
-            if n == 0 {
-                break;
+
+    /// Read the next response, reading more from `stream` as needed and
+    /// keeping the bytes after its body for the next call.
+    pub fn read<S: Read>(&mut self, stream: &mut S) -> std::io::Result<ClientResponse> {
+        let buf = &mut self.buf;
+        let head_end = loop {
+            if let Some(i) = find_head_end(buf) {
+                break i;
             }
-            rest.extend_from_slice(&chunk[..n]);
+            if fill(stream, buf)? == 0 {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "eof before response head",
+                ));
+            }
+        };
+        let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
+        let mut lines = head.split("\r\n");
+        let status_line = lines.next().unwrap_or("");
+        let status: u16 = status_line
+            .split(' ')
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("bad status line '{status_line}'"),
+                )
+            })?;
+        let mut headers = Vec::new();
+        for line in lines {
+            if let Some((k, v)) = line.split_once(':') {
+                headers.push((k.trim().to_ascii_lowercase(), v.trim().to_string()));
+            }
         }
-        decode_chunked(&rest)?
-    } else {
-        let want: usize = headers
+        let start = head_end + 4;
+        let chunked = headers
             .iter()
-            .find(|(k, _)| k == "content-length")
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(0);
-        while rest.len() < want {
-            let n = stream.read(&mut chunk)?;
-            if n == 0 {
-                break;
+            .any(|(k, v)| k == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
+        let (body, end) = if chunked {
+            // Read until the zero-length terminator chunk decodes.
+            loop {
+                match decode_chunked(&buf[start..]) {
+                    Ok((body, used)) => break (body, start + used),
+                    Err(e) => {
+                        if fill(stream, buf)? == 0 {
+                            return Err(e);
+                        }
+                    }
+                }
             }
-            rest.extend_from_slice(&chunk[..n]);
-        }
-        rest.truncate(want);
-        rest
-    };
-    Ok(ClientResponse {
-        status,
-        headers,
-        body,
-    })
+        } else {
+            let want: usize = headers
+                .iter()
+                .find(|(k, _)| k == "content-length")
+                .and_then(|(_, v)| v.parse().ok())
+                .unwrap_or(0);
+            while buf.len() < start + want {
+                if fill(stream, buf)? == 0 {
+                    break;
+                }
+            }
+            let end = buf.len().min(start + want);
+            (buf[start..end].to_vec(), end)
+        };
+        // Keep what follows the body: the start of the next response.
+        buf.drain(..end);
+        Ok(ClientResponse {
+            status,
+            headers,
+            body,
+        })
+    }
 }
 
-fn has_chunked_end(buf: &[u8]) -> bool {
-    // The terminator is `0\r\n\r\n`, possibly preceded by chunk data
-    // that could contain the same bytes — a full incremental parse is
-    // overkill for loopback tests, so decode speculatively instead.
-    decode_chunked(buf).is_ok()
+/// One `read` from `stream` appended to `buf`; returns the byte count
+/// (0 at end of stream).
+fn fill<S: Read>(stream: &mut S, buf: &mut Vec<u8>) -> std::io::Result<usize> {
+    let mut chunk = [0u8; 4096];
+    let n = stream.read(&mut chunk)?;
+    buf.extend_from_slice(&chunk[..n]);
+    Ok(n)
 }
 
-fn decode_chunked(mut buf: &[u8]) -> std::io::Result<Vec<u8>> {
+/// Decode a chunked body at the front of `buf`, returning it and the bytes
+/// it spans up to and including the terminator `0\r\n\r\n` (trailers are
+/// not supported). An error means the body is malformed or not all here
+/// yet: chunk data may contain the terminator's bytes, so the decode is
+/// simply retried as bytes arrive.
+fn decode_chunked(buf: &[u8]) -> std::io::Result<(Vec<u8>, usize)> {
     let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
+    let mut rest = buf;
     let mut out = Vec::new();
     loop {
-        let nl = buf
+        let nl = rest
             .windows(2)
             .position(|w| w == b"\r\n")
             .ok_or_else(|| bad("missing chunk size line"))?;
-        let size_line = std::str::from_utf8(&buf[..nl]).map_err(|_| bad("bad chunk size"))?;
+        let size_line = std::str::from_utf8(&rest[..nl]).map_err(|_| bad("bad chunk size"))?;
         let size =
             usize::from_str_radix(size_line.trim(), 16).map_err(|_| bad("bad chunk size"))?;
-        buf = &buf[nl + 2..];
-        if size == 0 {
-            return Ok(out);
-        }
-        if buf.len() < size + 2 {
+        rest = &rest[nl + 2..];
+        if rest.len() < size + 2 {
             return Err(bad("truncated chunk"));
         }
-        out.extend_from_slice(&buf[..size]);
-        buf = &buf[size + 2..];
+        if size == 0 {
+            if &rest[..2] != b"\r\n" {
+                return Err(bad("missing terminator"));
+            }
+            return Ok((out, buf.len() - rest.len() + 2));
+        }
+        out.extend_from_slice(&rest[..size]);
+        rest = &rest[size + 2..];
     }
 }
 
@@ -627,8 +661,31 @@ mod tests {
     #[test]
     fn decodes_chunked_bodies() {
         let wire = b"5\r\nhello\r\n7\r\n, world\r\n0\r\n\r\n";
-        assert_eq!(decode_chunked(wire).unwrap(), b"hello, world");
+        let (body, used) = decode_chunked(wire).unwrap();
+        assert_eq!(body, b"hello, world");
+        assert_eq!(used, wire.len());
         assert!(decode_chunked(b"5\r\nhel").is_err());
+        assert!(decode_chunked(b"5\r\nhello\r\n0\r\n").is_err());
+    }
+
+    #[test]
+    fn pipelined_responses_are_read_in_order_from_one_buffer() {
+        let mut s = MemStream::new(Vec::new());
+        write_response(&mut s, 200, "text/plain", &[], b"first", true).unwrap();
+        let mut chunked = ChunkedWriter::start(&mut s, "text/plain", &[]).unwrap();
+        chunked.chunk(b"second, ").unwrap();
+        chunked.chunk(b"chunked").unwrap();
+        chunked.finish().unwrap();
+        // Both responses arrive in one read.
+        let mut wire = MemStream::new(std::mem::take(&mut s.out));
+        let mut reader = ResponseReader::new();
+        let first = reader.read(&mut wire).unwrap();
+        assert_eq!((first.status, first.body.as_slice()), (200, &b"first"[..]));
+        let second = reader.read(&mut wire).unwrap();
+        assert_eq!(second.header("transfer-encoding"), Some("chunked"));
+        assert_eq!(second.body, b"second, chunked");
+        let eof = reader.read(&mut wire).unwrap_err();
+        assert_eq!(eof.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

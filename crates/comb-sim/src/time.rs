@@ -140,10 +140,11 @@ impl SimDuration {
     /// whole nanosecond. Returns zero for a zero-byte transfer.
     pub fn for_bytes(bytes: u64, bytes_per_sec: u64) -> SimDuration {
         assert!(bytes_per_sec > 0, "bandwidth must be positive");
-        if bytes == 0 {
-            return SimDuration::ZERO;
+        // ceil(bytes * 1e9 / rate): in u64 while the product fits (every
+        // transfer under ~18 GB), in u128 beyond that.
+        if bytes <= u64::MAX / 1_000_000_000 {
+            return SimDuration((bytes * 1_000_000_000).div_ceil(bytes_per_sec));
         }
-        // ceil(bytes * 1e9 / rate) using u128 to avoid overflow.
         let ns = (bytes as u128 * 1_000_000_000u128).div_ceil(bytes_per_sec as u128);
         SimDuration(ns.min(u64::MAX as u128) as u64)
     }
@@ -256,6 +257,7 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn time_arithmetic_roundtrips() {
@@ -290,6 +292,48 @@ mod tests {
             SimDuration::from_nanos(333_333_334)
         );
         assert_eq!(SimDuration::for_bytes(0, 100), SimDuration::ZERO);
+    }
+
+    /// The formula `for_bytes` computes, in u128 throughout.
+    fn for_bytes_u128(bytes: u64, bytes_per_sec: u64) -> SimDuration {
+        let ns = (bytes as u128 * 1_000_000_000u128).div_ceil(bytes_per_sec as u128);
+        SimDuration(ns.min(u64::MAX as u128) as u64)
+    }
+
+    #[test]
+    fn for_bytes_matches_the_u128_formula_at_the_u64_limit() {
+        const LIMIT: u64 = u64::MAX / 1_000_000_000;
+        for bytes in LIMIT - 2..=LIMIT + 2 {
+            for bytes_per_sec in [1, 3, 1_000_000_000, u64::MAX] {
+                assert_eq!(
+                    SimDuration::for_bytes(bytes, bytes_per_sec),
+                    for_bytes_u128(bytes, bytes_per_sec),
+                    "{bytes} bytes at {bytes_per_sec} B/s"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Byte counts near zero, around the u64 path's limit and
+        /// anywhere; rates of one byte per second, small and anywhere.
+        #[test]
+        fn for_bytes_matches_the_u128_formula(
+            bytes in prop_oneof![
+                0u64..1 << 20,
+                u64::MAX / 1_000_000_000 - 64..u64::MAX / 1_000_000_000 + 65,
+                0u64..u64::MAX,
+                Just(u64::MAX),
+            ],
+            bytes_per_sec in prop_oneof![Just(1u64), 1u64..10_000, 1u64..u64::MAX],
+        ) {
+            prop_assert_eq!(
+                SimDuration::for_bytes(bytes, bytes_per_sec),
+                for_bytes_u128(bytes, bytes_per_sec)
+            );
+        }
     }
 
     #[test]

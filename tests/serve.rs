@@ -6,6 +6,7 @@
 
 use comb::core::{CacheMode, CellCache, MethodConfig, Transport};
 use comb::report::{run_figures_cached, Fidelity, FigureId};
+use comb::serve::http::ResponseReader;
 use comb::serve::{client_request, metric_value, ServeConfig, Server, ServerHandle};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -330,28 +331,11 @@ fn repeat_sweep_hits_cache_with_identical_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Parse one `Content-Length`-framed response off the front of `buf`,
-/// returning `(status, x-comb-request, bytes consumed)` once it is whole.
-fn split_response(buf: &[u8]) -> Option<(u16, u64, usize)> {
-    let head_end = buf.windows(4).position(|w| w == b"\r\n\r\n")?;
-    let head = std::str::from_utf8(&buf[..head_end]).unwrap();
-    let status = head.split(' ').nth(1).unwrap().parse().unwrap();
-    let header = |name: &str| {
-        head.split("\r\n")
-            .filter_map(|l| l.split_once(':'))
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.trim().parse::<u64>().unwrap())
-            .unwrap()
-    };
-    let end = head_end + 4 + header("content-length") as usize;
-    (buf.len() >= end).then(|| (status, header("x-comb-request"), end))
-}
-
 /// HTTP/1.1 pipelining: requests written back to back in one send on a
 /// kept-alive connection are all answered, in order.
 #[test]
 fn pipelined_requests_on_one_connection_are_answered_in_order() {
-    use std::io::{Read, Write};
+    use std::io::Write;
     let dir = fresh_dir("pipelined");
     let cfg = ServeConfig {
         jobs: 1,
@@ -376,24 +360,15 @@ fn pipelined_requests_on_one_connection_are_answered_in_order() {
     let mut s = std::net::TcpStream::connect(&addr).unwrap();
     s.write_all(&wire).unwrap();
 
-    let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    let mut buf = Vec::new();
+    s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    let mut reader = ResponseReader::new();
     let mut answers = Vec::new();
-    let mut chunk = [0u8; 4096];
     while answers.len() < 3 {
-        if let Some((status, id, used)) = split_response(&buf) {
-            answers.push((status, id));
-            buf.drain(..used);
-            continue;
-        }
-        let left = deadline.saturating_duration_since(std::time::Instant::now());
-        assert!(!left.is_zero(), "only {answers:?} answered within 2 s");
-        s.set_read_timeout(Some(left)).unwrap();
-        match s.read(&mut chunk) {
-            Ok(0) => panic!("connection closed after {answers:?}"),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) => panic!("only {answers:?} answered within 2 s: {e}"),
-        }
+        let r = reader
+            .read(&mut s)
+            .unwrap_or_else(|e| panic!("only {answers:?} answered: {e}"));
+        let id: u64 = r.header("x-comb-request").unwrap().parse().unwrap();
+        answers.push((r.status, id));
     }
     assert!(
         answers.iter().all(|&(status, _)| status == 200),
