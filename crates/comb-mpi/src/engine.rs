@@ -184,7 +184,7 @@ impl MpiEngine {
             inner: SimCell::new(
                 handle,
                 EngineInner {
-                    requests: RequestTable::new(),
+                    requests: RequestTable::default(),
                     matcher: MatchEngine::default(),
                     send_pending: BTreeMap::new(),
                     recv_tokens: BTreeMap::new(),

@@ -48,5 +48,9 @@ pub use api::{MpiProc, MpiWorld, BARRIER_TAG};
 pub use collectives::ReduceOp;
 pub use engine::{MpiEngine, MpiStats};
 pub use protocol::CTL_BYTES;
-pub use request::{RequestHandle, RequestTable};
+pub use request::RequestHandle;
+// Not part of the API: the engine owns every request. Exported only so
+// `tests/request_table.rs` can check the table against a model.
+#[doc(hidden)]
+pub use request::RequestTable;
 pub use types::{Envelope, MpiError, Payload, Rank, RankSel, Status, Tag, TagSel};

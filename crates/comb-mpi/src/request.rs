@@ -52,11 +52,6 @@ pub struct RequestTable {
 }
 
 impl RequestTable {
-    /// A table with no requests.
-    pub fn new() -> RequestTable {
-        RequestTable::default()
-    }
-
     /// Post a new, incomplete request.
     pub fn insert(&mut self) -> RequestHandle {
         self.live += 1;
@@ -143,7 +138,7 @@ mod tests {
 
     #[test]
     fn insert_complete_consume_lifecycle() {
-        let mut table = RequestTable::new();
+        let mut table = RequestTable::default();
         let h = table.insert();
         assert!(!table.is_complete(h));
         assert!(table.try_consume(h).is_none(), "pending is not consumable");
@@ -159,7 +154,7 @@ mod tests {
 
     #[test]
     fn handles_are_unique_and_stale_ones_never_alias() {
-        let mut table = RequestTable::new();
+        let mut table = RequestTable::default();
         let h1 = table.insert();
         let h2 = table.insert();
         assert_ne!(h1, h2);
@@ -180,7 +175,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "completed twice")]
     fn double_complete_panics() {
-        let mut table = RequestTable::new();
+        let mut table = RequestTable::default();
         let h = table.insert();
         table.complete(h, status(), None);
         table.complete(h, status(), None);

@@ -55,7 +55,7 @@ proptest! {
     #[test]
     fn request_table_matches_a_map_model(ops in ops()) {
         quiet_expected_panics();
-        let mut table = RequestTable::new();
+        let mut table = RequestTable::default();
         // Live requests by insertion number: handle, and the completed
         // status length once complete.
         let mut model: BTreeMap<usize, (RequestHandle, Option<u64>)> = BTreeMap::new();
@@ -113,7 +113,7 @@ proptest! {
 #[test]
 #[should_panic(expected = "request completed twice")]
 fn completing_twice_panics() {
-    let mut table = RequestTable::new();
+    let mut table = RequestTable::default();
     let h = table.insert();
     table.complete(h, status(1), None);
     table.complete(h, status(1), None);

@@ -11,7 +11,7 @@ use comb::serve::{client_request, metric_value, ServeConfig, Server, ServerHandl
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 type Join = JoinHandle<Result<(), comb::core::CombError>>;
 
@@ -360,16 +360,25 @@ fn pipelined_requests_on_one_connection_are_answered_in_order() {
     let mut s = std::net::TcpStream::connect(&addr).unwrap();
     s.write_all(&wire).unwrap();
 
-    s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    // One 2 s budget for all three answers. A `read` may block several
+    // times, so the last check also catches a budget overrun inside one.
+    let deadline = Instant::now() + Duration::from_secs(2);
     let mut reader = ResponseReader::new();
     let mut answers = Vec::new();
     while answers.len() < 3 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        assert!(!left.is_zero(), "only {answers:?} answered within 2 s");
+        s.set_read_timeout(Some(left)).unwrap();
         let r = reader
             .read(&mut s)
-            .unwrap_or_else(|e| panic!("only {answers:?} answered: {e}"));
+            .unwrap_or_else(|e| panic!("only {answers:?} answered within 2 s: {e}"));
         let id: u64 = r.header("x-comb-request").unwrap().parse().unwrap();
         answers.push((r.status, id));
     }
+    assert!(
+        Instant::now() < deadline,
+        "{answers:?} answered, but not within 2 s"
+    );
     assert!(
         answers.iter().all(|&(status, _)| status == 200),
         "{answers:?}"
