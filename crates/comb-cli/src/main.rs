@@ -6,20 +6,31 @@
 //!
 //! Exit codes follow a fixed contract (see `--help`): 0 success,
 //! 1 usage error, 2 run failure, 3 watchdog abort.
+//!
+//! Every option of every command is a row of one table, [`OPTIONS`], and
+//! [`Opts::parse`] reads the whole command line, environment fallbacks
+//! included, into one typed [`Opts`] before any work runs. The library
+//! reads no environment: it takes the values resolved here.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use comb_core::{
-    default_cache_dir, log_spaced, run_cell_cached, run_ordered, AdaptiveParams, AdaptiveStats,
-    CacheMode, CampaignDesc, CellCache, CellMethod, CombError, ErrorKind, MethodConfig,
-    NetperfParams, PingPong, PointSample, PollingParams, PwwParams, RunSpec, Transport,
+    log_spaced, run_cell_cached, run_ordered, AdaptiveParams, AdaptiveStats, CacheMode,
+    CampaignDesc, CellCache, CellMethod, CombError, ErrorKind, MethodConfig, NetperfParams,
+    PingPong, PointSample, PollingParams, PwwParams, RunSpec, Transport,
 };
-use comb_hw::FaultPlan;
-use comb_report::{generate_degradation, run_figures_cached, Fidelity, FigureId};
+use comb_report::{
+    generate_degradation, run_figures_cached, Fidelity, FigureId, FigureReport, SoakConfig,
+};
+use comb_serve::{NetFaultPlan, ServeConfig};
 use comb_sim::KernelStats;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+use Arity::{Gone, Switch, Value};
+use Cmd::*;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -59,8 +70,10 @@ USAGE:
                                            without overlap, one CSV
                                            (halo.csv); byte-identical at any
                                            shard count
-    comb netperf [--transport T] [--size N] compare COMB vs netperf methodology
-    comb latency [--transport T]           classic ping-pong latency table
+    comb netperf [--transport T] [--size N] [--shards N]
+                                           compare COMB vs netperf methodology
+    comb latency [--transport T] [--shards N]
+                                           classic ping-pong latency table
     comb trace [options]                   run one traced point: overlap
                                            analysis, ASCII timeline, and a
                                            Chrome/Perfetto trace file
@@ -77,19 +90,29 @@ EXIT CODES:
     2  run failure (simulation error, worker panic, I/O, failed checks)
     3  watchdog abort (livelocked or over-deadline simulation)
 
+ENVIRONMENT:
+    Each variable is the default of one option, read only by the commands
+    that take that option; the flag, when given, wins. A value that does
+    not parse is a usage error that names the variable.
+    COMB_JOBS       --jobs: figure, all, report, sweep, soak, degrade, serve
+    COMB_SHARDS     --shards: figure, all, report, sweep, degrade, halo,
+                    netperf, latency, trace
+    COMB_CACHE_DIR  --cache-dir: figure, all, report, sweep, cache, serve;
+                    when unset, $XDG_CACHE_HOME/comb, else $HOME/.cache/comb
+
 OPTIONS (figure/all/report):
     --fidelity <f>     sweep density: smoke | quick | paper (default: quick)
     --paper            shorthand for --fidelity paper
     --smoke            shorthand for --fidelity smoke
-    --jobs <n>         worker threads for campaign execution (default: auto —
-                       COMB_JOBS if set, else all cores; results are
+    --jobs <n>         worker threads for campaign execution (default:
+                       $COMB_JOBS, else 0 = all cores; results are
                        byte-identical for any value)
     --shards <n>       kernel shards per simulation: each point's event
                        kernel runs on <n> conservatively synchronized
-                       shards (precedence: this flag, else COMB_SHARDS,
-                       else 1 = the serial kernel). CSVs, traces and cache
-                       keys are byte-identical for any value — the epoch
-                       merge reproduces the serial event order exactly
+                       shards (default: $COMB_SHARDS, else 0 = 1 = the
+                       serial kernel). CSVs, traces and cache keys are
+                       byte-identical for any value — the epoch merge
+                       reproduces the serial event order exactly
     --out <dir>        write CSVs into <dir> (default: results/)
     --no-csv           do not write CSVs
     --plot <WxH>       ASCII plot size (default 72x20; 0x0 disables plots)
@@ -119,9 +142,10 @@ OPTIONS (sweep):
     --queue <n>                    polling queue depth (default 4)
     --batch <n>                    PWW batch size (default 1)
     --cycles <n>                   PWW cycles per point (default 12)
-    --jobs <n>                     worker threads (default: auto)
-    --shards <n>                   kernel shards per point (flag, else
-                                   COMB_SHARDS, else 1; byte-identical output)
+    --jobs <n>                     worker threads (default: $COMB_JOBS, else
+                                   all cores)
+    --shards <n>                   kernel shards per point (default:
+                                   $COMB_SHARDS, else 1; byte-identical output)
     --test-in-work                 PWW: insert one MPI_Test in the work phase
     --range <lo:hi[:per_decade]>   x range in loop iterations
     --fault <spec>                 inject faults (repeatable); specs:
@@ -148,9 +172,11 @@ OPTIONS (soak):
                                    are a pure function of seed and index, so
                                    --start N --iters 1 replays scenario N)
     --fault-seed <n>               master scenario seed (default 42)
-    --jobs <n>                     worker threads (default: auto)
-    --attempts <n>                 attempts per scenario; retryable failures
-                                   retry with a reseeded fault plan (default 2)
+    --jobs <n>                     worker threads (default: $COMB_JOBS, else
+                                   all cores)
+    --attempts <n>                 attempts per scenario, >= 1; retryable
+                                   failures retry with a reseeded fault plan
+                                   (default 2)
     --manifest <file>              failure manifest path
                                    (default soak-failures.json)
     --serve                        serve chaos mode instead: a seeded
@@ -159,7 +185,7 @@ OPTIONS (soak):
                                    harness; exits non-zero if either the
                                    robustness contract or a fuzz case fails
     --requests <n> (serve)         storm size (default 500)
-    --clients <n> (serve)          concurrent storm clients (default 8)
+    --clients <n> (serve)          concurrent storm clients, >= 1 (default 8)
     --fuzz-iters <n> (serve)       fuzz cases (default 10000)
     --net-fault <k=v> (serve)      override the storm's fault plan
                                    (repeatable; same specs as serve)
@@ -174,11 +200,14 @@ OPTIONS (trace):
     --out <file>                   write Chrome trace JSON (default run.trace.json)
     --csv <file>                   also write the raw event CSV
     --width <cols>                 ASCII timeline width (default 100)
-    Tracing runs on the serial kernel: COMB_SHARDS above 1 is a usage error.
+    --shards <n>                   tracing runs on the serial kernel: more
+                                   than one shard (by flag or $COMB_SHARDS)
+                                   is a usage error
 
 OPTIONS (degrade):
     --fidelity <f> | --smoke | --paper     sweep density (default: quick)
     --jobs <n>                             worker threads (default: auto)
+    --shards <n>                           kernel shards (default: serial)
     --out <dir>                            write CSVs into <dir> (default: results/)
     --no-csv                               do not write CSVs
     --plot <WxH>                           ASCII plot size (default 72x20; 0x0 off)
@@ -198,7 +227,8 @@ OPTIONS (serve):
     --queue <n>                    connections allowed to wait beyond the
                                    workers; past that, new connections get
                                    429 + Retry-After (default 16)
-    --jobs <n>                     sweep pool width per request (default: auto)
+    --jobs <n>                     pool width per sweep or figure request
+                                   (default: $COMB_JOBS, else all cores)
     --fidelity <f> | --smoke | --quick | --paper   figure fidelity served by
                                    /v1/figures (default: quick, matching
                                    `comb figure`)
@@ -232,52 +262,564 @@ OPTIONS (serve):
                                    concurrent identical requests cheap
 ";
 
-fn parse_fidelity(name: &str) -> Result<Fidelity, String> {
+/// Every command, with the name it is invoked by.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Cmd {
+    List,
+    Info,
+    Figure,
+    All,
+    Report,
+    Sweep,
+    Soak,
+    Degrade,
+    Halo,
+    Netperf,
+    Latency,
+    Trace,
+    Cache,
+    Serve,
+}
+
+const COMMANDS: [(&str, Cmd); 14] = [
+    ("list", List),
+    ("info", Info),
+    ("figure", Figure),
+    ("all", All),
+    ("report", Report),
+    ("sweep", Sweep),
+    ("soak", Soak),
+    ("degrade", Degrade),
+    ("halo", Halo),
+    ("netperf", Netperf),
+    ("latency", Latency),
+    ("trace", Trace),
+    ("cache", Cache),
+    ("serve", Serve),
+];
+
+/// How an option takes its value, and what it does with it.
+#[derive(Clone, Copy)]
+enum Arity {
+    /// A switch: no value.
+    Switch(fn(&mut Opts)),
+    /// One value, the next argument: parsed and range-checked into
+    /// [`Opts`], or a message saying what was expected.
+    Value(fn(&mut Opts, &str) -> Result<(), String>),
+    /// A removed flag. It skips the value it used to take, if one follows;
+    /// its error waits for the whole list (see [`removed_error`]).
+    Gone(Removed),
+}
+
+/// A removed flag whose message names the cache directory: an
+/// interrupted run now resumes from the cell cache.
+#[derive(Clone, Copy)]
+enum Removed {
+    /// `--resume <ckpt>` on the campaign commands.
+    Resume,
+    /// `comb serve --journal <file>`.
+    Journal,
+}
+
+/// One row of the option table.
+struct Opt {
+    name: &'static str,
+    /// The commands that take the option.
+    cmds: &'static [Cmd],
+    arity: Arity,
+    /// The environment fallback: the first of these variables set to a
+    /// non-empty value, with its path suffix joined on, is parsed as if it
+    /// came ahead of the arguments, so the flag wins.
+    env: &'static [(&'static str, &'static str)],
+}
+
+const fn opt(name: &'static str, cmds: &'static [Cmd], arity: Arity) -> Opt {
+    Opt {
+        name,
+        cmds,
+        arity,
+        env: &[],
+    }
+}
+
+const PRESET: &[Cmd] = &[Figure, All, Report, Degrade, Serve];
+const JOBS: &[Cmd] = &[Figure, All, Report, Sweep, Soak, Degrade, Serve];
+const SHARDS: &[Cmd] = &[
+    Figure, All, Report, Sweep, Degrade, Halo, Netperf, Latency, Trace,
+];
+const FIGURES: &[Cmd] = &[Figure, All, Report];
+const CACHED: &[Cmd] = &[Figure, All, Report, Sweep, Serve];
+const CACHE_DIR: &[Cmd] = &[Figure, All, Report, Sweep, Cache, Serve];
+const OUT: &[Cmd] = &[Figure, All, Report, Degrade, Halo, Trace];
+const PLOTS: &[Cmd] = &[Figure, All, Degrade];
+const POINT: &[Cmd] = &[Sweep, Trace];
+const METHOD: &[Cmd] = &[Sweep, Trace, Netperf, Latency];
+
+/// Every option of every command, one row each (an option whose meaning
+/// differs between commands, such as `--queue`, has one row per meaning).
+#[rustfmt::skip]
+const OPTIONS: &[Opt] = &[
+    opt("--fidelity", PRESET, Value(|o, v| set(&mut o.fidelity, fidelity(v)?))),
+    opt("--smoke", PRESET, Switch(|o| o.fidelity = Fidelity::smoke())),
+    opt("--quick", PRESET, Switch(|o| o.fidelity = Fidelity::quick())),
+    opt("--paper", PRESET, Switch(|o| o.fidelity = Fidelity::paper())),
+    Opt { env: &[("COMB_JOBS", "")], ..opt("--jobs", JOBS, Value(|o, v| set(&mut o.jobs, int(v)?))) },
+    Opt { env: &[("COMB_SHARDS", "")], ..opt("--shards", SHARDS, Value(|o, v| set(&mut o.shards, int(v)?))) },
+    opt("--out", OUT, Value(|o, v| set(&mut o.out, Some(v.into())))),
+    opt("--no-csv", PLOTS, Switch(|o| o.out = None)),
+    opt("--checks", &[Figure, All], Switch(|o| o.checks = true)),
+    opt("--plot", PLOTS, Value(|o, v| set(&mut o.plot, plot(v)?))),
+    opt("--replicates", FIGURES, Value(|o, v| set(&mut o.replicates, Some(at_least_one(v)?)))),
+    opt("--ci-target", FIGURES, Value(|o, v| set(&mut o.ci_target, Some(ci_target(v)?)))),
+    opt("--perturb-seed", FIGURES, Value(|o, v| set(&mut o.perturb_seed, Some(int(v)?)))),
+    opt("--no-cache", CACHED, Switch(|o| o.no_cache = true)),
+    opt("--cache-refresh", CACHED, Switch(|o| o.cache_refresh = true)),
+    Opt {
+        env: &[("COMB_CACHE_DIR", ""), ("XDG_CACHE_HOME", "comb"), ("HOME", ".cache/comb")],
+        ..opt("--cache-dir", CACHE_DIR, Value(|o, v| set(&mut o.cache_dir, Some(v.into()))))
+    },
+    opt("--resume", CACHED, Gone(Removed::Resume)),
+    opt("--journal", &[Serve], Gone(Removed::Journal)),
+    opt("--transport", METHOD, Value(|o, v| set(&mut o.cfg.transport, transport(v)?))),
+    opt("--size", &[Sweep, Trace, Netperf], Value(|o, v| set(&mut o.cfg.msg_bytes, int(v)?))),
+    opt("--queue", POINT, Value(|o, v| set(&mut o.cfg.queue_depth, int(v)?))),
+    opt("--batch", POINT, Value(|o, v| set(&mut o.cfg.batch, int(v)?))),
+    opt("--cycles", POINT, Value(|o, v| set(&mut o.cfg.cycles, int(v)?))),
+    opt("--test-in-work", POINT, Switch(|o| o.test_in_work = true)),
+    opt("--range", &[Sweep], Value(|o, v| set(&mut o.range, range(v)?))),
+    opt("--fault", &[Sweep], Value(|o, v| o.cfg.fault.parse_spec(v))),
+    opt("--fault-seed", &[Sweep, Soak], Value(|o, v| set(&mut o.fault_seed, Some(int(v)?)))),
+    opt("--trace", &[Sweep], Value(|o, v| set(&mut o.trace, Some(v.into())))),
+    opt("--method", &[Trace], Value(|o, v| set(&mut o.method, Some(v.into())))),
+    opt("--work-interval", &[Trace], Value(|o, v| set(&mut o.work_interval, int(v)?))),
+    opt("--poll-interval", &[Trace], Value(|o, v| set(&mut o.poll_interval, int(v)?))),
+    opt("--csv", &[Trace], Value(|o, v| set(&mut o.csv, Some(v.into())))),
+    opt("--width", &[Trace], Value(|o, v| set(&mut o.width, int(v)?))),
+    opt("--json", &[Cache], Switch(|o| o.json = true)),
+    opt("--max-age", &[Cache], Value(|o, v| set(&mut o.max_age, Some(days(v)?)))),
+    opt("--addr", &[Serve], Value(|o, v| set(&mut o.serve.addr, v.into()))),
+    opt("--workers", &[Serve], Value(|o, v| set(&mut o.serve.workers, at_least_one(v)?))),
+    opt("--queue", &[Serve], Value(|o, v| set(&mut o.serve.queue, int(v)?))),
+    opt("--read-timeout", &[Serve], Value(|o, v| set(&mut o.serve.read_timeout, secs(v)?))),
+    opt("--request-deadline", &[Serve], Value(|o, v| set(&mut o.serve.request_deadline, secs(v)?))),
+    opt("--shed-queue", &[Serve], Value(|o, v| set(&mut o.serve.shed_queue, int(v)?))),
+    opt("--breaker", &[Serve], Value(|o, v| breaker(&mut o.serve, v))),
+    opt("--quarantine", &[Serve], Value(|o, v| set(&mut o.serve.quarantine_threshold, at_least_one(v)?))),
+    opt("--net-fault", &[Serve, Soak], Value(|o, v| set_push(&mut o.net_faults, v))),
+    opt("--iters", &[Soak], Value(|o, v| set(&mut o.soak.iters, int(v)?))),
+    opt("--start", &[Soak], Value(|o, v| set(&mut o.soak.start, int(v)?))),
+    opt("--attempts", &[Soak], Value(|o, v| set(&mut o.soak.max_attempts, at_least_one(v)?))),
+    opt("--manifest", &[Soak], Value(|o, v| set(&mut o.manifest, Some(v.into())))),
+    opt("--serve", &[Soak], Switch(|o| o.soak_serve = true)),
+    opt("--requests", &[Soak], Value(|o, v| set(&mut o.requests, Some(int(v)?)))),
+    opt("--clients", &[Soak], Value(|o, v| set(&mut o.clients, Some(at_least_one(v)?)))),
+    opt("--fuzz-iters", &[Soak], Value(|o, v| set(&mut o.fuzz_iters, Some(int(v)?)))),
+];
+
+fn set<T>(slot: &mut T, value: T) -> Result<(), String> {
+    *slot = value;
+    Ok(())
+}
+
+fn set_push(list: &mut Vec<String>, value: &str) -> Result<(), String> {
+    list.push(value.to_string());
+    Ok(())
+}
+
+fn int<T: FromStr>(v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| "expected a non-negative integer".to_string())
+}
+
+fn at_least_one<T: FromStr + PartialOrd + From<u8>>(v: &str) -> Result<T, String> {
+    let n: T = int(v)?;
+    if n >= T::from(1) {
+        Ok(n)
+    } else {
+        Err("must be >= 1".into())
+    }
+}
+
+/// A finite number that satisfies `ok`, or `expected`.
+fn number(v: &str, ok: fn(f64) -> bool, expected: &str) -> Result<f64, String> {
+    match v.parse::<f64>() {
+        Ok(x) if x.is_finite() && ok(x) => Ok(x),
+        _ => Err(format!("expected {expected}")),
+    }
+}
+
+fn secs(v: &str) -> Result<Duration, String> {
+    number(v, |s| s > 0.0, "seconds > 0").map(Duration::from_secs_f64)
+}
+
+fn days(v: &str) -> Result<Duration, String> {
+    number(v, |d| d >= 0.0, "days >= 0, fractions allowed")
+        .map(|d| Duration::from_secs_f64(d * 86_400.0))
+}
+
+/// Non-finite targets would also poison `AdaptiveParams` equality.
+fn ci_target(v: &str) -> Result<f64, String> {
+    number(v, |t| t >= 0.0, "a finite non-negative fraction like 0.02")
+}
+
+fn fidelity(name: &str) -> Result<Fidelity, String> {
     match name.to_lowercase().as_str() {
         "smoke" => Ok(Fidelity::smoke()),
         "quick" => Ok(Fidelity::quick()),
         "paper" => Ok(Fidelity::paper()),
-        other => Err(format!(
-            "unknown fidelity '{other}' (expected smoke, quick or paper)"
-        )),
+        _ => Err("expected smoke, quick or paper".into()),
     }
 }
 
-fn parse_jobs(arg: Option<String>) -> Result<usize, String> {
-    arg.ok_or("--jobs needs a worker count")?
-        .parse()
-        .map_err(|_| "bad --jobs (expected a non-negative integer, 0 = auto)".to_string())
+fn transport(s: &str) -> Result<Transport, String> {
+    match s.to_lowercase().as_str() {
+        "gm" => Ok(Transport::Gm),
+        "portals" => Ok(Transport::Portals),
+        "emp" => Ok(Transport::Emp),
+        _ => Err("expected gm, portals or emp".into()),
+    }
 }
 
-fn parse_shards(arg: Option<String>) -> Result<usize, String> {
-    arg.ok_or("--shards needs a shard count")?
-        .parse()
-        .map_err(|_| "bad --shards (expected a non-negative integer, 0 = auto)".to_string())
+fn plot(spec: &str) -> Result<(usize, usize), String> {
+    let (w, h) = spec.split_once('x').ok_or("expected WxH")?;
+    Ok((int(w)?, int(h)?))
+}
+
+fn range(spec: &str) -> Result<(u64, u64, u32), String> {
+    let parts: Vec<&str> = spec.split(':').collect();
+    let (lo, hi, per_decade) = match parts[..] {
+        [lo, hi] => (int(lo)?, int(hi)?, 2),
+        [lo, hi, pd] => (int(lo)?, int(hi)?, int(pd)?),
+        _ => return Err("expected lo:hi[:per_decade]".into()),
+    };
+    if lo < 1 || hi < lo || per_decade < 1 {
+        return Err("range needs 1 <= lo <= hi and per_decade >= 1".into());
+    }
+    Ok((lo, hi, per_decade))
+}
+
+fn breaker(cfg: &mut ServeConfig, v: &str) -> Result<(), String> {
+    let (n, cooldown) = v
+        .split_once(':')
+        .ok_or("expected THRESHOLD:COOLDOWN_SECS")?;
+    cfg.breaker_threshold = at_least_one(n)?;
+    cfg.breaker_cooldown = secs(cooldown)?;
+    Ok(())
+}
+
+/// A whole command line, parsed and checked. Fields a command does not
+/// take keep their defaults.
+struct Opts {
+    cmd: Cmd,
+    /// `figure`'s positional ids (every id for `all`).
+    ids: Vec<FigureId>,
+    /// `sweep`'s positional method, or `trace --method`.
+    method: Option<String>,
+    /// `cache`'s positional subcommand.
+    sub: Option<String>,
+    /// The preset; jobs, shards and adaptive sampling are composed into it
+    /// once the whole list is parsed, so flag order cannot lose them.
+    fidelity: Fidelity,
+    jobs: usize,
+    shards: usize,
+    replicates: Option<u32>,
+    ci_target: Option<f64>,
+    perturb_seed: Option<u64>,
+    out: Option<PathBuf>,
+    plot: (usize, usize),
+    checks: bool,
+    no_cache: bool,
+    cache_refresh: bool,
+    cache_dir: Option<PathBuf>,
+    /// The first removed flag given.
+    removed: Option<Removed>,
+    /// One point's or sweep's method knobs (`sweep`, `trace`, `netperf`,
+    /// `latency`).
+    cfg: MethodConfig,
+    test_in_work: bool,
+    range: (u64, u64, u32),
+    fault_seed: Option<u64>,
+    trace: Option<PathBuf>,
+    work_interval: u64,
+    poll_interval: u64,
+    csv: Option<PathBuf>,
+    width: usize,
+    json: bool,
+    max_age: Option<Duration>,
+    serve: ServeConfig,
+    soak: SoakConfig,
+    /// `soak --serve` and its storm knobs.
+    soak_serve: bool,
+    requests: Option<usize>,
+    clients: Option<usize>,
+    fuzz_iters: Option<usize>,
+    net_faults: Vec<String>,
+    manifest: Option<PathBuf>,
+}
+
+impl Opts {
+    fn new(cmd: Cmd) -> Opts {
+        Opts {
+            cmd,
+            ids: if cmd == All {
+                FigureId::ALL.to_vec()
+            } else {
+                vec![]
+            },
+            method: None,
+            sub: None,
+            fidelity: if cmd == Halo {
+                Fidelity::smoke()
+            } else {
+                Fidelity::quick()
+            },
+            jobs: 0,
+            shards: 0,
+            replicates: None,
+            ci_target: None,
+            perturb_seed: None,
+            out: match cmd {
+                Report => None,
+                Trace => Some("run.trace.json".into()),
+                _ => Some("results".into()),
+            },
+            plot: (72, 20),
+            checks: false,
+            no_cache: false,
+            cache_refresh: false,
+            cache_dir: None,
+            removed: None,
+            cfg: MethodConfig::new(Transport::Gm, 100 * 1024),
+            test_in_work: false,
+            range: (1_000, 100_000_000, 2),
+            fault_seed: None,
+            trace: None,
+            work_interval: 1_000_000,
+            poll_interval: 10_000,
+            csv: None,
+            width: 100,
+            json: false,
+            max_age: None,
+            serve: ServeConfig {
+                addr: "127.0.0.1:8080".to_string(),
+                ..ServeConfig::default()
+            },
+            soak: SoakConfig::default(),
+            soak_serve: false,
+            requests: None,
+            clients: None,
+            fuzz_iters: None,
+            net_faults: vec![],
+            manifest: None,
+        }
+    }
+
+    /// Parse `args` (the command, then its arguments) against [`OPTIONS`],
+    /// with `env` as the process environment. The option rows the command
+    /// takes read their environment fallbacks first, then the arguments
+    /// override them; the cross-option rules run once everything is in.
+    fn parse(args: &[String], env: impl Fn(&str) -> Option<String>) -> Result<Opts, CombError> {
+        let (name, args) = args.split_first().ok_or("no command given")?;
+        let cmd = COMMANDS
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, cmd)| cmd)
+            .ok_or_else(|| format!("unknown command '{name}'"))?;
+        let mut o = Opts::new(cmd);
+        let rows = || OPTIONS.iter().filter(move |row| row.cmds.contains(&cmd));
+        for row in rows() {
+            let (Value(parse), Some((var, value))) = (row.arity, fallback(row, &env)) else {
+                continue;
+            };
+            parse(&mut o, &value)
+                .map_err(|e| format!("bad {var} '{value}' (the default of {}): {e}", row.name))?;
+        }
+        let mut it = args.iter().peekable();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with('-') {
+                o.positional(arg)?;
+                continue;
+            }
+            let row = rows().find(|row| row.name == arg).ok_or_else(|| {
+                if OPTIONS.iter().any(|row| row.name == arg) {
+                    format!("`comb {name}` does not take {arg}")
+                } else {
+                    format!("unknown option '{arg}'")
+                }
+            })?;
+            match row.arity {
+                Switch(set) => set(&mut o),
+                Value(parse) => {
+                    let value = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                    parse(&mut o, value).map_err(|e| format!("bad {arg} '{value}': {e}"))?;
+                }
+                Gone(flag) => {
+                    o.removed.get_or_insert(flag);
+                    it.next_if(|value| !value.starts_with('-'));
+                }
+            }
+        }
+        o.check()?;
+        o.compose()?;
+        Ok(o)
+    }
+
+    /// A positional argument: a figure id, the sweep method or the cache
+    /// subcommand.
+    fn positional(&mut self, arg: &str) -> Result<(), String> {
+        match self.cmd {
+            Figure => self.ids.push(arg.parse()?),
+            Sweep if self.method.is_none() => self.method = Some(arg.to_string()),
+            Cache if self.sub.is_none() => self.sub = Some(arg.to_string()),
+            _ => return Err(format!("unexpected argument '{arg}'")),
+        }
+        Ok(())
+    }
+
+    /// The rules that span more than one argument.
+    fn check(&self) -> Result<(), String> {
+        if let Some(flag) = self.removed {
+            return Err(removed_error(flag, self.cache_dir.as_deref()));
+        }
+        if self.cmd == Figure && self.ids.is_empty() {
+            return Err("no figure ids given (try `comb list`)".into());
+        }
+        if self.replicates.is_none() && (self.ci_target.is_some() || self.perturb_seed.is_some()) {
+            return Err(
+                "--ci-target / --perturb-seed need --replicates to enable adaptive sampling".into(),
+            );
+        }
+        let storm = self.requests.is_some() || self.clients.is_some() || self.fuzz_iters.is_some();
+        if self.cmd == Soak && !self.soak_serve && (storm || !self.net_faults.is_empty()) {
+            return Err(
+                "--requests/--clients/--fuzz-iters/--net-fault only apply with --serve".into(),
+            );
+        }
+        match (self.cmd, self.sub.as_deref()) {
+            (Cache, None) => Err("cache needs a subcommand: stats, verify, gc or clear".into()),
+            (Cache, Some(sub)) if !["stats", "verify", "gc", "clear"].contains(&sub) => Err(
+                format!("unknown cache subcommand '{sub}' (expected stats, verify, gc or clear)"),
+            ),
+            (Cache, Some(sub)) if sub != "gc" && self.max_age.is_some() => {
+                Err("--max-age only applies to `cache gc`".into())
+            }
+            (Sweep | Trace, _) => require_positive(&self.cfg),
+            _ => Ok(()),
+        }
+    }
+
+    /// Compose the values that more than one option feeds.
+    fn compose(&mut self) -> Result<(), String> {
+        self.fidelity.jobs = self.jobs;
+        self.fidelity.shards = self.shards;
+        self.fidelity.adaptive = self.replicates.map(|n| {
+            let stock = AdaptiveParams::new(n);
+            AdaptiveParams {
+                ci_target: self.ci_target.unwrap_or(stock.ci_target),
+                perturb_seed: self.perturb_seed.unwrap_or(stock.perturb_seed),
+                ..stock
+            }
+        });
+        self.cfg.jobs = self.jobs;
+        self.cfg.shards = self.shards;
+        if let Some(seed) = self.fault_seed {
+            self.cfg.fault.seed = seed;
+            self.soak.fault_seed = seed;
+        }
+        self.soak.jobs = self.jobs;
+        self.serve.jobs = self.jobs;
+        self.serve.fidelity = self.fidelity;
+        if self.cmd == Serve {
+            self.serve.net_fault = NetFaultPlan::from_specs(&self.net_faults, None)?;
+        }
+        Ok(())
+    }
+
+    /// The cell cache these options describe. `None` when caching is off
+    /// (explicitly, or because no cache directory resolves).
+    fn cache(&self) -> Option<Arc<CellCache>> {
+        if self.no_cache {
+            return None;
+        }
+        let mode = if self.cache_refresh {
+            CacheMode::Refresh
+        } else {
+            CacheMode::ReadWrite
+        };
+        Some(Arc::new(CellCache::new(self.cache_dir.clone()?, mode)))
+    }
+}
+
+/// A row's environment fallback: the variable that supplied it and the
+/// value to parse, or `None` when none of its variables is set.
+fn fallback(row: &Opt, env: &impl Fn(&str) -> Option<String>) -> Option<(&'static str, String)> {
+    row.env.iter().find_map(|&(var, suffix)| {
+        let value = env(var).filter(|v| !v.is_empty())?;
+        Some(match suffix {
+            "" => (var, value),
+            _ => (var, Path::new(&value).join(suffix).display().to_string()),
+        })
+    })
+}
+
+/// The usage error for a removed flag, naming the directory the
+/// arguments (or the environment) chose for the cell cache.
+fn removed_error(flag: Removed, cache_dir: Option<&Path>) -> String {
+    let dir = match cache_dir {
+        Some(d) => d.display().to_string(),
+        None => "the directory --cache-dir names".to_string(),
+    };
+    match flag {
+        Removed::Resume => format!(
+            "--resume was removed: rerun the same command to resume an \
+             interrupted run; its finished cells replay from the cell cache \
+             in {dir} (--no-cache runs cannot resume)"
+        ),
+        Removed::Journal => format!(
+            "--journal was removed: restart the server and resend the request; \
+             its stored cells replay from the cell cache in {dir} \
+             (--no-cache servers cannot resume)"
+        ),
+    }
+}
+
+/// `comb serve` rejects a zero message size, queue depth, batch or cycle
+/// count in a sweep request, and `sweep` and `trace` reject them the same
+/// way: a zero batch or cycle count would divide by zero inside the run.
+fn require_positive(cfg: &MethodConfig) -> Result<(), String> {
+    let knobs = [
+        ("--size", cfg.msg_bytes),
+        ("--queue", cfg.queue_depth as u64),
+        ("--batch", cfg.batch as u64),
+        ("--cycles", cfg.cycles),
+    ];
+    match knobs.into_iter().find(|&(_, v)| v == 0) {
+        Some((flag, _)) => Err(format!("{flag} must be >= 1")),
+        None => Ok(()),
+    }
 }
 
 fn run(args: Vec<String>) -> Result<(), CombError> {
-    let mut it = args.into_iter();
-    match it.next().as_deref() {
-        Some("list") => cmd_list(),
-        Some("info") => cmd_info(),
-        Some("figure") => cmd_figures(it.collect(), false),
-        Some("all") => cmd_figures(it.collect(), true),
-        Some("report") => cmd_report(it.collect()),
-        Some("netperf") => cmd_netperf(it.collect()),
-        Some("latency") => cmd_latency(it.collect()),
-        Some("sweep") => cmd_sweep(it.collect()),
-        Some("soak") => cmd_soak(it.collect()),
-        Some("trace") => cmd_trace(it.collect()),
-        Some("degrade") => cmd_degrade(it.collect()),
-        Some("halo") => cmd_halo(it.collect()),
-        Some("cache") => cmd_cache(it.collect()),
-        Some("serve") => cmd_serve(it.collect()),
-        Some("help") | Some("--help") | Some("-h") => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        Some(other) => Err(CombError::usage(format!("unknown command '{other}'"))),
-        None => Err(CombError::usage("no command given")),
+    if let Some("help" | "--help" | "-h") = args.first().map(String::as_str) {
+        println!("{USAGE}");
+        return Ok(());
+    }
+    let o = Opts::parse(&args, |var| std::env::var(var).ok())?;
+    match o.cmd {
+        List => cmd_list(),
+        Info => cmd_info(),
+        Figure | All => cmd_figures(o),
+        Report => cmd_report(o),
+        Netperf => cmd_netperf(o),
+        Latency => cmd_latency(o),
+        Sweep => cmd_sweep(o),
+        Soak if o.soak_serve => cmd_soak_serve(o),
+        Soak => cmd_soak(o),
+        Trace => cmd_trace(o),
+        Degrade => cmd_degrade(o),
+        Halo => cmd_halo(o),
+        Cache => cmd_cache(o),
+        Serve => cmd_serve(o),
     }
 }
 
@@ -324,170 +866,6 @@ fn cmd_info() -> Result<(), CombError> {
     Ok(())
 }
 
-/// Shared `--no-cache` / `--cache-refresh` / `--cache-dir` state.
-#[derive(Default)]
-struct CacheOpts {
-    no_cache: bool,
-    refresh: bool,
-    dir: Option<PathBuf>,
-    /// The first removed resume flag given, see [`CacheOpts::remove`].
-    removed: Option<Removed>,
-}
-
-/// A removed flag whose message names the cache directory: an
-/// interrupted run now resumes from the cell cache.
-#[derive(Clone, Copy)]
-enum Removed {
-    /// `--resume <ckpt>` on the campaign commands.
-    Resume,
-    /// `comb serve --journal <file>`.
-    Journal,
-}
-
-type Args = std::iter::Peekable<std::vec::IntoIter<String>>;
-
-impl CacheOpts {
-    /// Consume one flag if it is a cache flag. Returns false otherwise.
-    fn consume(&mut self, flag: &str, it: &mut Args) -> Result<bool, String> {
-        match flag {
-            "--no-cache" => self.no_cache = true,
-            "--cache-refresh" => self.refresh = true,
-            "--cache-dir" => {
-                self.dir = Some(PathBuf::from(
-                    it.next().ok_or("--cache-dir needs a directory")?,
-                ))
-            }
-            "--resume" => self.remove(Removed::Resume, it),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// Note a removed flag and skip the value it used to take. The error
-    /// waits for [`CacheOpts::reject_removed`], after the whole argument
-    /// list, so that it names the directory a later `--cache-dir` chose.
-    fn remove(&mut self, flag: Removed, it: &mut Args) {
-        self.removed.get_or_insert(flag);
-        it.next_if(|value| !value.starts_with('-'));
-    }
-
-    /// The usage error for a removed flag given anywhere in the
-    /// arguments; call once they are all parsed.
-    fn reject_removed(&self) -> Result<(), String> {
-        let Some(flag) = self.removed else {
-            return Ok(());
-        };
-        let dir = match self.dir.clone().or_else(default_cache_dir) {
-            Some(d) => d.display().to_string(),
-            None => "the directory --cache-dir names".to_string(),
-        };
-        Err(match flag {
-            Removed::Resume => format!(
-                "--resume was removed: rerun the same command to resume an \
-                 interrupted run; its finished cells replay from the cell cache \
-                 in {dir} (--no-cache runs cannot resume)"
-            ),
-            Removed::Journal => format!(
-                "--journal was removed: restart the server and resend the request; \
-                 its stored cells replay from the cell cache in {dir} \
-                 (--no-cache servers cannot resume)"
-            ),
-        })
-    }
-
-    /// Build the cache these flags describe. `None` when caching is off
-    /// (explicitly, or because no cache directory resolves).
-    fn build(&self) -> Option<Arc<CellCache>> {
-        if self.no_cache {
-            return None;
-        }
-        let dir = self.dir.clone().or_else(default_cache_dir)?;
-        let mode = if self.refresh {
-            CacheMode::Refresh
-        } else {
-            CacheMode::ReadWrite
-        };
-        Some(Arc::new(CellCache::new(dir, mode)))
-    }
-}
-
-/// Shared `--replicates` / `--ci-target` / `--perturb-seed` state for the
-/// commands that can run adaptive replicate campaigns.
-#[derive(Default)]
-struct AdaptiveOpts {
-    replicates: Option<u32>,
-    ci_target: Option<f64>,
-    perturb_seed: Option<u64>,
-}
-
-impl AdaptiveOpts {
-    /// Consume one flag if it is an adaptive flag. Returns false otherwise.
-    fn consume(
-        &mut self,
-        flag: &str,
-        it: &mut impl Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        match flag {
-            "--replicates" => {
-                let n: u32 = it
-                    .next()
-                    .ok_or("--replicates needs a count")?
-                    .parse()
-                    .map_err(|_| "bad --replicates (expected a positive integer)")?;
-                if n == 0 {
-                    return Err("--replicates must be at least 1".into());
-                }
-                self.replicates = Some(n);
-            }
-            "--ci-target" => {
-                let t: f64 = it
-                    .next()
-                    .ok_or("--ci-target needs a fraction")?
-                    .parse()
-                    .map_err(|_| "bad --ci-target (expected a number like 0.02)")?;
-                // Non-finite targets would also poison AdaptiveParams
-                // equality.
-                if !t.is_finite() || t < 0.0 {
-                    return Err("--ci-target must be a finite non-negative fraction".into());
-                }
-                self.ci_target = Some(t);
-            }
-            "--perturb-seed" => {
-                self.perturb_seed = Some(
-                    it.next()
-                        .ok_or("--perturb-seed needs n")?
-                        .parse()
-                        .map_err(|_| "bad --perturb-seed")?,
-                )
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// The adaptive campaign these flags describe. `--replicates` enables
-    /// it; the refinement knobs are rejected on their own.
-    fn build(&self) -> Result<Option<AdaptiveParams>, String> {
-        let Some(replicates) = self.replicates else {
-            if self.ci_target.is_some() || self.perturb_seed.is_some() {
-                return Err(
-                    "--ci-target / --perturb-seed need --replicates to enable adaptive sampling"
-                        .into(),
-                );
-            }
-            return Ok(None);
-        };
-        let mut params = AdaptiveParams::new(replicates);
-        if let Some(t) = self.ci_target {
-            params.ci_target = t;
-        }
-        if let Some(s) = self.perturb_seed {
-            params.perturb_seed = s;
-        }
-        Ok(Some(params))
-    }
-}
-
 /// The greppable one-line summary an adaptive campaign prints: how much
 /// work the CI-driven stopping rule saved over fixed-N replication.
 fn adaptive_summary(params: &AdaptiveParams, stats: &AdaptiveStats) -> String {
@@ -519,109 +897,44 @@ fn cache_summary(cache: &CellCache) -> String {
     )
 }
 
-struct FigureOpts {
-    ids: Vec<FigureId>,
+/// Run figures through the cell cache, as an adaptive campaign when the
+/// fidelity asks for replicates; the adaptive summary line comes back too.
+fn figure_reports(
+    ids: &[FigureId],
     fidelity: Fidelity,
-    out: Option<PathBuf>,
-    plot: (usize, usize),
-    show_checks: bool,
-    cache: CacheOpts,
+    out: Option<&Path>,
+    cache: Option<Arc<CellCache>>,
+) -> Result<(Vec<FigureReport>, Option<String>), CombError> {
+    let Some(params) = fidelity.adaptive else {
+        return Ok((run_figures_cached(ids, fidelity, out, cache)?, None));
+    };
+    let tracer = comb_trace::Tracer::default();
+    let (reports, stats) =
+        comb_report::run_figures_adaptive(ids, fidelity, out, cache, &tracer, None)?;
+    Ok((reports, Some(adaptive_summary(&params, &stats))))
 }
 
-fn parse_figure_opts(args: Vec<String>, all: bool) -> Result<FigureOpts, String> {
-    let mut opts = FigureOpts {
-        ids: if all { FigureId::ALL.to_vec() } else { vec![] },
-        fidelity: Fidelity::quick(),
-        out: Some(PathBuf::from("results")),
-        plot: (72, 20),
-        show_checks: false,
-        cache: CacheOpts::default(),
-    };
-    let mut adaptive = AdaptiveOpts::default();
-    let mut jobs: Option<usize> = None;
-    let mut shards: Option<usize> = None;
-    let mut it = args.into_iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--paper" => opts.fidelity = Fidelity::paper(),
-            "--quick" => opts.fidelity = Fidelity::quick(),
-            "--smoke" => opts.fidelity = Fidelity::smoke(),
-            "--fidelity" => {
-                opts.fidelity = parse_fidelity(&it.next().ok_or("--fidelity needs a name")?)?
-            }
-            "--jobs" => jobs = Some(parse_jobs(it.next())?),
-            "--shards" => shards = Some(parse_shards(it.next())?),
-            "--out" => opts.out = Some(PathBuf::from(it.next().ok_or("--out needs a directory")?)),
-            "--no-csv" => opts.out = None,
-            "--checks" => opts.show_checks = true,
-            "--plot" => {
-                let spec = it.next().ok_or("--plot needs WxH")?;
-                let (w, h) = spec
-                    .split_once('x')
-                    .ok_or_else(|| format!("bad --plot '{spec}', expected WxH"))?;
-                opts.plot = (
-                    w.parse().map_err(|_| "bad plot width")?,
-                    h.parse().map_err(|_| "bad plot height")?,
-                );
-            }
-            flag if adaptive.consume(flag, &mut it)? => {}
-            flag if opts.cache.consume(flag, &mut it)? => {}
-            other if !all => {
-                opts.ids.push(other.parse::<FigureId>()?);
-            }
-            other => return Err(format!("unknown option '{other}'")),
-        }
+fn cmd_figures(o: Opts) -> Result<(), CombError> {
+    let cache = o.cache();
+    let started = Instant::now();
+    let (reports, adaptive) = figure_reports(&o.ids, o.fidelity, o.out.as_deref(), cache.clone())?;
+    if let Some(line) = adaptive {
+        println!("{line}");
     }
-    opts.cache.reject_removed()?;
-    if let Some(jobs) = jobs {
-        opts.fidelity.jobs = jobs;
-    }
-    if let Some(shards) = shards {
-        opts.fidelity.shards = shards;
-    }
-    // Applied after the loop: `--fidelity` resets the whole struct, so an
-    // adaptive flag given before it must not be clobbered.
-    if let Some(params) = adaptive.build()? {
-        opts.fidelity = opts.fidelity.with_adaptive(params);
-    }
-    if opts.ids.is_empty() {
-        return Err("no figure ids given (try `comb list`)".into());
-    }
-    Ok(opts)
-}
-
-fn cmd_figures(args: Vec<String>, all: bool) -> Result<(), CombError> {
-    let opts = parse_figure_opts(args, all)?;
-    let cache = opts.cache.build();
-    let started = std::time::Instant::now();
-    let reports = if let Some(params) = opts.fidelity.adaptive {
-        let (reports, stats) = comb_report::run_figures_adaptive(
-            &opts.ids,
-            opts.fidelity,
-            opts.out.as_deref(),
-            cache.clone(),
-            &comb_trace::Tracer::default(),
-            None,
-        )?;
-        println!("{}", adaptive_summary(&params, &stats));
-        reports
-    } else {
-        run_figures_cached(&opts.ids, opts.fidelity, opts.out.as_deref(), cache.clone())?
-    };
     let mut failed = 0usize;
     for r in &reports {
         println!("================================================================");
         println!("{}", r.summary());
         println!("  {}", r.id.description());
-        if opts.plot.0 > 0 && opts.plot.1 > 0 {
+        if o.plot.0 > 0 && o.plot.1 > 0 {
             println!();
-            println!("{}", r.plot(opts.plot.0, opts.plot.1));
+            println!("{}", r.plot(o.plot.0, o.plot.1));
         }
         for c in &r.checks {
             if !c.pass {
                 failed += 1;
             }
-            if opts.show_checks || !c.pass {
+            if o.checks || !c.pass {
                 println!(
                     "  [{}] {} — {}",
                     if c.pass { "PASS" } else { "FAIL" },
@@ -659,53 +972,19 @@ fn cmd_figures(args: Vec<String>, all: bool) -> Result<(), CombError> {
     }
 }
 
-fn cmd_report(args: Vec<String>) -> Result<(), CombError> {
-    let mut fidelity = Fidelity::quick();
-    let mut out: Option<PathBuf> = None;
-    let mut cache_opts = CacheOpts::default();
-    let mut adaptive_opts = AdaptiveOpts::default();
-    let mut it = args.into_iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--paper" => fidelity = Fidelity::paper(),
-            "--quick" => fidelity = Fidelity::quick(),
-            "--smoke" => fidelity = Fidelity::smoke(),
-            "--fidelity" => {
-                fidelity = parse_fidelity(&it.next().ok_or("--fidelity needs a name")?)?
-            }
-            "--jobs" => fidelity.jobs = parse_jobs(it.next())?,
-            "--shards" => fidelity.shards = parse_shards(it.next())?,
-            "--out" => out = Some(PathBuf::from(it.next().ok_or("--out needs a file")?)),
-            flag if adaptive_opts.consume(flag, &mut it)? => {}
-            flag if cache_opts.consume(flag, &mut it)? => {}
-            other => return Err(CombError::usage(format!("unknown option '{other}'"))),
-        }
+fn cmd_report(o: Opts) -> Result<(), CombError> {
+    let cache = o.cache();
+    let csv_dir = Path::new("results");
+    let (reports, adaptive) =
+        figure_reports(&FigureId::ALL, o.fidelity, Some(csv_dir), cache.clone())?;
+    if let Some(line) = adaptive {
+        eprintln!("{line}");
     }
-    cache_opts.reject_removed()?;
-    if let Some(params) = adaptive_opts.build()? {
-        fidelity = fidelity.with_adaptive(params);
-    }
-    let cache = cache_opts.build();
-    let csv_dir = std::path::Path::new("results");
-    let reports = if let Some(params) = fidelity.adaptive {
-        let (reports, stats) = comb_report::run_figures_adaptive(
-            &FigureId::ALL,
-            fidelity,
-            Some(csv_dir),
-            cache.clone(),
-            &comb_trace::Tracer::default(),
-            None,
-        )?;
-        eprintln!("{}", adaptive_summary(&params, &stats));
-        reports
-    } else {
-        run_figures_cached(&FigureId::ALL, fidelity, Some(csv_dir), cache.clone())?
-    };
     if let Some(c) = &cache {
         eprintln!("{}", cache_summary(c));
     }
     let md = comb_report::markdown_report(&reports);
-    match out {
+    match o.out {
         Some(path) => {
             comb_trace::atomic_write_str(&path, &md)
                 .map_err(|e| CombError::io(path.display(), &e))?;
@@ -724,18 +1003,10 @@ fn cmd_report(args: Vec<String>) -> Result<(), CombError> {
     }
 }
 
-fn cmd_halo(args: Vec<String>) -> Result<(), CombError> {
-    let mut fidelity = Fidelity::smoke();
-    let mut out = PathBuf::from("results");
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--shards" => fidelity.shards = parse_shards(it.next())?,
-            "--out" => out = PathBuf::from(it.next().ok_or("--out needs a directory")?),
-            other => return Err(CombError::usage(format!("unknown option '{other}'"))),
-        }
-    }
-    let ds = comb_report::generate_halo(fidelity)?;
+fn cmd_halo(o: Opts) -> Result<(), CombError> {
+    // Always set: `halo` takes no --no-csv.
+    let out = o.out.unwrap_or_default();
+    let ds = comb_report::generate_halo(o.fidelity)?;
     println!("{}\n", ds.title);
     for s in &ds.series {
         if let Some(p) = s.points.last() {
@@ -750,38 +1021,11 @@ fn cmd_halo(args: Vec<String>) -> Result<(), CombError> {
     Ok(())
 }
 
-fn parse_transport(s: &str) -> Result<Transport, String> {
-    match s.to_lowercase().as_str() {
-        "gm" => Ok(Transport::Gm),
-        "portals" => Ok(Transport::Portals),
-        "emp" => Ok(Transport::Emp),
-        other => Err(format!("unknown transport '{other}'")),
-    }
-}
-
-fn cmd_netperf(args: Vec<String>) -> Result<(), CombError> {
-    let mut transport = Transport::Gm;
-    let mut size: u64 = 100 * 1024;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--transport" => {
-                transport = parse_transport(&it.next().ok_or("--transport needs a value")?)?
-            }
-            "--size" => {
-                size = it
-                    .next()
-                    .ok_or("--size needs bytes")?
-                    .parse()
-                    .map_err(|_| "bad size")?
-            }
-            other => return Err(CombError::usage(format!("unknown option '{other}'"))),
-        }
-    }
-    let cfg = comb_core::MethodConfig::new(transport, size);
+fn cmd_netperf(o: Opts) -> Result<(), CombError> {
+    let cfg = o.cfg;
     let spec = RunSpec::of(&cfg);
     let netperf = |busy_wait| NetperfParams {
-        msg_bytes: size,
+        msg_bytes: cfg.msg_bytes,
         total_iters: 4_000_000,
         busy_wait,
     };
@@ -791,7 +1035,7 @@ fn cmd_netperf(args: Vec<String>) -> Result<(), CombError> {
     println!(
         "methodology comparison on {} ({} B messages):",
         cfg.transport.name(),
-        size
+        cfg.msg_bytes
     );
     println!(
         "  netperf, busy-wait driver : availability {:.3} at {:>6.1} MB/s",
@@ -808,18 +1052,7 @@ fn cmd_netperf(args: Vec<String>) -> Result<(), CombError> {
     Ok(())
 }
 
-fn cmd_latency(args: Vec<String>) -> Result<(), CombError> {
-    let mut transport = Transport::Gm;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--transport" => {
-                transport = parse_transport(&it.next().ok_or("--transport needs a value")?)?
-            }
-            other => return Err(CombError::usage(format!("unknown option '{other}'"))),
-        }
-    }
-    let cfg = comb_core::MethodConfig::new(transport, 0);
+fn cmd_latency(o: Opts) -> Result<(), CombError> {
     let sizes = [
         0u64,
         1024,
@@ -829,7 +1062,7 @@ fn cmd_latency(args: Vec<String>) -> Result<(), CombError> {
         256 * 1024,
         1024 * 1024,
     ];
-    let spec = RunSpec::of(&cfg);
+    let spec = RunSpec::of(&o.cfg);
     let rows = sizes
         .iter()
         .map(|&msg_bytes| {
@@ -842,7 +1075,7 @@ fn cmd_latency(args: Vec<String>) -> Result<(), CombError> {
         .collect::<Result<Vec<_>, CombError>>()?;
     println!(
         "ping-pong on {} (50 round trips per size):",
-        cfg.transport.name()
+        o.cfg.transport.name()
     );
     println!("{:>10} {:>14} {:>12}", "bytes", "half-RTT", "bandwidth");
     for r in rows {
@@ -859,115 +1092,41 @@ fn cmd_latency(args: Vec<String>) -> Result<(), CombError> {
     Ok(())
 }
 
-fn cmd_trace(args: Vec<String>) -> Result<(), CombError> {
-    let mut method = "pww".to_string();
-    let mut transport = Transport::Gm;
-    let mut size: u64 = 100 * 1024;
-    let mut work_interval: u64 = 1_000_000;
-    let mut poll_interval: u64 = 10_000;
-    let mut batch: usize = 1;
-    let mut cycles: u64 = 12;
-    let mut queue: usize = 4;
-    let mut test_in_work = false;
-    let mut out = PathBuf::from("run.trace.json");
-    let mut csv: Option<PathBuf> = None;
-    let mut width: usize = 100;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--method" => method = it.next().ok_or("--method needs pww or polling")?,
-            "--transport" => {
-                transport = parse_transport(&it.next().ok_or("--transport needs a value")?)?
-            }
-            "--size" => {
-                size = it
-                    .next()
-                    .ok_or("--size needs bytes")?
-                    .parse()
-                    .map_err(|_| "bad size")?
-            }
-            "--work-interval" => {
-                work_interval = it
-                    .next()
-                    .ok_or("--work-interval needs iters")?
-                    .parse()
-                    .map_err(|_| "bad work interval")?
-            }
-            "--poll-interval" => {
-                poll_interval = it
-                    .next()
-                    .ok_or("--poll-interval needs iters")?
-                    .parse()
-                    .map_err(|_| "bad poll interval")?
-            }
-            "--batch" => {
-                batch = it
-                    .next()
-                    .ok_or("--batch needs n")?
-                    .parse()
-                    .map_err(|_| "bad batch")?
-            }
-            "--cycles" => {
-                cycles = it
-                    .next()
-                    .ok_or("--cycles needs n")?
-                    .parse()
-                    .map_err(|_| "bad cycles")?
-            }
-            "--queue" => {
-                queue = it
-                    .next()
-                    .ok_or("--queue needs n")?
-                    .parse()
-                    .map_err(|_| "bad queue")?
-            }
-            "--test-in-work" => test_in_work = true,
-            "--out" => out = PathBuf::from(it.next().ok_or("--out needs a file")?),
-            "--csv" => csv = Some(PathBuf::from(it.next().ok_or("--csv needs a file")?)),
-            "--width" => {
-                width = it
-                    .next()
-                    .ok_or("--width needs cols")?
-                    .parse()
-                    .map_err(|_| "bad width")?
-            }
-            other => return Err(CombError::usage(format!("unknown option '{other}'"))),
-        }
-    }
-    require_positive(size, queue, batch, cycles)?;
-    let mut cfg = MethodConfig::new(transport, size);
-    cfg.batch = batch;
-    cfg.cycles = cycles;
-    cfg.queue_depth = queue;
+fn cmd_trace(o: Opts) -> Result<(), CombError> {
+    let cfg = &o.cfg;
     let spec = RunSpec {
         trace: true,
-        ..RunSpec::of(&cfg)
+        ..RunSpec::of(cfg)
     };
-    let records = match method.as_str() {
+    let records = match o.method.as_deref().unwrap_or("pww") {
         "pww" => {
-            let run = comb_core::run(&PwwParams::new(&cfg, work_interval, test_in_work), &spec)?;
+            let params = PwwParams::new(cfg, o.work_interval, o.test_in_work);
+            let run = comb_core::run(&params, &spec)?;
             println!(
                 "pww on {} | {} B messages, work interval {} iters, {} cycles",
                 cfg.transport.name(),
-                size,
-                work_interval,
-                cycles
+                cfg.msg_bytes,
+                o.work_interval,
+                cfg.cycles
             );
             println!(
                 "  bandwidth {:.1} MB/s, availability {:.3}, wait/msg {}",
                 run.sample.bandwidth_mbs, run.sample.availability, run.sample.wait_per_msg
             );
             println!();
-            print!("{}", comb_report::render_pww_timeline(&run.records, width));
+            print!(
+                "{}",
+                comb_report::render_pww_timeline(&run.records, o.width)
+            );
             run.records
         }
         "polling" => {
-            let run = comb_core::run(&PollingParams::new(&cfg, poll_interval), &spec)?;
+            let run = comb_core::run(&PollingParams::new(cfg, o.poll_interval), &spec)?;
             println!(
                 "polling on {} | {} B messages, poll interval {} iters",
                 cfg.transport.name(),
-                size,
-                poll_interval
+                cfg.msg_bytes,
+                o.poll_interval
             );
             println!(
                 "  bandwidth {:.1} MB/s, availability {:.3}, {} messages",
@@ -982,6 +1141,8 @@ fn cmd_trace(args: Vec<String>) -> Result<(), CombError> {
         "{}",
         comb_trace::TraceAnalysis::from_records(&records).render()
     );
+    // Always set: `trace` takes no --no-csv.
+    let out = o.out.unwrap_or_default();
     comb_trace::atomic_write_str(&out, &comb_trace::chrome_trace_json(&records))
         .map_err(|e| CombError::io(out.display(), &e))?;
     println!();
@@ -989,7 +1150,7 @@ fn cmd_trace(args: Vec<String>) -> Result<(), CombError> {
         "trace: {} (load in ui.perfetto.dev or chrome://tracing)",
         out.display()
     );
-    if let Some(path) = csv {
+    if let Some(path) = o.csv {
         comb_trace::atomic_write_str(&path, &comb_trace::csv_export(&records))
             .map_err(|e| CombError::io(path.display(), &e))?;
         println!("csv:   {}", path.display());
@@ -997,141 +1158,29 @@ fn cmd_trace(args: Vec<String>) -> Result<(), CombError> {
     Ok(())
 }
 
-/// `comb serve` rejects a zero message size, queue depth, batch or cycle
-/// count in a sweep request, and `sweep` and `trace` reject them the same
-/// way: a zero batch or cycle count would divide by zero inside the run.
-fn require_positive(size: u64, queue: usize, batch: usize, cycles: u64) -> Result<(), CombError> {
-    let knobs = [
-        ("--size", size),
-        ("--queue", queue as u64),
-        ("--batch", batch as u64),
-        ("--cycles", cycles),
-    ];
-    match knobs.into_iter().find(|&(_, v)| v == 0) {
-        Some((flag, _)) => Err(CombError::usage(format!("{flag} must be >= 1"))),
-        None => Ok(()),
-    }
-}
-
-fn cmd_sweep(args: Vec<String>) -> Result<(), CombError> {
-    // The method is optional: `comb sweep --fault ...` defaults to polling.
-    let mut args = args;
-    let method = match args.first() {
-        Some(a) if !a.starts_with('-') => args.remove(0),
-        _ => "polling".to_string(),
-    };
-    let mut it = args.into_iter().peekable();
-    let mut transport = Transport::Gm;
-    let mut size: u64 = 100 * 1024;
-    let mut queue: usize = 4;
-    let mut batch: usize = 1;
-    let mut cycles: u64 = 12;
-    let mut jobs: usize = 0;
-    let mut shards: usize = 0;
-    let mut test_in_work = false;
-    let mut range = (1_000u64, 100_000_000u64, 2u32);
-    let mut fault_specs: Vec<String> = Vec::new();
-    let mut fault_seed: Option<u64> = None;
-    let mut trace_path: Option<PathBuf> = None;
-    let mut cache_opts = CacheOpts::default();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--transport" => {
-                transport = parse_transport(&it.next().ok_or("--transport needs a value")?)?
-            }
-            "--size" => {
-                size = it
-                    .next()
-                    .ok_or("--size needs bytes")?
-                    .parse()
-                    .map_err(|_| "bad size")?
-            }
-            "--queue" => {
-                queue = it
-                    .next()
-                    .ok_or("--queue needs n")?
-                    .parse()
-                    .map_err(|_| "bad queue")?
-            }
-            "--batch" => {
-                batch = it
-                    .next()
-                    .ok_or("--batch needs n")?
-                    .parse()
-                    .map_err(|_| "bad batch")?
-            }
-            "--cycles" => {
-                cycles = it
-                    .next()
-                    .ok_or("--cycles needs n")?
-                    .parse()
-                    .map_err(|_| "bad cycles")?
-            }
-            "--jobs" => jobs = parse_jobs(it.next())?,
-            "--shards" => shards = parse_shards(it.next())?,
-            "--test-in-work" => test_in_work = true,
-            "--fault" => fault_specs.push(it.next().ok_or("--fault needs a spec")?),
-            "--trace" => trace_path = Some(PathBuf::from(it.next().ok_or("--trace needs a file")?)),
-            "--fault-seed" => {
-                fault_seed = Some(
-                    it.next()
-                        .ok_or("--fault-seed needs n")?
-                        .parse()
-                        .map_err(|_| "bad fault seed")?,
-                )
-            }
-            "--range" => {
-                let spec = it.next().ok_or("--range needs lo:hi[:per_decade]")?;
-                let parts: Vec<&str> = spec.split(':').collect();
-                if parts.len() < 2 || parts.len() > 3 {
-                    return Err(CombError::usage(format!("bad --range '{spec}'")));
-                }
-                range.0 = parts[0].parse().map_err(|_| "bad range lo")?;
-                range.1 = parts[1].parse().map_err(|_| "bad range hi")?;
-                if let Some(pd) = parts.get(2) {
-                    range.2 = pd.parse().map_err(|_| "bad range per_decade")?;
-                }
-                if range.0 < 1 || range.1 < range.0 || range.2 < 1 {
-                    return Err("range needs 1 <= lo <= hi and per_decade >= 1".into());
-                }
-            }
-            flag if cache_opts.consume(flag, &mut it)? => {}
-            other => return Err(CombError::usage(format!("unknown option '{other}'"))),
-        }
-    }
-    cache_opts.reject_removed()?;
-    require_positive(size, queue, batch, cycles)?;
-    let fault = FaultPlan::from_specs(&fault_specs, fault_seed)?;
-    let mut cfg = MethodConfig::new(transport, size);
-    cfg.queue_depth = queue;
-    cfg.batch = batch;
-    cfg.cycles = cycles;
-    cfg.jobs = jobs;
-    cfg.shards = shards;
-    cfg.fault = fault.clone();
+fn cmd_sweep(o: Opts) -> Result<(), CombError> {
+    let cfg = &o.cfg;
     // The cache only backs plain sweeps: traced runs capture records the
     // cache cannot restore.
-    let cache = if trace_path.is_none() {
-        cache_opts.build()
-    } else {
-        None
-    };
-    let method = match method.as_str() {
+    let cache = if o.trace.is_none() { o.cache() } else { None };
+    let method = match o.method.as_deref().unwrap_or("polling") {
         "polling" => CellMethod::Polling,
-        "pww" => CellMethod::Pww { test_in_work },
+        "pww" => CellMethod::Pww {
+            test_in_work: o.test_in_work,
+        },
         other => return Err(CombError::usage(format!("unknown sweep method '{other}'"))),
     };
-    let xs = log_spaced(range.0, range.1, range.2);
+    let xs = log_spaced(o.range.0, o.range.1, o.range.2);
     // Run the sweep once. With --trace every point is traced — the
     // samples are identical to an untraced sweep's — and lands in its own
     // pid group of one Chrome trace file.
     let mut trace_json: Option<String> = None;
-    let samples = if trace_path.is_some() {
+    let samples = if o.trace.is_some() {
         let spec = RunSpec {
             trace: true,
-            ..RunSpec::of(&cfg)
+            ..RunSpec::of(cfg)
         };
-        let runs = run_ordered(cfg.jobs, &xs, |&x| method.run(&cfg, x, &spec))?;
+        let runs = run_ordered(cfg.jobs, &xs, |&x| method.run(cfg, x, &spec))?;
         let axis = match method {
             CellMethod::Polling => "poll",
             CellMethod::Pww { .. } => "work",
@@ -1143,14 +1192,14 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), CombError> {
         trace_json = Some(ct.finish());
         runs.into_iter().map(|r| r.sample).collect()
     } else {
-        cached_sweep(cache.as_deref(), &cfg, &xs, method)?
+        cached_sweep(cache.as_deref(), cfg, &xs, method)?
     };
     // Faulted sweeps print CSV (with the plan in the header) so runs can be
     // diffed byte-for-byte — the acceptance mode for fault determinism.
     // The shared renderer is the same one `comb serve` uses, which is what
     // makes HTTP sweep bodies byte-identical to this stdout.
-    print!("{}", comb_report::render_sweep(&cfg, method, samples));
-    if let (Some(path), Some(json)) = (&trace_path, &trace_json) {
+    print!("{}", comb_report::render_sweep(cfg, method, samples));
+    if let (Some(path), Some(json)) = (&o.trace, &trace_json) {
         comb_trace::atomic_write_str(path, json).map_err(|e| CombError::io(path.display(), &e))?;
         eprintln!("trace: {}", path.display());
         // Stderr so faulted-sweep CSV on stdout stays byte-diffable.
@@ -1182,48 +1231,16 @@ fn cached_sweep(
     .map_err(CombError::from)
 }
 
-fn cmd_cache(args: Vec<String>) -> Result<(), CombError> {
-    let mut it = args.into_iter();
-    let sub = it
-        .next()
-        .ok_or_else(|| CombError::usage("cache needs a subcommand: stats, verify, gc or clear"))?;
-    let mut dir: Option<PathBuf> = None;
-    let mut json = false;
-    let mut max_age: Option<std::time::Duration> = None;
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--cache-dir" => {
-                dir = Some(PathBuf::from(
-                    it.next().ok_or("--cache-dir needs a directory")?,
-                ))
-            }
-            "--json" => json = true,
-            "--max-age" => {
-                let days: f64 = it
-                    .next()
-                    .ok_or("--max-age needs a day count")?
-                    .parse()
-                    .map_err(|_| "bad --max-age (expected days, fractions allowed)")?;
-                if !days.is_finite() || days < 0.0 {
-                    return Err(CombError::usage("--max-age must be >= 0"));
-                }
-                max_age = Some(std::time::Duration::from_secs_f64(days * 86_400.0));
-            }
-            other => return Err(CombError::usage(format!("unknown option '{other}'"))),
-        }
-    }
-    if max_age.is_some() && sub != "gc" {
-        return Err(CombError::usage("--max-age only applies to `cache gc`"));
-    }
-    let dir = dir.or_else(default_cache_dir).ok_or_else(|| {
+fn cmd_cache(o: Opts) -> Result<(), CombError> {
+    let dir = o.cache_dir.ok_or_else(|| {
         CombError::usage(
             "no cache directory (pass --cache-dir or set COMB_CACHE_DIR / XDG_CACHE_HOME / HOME)",
         )
     })?;
-    match sub.as_str() {
-        "stats" => {
+    match o.sub.as_deref() {
+        Some("stats") => {
             let r = comb_core::cache::verify_store(&dir);
-            if json {
+            if o.json {
                 let escaped = dir
                     .display()
                     .to_string()
@@ -1245,7 +1262,7 @@ fn cmd_cache(args: Vec<String>) -> Result<(), CombError> {
             }
             Ok(())
         }
-        "verify" => {
+        Some("verify") => {
             let r = comb_core::cache::verify_store(&dir);
             println!(
                 "verified {}: {} valid entries, {} invalid",
@@ -1262,8 +1279,8 @@ fn cmd_cache(args: Vec<String>) -> Result<(), CombError> {
                 Ok(())
             }
         }
-        "gc" => {
-            let r = comb_core::gc_store_with_max_age(&dir, max_age);
+        Some("gc") => {
+            let r = comb_core::gc_store_with_max_age(&dir, o.max_age);
             println!(
                 "gc {}: kept {} entries, removed {} files ({} expired)",
                 dir.display(),
@@ -1273,115 +1290,20 @@ fn cmd_cache(args: Vec<String>) -> Result<(), CombError> {
             );
             Ok(())
         }
-        "clear" => {
+        // `clear`: `Opts::check` admits no other subcommand.
+        _ => {
             let r = comb_core::cache::clear_store(&dir);
             println!("cleared {}: removed {} entries", dir.display(), r.removed);
             Ok(())
         }
-        other => Err(CombError::usage(format!(
-            "unknown cache subcommand '{other}' (expected stats, verify, gc or clear)"
-        ))),
     }
 }
 
-fn cmd_serve(args: Vec<String>) -> Result<(), CombError> {
-    let mut cfg = comb_serve::ServeConfig {
-        addr: "127.0.0.1:8080".to_string(),
-        ..comb_serve::ServeConfig::default()
+fn cmd_serve(o: Opts) -> Result<(), CombError> {
+    let cfg = ServeConfig {
+        cache: o.cache(),
+        ..o.serve
     };
-    let mut cache_opts = CacheOpts::default();
-    let mut it = args.into_iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => cfg.addr = it.next().ok_or("--addr needs host:port")?,
-            "--workers" => {
-                cfg.workers = it
-                    .next()
-                    .ok_or("--workers needs n")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or("bad --workers (expected an integer >= 1)")?
-            }
-            "--queue" => {
-                cfg.queue = it
-                    .next()
-                    .ok_or("--queue needs n")?
-                    .parse()
-                    .map_err(|_| "bad --queue")?
-            }
-            "--jobs" => cfg.jobs = parse_jobs(it.next())?,
-            "--fidelity" => {
-                cfg.fidelity = parse_fidelity(&it.next().ok_or("--fidelity needs a name")?)?
-            }
-            "--smoke" => cfg.fidelity = Fidelity::smoke(),
-            "--quick" => cfg.fidelity = Fidelity::quick(),
-            "--paper" => cfg.fidelity = Fidelity::paper(),
-            "--read-timeout" => {
-                let secs: f64 = it
-                    .next()
-                    .ok_or("--read-timeout needs seconds")?
-                    .parse()
-                    .map_err(|_| "bad --read-timeout")?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(CombError::usage("--read-timeout must be > 0"));
-                }
-                cfg.read_timeout = std::time::Duration::from_secs_f64(secs);
-            }
-            "--request-deadline" => {
-                let secs: f64 = it
-                    .next()
-                    .ok_or("--request-deadline needs seconds")?
-                    .parse()
-                    .map_err(|_| "bad --request-deadline")?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(CombError::usage("--request-deadline must be > 0"));
-                }
-                cfg.request_deadline = std::time::Duration::from_secs_f64(secs);
-            }
-            "--shed-queue" => {
-                cfg.shed_queue = it
-                    .next()
-                    .ok_or("--shed-queue needs n")?
-                    .parse()
-                    .map_err(|_| "bad --shed-queue")?
-            }
-            "--journal" => cache_opts.remove(Removed::Journal, &mut it),
-            "--net-fault" => {
-                let spec = it.next().ok_or("--net-fault needs KEY=VALUE")?;
-                cfg.net_fault.parse_spec(&spec).map_err(CombError::usage)?;
-            }
-            "--breaker" => {
-                let v = it.next().ok_or("--breaker needs THRESHOLD:COOLDOWN_SECS")?;
-                let (t, c) = v
-                    .split_once(':')
-                    .ok_or("--breaker needs THRESHOLD:COOLDOWN_SECS")?;
-                cfg.breaker_threshold = t
-                    .parse::<u32>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or("bad --breaker threshold (integer >= 1)")?;
-                let secs: f64 = c.parse().map_err(|_| "bad --breaker cooldown")?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(CombError::usage("--breaker cooldown must be > 0"));
-                }
-                cfg.breaker_cooldown = std::time::Duration::from_secs_f64(secs);
-            }
-            "--quarantine" => {
-                cfg.quarantine_threshold = it
-                    .next()
-                    .ok_or("--quarantine needs n")?
-                    .parse::<u32>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or("bad --quarantine (integer >= 1)")?
-            }
-            flag if cache_opts.consume(flag, &mut it)? => {}
-            other => return Err(CombError::usage(format!("unknown option '{other}'"))),
-        }
-    }
-    cache_opts.reject_removed()?;
-    cfg.cache = cache_opts.build();
     if !cfg.net_fault.is_none() {
         println!("serve: net-fault {}", cfg.net_fault);
     }
@@ -1402,103 +1324,13 @@ fn kernel_summary() -> String {
     )
 }
 
-fn cmd_soak(args: Vec<String>) -> Result<(), CombError> {
-    let mut config = comb_report::SoakConfig::default();
-    let mut manifest = PathBuf::from("soak-failures.json");
-    let mut manifest_requested = false;
-    let mut serve_mode = false;
-    let mut serve_requests: Option<usize> = None;
-    let mut serve_clients: Option<usize> = None;
-    let mut fuzz_iters: Option<usize> = None;
-    let mut net_fault_specs: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--serve" => serve_mode = true,
-            "--requests" => {
-                serve_requests = Some(
-                    it.next()
-                        .ok_or("--requests needs n")?
-                        .parse()
-                        .map_err(|_| "bad --requests")?,
-                )
-            }
-            "--clients" => {
-                serve_clients = Some(
-                    it.next()
-                        .ok_or("--clients needs n")?
-                        .parse()
-                        .map_err(|_| "bad --clients")?,
-                )
-            }
-            "--fuzz-iters" => {
-                fuzz_iters = Some(
-                    it.next()
-                        .ok_or("--fuzz-iters needs n")?
-                        .parse()
-                        .map_err(|_| "bad --fuzz-iters")?,
-                )
-            }
-            "--net-fault" => net_fault_specs.push(it.next().ok_or("--net-fault needs KEY=VALUE")?),
-            "--iters" => {
-                config.iters = it
-                    .next()
-                    .ok_or("--iters needs n")?
-                    .parse()
-                    .map_err(|_| "bad --iters")?
-            }
-            "--start" => {
-                config.start = it
-                    .next()
-                    .ok_or("--start needs n")?
-                    .parse()
-                    .map_err(|_| "bad --start")?
-            }
-            "--fault-seed" => {
-                config.fault_seed = it
-                    .next()
-                    .ok_or("--fault-seed needs n")?
-                    .parse()
-                    .map_err(|_| "bad --fault-seed")?
-            }
-            "--jobs" => config.jobs = parse_jobs(it.next())?,
-            "--attempts" => {
-                config.max_attempts = it
-                    .next()
-                    .ok_or("--attempts needs n")?
-                    .parse()
-                    .map_err(|_| "bad --attempts")?
-            }
-            "--manifest" => {
-                manifest = PathBuf::from(it.next().ok_or("--manifest needs a file")?);
-                manifest_requested = true;
-            }
-            other => return Err(CombError::usage(format!("unknown option '{other}'"))),
-        }
-    }
-    if serve_mode {
-        return cmd_soak_serve(
-            config.fault_seed,
-            serve_requests,
-            serve_clients,
-            fuzz_iters,
-            &net_fault_specs,
-        );
-    }
-    if serve_requests.is_some()
-        || serve_clients.is_some()
-        || fuzz_iters.is_some()
-        || !net_fault_specs.is_empty()
-    {
-        return Err(CombError::usage(
-            "--requests/--clients/--fuzz-iters/--net-fault only apply with --serve",
-        ));
-    }
+fn cmd_soak(o: Opts) -> Result<(), CombError> {
+    let config = o.soak;
     println!(
         "soak: {} scenarios from index {} (seed {}), {} attempt(s) each",
         config.iters, config.start, config.fault_seed, config.max_attempts
     );
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let report = comb_report::run_soak(&config);
     println!(
         "soak: {} passed ({} after retry), {} failed, {:.1}s",
@@ -1514,7 +1346,11 @@ fn cmd_soak(args: Vec<String>) -> Result<(), CombError> {
     }
     // The manifest is written whenever something failed (or on explicit
     // request), atomically, so CI can collect it as an artifact.
-    if !report.all_pass() || manifest_requested {
+    let manifest = o
+        .manifest
+        .clone()
+        .unwrap_or_else(|| PathBuf::from("soak-failures.json"));
+    if !report.all_pass() || o.manifest.is_some() {
         report.write_manifest(&manifest)?;
         println!("manifest: {}", manifest.display());
     }
@@ -1533,35 +1369,26 @@ fn cmd_soak(args: Vec<String>) -> Result<(), CombError> {
 /// `comb soak --serve`: the serve chaos soak (seeded transport-fault
 /// client storm against a live server) followed by the protocol fuzz
 /// harness, both deterministic from `--fault-seed`.
-fn cmd_soak_serve(
-    seed: u64,
-    requests: Option<usize>,
-    clients: Option<usize>,
-    fuzz_iters: Option<usize>,
-    net_fault_specs: &[String],
-) -> Result<(), CombError> {
+fn cmd_soak_serve(o: Opts) -> Result<(), CombError> {
+    let seed = o.soak.fault_seed;
     let mut cfg = comb_serve::ServeSoakConfig::storm(seed);
-    if let Some(r) = requests {
-        cfg.requests = r;
-    }
-    if let Some(c) = clients {
-        cfg.clients = c.max(1);
-    }
-    if !net_fault_specs.is_empty() {
-        cfg.fault = comb_serve::NetFaultPlan::from_specs(net_fault_specs, Some(seed))
-            .map_err(CombError::usage)?;
+    cfg.requests = o.requests.unwrap_or(cfg.requests);
+    cfg.clients = o.clients.unwrap_or(cfg.clients);
+    if !o.net_faults.is_empty() {
+        cfg.fault =
+            NetFaultPlan::from_specs(&o.net_faults, Some(seed)).map_err(CombError::usage)?;
     }
     println!(
         "soak: serve chaos, {} requests over {} clients (seed {}), net-fault {}",
         cfg.requests, cfg.clients, seed, cfg.fault
     );
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let report = comb_serve::run_serve_soak(&cfg)?;
     println!("{}", report.summary());
 
     let fuzz_cfg = comb_serve::FuzzConfig {
         seed,
-        iters: fuzz_iters.unwrap_or(10_000) as u64,
+        iters: o.fuzz_iters.unwrap_or(10_000) as u64,
     };
     let fuzz = comb_serve::run_fuzz(fuzz_cfg);
     println!("{}", fuzz.summary());
@@ -1581,45 +1408,16 @@ fn cmd_soak_serve(
     }
 }
 
-fn cmd_degrade(args: Vec<String>) -> Result<(), CombError> {
-    let mut fidelity = Fidelity::quick();
-    let mut out: Option<PathBuf> = Some(PathBuf::from("results"));
-    let mut plot = (72usize, 20usize);
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--paper" => fidelity = Fidelity::paper(),
-            "--quick" => fidelity = Fidelity::quick(),
-            "--smoke" => fidelity = Fidelity::smoke(),
-            "--fidelity" => {
-                fidelity = parse_fidelity(&it.next().ok_or("--fidelity needs a name")?)?
-            }
-            "--jobs" => fidelity.jobs = parse_jobs(it.next())?,
-            "--shards" => fidelity.shards = parse_shards(it.next())?,
-            "--out" => out = Some(PathBuf::from(it.next().ok_or("--out needs a directory")?)),
-            "--no-csv" => out = None,
-            "--plot" => {
-                let spec = it.next().ok_or("--plot needs WxH")?;
-                let (w, h) = spec
-                    .split_once('x')
-                    .ok_or_else(|| format!("bad --plot '{spec}', expected WxH"))?;
-                plot = (
-                    w.parse().map_err(|_| "bad plot width")?,
-                    h.parse().map_err(|_| "bad plot height")?,
-                );
-            }
-            other => return Err(CombError::usage(format!("unknown option '{other}'"))),
-        }
-    }
-    let figs = generate_degradation(fidelity)?;
+fn cmd_degrade(o: Opts) -> Result<(), CombError> {
+    let figs = generate_degradation(o.fidelity)?;
     for ds in &figs {
         println!("================================================================");
         println!("{}: {}", ds.id, ds.title);
-        if plot.0 > 0 && plot.1 > 0 {
+        if o.plot.0 > 0 && o.plot.1 > 0 {
             println!();
-            println!("{}", comb_report::ascii::render(ds, plot.0, plot.1));
+            println!("{}", comb_report::ascii::render(ds, o.plot.0, o.plot.1));
         }
-        if let Some(dir) = &out {
+        if let Some(dir) = &o.out {
             let path = ds
                 .write_csv(dir)
                 .map_err(|e| CombError::io(dir.display(), &e))?;
@@ -1634,60 +1432,80 @@ fn cmd_degrade(args: Vec<String>) -> Result<(), CombError> {
 mod tests {
     use super::*;
 
+    /// Parse a command line with the given environment.
+    fn parse_env(args: &[&str], env: &[(&str, &str)]) -> Result<Opts, CombError> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Opts::parse(&args, |var| {
+            env.iter()
+                .find(|(k, _)| *k == var)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    /// Parse a command line with an empty environment.
+    fn parse(args: &[&str]) -> Result<Opts, CombError> {
+        parse_env(args, &[])
+    }
+
     #[test]
     fn figure_opts_defaults_and_flags() {
-        let opts = parse_figure_opts(
-            vec!["fig08".into(), "--paper".into(), "--no-csv".into()],
-            false,
-        )
-        .unwrap();
+        let opts = parse(&["figure", "fig08", "--paper", "--no-csv"]).unwrap();
         assert_eq!(opts.ids, vec![FigureId::Fig08]);
         assert_eq!(opts.fidelity, Fidelity::paper());
         assert!(opts.out.is_none());
-        assert!(!opts.show_checks);
+        assert!(!opts.checks);
     }
 
     #[test]
     fn all_mode_rejects_positional_ids_but_takes_flags() {
-        assert!(parse_figure_opts(vec!["fig08".into()], true).is_err());
-        let opts = parse_figure_opts(vec!["--plot".into(), "100x30".into()], true).unwrap();
+        assert!(parse(&["all", "fig08"]).is_err());
+        let opts = parse(&["all", "--plot", "100x30"]).unwrap();
         assert_eq!(opts.ids.len(), 14);
         assert_eq!(opts.plot, (100, 30));
     }
 
     #[test]
     fn jobs_and_fidelity_flags_parse() {
-        let opts = parse_figure_opts(
-            vec![
-                "--fidelity".into(),
-                "smoke".into(),
-                "--jobs".into(),
-                "3".into(),
-            ],
-            true,
-        )
-        .unwrap();
+        let opts = parse(&["all", "--fidelity", "smoke", "--jobs", "3"]).unwrap();
         assert_eq!(opts.fidelity, Fidelity::smoke().with_jobs(3));
-        let opts = parse_figure_opts(vec!["fig08".into(), "--smoke".into()], false).unwrap();
+        let opts = parse(&["figure", "fig08", "--smoke"]).unwrap();
         assert_eq!(opts.fidelity, Fidelity::smoke());
         assert_eq!(opts.fidelity.jobs, 0, "default is auto");
-        assert!(parse_figure_opts(vec!["--jobs".into(), "-1".into()], true).is_err());
-        assert!(parse_figure_opts(vec!["--fidelity".into(), "warp".into()], true).is_err());
+        assert!(parse(&["all", "--jobs", "-1"]).is_err());
+        assert!(parse(&["all", "--fidelity", "warp"]).is_err());
+    }
+
+    #[test]
+    fn jobs_and_shards_survive_a_preset_on_either_side_in_report_and_degrade() {
+        let knobs = ["--jobs", "3", "--shards", "2"];
+        let presets: [(&[&str], Fidelity); 4] = [
+            (&["--smoke"], Fidelity::smoke()),
+            (&["--quick"], Fidelity::quick()),
+            (&["--paper"], Fidelity::paper()),
+            (&["--fidelity", "smoke"], Fidelity::smoke()),
+        ];
+        for cmd in ["report", "degrade"] {
+            for (preset, fidelity) in presets {
+                let want = fidelity.with_jobs(3).with_shards(2);
+                let before: Vec<&str> = [cmd].iter().chain(&knobs).chain(preset).copied().collect();
+                let after: Vec<&str> = [cmd].iter().chain(preset).chain(&knobs).copied().collect();
+                assert_eq!(parse(&before).unwrap().fidelity, want, "{before:?}");
+                assert_eq!(parse(&after).unwrap().fidelity, want, "{after:?}");
+            }
+        }
     }
 
     #[test]
     fn adaptive_flags_enable_replicate_campaigns() {
-        let opts = parse_figure_opts(
-            vec![
-                "--replicates".into(),
-                "6".into(),
-                "--ci-target".into(),
-                "0.1".into(),
-                "--perturb-seed".into(),
-                "99".into(),
-            ],
-            true,
-        )
+        let opts = parse(&[
+            "all",
+            "--replicates",
+            "6",
+            "--ci-target",
+            "0.1",
+            "--perturb-seed",
+            "99",
+        ])
         .unwrap();
         let params = opts.fidelity.adaptive.expect("adaptive enabled");
         assert_eq!(params.replicates, 6);
@@ -1695,38 +1513,20 @@ mod tests {
         assert_eq!(params.perturb_seed, 99);
         // Flag order does not matter: `--fidelity` after `--replicates`
         // must not clobber the adaptive knobs.
-        let opts = parse_figure_opts(
-            vec![
-                "--replicates".into(),
-                "3".into(),
-                "--fidelity".into(),
-                "smoke".into(),
-            ],
-            true,
-        )
-        .unwrap();
+        let opts = parse(&["all", "--replicates", "3", "--fidelity", "smoke"]).unwrap();
         assert_eq!(opts.fidelity.adaptive.map(|a| a.replicates), Some(3));
         // Defaults flow from AdaptiveParams::new.
-        let opts = parse_figure_opts(vec!["--replicates".into(), "4".into()], true).unwrap();
+        let opts = parse(&["all", "--replicates", "4"]).unwrap();
         assert_eq!(
             opts.fidelity.adaptive,
             Some(AdaptiveParams::new(4)),
             "unrefined flags take the stock target and seed"
         );
-        assert!(parse_figure_opts(vec!["--replicates".into(), "0".into()], true).is_err());
-        assert!(parse_figure_opts(vec!["--ci-target".into(), "0.1".into()], true).is_err());
-        assert!(parse_figure_opts(vec!["--perturb-seed".into(), "7".into()], true).is_err());
+        assert!(parse(&["all", "--replicates", "0"]).is_err());
+        assert!(parse(&["all", "--ci-target", "0.1"]).is_err());
+        assert!(parse(&["all", "--perturb-seed", "7"]).is_err());
         assert!(
-            parse_figure_opts(
-                vec![
-                    "--replicates".into(),
-                    "2".into(),
-                    "--ci-target".into(),
-                    "nan".into()
-                ],
-                true
-            )
-            .is_err(),
+            parse(&["all", "--replicates", "2", "--ci-target", "nan"]).is_err(),
             "non-finite targets are rejected at the parser"
         );
     }
@@ -1747,11 +1547,11 @@ mod tests {
 
     #[test]
     fn bad_inputs_are_reported() {
-        assert!(parse_figure_opts(vec!["fig03".into()], false).is_err());
-        assert!(parse_figure_opts(vec![], false).is_err());
-        assert!(parse_figure_opts(vec!["--plot".into(), "banana".into()], true).is_err());
-        assert!(parse_transport("quadrics").is_err());
-        assert!(parse_transport("GM").is_ok());
+        assert!(parse(&["figure", "fig03"]).is_err());
+        assert!(parse(&["figure"]).is_err());
+        assert!(parse(&["all", "--plot", "banana"]).is_err());
+        assert!(transport("quadrics").is_err());
+        assert!(transport("GM").is_ok());
     }
 
     #[test]
@@ -1760,5 +1560,94 @@ mod tests {
         assert!(run(vec![]).is_err());
         assert!(run(vec!["list".into()]).is_ok());
         assert!(run(vec!["info".into()]).is_ok());
+    }
+
+    #[test]
+    fn environment_fallbacks_are_read_only_where_the_option_is_taken() {
+        let jobs = [("COMB_JOBS", "5"), ("COMB_SHARDS", "2")];
+        let o = parse_env(&["all"], &jobs).unwrap();
+        assert_eq!((o.fidelity.jobs, o.fidelity.shards), (5, 2));
+        let o = parse_env(&["all", "--jobs", "1", "--shards", "1"], &jobs).unwrap();
+        assert_eq!(
+            (o.fidelity.jobs, o.fidelity.shards),
+            (1, 1),
+            "the flag wins"
+        );
+        assert_eq!(parse_env(&["latency"], &jobs).unwrap().cfg.shards, 2);
+        assert_eq!(parse_env(&["serve"], &jobs).unwrap().serve.jobs, 5);
+        let garbage = [("COMB_JOBS", "banana"), ("COMB_SHARDS", "x")];
+        let e = parse_env(&["sweep", "polling"], &garbage).err().unwrap();
+        assert_eq!(e.kind, ErrorKind::Usage);
+        assert!(e.to_string().contains("COMB_JOBS"), "{e}");
+        let e = parse_env(&["latency"], &garbage).err().unwrap();
+        assert!(e.to_string().contains("COMB_SHARDS"), "{e}");
+        // Commands without the option never look at the variable.
+        assert!(parse_env(&["list"], &garbage).is_ok());
+        assert_eq!(
+            parse_env(&["soak"], &[("COMB_SHARDS", "x")])
+                .unwrap()
+                .shards,
+            0
+        );
+        assert!(parse_env(&["serve"], &[("COMB_SHARDS", "x")]).is_ok());
+    }
+
+    #[test]
+    fn cache_dir_falls_back_through_the_environment() {
+        let dir = |env: &[(&str, &str)]| parse_env(&["cache", "stats"], env).unwrap().cache_dir;
+        let home = [
+            ("HOME", "/h"),
+            ("XDG_CACHE_HOME", ""),
+            ("COMB_CACHE_DIR", ""),
+        ];
+        assert_eq!(dir(&home), Some(PathBuf::from("/h/.cache/comb")));
+        assert_eq!(
+            dir(&[("XDG_CACHE_HOME", "/x"), ("HOME", "/h")]),
+            Some("/x/comb".into())
+        );
+        assert_eq!(
+            dir(&[("COMB_CACHE_DIR", "/c"), ("HOME", "/h")]),
+            Some("/c".into())
+        );
+        let o = parse_env(
+            &["cache", "stats", "--cache-dir", "/d"],
+            &[("COMB_CACHE_DIR", "/c")],
+        );
+        assert_eq!(o.unwrap().cache_dir, Some("/d".into()));
+        assert_eq!(dir(&[]), None);
+    }
+
+    #[test]
+    fn zero_counts_the_library_would_clamp_are_usage_errors() {
+        assert!(parse(&["soak", "--attempts", "0"]).is_err());
+        assert!(parse(&["soak", "--serve", "--clients", "0"]).is_err());
+        assert!(parse(&["soak", "--clients", "2"]).is_err(), "needs --serve");
+        assert!(parse(&["soak", "--serve", "--clients", "2", "--attempts", "1"]).is_ok());
+    }
+
+    #[test]
+    fn options_are_checked_against_the_command() {
+        let e = parse(&["latency", "--jobs", "2"]).err().unwrap();
+        assert!(
+            e.to_string()
+                .contains("`comb latency` does not take --jobs"),
+            "{e}"
+        );
+        assert!(parse(&["list", "--frobnicate"]).is_err());
+        assert!(parse(&["sweep", "pww", "polling"]).is_err());
+        assert!(parse(&["cache", "stats", "--max-age", "1"]).is_err());
+        assert!(parse(&["cache", "gc", "--max-age", "1"]).is_ok());
+        // Every row names a command, and no command takes one name twice.
+        for (name, cmd) in COMMANDS {
+            let mut names: Vec<&str> = OPTIONS
+                .iter()
+                .filter(|row| row.cmds.contains(&cmd))
+                .map(|row| row.name)
+                .collect();
+            let n = names.len();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), n, "`comb {name}` takes an option twice");
+        }
     }
 }

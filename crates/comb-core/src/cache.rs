@@ -891,20 +891,6 @@ pub fn clear_store(dir: &Path) -> StoreReport {
     r
 }
 
-/// The default store location: `$COMB_CACHE_DIR`, else
-/// `$XDG_CACHE_HOME/comb`, else `$HOME/.cache/comb`.
-pub fn default_cache_dir() -> Option<PathBuf> {
-    let non_empty =
-        |v: std::result::Result<String, std::env::VarError>| v.ok().filter(|s| !s.is_empty());
-    if let Some(d) = non_empty(std::env::var("COMB_CACHE_DIR")) {
-        return Some(PathBuf::from(d));
-    }
-    if let Some(x) = non_empty(std::env::var("XDG_CACHE_HOME")) {
-        return Some(PathBuf::from(x).join("comb"));
-    }
-    non_empty(std::env::var("HOME")).map(|h| PathBuf::from(h).join(".cache").join("comb"))
-}
-
 // --- hashing -----------------------------------------------------------
 
 /// FNV-1a 64-bit, used as the entry payload checksum (fast, no

@@ -58,8 +58,8 @@ pub mod sweep;
 
 pub use adaptive::{run_adaptive_cells, AdaptiveCell, AdaptiveParams, AdaptiveStats, CellEstimate};
 pub use cache::{
-    default_cache_dir, gc_store_with_max_age, run_cell_cached, CacheMode, CacheOutcome, CacheStats,
-    CampaignDesc, CellCache, CellKey, CellMethod,
+    gc_store_with_max_age, run_cell_cached, CacheMode, CacheOutcome, CacheStats, CampaignDesc,
+    CellCache, CellKey, CellMethod,
 };
 pub use codec::PointSample;
 pub use degradation::{
@@ -73,8 +73,8 @@ pub use netperf::{NetperfParams, NetperfSample};
 pub use polling::{PollingPairs, PollingParams, DATA_TAG, STOP_TAG};
 pub use pww::{InterleavedParams, PwwParams};
 pub use runner::pool::{
-    available_jobs, effective_jobs, effective_shards, run_cells, run_ordered, AdmissionGate,
-    AdmissionPermit, CellOutcome, RetryPolicy,
+    available_jobs, effective_jobs, run_cells, run_ordered, AdmissionGate, AdmissionPermit,
+    CellOutcome, RetryPolicy,
 };
 pub use runner::{
     polling_sweep, pww_sweep, run, run_polling_pairs, run_polling_point, run_pww_point, RunError,

@@ -124,8 +124,8 @@ pub trait Scenario {
 pub struct RunSpec {
     /// The platform, fault plan already applied.
     pub hw: HwConfig,
-    /// Kernel shards (`0` = auto, see [`pool::effective_shards`]); clamped
-    /// to the node count. See [`MethodConfig::shards`].
+    /// Kernel shards; `0` and `1` both run the serial kernel, and a larger
+    /// count is clamped to the node count. See [`MethodConfig::shards`].
     pub shards: usize,
     /// Record the run's typed event stream into [`TracedRun::records`].
     /// Recording needs the serial kernel.
@@ -201,7 +201,7 @@ fn trace_tail(records: &[TraceRecord]) -> String {
 /// diagnostic carries the tail of the captured stream, showing what the
 /// simulation was doing when it livelocked or overran.
 pub fn run<S: Scenario>(scenario: &S, spec: &RunSpec) -> Result<TracedRun<S::Sample>, RunError> {
-    let shards = pool::effective_shards(spec.shards);
+    let shards = spec.shards.max(1);
     if spec.trace && shards > 1 {
         return Err(RunError::Usage {
             message: format!(
@@ -630,15 +630,6 @@ mod tests {
             2 * epochs <= link_epochs,
             "{epochs} epochs at the lookahead, {link_epochs} at the link latency"
         );
-    }
-
-    #[test]
-    fn shards_env_var_is_honoured_and_flag_wins() {
-        assert_eq!(pool::effective_shards(3), 3);
-        assert_eq!(pool::effective_shards(0), 1);
-        // Env interaction is covered end-to-end by the CLI determinism
-        // matrix; mutating the process environment here would race other
-        // tests in this binary.
     }
 
     #[test]

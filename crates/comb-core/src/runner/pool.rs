@@ -31,47 +31,16 @@ pub fn available_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Resolve a requested job count to an actual worker count.
-///
-/// `0` means *auto*: the `COMB_JOBS` environment variable if set to a
-/// positive integer, otherwise [`available_jobs`]. Any positive request
-/// is used as given.
+/// Resolve a requested job count to an actual worker count: `0` means
+/// *auto*, [`available_jobs`]; any positive request is used as given. The
+/// library reads no environment: a front end that offers an environment
+/// default (the CLI's `COMB_JOBS`) resolves it before calling in.
 pub fn effective_jobs(requested: usize) -> usize {
     if requested > 0 {
-        return requested;
+        requested
+    } else {
+        available_jobs()
     }
-    if let Ok(v) = std::env::var("COMB_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    available_jobs()
-}
-
-/// Resolve a requested kernel shard count to an actual one.
-///
-/// `0` means *auto*: the `COMB_SHARDS` environment variable if set to a
-/// positive integer, otherwise `1` — the serial kernel. Unlike
-/// [`effective_jobs`], auto does **not** default to all cores: sweeps
-/// already fan points out across the pool, so splitting each point's
-/// simulation into shards only pays on large single-simulation workloads
-/// and stays opt-in. Any value produces byte-identical results (the
-/// epoch merge reproduces the serial event order); only wall-clock time
-/// changes.
-pub fn effective_shards(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    if let Ok(v) = std::env::var("COMB_SHARDS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    1
 }
 
 /// Claim the indices `0..n` from one shared cursor on `jobs` workers: the

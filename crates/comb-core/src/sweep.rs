@@ -64,16 +64,15 @@ pub struct MethodConfig {
     /// cost at tiny poll intervals).
     pub max_intervals: u64,
     /// Worker threads used by sweeps over this configuration. `0` means
-    /// auto: the `COMB_JOBS` environment variable if set, otherwise the
-    /// platform's available parallelism. Any value produces byte-identical
+    /// auto: the platform's available parallelism (see
+    /// [`crate::effective_jobs`]). Any value produces byte-identical
     /// results; only wall-clock time changes.
     pub jobs: usize,
     /// Kernel shards per simulation: every point's event kernel is split
     /// across this many conservatively synchronized shards (nodes are
     /// placed round-robin, lookahead = the transport's link latency plus
     /// its NIC's per-packet send time, see `HwConfig::lookahead`). `0`
-    /// means auto: the `COMB_SHARDS` environment variable if set,
-    /// otherwise `1` (the serial kernel). Like [`MethodConfig::jobs`] the
+    /// and `1` both mean the serial kernel. Like [`MethodConfig::jobs`] the
     /// knob is excluded from cell identity — the epoch merge reproduces
     /// the serial event order exactly, so any value yields byte-identical
     /// samples; only wall-clock time changes. Tracing needs the serial

@@ -106,9 +106,9 @@ fn warm_eager_round_trip_allocs(cfg: &HwConfig) -> u64 {
     allocs / (2 * ROUND_TRIPS)
 }
 
-/// Per message: the boxed wire payload, the boxed transmit callback and
-/// the NIC's per-message packet-size list.
-const ALLOCS_PER_EAGER_MESSAGE: u64 = 3;
+/// Per message: the boxed wire payload and the boxed transmit callback.
+/// Splitting the message into packets allocates nothing.
+const ALLOCS_PER_EAGER_MESSAGE: u64 = 2;
 
 #[test]
 fn warm_eager_round_trip_allocates_only_per_message_boxes_on_gm() {

@@ -179,12 +179,11 @@ pub struct Fidelity {
     pub target_iters: u64,
     /// Polling: cap on poll intervals per point.
     pub max_intervals: u64,
-    /// Worker threads for campaign execution (`0` = auto: `COMB_JOBS`,
-    /// else available parallelism). Does not affect results, only wall
-    /// time.
+    /// Worker threads for campaign execution (`0` = auto: the available
+    /// parallelism). Does not affect results, only wall time.
     pub jobs: usize,
-    /// Kernel shards per simulation (`0` = auto: `COMB_SHARDS`, else the
-    /// serial kernel). Like `jobs` this cannot affect results — the
+    /// Kernel shards per simulation (`0` and `1` both mean the serial
+    /// kernel). Like `jobs` this cannot affect results — the
     /// sharded kernel's epoch merge reproduces the serial event order —
     /// so it is excluded from cache identity.
     pub shards: usize,

@@ -49,7 +49,9 @@ use crate::metrics::ServeMetrics;
 use crate::netfault::{FaultedStream, NetFaultCounters, NetFaultPlan};
 use crate::overload::{BreakerDecision, CircuitBreaker, Quarantine};
 use crate::sweepreq::{SweepRequest, SweepRunCtx, SweepRunError};
-use comb_core::{AdmissionGate, AdmissionPermit, CampaignDesc, CellCache, CombError};
+use comb_core::{
+    effective_jobs, AdmissionGate, AdmissionPermit, CampaignDesc, CellCache, CombError,
+};
 use comb_report::{Fidelity, FigureId};
 use comb_sim::SimTime;
 use comb_trace::{Comp, TraceEvent, Tracer};
@@ -71,7 +73,8 @@ pub struct ServeConfig {
     /// Connections allowed to wait beyond the ones being worked
     /// (admission capacity = `workers + queue`).
     pub queue: usize,
-    /// Pool width for each sweep request (`0` = auto).
+    /// Pool width for each sweep request (`0` = auto, resolved once by
+    /// [`Server::bind`]).
     pub jobs: usize,
     /// Fidelity used by `/v1/figures/` requests.
     pub fidelity: Fidelity,
@@ -234,7 +237,8 @@ impl ServerHandle {
 impl Server {
     /// Bind the listener (resolving an ephemeral port) without accepting
     /// yet. Fails with an [`ErrorKind::Io`](comb_core::ErrorKind::Io) error
-    /// on bind problems — exit code 2 under the CLI's contract.
+    /// on bind problems — exit code 2 under the CLI's contract. An auto
+    /// (`0`) job count is resolved here, once, rather than per request.
     pub fn bind(cfg: ServeConfig) -> Result<Server, CombError> {
         let listener = TcpListener::bind(&cfg.addr)
             .map_err(|e| CombError::io(format!("bind {}", cfg.addr), &e))?;
@@ -252,8 +256,8 @@ impl Server {
         let shared = Arc::new(Shared {
             addr,
             workers,
-            jobs: cfg.jobs,
-            fidelity: cfg.fidelity,
+            jobs: effective_jobs(cfg.jobs),
+            fidelity: cfg.fidelity.with_jobs(effective_jobs(cfg.fidelity.jobs)),
             cache: cfg.cache,
             read_timeout: cfg.read_timeout,
             request_deadline: cfg.request_deadline,

@@ -5,8 +5,8 @@
 //!
 //! The scenario itself lives in the library (`comb::core::HaloPoint`, run
 //! by `comb::core::run`; swept form in `comb::report::generate_halo`);
-//! this example runs the full-size configuration and narrates the findings. Set `COMB_SHARDS` to
-//! run each point on the sharded kernel — the numbers do not change.
+//! this example runs the full-size configuration on the serial kernel and narrates the findings.
+//! `comb halo --shards <n>` runs the swept form on the sharded kernel — the numbers do not change.
 //!
 //! ```sh
 //! cargo run --release --example halo_exchange
