@@ -20,7 +20,7 @@ use comb_core::{
     PingPong, PointSample, PollingParams, PwwParams, RunSpec, Transport,
 };
 use comb_report::{
-    generate_degradation, run_figures_cached, Fidelity, FigureId, FigureReport, SoakConfig,
+    generate_degradation, run_campaigns, Campaigns, Fidelity, FigureId, FigureReport, SoakConfig,
 };
 use comb_serve::{NetFaultPlan, ServeConfig};
 use comb_sim::KernelStats;
@@ -123,7 +123,8 @@ OPTIONS (figure/all/report):
                        per cell, stopping each cell early once its CI
                        target is met; figures plot per-cell means and CSVs
                        gain y_lo,y_hi,n confidence-band columns. Results
-                       stay byte-identical for any --jobs
+                       stay byte-identical for any --jobs; --replicates 1
+                       gives the plain run's bytes and cache entries
     --ci-target <f>    relative 95% CI half-width to stop at, as a fraction
                        of the mean (default 0.02; needs --replicates)
     --perturb-seed <n> master seed for the perturbation model (default
@@ -183,7 +184,10 @@ OPTIONS (soak):
                                    transport-fault client storm against a
                                    live server, then the protocol fuzz
                                    harness; exits non-zero if either the
-                                   robustness contract or a fuzz case fails
+                                   robustness contract or a fuzz case fails.
+                                   The seed fixes each client's request mix
+                                   and the fuzz cases; the storm's counts
+                                   follow thread timing and vary run to run
     --requests <n> (serve)         storm size (default 500)
     --clients <n> (serve)          concurrent storm clients, >= 1 (default 8)
     --fuzz-iters <n> (serve)       fuzz cases (default 10000)
@@ -897,21 +901,21 @@ fn cache_summary(cache: &CellCache) -> String {
     )
 }
 
-/// Run figures through the cell cache, as an adaptive campaign when the
-/// fidelity asks for replicates; the adaptive summary line comes back too.
+/// Run figures through the cell cache; when the fidelity asks for
+/// replicates, the adaptive summary line comes back too.
 fn figure_reports(
     ids: &[FigureId],
     fidelity: Fidelity,
     out: Option<&Path>,
     cache: Option<Arc<CellCache>>,
 ) -> Result<(Vec<FigureReport>, Option<String>), CombError> {
-    let Some(params) = fidelity.adaptive else {
-        return Ok((run_figures_cached(ids, fidelity, out, cache)?, None));
-    };
-    let tracer = comb_trace::Tracer::default();
-    let (reports, stats) =
-        comb_report::run_figures_adaptive(ids, fidelity, out, cache, &tracer, None)?;
-    Ok((reports, Some(adaptive_summary(&params, &stats))))
+    let mut campaigns = Campaigns::new(fidelity);
+    if let Some(c) = cache {
+        campaigns.set_cache(c);
+    }
+    let (reports, stats) = run_campaigns(&mut campaigns, ids, out)?;
+    let line = fidelity.adaptive.map(|p| adaptive_summary(&p, &stats));
+    Ok((reports, line))
 }
 
 fn cmd_figures(o: Opts) -> Result<(), CombError> {
@@ -1366,9 +1370,11 @@ fn cmd_soak(o: Opts) -> Result<(), CombError> {
     }
 }
 
-/// `comb soak --serve`: the serve chaos soak (seeded transport-fault
-/// client storm against a live server) followed by the protocol fuzz
-/// harness, both deterministic from `--fault-seed`.
+/// `comb soak --serve`: the serve chaos soak (a transport-fault client
+/// storm against a live server) followed by the protocol fuzz harness.
+/// From `--fault-seed`, each client's request mix and the whole fuzz
+/// summary repeat exactly. The storm's counts do not: which connection
+/// draws which fault, and which requests are shed, follow thread timing.
 fn cmd_soak_serve(o: Opts) -> Result<(), CombError> {
     let seed = o.soak.fault_seed;
     let mut cfg = comb_serve::ServeSoakConfig::storm(seed);

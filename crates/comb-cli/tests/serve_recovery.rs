@@ -100,7 +100,11 @@ fn sigkill_mid_campaign_resend_replays_stored_cells() {
     assert_eq!(replay.status, 200, "{}", replay.text());
     let mut cfg = comb_core::MethodConfig::new(comb_core::Transport::Gm, 4096);
     cfg.jobs = 1;
-    let samples = comb_core::polling_sweep(&cfg, &xs).unwrap();
+    let spec = comb_core::RunSpec::of(&cfg);
+    let samples = comb_core::run_ordered(cfg.jobs, &xs, |&x| {
+        comb_core::run(&comb_core::PollingParams::new(&cfg, x), &spec).map(|r| r.sample)
+    })
+    .unwrap();
     let expected = comb_report::render_polling_sweep(&cfg, &samples);
     assert_eq!(
         replay.text(),

@@ -27,18 +27,19 @@
 //!   only the replicates that never finished.
 //! * **Errors are deterministic.** Within a round, the lowest-input-index
 //!   failure wins regardless of worker scheduling.
+//!
+//! It is the only executor of figure campaigns: a plain campaign is the
+//! one-replicate case, replicate 0 under a cap of one, which runs the
+//! unperturbed hardware under the cell key a plain run has always had.
 
-use crate::cache::{run_cell_cached, CellCache, CellMethod};
+use crate::cache::{run_cell_cached, CacheCounts, CampaignDesc, CellCache, CellMethod};
 use crate::codec::PointSample;
 use crate::error::CombError;
-use crate::runner::pool::{run_cells, CellOutcome, RetryPolicy};
+use crate::runner::pool::run_ordered;
 use crate::stats::{StopDecision, StoppingRule, Welford};
 use crate::sweep::MethodConfig;
 use comb_hw::{HwConfig, PerturbPlan};
-use comb_sim::SimTime;
-use comb_trace::{Comp, TraceEvent, Tracer};
 use std::sync::atomic::AtomicUsize;
-use std::time::Instant;
 
 /// The user-facing knobs of an adaptive campaign, as one value so the CLI
 /// and the executor cannot disagree.
@@ -78,19 +79,20 @@ impl AdaptiveParams {
     }
 }
 
-/// One sweep cell of an adaptive campaign: everything needed to run any
-/// replicate of it. `hw` must be the caller-resolved hardware (fault plan
-/// applied), exactly as [`run_cell_cached`] expects.
-#[derive(Debug, Clone)]
-pub struct AdaptiveCell {
+/// One campaign of an adaptive pass: the cells of one method on one
+/// resolved hardware and config, one cell per x value. `hw` must be the
+/// caller-resolved hardware (fault plan applied), exactly as
+/// [`run_cell_cached`] expects.
+#[derive(Debug, Clone, Copy)]
+pub struct CampaignSpec<'a> {
     /// Resolved base hardware (replicate 0 runs on exactly this).
-    pub hw: HwConfig,
-    /// Method configuration of the cell's sweep.
-    pub cfg: MethodConfig,
-    /// Which method the cell runs.
+    pub hw: &'a HwConfig,
+    /// Method configuration of the campaign's sweep.
+    pub cfg: &'a MethodConfig,
+    /// Which method the cells run.
     pub method: CellMethod,
-    /// The cell's x-axis value (poll interval or work interval).
-    pub x: u64,
+    /// The cells' x-axis values (poll or work intervals), in order.
+    pub xs: &'a [u64],
 }
 
 /// One cell's finished estimate: every replicate sample in replicate
@@ -104,16 +106,15 @@ pub struct CellEstimate {
     pub converged: bool,
 }
 
-impl CellEstimate {
-    /// Streaming accumulator over a derived metric of the samples, for
-    /// interval estimation (`welford(|s| s.availability())`).
-    pub fn welford(&self, metric: impl Fn(&PointSample) -> f64) -> Welford {
-        let mut w = Welford::new();
-        for s in &self.samples {
-            w.push(metric(s));
-        }
-        w
-    }
+/// One campaign's finished cells, in x order, and how the cell cache
+/// answered its replicates.
+#[derive(Debug, Clone)]
+pub struct CampaignEstimate {
+    /// One estimate per x value.
+    pub cells: Vec<CellEstimate>,
+    /// Cache outcomes of every replicate of the campaign (all misses
+    /// without a cache).
+    pub cache: CacheCounts,
 }
 
 /// What an adaptive pass did, for progress lines and the savings report.
@@ -130,37 +131,42 @@ pub struct AdaptiveStats {
     pub capped: usize,
 }
 
-/// Run an adaptive campaign over `cells`, returning one [`CellEstimate`]
-/// per cell (input order) and the pass's [`AdaptiveStats`].
+/// Run the cells of `campaigns` under the stopping rule of `params`,
+/// returning one [`CampaignEstimate`] per campaign (input order) and the
+/// pass's [`AdaptiveStats`]. Cells of every campaign share each round's
+/// pool pass. With a cap of one replicate this is a plain campaign: each
+/// cell runs once, unperturbed, under the key a plain run gives it.
 ///
-/// `stop_after` caps the replicates this pass may compute fresh; past it
-/// the pass returns [`crate::ErrorKind::Interrupted`] with every finished
-/// replicate already in `cache` (the deterministic interruption hook of
-/// the resume tests, see [`run_cell_cached`]). `None` runs to completion.
+/// The first failing cell of a round (lowest index) fails the pass, and
+/// the round's unstarted cells are skipped. Above a cap of one the error
+/// names the cell and replicate. `budget`, when set, is the number of
+/// fresh cells left: past it the pass returns
+/// [`crate::ErrorKind::Interrupted`] with every finished replicate already
+/// in `cache` (the deterministic interruption hook of the resume tests,
+/// see [`run_cell_cached`]).
 pub fn run_adaptive_cells(
     jobs: usize,
-    cells: &[AdaptiveCell],
+    campaigns: &[CampaignSpec<'_>],
     params: AdaptiveParams,
     cache: Option<&CellCache>,
-    tracer: &Tracer,
-    policy: RetryPolicy,
-    stop_after: Option<usize>,
-) -> Result<(Vec<CellEstimate>, AdaptiveStats), CombError> {
+    budget: Option<&AtomicUsize>,
+) -> Result<(Vec<CampaignEstimate>, AdaptiveStats), CombError> {
     let rule = params.rule();
     let perturb = params.perturb();
-    let budget = stop_after.map(AtomicUsize::new);
+    // Every campaign's cells, campaign by campaign: cell `ci` is
+    // `(campaign, x)`.
+    let cells: Vec<(usize, u64)> = campaigns
+        .iter()
+        .enumerate()
+        .flat_map(|(c, spec)| spec.xs.iter().map(move |&x| (c, x)))
+        .collect();
     let n = cells.len();
-    // Replicate trace events carry wall-clock-offset times like the cell
-    // cache's do: these are campaign-level events, not simulation events.
-    let epoch = Instant::now();
-    let now = |epoch: &Instant| {
-        SimTime::from_nanos(epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-    };
 
     let mut acc: Vec<Welford> = vec![Welford::new(); n];
     let mut samples: Vec<Vec<PointSample>> = vec![Vec::new(); n];
     // `Some(converged)` once the stopping rule has settled the cell.
     let mut settled: Vec<Option<bool>> = vec![None; n];
+    let mut tallies = vec![CacheCounts::default(); campaigns.len()];
     let mut stats = AdaptiveStats {
         cells: n,
         ..AdaptiveStats::default()
@@ -187,10 +193,6 @@ pub fn run_adaptive_cells(
                     } else {
                         stats.capped += 1;
                     }
-                    tracer.emit(now(&epoch), Comp::Adaptive, || TraceEvent::CellSettled {
-                        replicates: samples[ci].len() as u32,
-                        converged,
-                    });
                 }
             }
         }
@@ -198,59 +200,69 @@ pub fn run_adaptive_cells(
             break;
         }
 
-        let outcomes = run_cells(jobs, &work, policy, |&ci, attempt| {
-            let cell = &cells[ci];
-            // Retries reseed the fault plan (the established per-attempt
-            // idiom) *before* perturbation, so the replicate's noise spec
-            // survives and the cache key covers the reseeded plan.
-            let mut cfg = cell.cfg.clone();
-            let mut base = cell.hw.clone();
-            if attempt > 0 {
-                cfg.fault = cfg.fault.for_attempt(attempt);
-                cfg.fault.apply_to(&mut base);
-            }
-            let hw = perturb.hw_for_replicate(&base, round);
-            let (sample, _) =
-                run_cell_cached(cache, &hw, &cfg, cell.method, cell.x, budget.as_ref(), None)
-                    .map_err(|e| {
-                        CombError::from(e).with_cell(format!("cell {ci} @ x={} r{round}", cell.x))
-                    })?;
-            Ok(sample)
-        });
-
-        // Coordinator-ordered fold: the first failure by input index is
-        // returned, whatever the worker scheduling.
-        for (&ci, outcome) in work.iter().zip(outcomes) {
-            match outcome {
-                CellOutcome::Done { value, .. } => {
-                    stats.replicates += 1;
-                    tracer.emit(now(&epoch), Comp::Adaptive, || TraceEvent::ReplicateDone {
-                        replicate: round,
-                    });
-                    acc[ci].push(value.availability());
-                    samples[ci].push(value);
+        // This round's hardware for each campaign with open cells and,
+        // only when a cache will hash it, the description part its cells
+        // share: rendered once per campaign and replicate.
+        let mut shared: Vec<Option<(HwConfig, Option<CampaignDesc>)>> =
+            campaigns.iter().map(|_| None).collect();
+        for &ci in &work {
+            let c = cells[ci].0;
+            shared[c].get_or_insert_with(|| {
+                let hw = perturb.hw_for_replicate(campaigns[c].hw, round);
+                let desc = cache.map(|_| CampaignDesc::new(&hw, campaigns[c].cfg));
+                (hw, desc)
+            });
+        }
+        let results = run_ordered(jobs, &work, |&ci| {
+            let (c, x) = cells[ci];
+            let spec = &campaigns[c];
+            let (hw, desc) = shared[c]
+                .as_ref()
+                .unwrap_or_else(|| unreachable!("every campaign with work is rendered"));
+            let ident = desc.as_ref().map(|d| d.ident(spec.method, x));
+            let ident = ident.as_ref().map(|(desc, key)| (desc.as_str(), key));
+            run_cell_cached(cache, hw, spec.cfg, spec.method, x, budget, ident).map_err(|e| {
+                let e = CombError::from(e);
+                if rule.max_replicates > 1 {
+                    e.with_cell(format!("cell {ci} @ x={x} r{round}"))
+                } else {
+                    e
                 }
-                CellOutcome::Failed { error, .. } => return Err(error),
-            }
+            })
+        })?;
+
+        for (&ci, (value, outcome)) in work.iter().zip(results) {
+            stats.replicates += 1;
+            tallies[cells[ci].0].record(outcome);
+            acc[ci].push(value.availability());
+            samples[ci].push(value);
         }
         round += 1;
     }
 
-    let estimates = samples
+    let mut estimates = samples
         .into_iter()
         .zip(settled)
         .map(|(samples, s)| CellEstimate {
             samples,
             converged: s.unwrap_or_else(|| unreachable!("loop exits only when all cells settle")),
+        });
+    let campaigns = campaigns
+        .iter()
+        .zip(tallies)
+        .map(|(spec, cache)| CampaignEstimate {
+            cells: estimates.by_ref().take(spec.xs.len()).collect(),
+            cache,
         })
         .collect();
-    Ok((estimates, stats))
+    Ok((campaigns, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::CacheMode;
+    use crate::runner::RunSpec;
     use crate::sweep::Transport;
 
     fn smoke_cfg(transport: Transport) -> MethodConfig {
@@ -261,32 +273,42 @@ mod tests {
         cfg
     }
 
-    fn cell(transport: Transport, x: u64) -> AdaptiveCell {
+    /// One polling cell of a campaign of its own.
+    struct Cell {
+        hw: HwConfig,
+        cfg: MethodConfig,
+        xs: [u64; 1],
+    }
+
+    fn cell(transport: Transport, x: u64) -> Cell {
         let cfg = smoke_cfg(transport);
-        AdaptiveCell {
+        Cell {
             hw: cfg.resolved_hw(),
             cfg,
-            method: CellMethod::Polling,
-            x,
+            xs: [x],
         }
     }
 
     fn run(
         jobs: usize,
-        cells: &[AdaptiveCell],
+        cells: &[Cell],
         params: AdaptiveParams,
         cache: Option<&CellCache>,
         stop_after: Option<usize>,
     ) -> Result<(Vec<CellEstimate>, AdaptiveStats), CombError> {
-        run_adaptive_cells(
-            jobs,
-            cells,
-            params,
-            cache,
-            &Tracer::default(),
-            RetryPolicy::none(),
-            stop_after,
-        )
+        let campaigns: Vec<CampaignSpec> = cells
+            .iter()
+            .map(|c| CampaignSpec {
+                hw: &c.hw,
+                cfg: &c.cfg,
+                method: CellMethod::Polling,
+                xs: &c.xs,
+            })
+            .collect();
+        let budget = stop_after.map(AtomicUsize::new);
+        let (campaigns, stats) =
+            run_adaptive_cells(jobs, &campaigns, params, cache, budget.as_ref())?;
+        Ok((campaigns.into_iter().flat_map(|c| c.cells).collect(), stats))
     }
 
     fn assert_same(a: &[CellEstimate], b: &[CellEstimate]) {
@@ -349,6 +371,22 @@ mod tests {
         assert_eq!(est[0].samples.len(), 6);
         assert!(!est[0].converged);
         assert_eq!(stats.capped, 1);
+    }
+
+    #[test]
+    fn a_cap_of_one_is_the_plain_campaign() {
+        let cells = [cell(Transport::Gm, 10_000), cell(Transport::Portals, 1_000)];
+        let (est, stats) = run(2, &cells, AdaptiveParams::new(1), None, None).unwrap();
+        assert_eq!((stats.replicates, stats.capped), (2, 2));
+        for (e, c) in est.iter().zip(&cells) {
+            let plain = CellMethod::Polling.run(&c.cfg, c.xs[0], &RunSpec::of(&c.cfg));
+            assert_eq!(e.samples, [plain.unwrap().sample]);
+        }
+        // A plain campaign's error carries no cell or replicate tag.
+        let err = run(2, &cells, AdaptiveParams::new(1), None, Some(0)).unwrap_err();
+        assert_eq!(err.cell, None, "{err}");
+        let err = run(2, &cells, AdaptiveParams::new(2), None, Some(0)).unwrap_err();
+        assert_eq!(err.cell.as_deref(), Some("cell 0 @ x=10000 r0"), "{err}");
     }
 
     #[test]

@@ -245,6 +245,36 @@ impl CacheOutcome {
     }
 }
 
+/// Cell-cache activity attributed to one campaign (or one figure, summed
+/// over its campaigns).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheCounts {
+    /// Cells served from the cache (memory or disk tier).
+    pub hits: u64,
+    /// Cells computed fresh.
+    pub misses: u64,
+    /// Cells that joined an identical in-flight computation.
+    pub joined: u64,
+}
+
+impl CacheCounts {
+    /// Count one cell's outcome.
+    pub fn record(&mut self, outcome: CacheOutcome) {
+        match outcome {
+            CacheOutcome::HitMem | CacheOutcome::HitDisk => self.hits += 1,
+            CacheOutcome::Miss | CacheOutcome::Uncached => self.misses += 1,
+            CacheOutcome::Joined => self.joined += 1,
+        }
+    }
+
+    /// Add another tally to this one.
+    pub fn add(&mut self, other: CacheCounts) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.joined += other.joined;
+    }
+}
+
 /// Snapshot of a cache's activity counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {

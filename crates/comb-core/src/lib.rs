@@ -56,10 +56,12 @@ mod sha256;
 pub mod stats;
 pub mod sweep;
 
-pub use adaptive::{run_adaptive_cells, AdaptiveCell, AdaptiveParams, AdaptiveStats, CellEstimate};
+pub use adaptive::{
+    run_adaptive_cells, AdaptiveParams, AdaptiveStats, CampaignEstimate, CampaignSpec, CellEstimate,
+};
 pub use cache::{
-    gc_store_with_max_age, run_cell_cached, CacheMode, CacheOutcome, CacheStats, CampaignDesc,
-    CellCache, CellKey, CellMethod,
+    gc_store_with_max_age, run_cell_cached, CacheCounts, CacheMode, CacheOutcome, CacheStats,
+    CampaignDesc, CellCache, CellKey, CellMethod,
 };
 pub use codec::PointSample;
 pub use degradation::{
@@ -77,8 +79,8 @@ pub use runner::pool::{
     CellOutcome, RetryPolicy,
 };
 pub use runner::{
-    polling_sweep, pww_sweep, run, run_polling_pairs, run_polling_point, run_pww_point, RunError,
-    RunSpec, Scenario, SimRig, TracedRun,
+    run, run_polling_pairs, run_polling_point, run_pww_point, RunError, RunSpec, Scenario, SimRig,
+    TracedRun,
 };
 pub use stats::{
     mean_ci, t_cdf, t_quantile, MeanCi, QuantileWindow, StopDecision, StoppingRule, Welford,

@@ -415,33 +415,6 @@ pub fn run_polling_pairs(
     Ok(run(&PollingPairs { params, pairs }, &RunSpec::of(cfg))?.sample)
 }
 
-/// Run a polling sweep over the given poll intervals, on
-/// [`MethodConfig::jobs`] workers (`0` = auto). Results are in input
-/// order and byte-identical to a serial sweep.
-pub fn polling_sweep(
-    cfg: &MethodConfig,
-    intervals: &[u64],
-) -> Result<Vec<PollingSample>, RunError> {
-    let spec = RunSpec::of(cfg);
-    pool::run_ordered(cfg.jobs, intervals, |&p| {
-        Ok(run(&PollingParams::new(cfg, p), &spec)?.sample)
-    })
-}
-
-/// Run a PWW sweep over the given work intervals, on
-/// [`MethodConfig::jobs`] workers (`0` = auto). Results are in input
-/// order and byte-identical to a serial sweep.
-pub fn pww_sweep(
-    cfg: &MethodConfig,
-    intervals: &[u64],
-    test_in_work: bool,
-) -> Result<Vec<PwwSample>, RunError> {
-    let spec = RunSpec::of(cfg);
-    pool::run_ordered(cfg.jobs, intervals, |&w| {
-        Ok(run(&PwwParams::new(cfg, w, test_in_work), &spec)?.sample)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,6 +439,19 @@ mod tests {
         assert_eq!(c, d);
     }
 
+    /// A sweep: [`pool::run_ordered`] over [`run`], one point per x.
+    fn sweep<S: Scenario>(
+        cfg: &MethodConfig,
+        xs: &[u64],
+        point: impl Fn(u64) -> S + Sync,
+    ) -> Result<Vec<S::Sample>, RunError>
+    where
+        S::Sample: Send,
+    {
+        let spec = RunSpec::of(cfg);
+        pool::run_ordered(cfg.jobs, xs, |&x| run(&point(x), &spec).map(|r| r.sample))
+    }
+
     #[test]
     fn sweep_preserves_point_order_and_length() {
         let mut cfg = MethodConfig::new(Transport::Gm, 10 * 1024);
@@ -473,12 +459,12 @@ mod tests {
         cfg.max_intervals = 300;
         cfg.cycles = 3;
         let intervals = [1_000u64, 10_000, 100_000];
-        let ps = polling_sweep(&cfg, &intervals).unwrap();
+        let ps = sweep(&cfg, &intervals, |x| PollingParams::new(&cfg, x)).unwrap();
         assert_eq!(ps.len(), 3);
         for (s, &i) in ps.iter().zip(&intervals) {
             assert_eq!(s.poll_interval, i);
         }
-        let ws = pww_sweep(&cfg, &intervals, false).unwrap();
+        let ws = sweep(&cfg, &intervals, |x| PwwParams::new(&cfg, x, false)).unwrap();
         assert_eq!(ws.len(), 3);
     }
 
@@ -490,17 +476,17 @@ mod tests {
         cfg.cycles = 2;
         cfg.jobs = 1;
         let intervals = [500u64, 5_000, 50_000, 500_000, 5_000_000];
-        let serial_poll = polling_sweep(&cfg, &intervals).unwrap();
-        let serial_pww = pww_sweep(&cfg, &intervals, false).unwrap();
+        let serial_poll = sweep(&cfg, &intervals, |x| PollingParams::new(&cfg, x)).unwrap();
+        let serial_pww = sweep(&cfg, &intervals, |x| PwwParams::new(&cfg, x, false)).unwrap();
         for jobs in [1, 4, pool::available_jobs()] {
             cfg.jobs = jobs;
             assert_eq!(
-                polling_sweep(&cfg, &intervals).unwrap(),
+                sweep(&cfg, &intervals, |x| PollingParams::new(&cfg, x)).unwrap(),
                 serial_poll,
                 "polling sweep differs at jobs={jobs}"
             );
             assert_eq!(
-                pww_sweep(&cfg, &intervals, false).unwrap(),
+                sweep(&cfg, &intervals, |x| PwwParams::new(&cfg, x, false)).unwrap(),
                 serial_pww,
                 "pww sweep differs at jobs={jobs}"
             );

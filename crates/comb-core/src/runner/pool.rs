@@ -90,23 +90,24 @@ fn take<T>(slot: Mutex<Option<T>>) -> Option<T> {
 /// the error is deterministic too); a panicking item, on any worker, is
 /// converted into [`RunError::WorkerPanic`]. After any failure the
 /// remaining unstarted items are skipped.
-pub fn run_ordered<I, T>(
+pub fn run_ordered<I, T, E>(
     jobs: usize,
     items: &[I],
-    f: impl Fn(&I) -> Result<T, RunError> + Sync,
-) -> Result<Vec<T>, RunError>
+    f: impl Fn(&I) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E>
 where
     I: Sync,
     T: Send,
+    E: Send + From<RunError>,
 {
     let jobs = effective_jobs(jobs).min(items.len().max(1));
     let slots = slots(items.len());
     drain(jobs, items.len(), |i| {
         let result = match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
             Ok(r) => r,
-            Err(payload) => Err(RunError::WorkerPanic {
+            Err(payload) => Err(E::from(RunError::WorkerPanic {
                 message: panic_message(payload.as_ref()),
-            }),
+            })),
         };
         let ok = result.is_ok();
         fill(&slots[i], result);
@@ -131,7 +132,7 @@ where
         // failed first. Scan order above guarantees we returned the
         // lowest-indexed error, so reaching this point with no error is
         // a harness bug.
-        Err(RunError::NoResult)
+        Err(E::from(RunError::NoResult))
     }
 }
 
@@ -502,7 +503,7 @@ mod tests {
         let ran_on = |jobs| {
             run_ordered(jobs, &items, |_| {
                 std::thread::sleep(Duration::from_millis(2));
-                Ok(std::thread::current().id())
+                Ok::<_, RunError>(std::thread::current().id())
             })
             .unwrap()
         };

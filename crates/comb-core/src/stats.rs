@@ -284,10 +284,12 @@ pub enum StopDecision {
 /// half-width of the metric's confidence interval drops under
 /// `rel_ci_target`, but never fewer than `min_replicates` (an interval
 /// needs at least two points) nor more than `max_replicates` (a noisy
-/// cell must not stall the campaign).
+/// cell must not stall the campaign). A cap of one is a plain campaign:
+/// each cell runs once and is settled as capped.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StoppingRule {
-    /// Replicates always executed before the rule may stop (≥ 2).
+    /// Replicates always executed before the rule may stop (≥ 1; two
+    /// unless the cap is one).
     pub min_replicates: u32,
     /// Hard cap on replicates per cell.
     pub max_replicates: u32,
@@ -298,11 +300,13 @@ pub struct StoppingRule {
 }
 
 impl StoppingRule {
-    /// The standard rule: 95% intervals, at least two replicates.
+    /// The standard rule: 95% intervals, at least two replicates unless
+    /// the cap (at least one) is lower.
     pub fn new(max_replicates: u32, rel_ci_target: f64) -> StoppingRule {
+        let max_replicates = max_replicates.max(1);
         StoppingRule {
-            min_replicates: 2,
-            max_replicates: max_replicates.max(2),
+            min_replicates: max_replicates.min(2),
+            max_replicates,
             rel_ci_target,
             confidence: 0.95,
         }
@@ -312,7 +316,7 @@ impl StoppingRule {
     /// is a pure function of the accumulator, so scheduling order and
     /// worker count can never change it.
     pub fn decide(&self, w: &Welford) -> StopDecision {
-        if w.len() < self.min_replicates.max(2) as u64 {
+        if w.len() < u64::from(self.min_replicates.max(1)) {
             return StopDecision::Continue;
         }
         if self.is_met(w) {
@@ -652,6 +656,18 @@ mod tests {
         assert_eq!(rule.decide(&noisy), StopDecision::CapReached);
         // The decision is pure: same accumulator, same answer.
         assert_eq!(rule.decide(&noisy), rule.decide(&noisy.clone()));
+    }
+
+    #[test]
+    fn stopping_rule_honours_a_cap_of_one() {
+        for cap in [0, 1] {
+            let rule = StoppingRule::new(cap, 0.05);
+            assert_eq!((rule.min_replicates, rule.max_replicates), (1, 1));
+            let mut w = Welford::new();
+            assert_eq!(rule.decide(&w), StopDecision::Continue);
+            w.push(10.0);
+            assert_eq!(rule.decide(&w), StopDecision::CapReached);
+        }
     }
 
     #[test]

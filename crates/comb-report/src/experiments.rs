@@ -7,7 +7,6 @@ use crate::expect::{check_figure, Check};
 use crate::figures::{generate, CacheCounts, Campaigns, Fidelity, FigureId};
 use crate::series::Dataset;
 use comb_core::{AdaptiveStats, CellCache, CombError};
-use comb_trace::Tracer;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -51,20 +50,9 @@ impl FigureReport {
 }
 
 /// Regenerate the given figures at the given fidelity, optionally writing
-/// CSVs to `out_dir`. Sweeps are shared across figures and all their
-/// points are executed up front through the shared worker pool
-/// ([`Fidelity::jobs`], `0` = auto).
-pub fn run_figures(
-    ids: &[FigureId],
-    fidelity: Fidelity,
-    out_dir: Option<&Path>,
-) -> Result<Vec<FigureReport>, CombError> {
-    run_figures_cached(ids, fidelity, out_dir, None)
-}
-
-/// [`run_figures`] with an optional content-addressed cell cache: every
-/// campaign cell resolves through the cache (results are byte-identical
-/// either way) and each report carries its cache tallies.
+/// CSVs to `out_dir` and resolving every cell through a content-addressed
+/// cell cache (results are byte-identical either way; each report then
+/// carries its cache tallies). See [`run_campaigns`].
 pub fn run_figures_cached(
     ids: &[FigureId],
     fidelity: Fidelity,
@@ -75,46 +63,27 @@ pub fn run_figures_cached(
     if let Some(c) = cache {
         campaigns.set_cache(c);
     }
-    campaigns.prepare(ids).map_err(CombError::from)?;
-    render_reports(ids, &mut campaigns, out_dir)
+    Ok(run_campaigns(&mut campaigns, ids, out_dir)?.0)
 }
 
-/// [`run_figures`] with adaptive replicate sampling
-/// ([`Fidelity::adaptive`] must be set): every campaign cell is repeated
-/// under seeded perturbation until its CI target is met or the replicate
-/// cap stops it, figures plot per-cell means, and CSV exports carry
-/// `y_lo,y_hi,n` CI-band columns.
+/// Prepare the campaigns `ids` need on `campaigns` and report each
+/// figure, optionally writing its CSV to `out_dir`. Sweeps are shared
+/// across figures and all their cells run up front through the shared
+/// worker pool ([`Fidelity::jobs`], `0` = auto).
 ///
-/// With a `cache`, every replicate is stored as it finishes and a rerun
-/// of an interrupted campaign resumes byte-identically from the store;
-/// `stop_after` caps fresh replicates for the interrupt/resume tests.
-/// `tracer` receives the replicate-level trace events (pass
-/// `&Tracer::default()` to discard them).
-pub fn run_figures_adaptive(
-    ids: &[FigureId],
-    fidelity: Fidelity,
-    out_dir: Option<&Path>,
-    cache: Option<Arc<CellCache>>,
-    tracer: &Tracer,
-    stop_after: Option<usize>,
-) -> Result<(Vec<FigureReport>, AdaptiveStats), CombError> {
-    let mut campaigns = Campaigns::new(fidelity);
-    if let Some(c) = cache {
-        campaigns.set_cache(c);
-    }
-    let stats = campaigns.prepare_adaptive(ids, tracer, stop_after)?;
-    let reports = render_reports(ids, &mut campaigns, out_dir)?;
-    Ok((reports, stats))
-}
-
-fn render_reports(
-    ids: &[FigureId],
+/// With [`Fidelity::adaptive`] set, every cell is repeated under seeded
+/// perturbation until its CI target is met or the replicate cap stops
+/// it, figures plot per-cell means, and CSV exports carry `y_lo,y_hi,n`
+/// CI-band columns. The returned [`AdaptiveStats`] say what the pass ran.
+pub fn run_campaigns(
     campaigns: &mut Campaigns,
+    ids: &[FigureId],
     out_dir: Option<&Path>,
-) -> Result<Vec<FigureReport>, CombError> {
+) -> Result<(Vec<FigureReport>, AdaptiveStats), CombError> {
+    let stats = campaigns.prepare(ids)?;
     let mut reports = Vec::with_capacity(ids.len());
     for &id in ids {
-        let dataset = generate(id, campaigns).map_err(CombError::from)?;
+        let dataset = generate(id, campaigns)?;
         let checks = check_figure(id, &dataset);
         let csv_path = match out_dir {
             Some(dir) => Some(
@@ -132,12 +101,7 @@ fn render_reports(
             cache: campaigns.figure_cache_counts(id),
         });
     }
-    Ok(reports)
-}
-
-/// Regenerate the whole evaluation (all 14 data figures).
-pub fn run_all(fidelity: Fidelity, out_dir: Option<&Path>) -> Result<Vec<FigureReport>, CombError> {
-    run_figures(&FigureId::ALL, fidelity, out_dir)
+    Ok((reports, stats))
 }
 
 #[cfg(test)]
@@ -147,8 +111,8 @@ mod tests {
     #[test]
     fn single_figure_report_has_checks_and_csv() {
         let dir = std::env::temp_dir().join("comb_report_experiments_test");
-        let reports =
-            run_figures(&[FigureId::Fig13], Fidelity::quick(), Some(&dir)).expect("fig13 runs");
+        let reports = run_figures_cached(&[FigureId::Fig13], Fidelity::quick(), Some(&dir), None)
+            .expect("fig13 runs");
         assert_eq!(reports.len(), 1);
         let r = &reports[0];
         assert!(!r.checks.is_empty());
@@ -216,7 +180,8 @@ mod markdown_tests {
 
     #[test]
     fn markdown_report_includes_all_sections() {
-        let reports = run_figures(&[FigureId::Fig13], Fidelity::quick(), None).expect("fig13 runs");
+        let reports = run_figures_cached(&[FigureId::Fig13], Fidelity::quick(), None, None)
+            .expect("fig13 runs");
         let md = markdown_report(&reports);
         assert!(md.contains("# COMB evaluation record"));
         assert!(md.contains("## fig13"));

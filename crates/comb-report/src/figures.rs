@@ -3,18 +3,16 @@
 //! them on the simulated platforms.
 
 use crate::series::{CiBand, Dataset, Series};
-use comb_core::cache::CampaignDesc;
+pub use comb_core::CacheCounts;
 use comb_core::{
-    lin_spaced, log_spaced, mean_ci, run_adaptive_cells, run_cell_cached, run_ordered,
-    AdaptiveCell, AdaptiveParams, AdaptiveStats, CacheOutcome, CellCache, CellMethod, CombError,
-    MethodConfig, PointSample, PollingSample, PwwSample, RetryPolicy, RunError, Transport, Welford,
-    PAPER_SIZES,
+    lin_spaced, log_spaced, mean_ci, run_adaptive_cells, AdaptiveParams, AdaptiveStats,
+    CampaignDesc, CampaignSpec, CellCache, CellMethod, CombError, MethodConfig, PointSample,
+    PollingSample, PwwSample, Transport, Welford, PAPER_SIZES,
 };
-use comb_trace::Tracer;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 /// The paper's data figures.
@@ -189,9 +187,10 @@ pub struct Fidelity {
     pub shards: usize,
     /// Adaptive replicate sampling: when set, campaigns run each cell
     /// until the CI target is met (or the cap), and exports carry CI
-    /// bands. `None` (the default) is the legacy single-shot mode with
-    /// byte-identical exports. Changing these knobs changes every cell's
-    /// result (and so its cache key).
+    /// bands. `None` (the default) runs each cell once, as replicate 0
+    /// under a cap of one: the same bytes and cache entries as a cap of
+    /// one. Replicates past the first run perturbed hardware, so they
+    /// have cache keys of their own.
     pub adaptive: Option<AdaptiveParams>,
 }
 
@@ -300,26 +299,6 @@ pub enum CampaignKey {
     },
 }
 
-impl CampaignKey {
-    /// Stable one-token identity: `polling|GM|102400`, `pww|GM|102400|1`,
-    /// `overhead|GM`. Keys the per-campaign cache tallies and convergence
-    /// flags.
-    pub fn canonical(&self) -> String {
-        match self {
-            CampaignKey::Polling {
-                platform,
-                msg_bytes,
-            } => format!("polling|{platform}|{msg_bytes}"),
-            CampaignKey::Pww {
-                platform,
-                msg_bytes,
-                test_in_work,
-            } => format!("pww|{platform}|{msg_bytes}|{}", u8::from(*test_in_work)),
-            CampaignKey::Overhead { platform } => format!("overhead|{platform}"),
-        }
-    }
-}
-
 /// The campaigns a figure's data comes from.
 pub fn required_campaigns(id: FigureId) -> Vec<CampaignKey> {
     let kb100 = 100 * 1024;
@@ -407,68 +386,30 @@ impl PlannedCampaign {
     }
 }
 
-/// Cell-cache activity attributed to one campaign (or one figure, summed
-/// over its campaigns).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounts {
-    /// Cells served from the cache (memory or disk tier).
-    pub hits: u64,
-    /// Cells computed fresh.
-    pub misses: u64,
-    /// Cells that joined an identical in-flight computation.
-    pub joined: u64,
-}
-
-impl CacheCounts {
-    fn add(&mut self, other: CacheCounts) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.joined += other.joined;
-    }
-}
-
-/// Per-campaign [hits, misses, joined] tallies a prepare pass collects
-/// while its worker pool runs (plain-code fold into [`CacheCounts`]
-/// afterwards).
-fn new_tallies(n: usize) -> Vec<[AtomicU64; 3]> {
-    (0..n).map(|_| Default::default()).collect()
-}
-
-fn tally(tallies: &[[AtomicU64; 3]], campaign: usize, outcome: CacheOutcome) {
-    let slot = match outcome {
-        CacheOutcome::HitMem | CacheOutcome::HitDisk => 0,
-        CacheOutcome::Miss | CacheOutcome::Uncached => 1,
-        CacheOutcome::Joined => 2,
-    };
-    tallies[campaign][slot].fetch_add(1, Ordering::Relaxed);
-}
-
 /// Caches sweep results so figures sharing a campaign run it once.
 ///
 /// Two ways to fill the cache:
 /// * [`Campaigns::prepare`] — the plan → execute path: collect every
-///   campaign the requested figures need, dedup, flatten all their points
-///   into one work list and run it through the shared worker pool. This
-///   keeps all cores busy across campaign boundaries instead of
-///   parallelizing (or serializing) one sweep at a time.
+///   campaign the requested figures need, dedup, and run all their cells
+///   through one pool pass of [`run_adaptive_cells`]. This keeps all
+///   cores busy across campaign boundaries instead of parallelizing (or
+///   serializing) one sweep at a time.
 /// * [`generate`] itself — it prepares whatever campaigns its figure
 ///   still needs through the same path, so it works standalone too.
 pub struct Campaigns {
     fidelity: Fidelity,
     // Each campaign is a Vec over x-axis points; each point a Vec over
-    // replicates. Single-shot campaigns store singletons, so the legacy
-    // path is the `n = 1` case of the replicate-aware one.
+    // replicates. A plain campaign stores singletons: it is the
+    // one-replicate case of the adaptive one.
     done: HashMap<CampaignKey, Vec<Vec<PointSample>>>,
-    /// Per-campaign convergence flags (one per x point) from the adaptive
-    /// pass; absent for single-shot campaigns.
-    converged: HashMap<String, Vec<bool>>,
-    /// Optional content-addressed cell cache; when set, both prepare
-    /// paths resolve every cell through it (identical cells dedup
-    /// in-process via single-flight and across runs via the disk store).
+    /// Optional content-addressed cell cache; when set, every cell
+    /// resolves through it (identical cells dedup in-process via
+    /// single-flight and across runs via the disk store).
     cell_cache: Option<Arc<CellCache>>,
-    /// Cache activity per campaign canonical key, accumulated by the
-    /// prepare passes (empty without a cache).
-    cache_log: HashMap<String, CacheCounts>,
+    /// Cache activity per campaign, accumulated by the prepare passes.
+    cache_log: HashMap<CampaignKey, CacheCounts>,
+    /// Fresh cells the passes may still compute; `None` is unlimited.
+    budget: Option<AtomicUsize>,
 }
 
 impl Campaigns {
@@ -477,10 +418,20 @@ impl Campaigns {
         Campaigns {
             fidelity,
             done: HashMap::new(),
-            converged: HashMap::new(),
             cell_cache: None,
             cache_log: HashMap::new(),
+            budget: None,
         }
+    }
+
+    /// Let the prepare passes compute at most `fresh_cells` cells, then
+    /// fail with [`comb_core::ErrorKind::Interrupted`]. Every cell is
+    /// stored in the cell cache as it finishes, so exactly that many
+    /// entries are persisted and rerunning resumes from them: the
+    /// deterministic interruption hook of the resume tests.
+    #[doc(hidden)]
+    pub fn set_budget(&mut self, fresh_cells: usize) {
+        self.budget = Some(AtomicUsize::new(fresh_cells));
     }
 
     /// Route every prepared cell through a content-addressed cache.
@@ -498,28 +449,11 @@ impl Campaigns {
         self.cell_cache.as_ref()?;
         let mut total = CacheCounts::default();
         for key in required_campaigns(id) {
-            if let Some(c) = self.cache_log.get(&key.canonical()) {
+            if let Some(c) = self.cache_log.get(&key) {
                 total.add(*c);
             }
         }
         Some(total)
-    }
-
-    /// Fold one prepare pass's per-campaign tallies into the log.
-    fn absorb_tallies(&mut self, plan: &[PlannedCampaign], tallies: &[[AtomicU64; 3]]) {
-        if self.cell_cache.is_none() {
-            return;
-        }
-        for (pc, t) in plan.iter().zip(tallies) {
-            self.cache_log
-                .entry(pc.key.canonical())
-                .or_default()
-                .add(CacheCounts {
-                    hits: t[0].load(Ordering::Relaxed),
-                    misses: t[1].load(Ordering::Relaxed),
-                    joined: t[2].load(Ordering::Relaxed),
-                });
-        }
     }
 
     /// The campaigns `ids` need that are not in the cache yet, deduped,
@@ -578,152 +512,48 @@ impl Campaigns {
     }
 
     /// Plan → execute: sweep every campaign the given figures need that is
-    /// not already cached, running *all* of their points through one
-    /// shared worker pool ([`Fidelity::jobs`] workers, `0` = auto).
+    /// not already cached, running *all* of their cells through one
+    /// shared worker pool ([`Fidelity::jobs`] workers, `0` = auto) under
+    /// the stopping rule of [`Fidelity::adaptive`]; without it each cell
+    /// runs once. Each cell's replicate list feeds the CI band its series
+    /// point gets.
     ///
     /// Results land in per-campaign input order, so datasets are
     /// byte-identical whichever figures were prepared together and at any
     /// job count.
-    pub fn prepare(&mut self, ids: &[FigureId]) -> Result<(), RunError> {
-        self.prepare_until(ids, None)
-    }
-
-    /// [`Campaigns::prepare`] that computes at most `stop_after` fresh
-    /// cells, then fails with [`RunError::Interrupted`]. Every cell is
-    /// stored in the cell cache as it finishes, so exactly `stop_after`
-    /// entries are persisted and rerunning resumes from them. This is the
-    /// deterministic interruption hook the resume tests use; `None` runs
-    /// everything.
-    pub fn prepare_until(
-        &mut self,
-        ids: &[FigureId],
-        stop_after: Option<usize>,
-    ) -> Result<(), RunError> {
+    pub fn prepare(&mut self, ids: &[FigureId]) -> Result<AdaptiveStats, CombError> {
         let plan: Vec<PlannedCampaign> = self
             .plan(ids)
             .into_iter()
             .map(|key| self.plan_campaign(key))
             .collect();
-
-        // Flatten every campaign's points into one work list so stealing
-        // crosses campaign boundaries: without this, each sweep's tail
-        // (one long-running small-interval point) would idle the pool.
-        let points: Vec<(usize, u64)> = plan
+        let specs: Vec<CampaignSpec> = plan
             .iter()
-            .enumerate()
-            .flat_map(|(c, pc)| pc.xs.iter().map(move |&x| (c, x)))
-            .collect();
-
-        let tallies = new_tallies(plan.len());
-        let cache = self.cell_cache.clone();
-        // Each campaign's shared description part is rendered once, and
-        // only when a cache will hash it: an uncached run renders nothing.
-        let shared: Vec<CampaignDesc> = match cache {
-            Some(_) => plan
-                .iter()
-                .map(|pc| CampaignDesc::new(&pc.hw, &pc.cfg))
-                .collect(),
-            None => Vec::new(),
-        };
-        let budget = stop_after.map(AtomicUsize::new);
-        let results = run_ordered(self.fidelity.jobs, &points, |&(c, x)| {
-            let pc = &plan[c];
-            let method = pc.cell_method();
-            let ident = shared.get(c).map(|d| d.ident(method, x));
-            let (sample, outcome) = run_cell_cached(
-                cache.as_deref(),
-                &pc.hw,
-                &pc.cfg,
-                method,
-                x,
-                budget.as_ref(),
-                ident.as_ref().map(|(desc, key)| (desc.as_str(), key)),
-            )?;
-            tally(&tallies, c, outcome);
-            Ok(sample)
-        })?;
-        self.absorb_tallies(&plan, &tallies);
-
-        // Points were emitted campaign-by-campaign and run_ordered keeps
-        // input order, so slicing the flat results reassembles each sweep.
-        let mut rest = results;
-        for pc in plan {
-            let tail = rest.split_off(pc.xs.len());
-            let samples = std::mem::replace(&mut rest, tail);
-            self.done
-                .insert(pc.key, samples.into_iter().map(|s| vec![s]).collect());
-        }
-        Ok(())
-    }
-
-    /// Adaptive prepare: run every campaign the given figures need with
-    /// seeded per-replicate perturbation, repeating each cell until the
-    /// stopping rule in [`Fidelity::adaptive`] settles it. Cells from all
-    /// campaigns share one round-based pool pass, and the resulting
-    /// replicate lists feed the CI bands the series builders attach.
-    ///
-    /// `stop_after` caps fresh replicates, then the pass returns
-    /// [`comb_core::ErrorKind::Interrupted`]; a rerun with the same cell
-    /// cache replays the finished ones (see [`run_adaptive_cells`]).
-    pub fn prepare_adaptive(
-        &mut self,
-        ids: &[FigureId],
-        tracer: &Tracer,
-        stop_after: Option<usize>,
-    ) -> Result<AdaptiveStats, CombError> {
-        let Some(params) = self.fidelity.adaptive else {
-            return Err(CombError::usage(
-                "prepare_adaptive needs Fidelity::adaptive set (see --replicates)",
-            ));
-        };
-        let plan: Vec<PlannedCampaign> = self
-            .plan(ids)
-            .into_iter()
-            .map(|key| self.plan_campaign(key))
-            .collect();
-        let cells: Vec<AdaptiveCell> = plan
-            .iter()
-            .flat_map(|pc| {
-                pc.xs.iter().map(move |&x| AdaptiveCell {
-                    hw: pc.hw.clone(),
-                    cfg: pc.cfg.clone(),
-                    method: pc.cell_method(),
-                    x,
-                })
+            .map(|pc| CampaignSpec {
+                hw: &pc.hw,
+                cfg: &pc.cfg,
+                method: pc.cell_method(),
+                xs: &pc.xs,
             })
             .collect();
-
-        let cache = self.cell_cache.clone();
+        // A plain campaign is replicate 0 under a cap of one.
+        let params = self.fidelity.adaptive.unwrap_or(AdaptiveParams::new(1));
         let (estimates, stats) = run_adaptive_cells(
             self.fidelity.jobs,
-            &cells,
+            &specs,
             params,
-            cache.as_deref(),
-            tracer,
-            RetryPolicy::none(),
-            stop_after,
+            self.cell_cache.as_deref(),
+            self.budget.as_ref(),
         )?;
-
-        // Reassemble campaign-by-campaign, exactly as `prepare` does —
-        // but each point keeps its whole replicate list.
-        let mut iter = estimates.into_iter();
-        for pc in plan {
-            let ests: Vec<comb_core::CellEstimate> = iter.by_ref().take(pc.xs.len()).collect();
-            self.converged.insert(
-                pc.key.canonical(),
-                ests.iter().map(|e| e.converged).collect(),
-            );
-            self.done
-                .insert(pc.key, ests.into_iter().map(|e| e.samples).collect());
+        for (pc, est) in plan.into_iter().zip(estimates) {
+            self.cache_log
+                .entry(pc.key.clone())
+                .or_default()
+                .add(est.cache);
+            let cells = est.cells.into_iter().map(|e| e.samples).collect();
+            self.done.insert(pc.key, cells);
         }
         Ok(stats)
-    }
-
-    /// Per-point convergence flags of an adaptively prepared campaign
-    /// (true = CI target met, false = replicate cap). `None` for
-    /// single-shot campaigns.
-    pub fn campaign_converged(&self, key: &CampaignKey) -> Option<&[bool]> {
-        self.converged.get(&key.canonical()).map(Vec::as_slice)
     }
 
     fn polling(&self, t: &Transport, size: u64) -> &[Vec<PointSample>] {
@@ -755,10 +585,11 @@ const BAND_CONFIDENCE: f64 = 0.95;
 
 /// Build one series from replicate lists: each point's coordinates are
 /// the means of `x`/`y` over that cell's replicates, and when *every*
-/// cell has at least two replicates (an adaptive campaign — the floor is
-/// two) the series carries a 95% CI band on y. A single-replicate cell
-/// feeds the mean untouched ([`Welford`] with `n = 1` is bit-exact), so
-/// legacy campaigns produce byte-identical series with no bands.
+/// cell has at least two replicates (an adaptive campaign above a cap of
+/// one — the floor is then two) the series carries a 95% CI band on y. A
+/// single-replicate cell feeds the mean untouched ([`Welford`] with
+/// `n = 1` is bit-exact), so plain campaigns produce byte-identical
+/// series with no bands.
 fn replicate_series<T>(
     label: &str,
     cells: &[Vec<T>],
@@ -843,7 +674,7 @@ fn avail_vs_bw_series(label: &str, s: &[Vec<PointSample>]) -> Series {
 
 /// Regenerate one figure, reusing any sweeps already in `campaigns` and
 /// preparing the rest.
-pub fn generate(id: FigureId, campaigns: &mut Campaigns) -> Result<Dataset, RunError> {
+pub fn generate(id: FigureId, campaigns: &mut Campaigns) -> Result<Dataset, CombError> {
     campaigns.prepare(&[id])?;
     let mut ds = Dataset {
         id: id.id(),
@@ -957,18 +788,6 @@ pub fn generate(id: FigureId, campaigns: &mut Campaigns) -> Result<Dataset, RunE
         }
     }
     Ok(ds)
-}
-
-/// Regenerate every data figure, sharing sweeps across figures. All
-/// campaigns are planned up front and executed through the shared worker
-/// pool ([`Fidelity::jobs`], `0` = auto).
-pub fn generate_all(fidelity: Fidelity) -> Result<Vec<Dataset>, RunError> {
-    let mut campaigns = Campaigns::new(fidelity);
-    campaigns.prepare(&FigureId::ALL)?;
-    FigureId::ALL
-        .iter()
-        .map(|&id| generate(id, &mut campaigns))
-        .collect()
 }
 
 #[cfg(test)]
@@ -1098,9 +917,7 @@ mod tests {
             perturb_seed: 77,
         };
         let mut c = Campaigns::new(Fidelity::smoke().with_adaptive(params));
-        let stats = c
-            .prepare_adaptive(&[FigureId::Fig13], &Tracer::default(), None)
-            .unwrap();
+        let stats = c.prepare(&[FigureId::Fig13]).unwrap();
         assert!(stats.replicates >= 2 * stats.cells, "two-replicate floor");
         assert!(
             stats.replicates < 5 * stats.cells,
@@ -1110,13 +927,6 @@ mod tests {
             stats.cells,
         );
         assert_eq!(stats.converged + stats.capped, stats.cells);
-        let key = CampaignKey::Overhead {
-            platform: Transport::Gm.name(),
-        };
-        assert_eq!(
-            c.campaign_converged(&key).map(<[bool]>::len),
-            Some(OVERHEAD_POINTS)
-        );
         let ds = generate(FigureId::Fig13, &mut c).unwrap();
         for s in &ds.series {
             assert_eq!(s.bands.len(), s.points.len(), "every point gets a band");
@@ -1127,12 +937,6 @@ mod tests {
         }
         assert!(ds.to_csv().starts_with("# fig13"));
         assert!(ds.to_csv().contains("series,x,y,y_lo,y_hi,n"));
-        // Without adaptive params the call is a usage error.
-        let mut plain = Campaigns::new(Fidelity::smoke());
-        let err = plain
-            .prepare_adaptive(&[FigureId::Fig13], &Tracer::default(), None)
-            .unwrap_err();
-        assert_eq!(err.kind, comb_core::ErrorKind::Usage);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! the regenerated data ([`expect`]).
 //!
 //! ```no_run
-//! use comb_report::{run_figures, Fidelity, FigureId};
+//! use comb_report::{run_figures_cached, Fidelity, FigureId};
 //!
-//! let reports = run_figures(&[FigureId::Fig11], Fidelity::quick(), None).unwrap();
+//! let reports = run_figures_cached(&[FigureId::Fig11], Fidelity::quick(), None, None).unwrap();
 //! println!("{}", reports[0].plot(72, 20));
 //! assert!(reports[0].all_pass());
 //! ```
@@ -30,12 +30,9 @@ pub mod timeline;
 
 pub use degradation::{generate_degradation, DEGRADATION_IDS};
 pub use expect::{check_figure, Check};
-pub use experiments::{
-    markdown_report, run_all, run_figures, run_figures_adaptive, run_figures_cached, FigureReport,
-};
+pub use experiments::{markdown_report, run_campaigns, run_figures_cached, FigureReport};
 pub use figures::{
-    generate, generate_all, required_campaigns, CacheCounts, CampaignKey, Campaigns, Fidelity,
-    FigureId,
+    generate, required_campaigns, CacheCounts, CampaignKey, Campaigns, Fidelity, FigureId,
 };
 pub use halo::generate_halo;
 pub use series::{CiBand, Dataset, Point, Series};

@@ -61,11 +61,6 @@ fn fields(e: &TraceEvent) -> (u64, String) {
             format!("src={src} dst={dst} first={first} last={last}"),
         ),
         TraceEvent::CacheLookup { hit, joined } => (0, format!("hit={hit} joined={joined}")),
-        TraceEvent::ReplicateDone { replicate } => (0, format!("replicate={replicate}")),
-        TraceEvent::CellSettled {
-            replicates,
-            converged,
-        } => (0, format!("replicates={replicates} converged={converged}")),
         TraceEvent::ServeAdmitted { req } => (0, format!("req={req}")),
         TraceEvent::ServeDone { req, status } => (0, format!("req={req} status={status}")),
         TraceEvent::ServeRejected => (0, String::new()),

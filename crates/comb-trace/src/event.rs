@@ -95,9 +95,6 @@ pub enum Comp {
     /// The sweep-cell result cache (process-wide, outside any simulation;
     /// timestamps are wall-clock offsets from campaign start).
     Cache,
-    /// The adaptive replicate scheduler (process-wide, outside any
-    /// simulation; timestamps are wall-clock offsets from campaign start).
-    Adaptive,
     /// The `comb serve` HTTP front end (process-wide, outside any
     /// simulation; timestamps are wall-clock offsets from server start).
     Serve,
@@ -111,7 +108,6 @@ impl Comp {
             Comp::App(r) | Comp::Mpi(r) | Comp::Nic(r) | Comp::Cpu(r) => r,
             Comp::Fabric => FABRIC_PID,
             Comp::Cache => CACHE_PID,
-            Comp::Adaptive => ADAPTIVE_PID,
             Comp::Serve => SERVE_PID,
         }
     }
@@ -125,7 +121,6 @@ impl Comp {
             Comp::Cpu(_) => 3,
             Comp::Fabric => 0,
             Comp::Cache => 0,
-            Comp::Adaptive => 0,
             Comp::Serve => 0,
         }
     }
@@ -139,7 +134,6 @@ impl Comp {
             Comp::Cpu(_) => "cpu",
             Comp::Fabric => "fabric",
             Comp::Cache => "cache",
-            Comp::Adaptive => "adaptive",
             Comp::Serve => "serve",
         }
     }
@@ -151,9 +145,6 @@ pub const FABRIC_PID: u32 = 999;
 /// Synthetic pid used for the sweep-cell cache lane in exports.
 pub const CACHE_PID: u32 = 998;
 
-/// Synthetic pid used for the adaptive replicate scheduler lane in exports.
-pub const ADAPTIVE_PID: u32 = 997;
-
 /// Synthetic pid used for the `comb serve` request lane in exports.
 pub const SERVE_PID: u32 = 996;
 
@@ -162,7 +153,6 @@ impl fmt::Display for Comp {
         match self {
             Comp::Fabric => f.write_str("fabric"),
             Comp::Cache => f.write_str("cache"),
-            Comp::Adaptive => f.write_str("adaptive"),
             Comp::Serve => f.write_str("serve"),
             c => write!(f, "{}{}", c.lane_name(), c.pid()),
         }
@@ -322,21 +312,6 @@ pub enum TraceEvent {
         joined: bool,
     },
 
-    // -- adaptive replicate scheduler -------------------------------------
-    /// One replicate of a sweep cell finished and was folded into the
-    /// cell's running estimate.
-    ReplicateDone {
-        /// Replicate index within its cell (0 = the unperturbed run).
-        replicate: u32,
-    },
-    /// The stopping rule settled a cell: no more replicates will run.
-    CellSettled {
-        /// Replicates accumulated when the cell settled.
-        replicates: u32,
-        /// True when the CI target was met before the replicate cap.
-        converged: bool,
-    },
-
     // -- serving front end -------------------------------------------------
     /// `comb serve` admitted one HTTP request. `req` is the request-scoped
     /// correlation id (monotone per server, echoed back in the
@@ -428,8 +403,6 @@ impl TraceEvent {
                 (false, true) => "cache_hit",
                 (false, false) => "cache_miss",
             },
-            TraceEvent::ReplicateDone { .. } => "replicate_done",
-            TraceEvent::CellSettled { .. } => "cell_settled",
             TraceEvent::ServeAdmitted { .. } => "serve_admitted",
             TraceEvent::ServeDone { .. } => "serve_done",
             TraceEvent::ServeRejected => "serve_rejected",

@@ -251,8 +251,6 @@ pub fn build_spans(records: &[TraceRecord]) -> SpanSet {
                 msg: None,
             }),
             TraceEvent::CacheLookup { .. }
-            | TraceEvent::ReplicateDone { .. }
-            | TraceEvent::CellSettled { .. }
             | TraceEvent::ServeAdmitted { .. }
             | TraceEvent::ServeDone { .. }
             | TraceEvent::ServeRejected

@@ -10,9 +10,8 @@
 
 mod common;
 
-use comb::core::{AdaptiveParams, CacheMode, CellCache, ErrorKind};
-use comb::report::{run_figures_adaptive, Fidelity, FigureId};
-use comb::trace::Tracer;
+use comb::core::{AdaptiveParams, AdaptiveStats, CacheMode, CellCache, CombError, ErrorKind};
+use comb::report::{run_campaigns, Campaigns, Fidelity, FigureId, FigureReport};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -40,6 +39,25 @@ fn csv_bytes(dir: &Path, id: FigureId) -> Vec<u8> {
     std::fs::read(dir.join(format!("{id}.csv"))).unwrap()
 }
 
+/// Run `ids` as `comb figure` does, writing CSVs to `out`; `stop_after`
+/// interrupts the pass after that many fresh replicates.
+fn run_adaptive(
+    ids: &[FigureId],
+    fidelity: Fidelity,
+    out: Option<&Path>,
+    cache: Option<Arc<CellCache>>,
+    stop_after: Option<usize>,
+) -> Result<(Vec<FigureReport>, AdaptiveStats), CombError> {
+    let mut campaigns = Campaigns::new(fidelity);
+    if let Some(c) = cache {
+        campaigns.set_cache(c);
+    }
+    if let Some(n) = stop_after {
+        campaigns.set_budget(n);
+    }
+    run_campaigns(&mut campaigns, ids, out)
+}
+
 /// A fresh cache instance over `store`: nothing is served from memory.
 fn cache(store: &Path) -> Arc<CellCache> {
     Arc::new(CellCache::new(store, CacheMode::ReadWrite))
@@ -52,15 +70,8 @@ fn adaptive_campaign_is_byte_identical_across_job_counts() {
     for jobs in [1usize, 4] {
         let dir = fresh_dir(&format!("jobs{jobs}"));
         let store = dir.join("cells");
-        let (reports, stats) = run_figures_adaptive(
-            &[id],
-            fidelity(jobs),
-            Some(&dir),
-            Some(cache(&store)),
-            &Tracer::default(),
-            None,
-        )
-        .unwrap();
+        let (reports, stats) =
+            run_adaptive(&[id], fidelity(jobs), Some(&dir), Some(cache(&store)), None).unwrap();
         assert!(reports[0].all_pass(), "{:#?}", reports[0].checks);
         outputs.push((csv_bytes(&dir, id), common::store_files(&store), stats));
     }
@@ -88,27 +99,18 @@ fn interrupted_adaptive_campaign_resumes_byte_identically() {
 
     // Uninterrupted baseline at --jobs 1, no cache.
     let base_dir = fresh_dir("resume_base");
-    let (_, base_stats) = run_figures_adaptive(
-        &[id],
-        fidelity(1),
-        Some(&base_dir),
-        None,
-        &Tracer::default(),
-        None,
-    )
-    .unwrap();
+    let (_, base_stats) = run_adaptive(&[id], fidelity(1), Some(&base_dir), None, None).unwrap();
     assert!(base_stats.replicates > 3);
 
     // Interrupt after 3 fresh replicates at --jobs 4...
     let dir = fresh_dir("resume_run");
     let store = dir.join("cells");
     let interrupted = cache(&store);
-    let err = match run_figures_adaptive(
+    let err = match run_adaptive(
         &[id],
         fidelity(4),
         Some(&dir),
         Some(Arc::clone(&interrupted)),
-        &Tracer::default(),
         Some(3),
     ) {
         Err(e) => e,
@@ -123,12 +125,11 @@ fn interrupted_adaptive_campaign_resumes_byte_identically() {
 
     // ...then rerun at --jobs 1: the 3 replay from disk, same CSV.
     let resumed = cache(&store);
-    let (_, stats) = run_figures_adaptive(
+    let (_, stats) = run_adaptive(
         &[id],
         fidelity(1),
         Some(&dir),
         Some(Arc::clone(&resumed)),
-        &Tracer::default(),
         None,
     )
     .unwrap();
@@ -141,12 +142,11 @@ fn interrupted_adaptive_campaign_resumes_byte_identically() {
     // A rerun of the finished campaign computes nothing.
     let again_dir = fresh_dir("resume_again");
     let again = cache(&store);
-    let (_, stats) = run_figures_adaptive(
+    let (_, stats) = run_adaptive(
         &[id],
         fidelity(4),
         Some(&again_dir),
         Some(Arc::clone(&again)),
-        &Tracer::default(),
         None,
     )
     .unwrap();
@@ -161,12 +161,11 @@ fn stopping_rule_saves_replicates_while_meeting_the_target() {
     // A loose target: most cells should settle before the cap.
     let mut p = AdaptiveParams::new(5);
     p.ci_target = 0.30;
-    let (_, stats) = run_figures_adaptive(
+    let (_, stats) = run_adaptive(
         &[FigureId::Fig13],
         Fidelity::smoke().with_adaptive(p),
         None,
         None,
-        &Tracer::default(),
         None,
     )
     .unwrap();
@@ -189,12 +188,11 @@ fn warm_cache_replays_every_replicate() {
 
     let cold = Arc::new(CellCache::new(store.clone(), CacheMode::ReadWrite));
     let cold_out = fresh_dir("cache_cold");
-    let (_, cold_stats) = run_figures_adaptive(
+    let (_, cold_stats) = run_adaptive(
         &[id],
         fidelity(0),
         Some(&cold_out),
         Some(Arc::clone(&cold)),
-        &Tracer::default(),
         None,
     )
     .unwrap();
@@ -212,12 +210,11 @@ fn warm_cache_replays_every_replicate() {
     // pass must serve every replicate from disk, byte-identically.
     let warm = Arc::new(CellCache::new(store.clone(), CacheMode::ReadWrite));
     let warm_out = fresh_dir("cache_warm");
-    let (_, warm_stats) = run_figures_adaptive(
+    let (_, warm_stats) = run_adaptive(
         &[id],
         fidelity(0),
         Some(&warm_out),
         Some(Arc::clone(&warm)),
-        &Tracer::default(),
         None,
     )
     .unwrap();
@@ -228,6 +225,57 @@ fn warm_cache_replays_every_replicate() {
     assert_eq!(csv_bytes(&warm_out, id), csv_bytes(&cold_out, id));
 }
 
+/// Figures that cover both methods, both platforms and the modified PWW.
+const MIXED: [FigureId; 3] = [FigureId::Fig08, FigureId::Fig13, FigureId::Fig17];
+
+#[test]
+fn one_replicate_campaign_writes_the_plain_bytes() {
+    let plain = fresh_dir("one_rep_plain");
+    let one = fresh_dir("one_rep");
+    run_adaptive(&MIXED, Fidelity::smoke(), Some(&plain), None, None).unwrap();
+    let one_rep = Fidelity::smoke().with_adaptive(AdaptiveParams::new(1));
+    let (_, stats) = run_adaptive(&MIXED, one_rep, Some(&one), None, None).unwrap();
+    assert_eq!(stats.replicates, stats.cells, "one replicate per cell");
+    for id in MIXED {
+        assert_eq!(csv_bytes(&one, id), csv_bytes(&plain, id), "{id} differs");
+    }
+}
+
+#[test]
+fn plain_pass_over_an_adaptive_store_is_all_disk_hits() {
+    let store = fresh_dir("plain_over_store");
+    let plain = fresh_dir("plain_over_plain");
+    let out = fresh_dir("plain_over_out");
+    let mut p = AdaptiveParams::new(3);
+    p.ci_target = 0.25;
+    let adaptive = Fidelity::smoke().with_adaptive(p);
+    run_adaptive(&MIXED, adaptive, None, Some(cache(&store)), None).unwrap();
+
+    // Replicate 0 is the unperturbed cell under the plain cell key, so
+    // the adaptive pass stored every cell a plain pass needs.
+    run_adaptive(&MIXED, Fidelity::smoke(), Some(&plain), None, None).unwrap();
+    let warm = cache(&store);
+    let (reports, stats) = run_adaptive(
+        &MIXED,
+        Fidelity::smoke(),
+        Some(&out),
+        Some(Arc::clone(&warm)),
+        None,
+    )
+    .unwrap();
+    let s = warm.stats();
+    assert_eq!(
+        s.misses, 0,
+        "a plain pass over an adaptive store computes nothing"
+    );
+    assert_eq!(s.hits_disk as usize, stats.cells);
+    let fig08 = reports[0].cache.unwrap();
+    assert_eq!((fig08.hits, fig08.misses), (2 * 8, 0), "per-figure tallies");
+    for id in MIXED {
+        assert_eq!(csv_bytes(&out, id), csv_bytes(&plain, id), "{id} differs");
+    }
+}
+
 /// Golden snapshot of a CI-band CSV export. Any change to the
 /// perturbation model, the stopping rule, the Welford estimator or the
 /// t-quantile table that moves a single byte fails here — regenerate
@@ -235,15 +283,8 @@ fn warm_cache_replays_every_replicate() {
 #[test]
 fn adaptive_ci_band_csv_matches_golden() {
     let dir = fresh_dir("golden");
-    let (reports, _) = run_figures_adaptive(
-        &[FigureId::Fig13],
-        fidelity(0),
-        Some(&dir),
-        None,
-        &Tracer::default(),
-        None,
-    )
-    .unwrap();
+    let (reports, _) =
+        run_adaptive(&[FigureId::Fig13], fidelity(0), Some(&dir), None, None).unwrap();
     assert!(reports[0].all_pass(), "{:#?}", reports[0].checks);
     let rendered = String::from_utf8(csv_bytes(&dir, FigureId::Fig13)).unwrap();
 

@@ -3,10 +3,11 @@
 //! bit-for-bit reproducible run to run.
 
 use comb::core::{
-    polling_sweep, pww_sweep, run_polling_point, run_pww_point, MethodConfig, Transport,
+    run, run_ordered, run_polling_point, run_pww_point, MethodConfig, PollingParams, PollingSample,
+    PwwParams, PwwSample, RunError, RunSpec, Transport,
 };
 use comb::hw::FaultPlan;
-use comb::report::{generate, generate_all, Campaigns, Fidelity, FigureId};
+use comb::report::{generate, run_figures_cached, Campaigns, Fidelity, FigureId};
 
 fn cfg(t: Transport) -> MethodConfig {
     let mut c = MethodConfig::new(t, 50 * 1024);
@@ -61,11 +62,16 @@ fn parallel_campaigns_are_byte_identical_to_serial() {
     // The acceptance bar for the worker pool: the full evaluation's CSV
     // bytes must not depend on the worker count.
     let csvs = |jobs: usize| -> Vec<String> {
-        generate_all(Fidelity::smoke().with_jobs(jobs))
-            .unwrap()
-            .iter()
-            .map(|ds| ds.to_csv())
-            .collect()
+        run_figures_cached(
+            &FigureId::ALL,
+            Fidelity::smoke().with_jobs(jobs),
+            None,
+            None,
+        )
+        .unwrap()
+        .iter()
+        .map(|r| r.dataset.to_csv())
+        .collect()
     };
     let serial = csvs(1);
     assert_eq!(serial.len(), 14);
@@ -150,10 +156,22 @@ fn faulted_sweeps_are_byte_identical_across_jobs_and_runs() {
     )
     .unwrap();
     let intervals = [5_000u64, 50_000, 500_000];
+    let polling_sweep = |c: &MethodConfig| -> Result<Vec<PollingSample>, RunError> {
+        let spec = RunSpec::of(c);
+        run_ordered(c.jobs, &intervals, |&x| {
+            run(&PollingParams::new(c, x), &spec).map(|r| r.sample)
+        })
+    };
+    let pww_sweep = |c: &MethodConfig| -> Result<Vec<PwwSample>, RunError> {
+        let spec = RunSpec::of(c);
+        run_ordered(c.jobs, &intervals, |&x| {
+            run(&PwwParams::new(c, x, false), &spec).map(|r| r.sample)
+        })
+    };
     c.jobs = 1;
     c.shards = 1;
-    let serial_poll = polling_sweep(&c, &intervals).unwrap();
-    let serial_pww = pww_sweep(&c, &intervals, false).unwrap();
+    let serial_poll = polling_sweep(&c).unwrap();
+    let serial_pww = pww_sweep(&c).unwrap();
     assert!(
         serial_poll.iter().any(|s| s.faults.lost_packets > 0),
         "the plan must actually inject faults"
@@ -163,12 +181,12 @@ fn faulted_sweeps_are_byte_identical_across_jobs_and_runs() {
         c.jobs = jobs;
         c.shards = shards;
         assert_eq!(
-            polling_sweep(&c, &intervals).unwrap(),
+            polling_sweep(&c).unwrap(),
             serial_poll,
             "faulted polling sweep diverges at jobs={jobs} shards={shards}"
         );
         assert_eq!(
-            pww_sweep(&c, &intervals, false).unwrap(),
+            pww_sweep(&c).unwrap(),
             serial_pww,
             "faulted pww sweep diverges at jobs={jobs} shards={shards}"
         );

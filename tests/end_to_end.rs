@@ -1,7 +1,7 @@
 //! End-to-end smoke tests of the report pipeline: generate figures, write
 //! CSVs, render plots — everything the CLI does, through the library API.
 
-use comb::report::{run_figures, Fidelity, FigureId};
+use comb::report::{run_figures_cached, Fidelity, FigureId};
 
 fn tiny_fidelity() -> Fidelity {
     Fidelity {
@@ -19,10 +19,11 @@ fn tiny_fidelity() -> Fidelity {
 fn generate_two_figures_with_csv_and_plots() {
     let dir = std::env::temp_dir().join("comb_e2e_results");
     let _ = std::fs::remove_dir_all(&dir);
-    let reports = run_figures(
+    let reports = run_figures_cached(
         &[FigureId::Fig10, FigureId::Fig12],
         tiny_fidelity(),
         Some(&dir),
+        None,
     )
     .expect("figures run");
     assert_eq!(reports.len(), 2);

@@ -15,8 +15,8 @@
 //! and review the diff like any other code change.
 
 use comb::core::{
-    log_spaced, polling_sweep, pww_sweep, run, run_ordered, CacheMode, CellCache, CellKey,
-    MethodConfig, PwwParams, PwwSample, RunError, RunSpec, TracedRun, Transport,
+    log_spaced, run, run_ordered, CacheMode, CellCache, CellKey, MethodConfig, PollingParams,
+    PwwParams, PwwSample, RunError, RunSpec, TracedRun, Transport,
 };
 use comb::hw::FaultPlan;
 use comb::report::{run_figures_cached, Campaigns, Fidelity, FigureId};
@@ -89,7 +89,11 @@ fn polling_portals_faulted_campaign_matches_golden() {
         "poll_interval,bandwidth_mbs,availability,messages,\
          lost_packets,retransmissions,ctl_dropped,storm_interrupts,rndv_retries"
     );
-    for s in polling_sweep(&cfg, &xs).unwrap() {
+    let spec = RunSpec::of(&cfg);
+    let samples = run_ordered(cfg.jobs, &xs, |&x| {
+        run(&PollingParams::new(&cfg, x), &spec).map(|r| r.sample)
+    });
+    for s in samples.unwrap() {
         let _ = writeln!(
             out,
             "{},{},{},{},{},{},{},{},{}",
@@ -131,7 +135,11 @@ fn pww_gm_faulted_campaign_matches_golden() {
         "work_interval,bandwidth_mbs,availability,post_per_msg_ns,wait_per_msg_ns,\
          lost_packets,retransmissions,ctl_dropped,storm_interrupts,rndv_retries"
     );
-    for s in pww_sweep(&cfg, &xs, false).unwrap() {
+    let spec = RunSpec::of(&cfg);
+    let samples = run_ordered(cfg.jobs, &xs, |&x| {
+        run(&PwwParams::new(&cfg, x, false), &spec).map(|r| r.sample)
+    });
+    for s in samples.unwrap() {
         let _ = writeln!(
             out,
             "{},{},{},{},{},{},{},{},{},{}",

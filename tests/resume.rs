@@ -8,8 +8,8 @@
 mod common;
 
 use comb::core::cache::verify_store;
-use comb::core::{CacheMode, CacheStats, CellCache, CombError, ErrorKind};
-use comb::report::{run_figures, run_figures_cached, Campaigns, Fidelity, FigureId, FigureReport};
+use comb::core::{CacheMode, CacheStats, CellCache, ErrorKind};
+use comb::report::{run_figures_cached, Campaigns, Fidelity, FigureId, FigureReport};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -32,11 +32,8 @@ fn interrupt(store: &Path, fidelity: Fidelity, stop_after: usize) {
     let cache = Arc::new(CellCache::new(store, CacheMode::ReadWrite));
     let mut campaigns = Campaigns::new(fidelity);
     campaigns.set_cache(Arc::clone(&cache));
-    let err = CombError::from(
-        campaigns
-            .prepare_until(&[ID], Some(stop_after))
-            .unwrap_err(),
-    );
+    campaigns.set_budget(stop_after);
+    let err = campaigns.prepare(&[ID]).unwrap_err();
     assert_eq!(err.kind, ErrorKind::Interrupted, "{err}");
     assert_eq!(
         cache.stats().stored as usize,
@@ -63,10 +60,11 @@ fn interrupted_run_matches_baseline(
     resume_jobs: usize,
 ) {
     let base_dir = fresh_dir(&format!("{name}_base"));
-    let baseline = run_figures(
+    let baseline = run_figures_cached(
         &[ID],
         Fidelity::smoke().with_jobs(resume_jobs),
         Some(&base_dir),
+        None,
     )
     .unwrap();
 
@@ -149,7 +147,7 @@ fn resume_at_other_fidelity_misses_every_cell() {
     // a different fidelity computes everything afresh and matches an
     // uninterrupted run at that fidelity.
     let base_dir = fresh_dir("fidmix_base");
-    run_figures(&[ID], Fidelity::quick(), Some(&base_dir)).unwrap();
+    run_figures_cached(&[ID], Fidelity::quick(), Some(&base_dir), None).unwrap();
 
     let store = fresh_dir("fidmix_store");
     let out = fresh_dir("fidmix_out");
@@ -190,7 +188,7 @@ fn store_is_identical_across_job_counts() {
 #[test]
 fn torn_entry_is_recomputed_on_resume() {
     let base_dir = fresh_dir("torn_base");
-    run_figures(&[ID], Fidelity::smoke(), Some(&base_dir)).unwrap();
+    run_figures_cached(&[ID], Fidelity::smoke(), Some(&base_dir), None).unwrap();
 
     let store = fresh_dir("torn_store");
     let out = fresh_dir("torn_out");
