@@ -100,11 +100,8 @@ fn sigkill_mid_campaign_resend_replays_stored_cells() {
     assert_eq!(replay.status, 200, "{}", replay.text());
     let mut cfg = comb_core::MethodConfig::new(comb_core::Transport::Gm, 4096);
     cfg.jobs = 1;
-    let spec = comb_core::RunSpec::of(&cfg);
-    let samples = comb_core::run_ordered(cfg.jobs, &xs, |&x| {
-        comb_core::run(&comb_core::PollingParams::new(&cfg, x), &spec).map(|r| r.sample)
-    })
-    .unwrap();
+    let samples =
+        comb_core::run_sweep(&cfg, &xs, |x| comb_core::PollingParams::new(&cfg, x)).unwrap();
     let expected = comb_report::render_polling_sweep(&cfg, &samples);
     assert_eq!(
         replay.text(),

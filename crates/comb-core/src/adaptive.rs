@@ -39,6 +39,7 @@ use crate::runner::pool::run_ordered;
 use crate::stats::{StopDecision, StoppingRule, Welford};
 use crate::sweep::MethodConfig;
 use comb_hw::{HwConfig, PerturbPlan};
+use std::borrow::Cow;
 use std::sync::atomic::AtomicUsize;
 
 /// The user-facing knobs of an adaptive campaign, as one value so the CLI
@@ -95,23 +96,13 @@ pub struct CampaignSpec<'a> {
     pub xs: &'a [u64],
 }
 
-/// One cell's finished estimate: every replicate sample in replicate
-/// order, plus how the stopping rule settled it.
-#[derive(Debug, Clone)]
-pub struct CellEstimate {
-    /// Replicate samples, index `r` produced by replicate `r`.
-    pub samples: Vec<PointSample>,
-    /// True if the CI target was met; false if the replicate cap stopped
-    /// the cell first.
-    pub converged: bool,
-}
-
 /// One campaign's finished cells, in x order, and how the cell cache
 /// answered its replicates.
 #[derive(Debug, Clone)]
 pub struct CampaignEstimate {
-    /// One estimate per x value.
-    pub cells: Vec<CellEstimate>,
+    /// One list of replicate samples per x value; sample `r` of a cell is
+    /// its replicate `r`.
+    pub cells: Vec<Vec<PointSample>>,
     /// Cache outcomes of every replicate of the campaign (all misses
     /// without a cache).
     pub cache: CacheCounts,
@@ -164,8 +155,6 @@ pub fn run_adaptive_cells(
 
     let mut acc: Vec<Welford> = vec![Welford::new(); n];
     let mut samples: Vec<Vec<PointSample>> = vec![Vec::new(); n];
-    // `Some(converged)` once the stopping rule has settled the cell.
-    let mut settled: Vec<Option<bool>> = vec![None; n];
     let mut tallies = vec![CacheCounts::default(); campaigns.len()];
     let mut stats = AdaptiveStats {
         cells: n,
@@ -173,42 +162,24 @@ pub fn run_adaptive_cells(
     };
 
     // Rounds are indexed globally: replicate `r` of every open cell runs
-    // in round `r`.
+    // in round `r`. Every cell is open in round 0; after each replicate
+    // the stopping rule settles the cell or keeps it open.
+    let mut work: Vec<usize> = (0..n).collect();
     let mut round: u32 = 0;
-    loop {
-        // Settle what the rule has decided; collect this round's
-        // replicates, in input order.
-        let mut work: Vec<usize> = Vec::new();
-        for ci in 0..n {
-            if settled[ci].is_some() {
-                continue;
-            }
-            match rule.decide(&acc[ci]) {
-                StopDecision::Continue => work.push(ci),
-                decision => {
-                    let converged = decision == StopDecision::Converged;
-                    settled[ci] = Some(converged);
-                    if converged {
-                        stats.converged += 1;
-                    } else {
-                        stats.capped += 1;
-                    }
-                }
-            }
-        }
-        if work.is_empty() {
-            break;
-        }
-
-        // This round's hardware for each campaign with open cells and,
-        // only when a cache will hash it, the description part its cells
-        // share: rendered once per campaign and replicate.
-        let mut shared: Vec<Option<(HwConfig, Option<CampaignDesc>)>> =
+    while !work.is_empty() {
+        // This round's hardware for each campaign with open cells (the
+        // base itself in round 0) and, only when a cache will hash it, the
+        // description part its cells share: rendered once per campaign
+        // and replicate.
+        let mut shared: Vec<Option<(Cow<HwConfig>, Option<CampaignDesc>)>> =
             campaigns.iter().map(|_| None).collect();
         for &ci in &work {
             let c = cells[ci].0;
             shared[c].get_or_insert_with(|| {
-                let hw = perturb.hw_for_replicate(campaigns[c].hw, round);
+                let hw = match round {
+                    0 => Cow::Borrowed(campaigns[c].hw),
+                    r => Cow::Owned(perturb.hw_for_replicate(campaigns[c].hw, r)),
+                };
                 let desc = cache.map(|_| CampaignDesc::new(&hw, campaigns[c].cfg));
                 (hw, desc)
             });
@@ -231,27 +202,28 @@ pub fn run_adaptive_cells(
             })
         })?;
 
+        let mut open = Vec::new();
         for (&ci, (value, outcome)) in work.iter().zip(results) {
             stats.replicates += 1;
             tallies[cells[ci].0].record(outcome);
             acc[ci].push(value.availability());
             samples[ci].push(value);
+            match rule.decide(&acc[ci]) {
+                StopDecision::Continue => open.push(ci),
+                StopDecision::Converged => stats.converged += 1,
+                StopDecision::CapReached => stats.capped += 1,
+            }
         }
+        work = open;
         round += 1;
     }
 
-    let mut estimates = samples
-        .into_iter()
-        .zip(settled)
-        .map(|(samples, s)| CellEstimate {
-            samples,
-            converged: s.unwrap_or_else(|| unreachable!("loop exits only when all cells settle")),
-        });
+    let mut samples = samples.into_iter();
     let campaigns = campaigns
         .iter()
         .zip(tallies)
         .map(|(spec, cache)| CampaignEstimate {
-            cells: estimates.by_ref().take(spec.xs.len()).collect(),
+            cells: samples.by_ref().take(spec.xs.len()).collect(),
             cache,
         })
         .collect();
@@ -295,7 +267,7 @@ mod tests {
         params: AdaptiveParams,
         cache: Option<&CellCache>,
         stop_after: Option<usize>,
-    ) -> Result<(Vec<CellEstimate>, AdaptiveStats), CombError> {
+    ) -> Result<(Vec<Vec<PointSample>>, AdaptiveStats), CombError> {
         let campaigns: Vec<CampaignSpec> = cells
             .iter()
             .map(|c| CampaignSpec {
@@ -311,14 +283,6 @@ mod tests {
         Ok((campaigns.into_iter().flat_map(|c| c.cells).collect(), stats))
     }
 
-    fn assert_same(a: &[CellEstimate], b: &[CellEstimate]) {
-        assert_eq!(a.len(), b.len());
-        for (a, b) in a.iter().zip(b) {
-            assert_eq!(a.samples, b.samples);
-            assert_eq!(a.converged, b.converged);
-        }
-    }
-
     #[test]
     fn adaptive_campaign_is_identical_across_job_counts() {
         let cells = [cell(Transport::Gm, 10_000), cell(Transport::Portals, 1_000)];
@@ -330,7 +294,7 @@ mod tests {
         let (e1, s1) = run(1, &cells, params, None, None).unwrap();
         let (e4, s4) = run(4, &cells, params, None, None).unwrap();
         assert_eq!(s1, s4);
-        assert_same(&e1, &e4);
+        assert_eq!(e1, e4);
     }
 
     #[test]
@@ -342,9 +306,8 @@ mod tests {
             perturb_seed: 3,
         };
         let (est, stats) = run(0, &cells, params, None, None).unwrap();
-        assert_eq!(est[0].samples.len(), 2, "loose target stops at the floor");
-        assert!(est[0].converged);
-        assert_eq!(stats.converged, 1);
+        assert_eq!(est[0].len(), 2, "loose target stops at the floor");
+        assert_eq!((stats.converged, stats.capped), (1, 0));
         // Replicate 0 is the unperturbed cell: same sample a plain sweep
         // produces.
         let (plain, _) = run_cell_cached(
@@ -357,7 +320,7 @@ mod tests {
             None,
         )
         .unwrap();
-        assert_eq!(est[0].samples[0], plain);
+        assert_eq!(est[0][0], plain);
 
         // An unreachable target runs to the cap instead (on a cell whose
         // availability actually varies under perturbation: a short poll
@@ -368,9 +331,8 @@ mod tests {
             ..params
         };
         let (est, stats) = run(0, &cells, capped, None, None).unwrap();
-        assert_eq!(est[0].samples.len(), 6);
-        assert!(!est[0].converged);
-        assert_eq!(stats.capped, 1);
+        assert_eq!(est[0].len(), 6);
+        assert_eq!((stats.converged, stats.capped), (0, 1));
     }
 
     #[test]
@@ -380,7 +342,7 @@ mod tests {
         assert_eq!((stats.replicates, stats.capped), (2, 2));
         for (e, c) in est.iter().zip(&cells) {
             let plain = CellMethod::Polling.run(&c.cfg, c.xs[0], &RunSpec::of(&c.cfg));
-            assert_eq!(e.samples, [plain.unwrap().sample]);
+            assert_eq!(*e, [plain.unwrap().sample]);
         }
         // A plain campaign's error carries no cell or replicate tag.
         let err = run(2, &cells, AdaptiveParams::new(1), None, Some(0)).unwrap_err();
@@ -418,7 +380,7 @@ mod tests {
         );
         assert_eq!(cache.stats().misses, 5);
         assert_eq!(stats, full_stats);
-        assert_same(&est, &full);
+        assert_eq!(est, full);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

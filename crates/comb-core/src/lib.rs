@@ -57,7 +57,7 @@ pub mod stats;
 pub mod sweep;
 
 pub use adaptive::{
-    run_adaptive_cells, AdaptiveParams, AdaptiveStats, CampaignEstimate, CampaignSpec, CellEstimate,
+    run_adaptive_cells, AdaptiveParams, AdaptiveStats, CampaignEstimate, CampaignSpec,
 };
 pub use cache::{
     gc_store_with_max_age, run_cell_cached, CacheCounts, CacheMode, CacheOutcome, CacheStats,
@@ -79,8 +79,8 @@ pub use runner::pool::{
     CellOutcome, RetryPolicy,
 };
 pub use runner::{
-    run, run_polling_pairs, run_polling_point, run_pww_point, RunError, RunSpec, Scenario, SimRig,
-    TracedRun,
+    run, run_polling_pairs, run_polling_point, run_pww_point, run_sweep, RunError, RunSpec,
+    Scenario, SimRig, TracedRun,
 };
 pub use stats::{
     mean_ci, t_cdf, t_quantile, MeanCi, QuantileWindow, StopDecision, StoppingRule, Welford,

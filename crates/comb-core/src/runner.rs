@@ -415,6 +415,22 @@ pub fn run_polling_pairs(
     Ok(run(&PollingPairs { params, pairs }, &RunSpec::of(cfg))?.sample)
 }
 
+/// A bare sweep for tests: [`pool::run_ordered`] over [`run`], one point
+/// per x, on [`MethodConfig::jobs`] workers. Figure campaigns run through
+/// [`crate::run_adaptive_cells`] instead.
+#[doc(hidden)]
+pub fn run_sweep<S: Scenario>(
+    cfg: &MethodConfig,
+    xs: &[u64],
+    point: impl Fn(u64) -> S + Sync,
+) -> Result<Vec<S::Sample>, RunError>
+where
+    S::Sample: Send,
+{
+    let spec = RunSpec::of(cfg);
+    pool::run_ordered(cfg.jobs, xs, |&x| run(&point(x), &spec).map(|r| r.sample))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,19 +455,6 @@ mod tests {
         assert_eq!(c, d);
     }
 
-    /// A sweep: [`pool::run_ordered`] over [`run`], one point per x.
-    fn sweep<S: Scenario>(
-        cfg: &MethodConfig,
-        xs: &[u64],
-        point: impl Fn(u64) -> S + Sync,
-    ) -> Result<Vec<S::Sample>, RunError>
-    where
-        S::Sample: Send,
-    {
-        let spec = RunSpec::of(cfg);
-        pool::run_ordered(cfg.jobs, xs, |&x| run(&point(x), &spec).map(|r| r.sample))
-    }
-
     #[test]
     fn sweep_preserves_point_order_and_length() {
         let mut cfg = MethodConfig::new(Transport::Gm, 10 * 1024);
@@ -459,12 +462,12 @@ mod tests {
         cfg.max_intervals = 300;
         cfg.cycles = 3;
         let intervals = [1_000u64, 10_000, 100_000];
-        let ps = sweep(&cfg, &intervals, |x| PollingParams::new(&cfg, x)).unwrap();
+        let ps = run_sweep(&cfg, &intervals, |x| PollingParams::new(&cfg, x)).unwrap();
         assert_eq!(ps.len(), 3);
         for (s, &i) in ps.iter().zip(&intervals) {
             assert_eq!(s.poll_interval, i);
         }
-        let ws = sweep(&cfg, &intervals, |x| PwwParams::new(&cfg, x, false)).unwrap();
+        let ws = run_sweep(&cfg, &intervals, |x| PwwParams::new(&cfg, x, false)).unwrap();
         assert_eq!(ws.len(), 3);
     }
 
@@ -476,17 +479,17 @@ mod tests {
         cfg.cycles = 2;
         cfg.jobs = 1;
         let intervals = [500u64, 5_000, 50_000, 500_000, 5_000_000];
-        let serial_poll = sweep(&cfg, &intervals, |x| PollingParams::new(&cfg, x)).unwrap();
-        let serial_pww = sweep(&cfg, &intervals, |x| PwwParams::new(&cfg, x, false)).unwrap();
+        let serial_poll = run_sweep(&cfg, &intervals, |x| PollingParams::new(&cfg, x)).unwrap();
+        let serial_pww = run_sweep(&cfg, &intervals, |x| PwwParams::new(&cfg, x, false)).unwrap();
         for jobs in [1, 4, pool::available_jobs()] {
             cfg.jobs = jobs;
             assert_eq!(
-                sweep(&cfg, &intervals, |x| PollingParams::new(&cfg, x)).unwrap(),
+                run_sweep(&cfg, &intervals, |x| PollingParams::new(&cfg, x)).unwrap(),
                 serial_poll,
                 "polling sweep differs at jobs={jobs}"
             );
             assert_eq!(
-                sweep(&cfg, &intervals, |x| PwwParams::new(&cfg, x, false)).unwrap(),
+                run_sweep(&cfg, &intervals, |x| PwwParams::new(&cfg, x, false)).unwrap(),
                 serial_pww,
                 "pww sweep differs at jobs={jobs}"
             );

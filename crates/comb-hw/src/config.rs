@@ -21,28 +21,11 @@ impl CpuConfig {
     /// Virtual time for `iters` loop iterations.
     pub fn iters_to_duration(&self, iters: u64) -> SimDuration {
         // ps precision avoids rounding drift for small iteration counts.
-        // The arithmetic stays in u64 while the products fit (at 4 ns an
-        // iteration, under ~4.6e15 iterations), in u128 beyond that.
-        let ps = self
-            .cycles_per_iter
-            .checked_mul(PS_PER_S)
-            .and_then(|ps_per_s| iters.checked_mul(ps_per_s / self.freq_hz));
-        match ps {
-            Some(ps) => SimDuration::from_nanos(ps / 1000),
-            None => SimDuration::from_nanos(self.iters_to_nanos_wide(iters)),
-        }
-    }
-
-    /// [`CpuConfig::iters_to_duration`]'s formula in u128, for products
-    /// that overflow u64.
-    fn iters_to_nanos_wide(&self, iters: u64) -> u64 {
-        let ps_per_iter = self.cycles_per_iter as u128 * PS_PER_S as u128 / self.freq_hz as u128;
-        ((iters as u128 * ps_per_iter) / 1000) as u64
+        let ps_per_iter =
+            self.cycles_per_iter as u128 * 1_000_000_000_000u128 / self.freq_hz as u128;
+        SimDuration::from_nanos(((iters as u128 * ps_per_iter) / 1000) as u64)
     }
 }
-
-/// Picoseconds in a second.
-const PS_PER_S: u64 = 1_000_000_000_000;
 
 impl Default for CpuConfig {
     fn default() -> Self {
@@ -425,7 +408,6 @@ impl HwConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn iters_to_duration_is_linear_and_exact() {
@@ -438,46 +420,6 @@ mod tests {
             cpu.iters_to_duration(100_000_000),
             SimDuration::from_millis(400)
         );
-    }
-
-    #[test]
-    fn iters_to_duration_matches_the_u128_formula_at_the_boundary() {
-        // Each multiplication just inside and just past u64.
-        let fits = u64::MAX / 4000; // iterations of the default 4000 ps
-        let wide = u64::MAX / PS_PER_S; // cycles whose picoseconds fit
-        for (freq_hz, cycles_per_iter, iters) in [
-            (500_000_000, 2, fits),
-            (500_000_000, 2, fits + 1),
-            (500_000_000, 2, u64::MAX),
-            (1, wide, 1),
-            (1, wide, 2),
-            (1, wide + 1, 1),
-            (u64::MAX, u64::MAX, u64::MAX),
-        ] {
-            let cpu = CpuConfig {
-                freq_hz,
-                cycles_per_iter,
-            };
-            let wide_ns = cpu.iters_to_nanos_wide(iters);
-            assert_eq!(
-                cpu.iters_to_duration(iters).as_nanos(),
-                wide_ns,
-                "{cpu:?} x {iters}"
-            );
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn iters_to_duration_matches_the_u128_formula(
-            freq_hz in prop_oneof![1u64..2_000_000_000_000, 1u64..u64::MAX],
-            cycles_per_iter in prop_oneof![0u64..64, any::<u64>()],
-            iters in prop_oneof![0u64..1_000_000_000, any::<u64>()],
-        ) {
-            let cpu = CpuConfig { freq_hz, cycles_per_iter };
-            let wide_ns = cpu.iters_to_nanos_wide(iters);
-            prop_assert_eq!(cpu.iters_to_duration(iters).as_nanos(), wide_ns);
-        }
     }
 
     #[test]

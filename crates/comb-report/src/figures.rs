@@ -550,8 +550,7 @@ impl Campaigns {
                 .entry(pc.key.clone())
                 .or_default()
                 .add(est.cache);
-            let cells = est.cells.into_iter().map(|e| e.samples).collect();
-            self.done.insert(pc.key, cells);
+            self.done.insert(pc.key, est.cells);
         }
         Ok(stats)
     }

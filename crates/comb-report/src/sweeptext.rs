@@ -145,22 +145,7 @@ fn push_fault_header(out: &mut String, method: &str, cfg: &MethodConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use comb_core::{
-        run, run_ordered, PollingParams, PwwParams, RunError, RunSpec, Scenario, Transport,
-    };
-
-    /// A sweep: [`run_ordered`] over [`run`], one point per x.
-    fn sweep<S: Scenario>(
-        cfg: &MethodConfig,
-        xs: &[u64],
-        point: impl Fn(u64) -> S + Sync,
-    ) -> Result<Vec<S::Sample>, RunError>
-    where
-        S::Sample: Send,
-    {
-        let spec = RunSpec::of(cfg);
-        run_ordered(cfg.jobs, xs, |&x| run(&point(x), &spec).map(|r| r.sample))
-    }
+    use comb_core::{run_sweep, PollingParams, PwwParams, Transport};
 
     fn small_cfg() -> MethodConfig {
         let mut cfg = MethodConfig::new(Transport::Gm, 10 * 1024);
@@ -174,7 +159,7 @@ mod tests {
     #[test]
     fn polling_table_shape() {
         let cfg = small_cfg();
-        let samples = sweep(&cfg, &[10_000, 100_000], |x| PollingParams::new(&cfg, x)).unwrap();
+        let samples = run_sweep(&cfg, &[10_000, 100_000], |x| PollingParams::new(&cfg, x)).unwrap();
         let text = render_polling_sweep(&cfg, &samples);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3, "header + one row per sample");
@@ -186,7 +171,7 @@ mod tests {
     #[test]
     fn pww_table_shape() {
         let cfg = small_cfg();
-        let samples = sweep(&cfg, &[10_000], |x| PwwParams::new(&cfg, x, false)).unwrap();
+        let samples = run_sweep(&cfg, &[10_000], |x| PwwParams::new(&cfg, x, false)).unwrap();
         let text = render_pww_sweep(&cfg, &samples);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -198,7 +183,7 @@ mod tests {
     fn faulted_sweep_renders_csv_with_plan_header() {
         let mut cfg = small_cfg();
         cfg.fault = comb_hw::fault::FaultPlan::from_specs(&["loss=uniform:0.01"], Some(7)).unwrap();
-        let samples = sweep(&cfg, &[10_000], |x| PollingParams::new(&cfg, x)).unwrap();
+        let samples = run_sweep(&cfg, &[10_000], |x| PollingParams::new(&cfg, x)).unwrap();
         let text = render_polling_sweep(&cfg, &samples);
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines[0].starts_with("# comb sweep polling | platform: "));

@@ -3,8 +3,7 @@
 //! bit-for-bit reproducible run to run.
 
 use comb::core::{
-    run, run_ordered, run_polling_point, run_pww_point, MethodConfig, PollingParams, PollingSample,
-    PwwParams, PwwSample, RunError, RunSpec, Transport,
+    run_polling_point, run_pww_point, run_sweep, MethodConfig, PollingParams, PwwParams, Transport,
 };
 use comb::hw::FaultPlan;
 use comb::report::{generate, run_figures_cached, Campaigns, Fidelity, FigureId};
@@ -156,22 +155,10 @@ fn faulted_sweeps_are_byte_identical_across_jobs_and_runs() {
     )
     .unwrap();
     let intervals = [5_000u64, 50_000, 500_000];
-    let polling_sweep = |c: &MethodConfig| -> Result<Vec<PollingSample>, RunError> {
-        let spec = RunSpec::of(c);
-        run_ordered(c.jobs, &intervals, |&x| {
-            run(&PollingParams::new(c, x), &spec).map(|r| r.sample)
-        })
-    };
-    let pww_sweep = |c: &MethodConfig| -> Result<Vec<PwwSample>, RunError> {
-        let spec = RunSpec::of(c);
-        run_ordered(c.jobs, &intervals, |&x| {
-            run(&PwwParams::new(c, x, false), &spec).map(|r| r.sample)
-        })
-    };
     c.jobs = 1;
     c.shards = 1;
-    let serial_poll = polling_sweep(&c).unwrap();
-    let serial_pww = pww_sweep(&c).unwrap();
+    let serial_poll = run_sweep(&c, &intervals, |x| PollingParams::new(&c, x)).unwrap();
+    let serial_pww = run_sweep(&c, &intervals, |x| PwwParams::new(&c, x, false)).unwrap();
     assert!(
         serial_poll.iter().any(|s| s.faults.lost_packets > 0),
         "the plan must actually inject faults"
@@ -181,12 +168,12 @@ fn faulted_sweeps_are_byte_identical_across_jobs_and_runs() {
         c.jobs = jobs;
         c.shards = shards;
         assert_eq!(
-            polling_sweep(&c).unwrap(),
+            run_sweep(&c, &intervals, |x| PollingParams::new(&c, x)).unwrap(),
             serial_poll,
             "faulted polling sweep diverges at jobs={jobs} shards={shards}"
         );
         assert_eq!(
-            pww_sweep(&c).unwrap(),
+            run_sweep(&c, &intervals, |x| PwwParams::new(&c, x, false)).unwrap(),
             serial_pww,
             "faulted pww sweep diverges at jobs={jobs} shards={shards}"
         );

@@ -15,8 +15,8 @@
 //! and review the diff like any other code change.
 
 use comb::core::{
-    log_spaced, run, run_ordered, CacheMode, CellCache, CellKey, MethodConfig, PollingParams,
-    PwwParams, PwwSample, RunError, RunSpec, TracedRun, Transport,
+    log_spaced, run, run_ordered, run_sweep, CacheMode, CellCache, CellKey, MethodConfig,
+    PollingParams, PwwParams, PwwSample, RunError, RunSpec, TracedRun, Transport,
 };
 use comb::hw::FaultPlan;
 use comb::report::{run_figures_cached, Campaigns, Fidelity, FigureId};
@@ -89,11 +89,7 @@ fn polling_portals_faulted_campaign_matches_golden() {
         "poll_interval,bandwidth_mbs,availability,messages,\
          lost_packets,retransmissions,ctl_dropped,storm_interrupts,rndv_retries"
     );
-    let spec = RunSpec::of(&cfg);
-    let samples = run_ordered(cfg.jobs, &xs, |&x| {
-        run(&PollingParams::new(&cfg, x), &spec).map(|r| r.sample)
-    });
-    for s in samples.unwrap() {
+    for s in run_sweep(&cfg, &xs, |x| PollingParams::new(&cfg, x)).unwrap() {
         let _ = writeln!(
             out,
             "{},{},{},{},{},{},{},{},{}",
@@ -135,11 +131,7 @@ fn pww_gm_faulted_campaign_matches_golden() {
         "work_interval,bandwidth_mbs,availability,post_per_msg_ns,wait_per_msg_ns,\
          lost_packets,retransmissions,ctl_dropped,storm_interrupts,rndv_retries"
     );
-    let spec = RunSpec::of(&cfg);
-    let samples = run_ordered(cfg.jobs, &xs, |&x| {
-        run(&PwwParams::new(&cfg, x, false), &spec).map(|r| r.sample)
-    });
-    for s in samples.unwrap() {
+    for s in run_sweep(&cfg, &xs, |x| PwwParams::new(&cfg, x, false)).unwrap() {
         let _ = writeln!(
             out,
             "{},{},{},{},{},{},{},{},{},{}",

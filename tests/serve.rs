@@ -4,9 +4,7 @@
 //! bounded-admission 429s, job status/event streams, and graceful
 //! shutdown.
 
-use comb::core::{
-    run, run_ordered, CacheMode, CellCache, MethodConfig, PollingParams, RunSpec, Transport,
-};
+use comb::core::{run_sweep, CacheMode, CellCache, MethodConfig, PollingParams, Transport};
 use comb::report::{run_figures_cached, Fidelity, FigureId};
 use comb::serve::http::ResponseReader;
 use comb::serve::{client_request, metric_value, ServeConfig, Server, ServerHandle};
@@ -100,11 +98,7 @@ fn sweep_body_matches_cli_bytes() {
     // The same sweep run directly — the bytes `comb sweep` would print.
     let mut cfg = cheap_cfg();
     cfg.jobs = 1;
-    let spec = RunSpec::of(&cfg);
-    let samples = run_ordered(cfg.jobs, &[1000, 10_000], |&x| {
-        run(&PollingParams::new(&cfg, x), &spec).map(|r| r.sample)
-    })
-    .unwrap();
+    let samples = run_sweep(&cfg, &[1000, 10_000], |x| PollingParams::new(&cfg, x)).unwrap();
     let expected = comb::report::render_polling_sweep(&cfg, &samples);
     assert_eq!(
         r.text(),
@@ -205,11 +199,7 @@ fn identical_concurrent_sweeps_single_flight() {
     // All N bodies identical, and equal to the direct CLI bytes.
     let mut cfg = MethodConfig::new(Transport::Gm, 100 * 1024);
     cfg.jobs = 1;
-    let spec = RunSpec::of(&cfg);
-    let samples = run_ordered(cfg.jobs, &[100_000], |&x| {
-        run(&PollingParams::new(&cfg, x), &spec).map(|r| r.sample)
-    })
-    .unwrap();
+    let samples = run_sweep(&cfg, &[100_000], |x| PollingParams::new(&cfg, x)).unwrap();
     let expected = comb::report::render_polling_sweep(&cfg, &samples);
     for b in &bodies {
         assert_eq!(String::from_utf8_lossy(b), expected);
