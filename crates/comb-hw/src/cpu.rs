@@ -220,10 +220,9 @@ impl Cpu {
 /// A one-word handle for charging CPU steals from scheduled events.
 ///
 /// `Cpu` itself is five words (config + handle + flags + shared state),
-/// which pushes any event closure that captures it past the simulator's
-/// three-word inline budget — boxing one closure per packet on the kernel
-/// NIC's send path. A `Stealer` carries only the shared state, so
-/// `Stealer` plus a `SimDuration` fits the budget.
+/// and cloning it bumps two reference counts. A `Stealer` carries only the
+/// shared state, so the kernel NIC's per-packet send-path steal event
+/// captures two words and clones one `Arc`.
 #[derive(Clone)]
 pub struct Stealer {
     shared: Arc<CpuShared>,

@@ -19,7 +19,6 @@ pub mod loss;
 pub mod nic;
 pub mod node;
 pub mod packet;
-pub(crate) mod pending;
 pub mod perturb;
 pub mod switch;
 

@@ -10,7 +10,9 @@
 //! or delivered immediately (`DeliveryClass::Direct` — rendezvous payload
 //! DMA'd into a pre-matched user buffer). The ring is exactly why this
 //! transport lacks *application offload*: nothing happens to ring messages
-//! until the application re-enters the MPI library.
+//! until the application re-enters the MPI library. Until the delivery
+//! station is done with a message, the event that hands it over owns it,
+//! together with the rx handler for a direct one.
 
 use crate::config::{NicConfig, NicKind};
 use crate::fault::FaultModel;
@@ -19,9 +21,8 @@ use crate::nic::{
     note_burst_batched, DeliveryClass, Nic, NicStats, NodeId, Packet, RxHandler, TxDone, WireMsg,
 };
 use crate::packet::packet_sizes;
-use crate::pending::PendingSlab;
 use crate::switch::Fabric;
-use comb_sim::{SimCell, SimHandle, SimTime};
+use comb_sim::{SimCell, SimHandle, SimRefMut, SimTime};
 use comb_trace::{Comp, TraceEvent, Tracer};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -33,9 +34,6 @@ struct BypassInner {
     ring: VecDeque<(NodeId, WireMsg)>,
     handler: Option<RxHandler>,
     ring_notify: Option<Arc<dyn Fn() + Send + Sync>>,
-    /// Message deliveries parked until their ready event fires, so the
-    /// event captures `(inner, slot)` instead of boxing the message.
-    pending: PendingSlab<(NodeId, WireMsg, Option<RxHandler>)>,
     stats: NicStats,
 }
 
@@ -51,7 +49,8 @@ pub struct BypassNic {
 
 impl BypassNic {
     /// Build and attach a bypass NIC to `fabric`. Returns the NIC as an
-    /// `Arc<dyn Nic>` (the fabric keeps only a weak reference).
+    /// `Arc<dyn Nic>` (the fabric's port table keeps only a weak reference;
+    /// a delivery in flight holds a strong one).
     pub fn attach(handle: &SimHandle, cfg: &NicConfig, fabric: &Arc<Fabric>) -> Arc<dyn Nic> {
         assert_eq!(cfg.kind, NicKind::Bypass, "config is not a bypass NIC");
         let mtu = fabric.link_config().mtu;
@@ -70,7 +69,6 @@ impl BypassNic {
                     ring: VecDeque::new(),
                     handler: None,
                     ring_notify: None,
-                    pending: PendingSlab::default(),
                     stats: NicStats::default(),
                 },
             )),
@@ -83,38 +81,38 @@ impl BypassNic {
 
     /// Hand a fully received message to the library at `end`: park it in
     /// the ring (waking any ring-notify hook) or push it straight to the
-    /// rx handler, per its delivery class. The payload waits in the pending
-    /// slab so the scheduled event captures `(inner, slot)` — two words, on
-    /// the simulator's inline fast path.
+    /// rx handler, per its delivery class. The scheduled event owns the
+    /// message, and the handler for a direct one. Releases `inner`.
     fn schedule_delivery(
         &self,
+        inner: SimRefMut<'_, BypassInner>,
         src: NodeId,
         msg: WireMsg,
         end: SimTime,
-        handler: Option<RxHandler>,
     ) {
-        let slot = self.inner.borrow_mut().pending.insert((src, msg, handler));
-        let inner_ref = Arc::clone(&self.inner);
-        self.handle.schedule_at(end, move || {
-            let mut inner = inner_ref.borrow_mut();
-            let (src, msg, handler) = inner.pending.take(slot);
-            match msg.class {
-                DeliveryClass::Ring => {
+        match msg.class {
+            DeliveryClass::Ring => {
+                drop(inner);
+                let cell = Arc::clone(&self.inner);
+                self.handle.schedule_at(end, move || {
+                    let mut inner = cell.borrow_mut();
                     inner.ring.push_back((src, msg));
                     let notify = inner.ring_notify.clone();
                     drop(inner);
                     if let Some(notify) = notify {
                         notify();
                     }
-                }
-                DeliveryClass::Direct => {
-                    // The handler may re-enter the NIC; call it unborrowed.
-                    drop(inner);
-                    let handler = handler.expect("no rx handler installed");
-                    handler(src, msg);
-                }
+                });
             }
-        });
+            DeliveryClass::Direct => {
+                let handler = inner.handler.clone();
+                drop(inner);
+                // The handler may re-enter the NIC; it runs unborrowed.
+                self.handle.schedule_at(end, move || {
+                    handler.expect("no rx handler installed")(src, msg)
+                });
+            }
+        }
     }
 }
 
@@ -258,9 +256,7 @@ impl Nic for BypassNic {
         };
         if let Some(msg) = pkt.tail {
             inner.stats.msgs_rx += 1;
-            let handler = inner.handler.clone();
-            drop(inner);
-            self.schedule_delivery(src, msg, end, handler);
+            self.schedule_delivery(inner, src, msg, end);
         }
     }
 
@@ -277,9 +273,7 @@ impl Nic for BypassNic {
             end = inner.rx.enqueue(arrival, bytes).1;
         }
         inner.stats.msgs_rx += 1;
-        let handler = inner.handler.clone();
-        drop(inner);
-        self.schedule_delivery(src, msg, end, handler);
+        self.schedule_delivery(inner, src, msg, end);
     }
 }
 

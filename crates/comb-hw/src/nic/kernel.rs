@@ -11,7 +11,9 @@
 //! (`rx_match_cost` on a message's first packet), so completed messages are
 //! pushed straight to the library: this transport has full **application
 //! offload** — communication progresses with no MPI calls — which is exactly
-//! what the paper's PWW method detects for Portals (Fig 11).
+//! what the paper's PWW method detects for Portals (Fig 11). The handoff
+//! is an event at the ISR's end that owns the rx handler and the message,
+//! so the NIC parks nothing while it waits.
 //!
 //! Unlike the bypass NIC, this transport can never use the fabric's
 //! burst-batching fast path ([`Fabric::transmit_burst`]): each received
@@ -29,7 +31,6 @@ use crate::interrupt::InterruptController;
 use crate::link::Station;
 use crate::nic::{Nic, NicStats, NodeId, Packet, RxHandler, TxDone, WireMsg};
 use crate::packet::packet_sizes;
-use crate::pending::PendingSlab;
 use crate::switch::Fabric;
 use comb_sim::{SimCell, SimHandle};
 use comb_trace::{Comp, TraceEvent, Tracer};
@@ -40,10 +41,6 @@ struct KernelInner {
     fault: FaultModel,
     isr: InterruptController,
     handler: Option<RxHandler>,
-    /// Message handoffs parked until their post-ISR delivery event fires,
-    /// so the event captures `(inner, slot)` instead of boxing the handler
-    /// plus the message.
-    pending_rx: PendingSlab<(RxHandler, NodeId, WireMsg)>,
     stats: NicStats,
 }
 
@@ -56,7 +53,7 @@ pub struct KernelNic {
     fabric: Arc<Fabric>,
     cpu: Cpu,
     tracer: Tracer,
-    inner: Arc<SimCell<KernelInner>>,
+    inner: SimCell<KernelInner>,
 }
 
 impl KernelNic {
@@ -78,17 +75,16 @@ impl KernelNic {
             fabric: Arc::clone(fabric),
             cpu: cpu.clone(),
             tracer: fabric.tracer().clone(),
-            inner: Arc::new(SimCell::new(
+            inner: SimCell::new(
                 handle,
                 KernelInner {
                     tx: Station::new(cfg.tx_per_packet, cfg.tx_bandwidth),
                     fault: FaultModel::from_link(fabric.link_config(), fabric.port_count() as u64),
                     isr: InterruptController::new(cpu.clone()),
                     handler: None,
-                    pending_rx: PendingSlab::default(),
                     stats: NicStats::default(),
                 },
-            )),
+            ),
         });
         let dyn_nic: Arc<dyn Nic> = nic;
         let assigned = fabric.attach(Arc::downgrade(&dyn_nic), handle);
@@ -161,8 +157,8 @@ impl Nic for KernelNic {
             };
             if !tx_host.is_zero() {
                 // The kernel send path for this packet runs on the host.
-                // A `Stealer` plus the duration is three words, so the
-                // per-packet steal event stays on the inline fast path.
+                // A `Stealer` plus the duration is two words: the
+                // per-packet steal event clones one `Arc`, not a `Cpu`.
                 inner.stats.host_stolen += tx_host;
                 let stealer = stealer.clone();
                 self.handle
@@ -244,16 +240,11 @@ impl Nic for KernelNic {
                 .handler
                 .clone()
                 .expect("no rx handler installed on kernel NIC");
-            // Park the handoff so the delivery event captures two words.
-            let slot = inner.pending_rx.insert((handler, src, msg));
             drop(inner);
-            let inner_ref = Arc::clone(&self.inner);
-            self.handle.schedule_at(done, move || {
-                // Take in a borrow that ends before the call:
-                // the handler may re-enter the NIC (e.g. post a reply).
-                let (handler, src, msg) = inner_ref.borrow_mut().pending_rx.take(slot);
-                handler(src, msg);
-            });
+            // The handoff event owns the handler and the message, and calls
+            // the handler with no borrow held: it may re-enter the NIC
+            // (e.g. post a reply).
+            self.handle.schedule_at(done, move || handler(src, msg));
         }
     }
 }

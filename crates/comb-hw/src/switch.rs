@@ -5,10 +5,14 @@
 //! station and the receiver's delivery station/ISR chain serialize packets,
 //! which for a crossbar switch (the paper's 8-port Myrinet SAN/LAN switch)
 //! is where the queueing actually happens.
+//!
+//! A packet on the wire is one simulator event at its arrival. The event
+//! owns the destination NIC, the source and the packet (or a batched
+//! message's arrivals and body), so the fabric itself parks nothing and
+//! takes no lock per packet.
 
 use crate::config::LinkConfig;
 use crate::nic::{Nic, NodeId, Packet, WireMsg};
-use crate::pending::PendingSlab;
 use comb_sim::{SimHandle, SimTime};
 use comb_trace::{Comp, TraceEvent, Tracer};
 use parking_lot::Mutex;
@@ -17,21 +21,6 @@ use std::sync::{Arc, OnceLock, Weak};
 /// An attached NIC and the handle of the simulation (shard) its node
 /// lives in.
 type Port = (Weak<dyn Nic>, SimHandle);
-
-/// A wire delivery parked until its arrival event fires.
-enum Delivery {
-    Packet {
-        dst: NodeId,
-        src: NodeId,
-        pkt: Packet,
-    },
-    Burst {
-        dst: NodeId,
-        src: NodeId,
-        arrivals: Vec<(SimTime, u64)>,
-        msg: WireMsg,
-    },
-}
 
 /// The cluster interconnect.
 ///
@@ -47,9 +36,10 @@ enum Delivery {
 ///
 /// The fabric is the one model that threads of two shards touch, so it
 /// keeps no [`comb_sim::SimCell`]. Its port table is frozen when the first
-/// packet goes out, after which every thread reads it without a lock, and
-/// the deliveries in flight stay behind a real lock: a packet is parked by
-/// the sending shard's thread and collected by the receiving one's.
+/// packet goes out, after which every thread reads it without a lock. A
+/// port's NIC is upgraded once per transmit, and the delivery keeps it
+/// alive until it fires, or until dropping the simulation empties its
+/// event queue.
 pub struct Fabric {
     link: LinkConfig,
     /// Ports attached while the cluster is built.
@@ -57,11 +47,6 @@ pub struct Fabric {
     /// The port table, moved out of `attaching` by the first transmit.
     ports: OnceLock<Box<[Port]>>,
     tracer: Tracer,
-    /// Self-reference so arrival events capture a thin `(fabric, slot)`
-    /// pair — two words, on the simulator's inline fast path — instead of
-    /// boxing a `Packet` or `WireMsg` per event.
-    weak_self: Weak<Fabric>,
-    pending: Mutex<PendingSlab<Delivery>>,
 }
 
 impl Fabric {
@@ -73,13 +58,11 @@ impl Fabric {
     /// A fabric emitting per-packet trace records to `tracer` (when it is
     /// enabled).
     pub fn new_traced(link: LinkConfig, tracer: Tracer) -> Arc<Fabric> {
-        Arc::new_cyclic(|weak| Fabric {
+        Arc::new(Fabric {
             link,
             attaching: Mutex::new(Vec::new()),
             ports: OnceLock::new(),
             tracer,
-            weak_self: weak.clone(),
-            pending: Mutex::new(PendingSlab::default()),
         })
     }
 
@@ -131,59 +114,22 @@ impl Fabric {
     /// the source NIC); it reaches the destination NIC one link latency
     /// later.
     pub fn transmit(&self, src: NodeId, dst: NodeId, pkt: Packet, departure: SimTime) {
-        let handle = &self.port(dst).1;
-        let arrival = departure + self.link.latency;
-        self.tracer
-            .emit(departure, Comp::Fabric, || TraceEvent::PacketOnWire {
-                src: src.0 as u32,
-                dst: dst.0 as u32,
-                bytes: pkt.bytes,
-                first: pkt.first,
-                last: pkt.tail.is_some(),
+        let last = pkt.tail.is_some();
+        self.wire_trace(src, dst, pkt.bytes, pkt.first, last, departure);
+        // A NIC dropped before its packets arrive means the cluster is being
+        // torn down; the packet simply evaporates.
+        let (nic, handle) = self.port(dst);
+        if let Some(nic) = nic.upgrade() {
+            handle.schedule_at(departure + self.link.latency, move || {
+                nic.deliver_packet(src, pkt)
             });
-        self.schedule_delivery(handle, arrival, Delivery::Packet { dst, src, pkt });
-    }
-
-    /// Park `delivery` and schedule its arrival event on the destination
-    /// port's handle. The closure captures only the fabric's weak
-    /// self-pointer and the slab slot, keeping every per-packet event
-    /// inline. A fabric (or NIC) dropped before `arrival` means the
-    /// cluster is being torn down; the delivery simply evaporates.
-    fn schedule_delivery(&self, dst_handle: &SimHandle, arrival: SimTime, delivery: Delivery) {
-        let slot = self.pending.lock().insert(delivery);
-        let fabric = self.weak_self.clone();
-        dst_handle.schedule_at(arrival, move || {
-            if let Some(fabric) = fabric.upgrade() {
-                fabric.fire_delivery(slot);
-            }
-        });
-    }
-
-    fn fire_delivery(&self, slot: usize) {
-        let delivery = self.pending.lock().take(slot);
-        match delivery {
-            Delivery::Packet { dst, src, pkt } => {
-                if let Some(nic) = self.port(dst).0.upgrade() {
-                    nic.deliver_packet(src, pkt);
-                }
-            }
-            Delivery::Burst {
-                dst,
-                src,
-                arrivals,
-                msg,
-            } => {
-                if let Some(nic) = self.port(dst).0.upgrade() {
-                    nic.deliver_burst(src, arrivals, msg);
-                }
-            }
         }
     }
 
-    /// Emit the `PacketOnWire` trace record for a packet whose delivery is
-    /// carried by a batched burst event (see [`Fabric::transmit_burst`])
-    /// rather than an event of its own. Trace-only: scheduling is the
-    /// caller's job.
+    /// Emit the `PacketOnWire` trace record of a packet leaving at
+    /// `departure`. [`Fabric::transmit`] emits its packet's; a NIC whose
+    /// packets ride one burst event (see [`Fabric::transmit_burst`]) calls
+    /// this per packet. Trace-only: scheduling is the caller's job.
     pub fn wire_trace(
         &self,
         src: NodeId,
@@ -220,9 +166,11 @@ impl Fabric {
         departures: Vec<(SimTime, u64)>,
         msg: WireMsg,
     ) {
-        let handle = &self.port(dst).1;
         let latency = self.link.latency;
-        let arrivals: Vec<(SimTime, u64)> = departures
+        // A boxed slice, a word smaller than a `Vec`, keeps the event's
+        // closure within the simulator's inline budget. `departures` is
+        // exactly full, so neither the collect nor the unboxing reallocates.
+        let arrivals: Box<[(SimTime, u64)]> = departures
             .into_iter()
             .map(|(departure, bytes)| (departure + latency, bytes))
             .collect();
@@ -230,15 +178,11 @@ impl Fabric {
             .last()
             .unwrap_or_else(|| panic!("empty packet burst"))
             .0;
-        self.schedule_delivery(
-            handle,
-            last_arrival,
-            Delivery::Burst {
-                dst,
-                src,
-                arrivals,
-                msg,
-            },
-        );
+        let (nic, handle) = self.port(dst);
+        if let Some(nic) = nic.upgrade() {
+            handle.schedule_at(last_arrival, move || {
+                nic.deliver_burst(src, arrivals.into_vec(), msg)
+            });
+        }
     }
 }

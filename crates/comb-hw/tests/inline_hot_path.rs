@@ -1,8 +1,9 @@
 //! Hardware hot-path events must ride the simulator's inline fast path.
 //!
 //! Per-packet wire deliveries, kernel send-path CPU steals, and message
-//! handoffs park their payloads in pending slabs and capture at most three
-//! words, so a complete transfer schedules **zero** boxed closures. The
+//! handoffs own their payloads, and the simulator's inline budget is sized
+//! to hold the largest of them, so a complete transfer schedules **zero**
+//! boxed closures. The
 //! per-simulation `boxed_calls` kernel counter turns that into a hard
 //! regression test rather than a code-review promise.
 

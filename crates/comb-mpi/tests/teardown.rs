@@ -1,14 +1,21 @@
-//! A finished simulation frees its models: once the simulation, the MPI
-//! world and the cluster are dropped, nothing keeps a node's NIC alive.
+//! A simulation frees its models: once the simulation, the MPI world and
+//! the cluster are dropped, nothing keeps a node's NIC alive, whether the
+//! run finished or stopped with packets still on the wire. A delivery in
+//! flight owns its destination NIC, so only the simulation's drop, which
+//! empties its event queue, lets that NIC go.
 
 use comb_hw::{Cluster, HwConfig, NodeId};
 use comb_mpi::{MpiWorld, Payload, Rank, Tag};
-use comb_sim::Simulation;
+use comb_sim::{SimTime, Simulation};
 use std::sync::Arc;
 
-/// Run a two-rank eager + rendezvous exchange and return weak references
-/// to both NICs after everything that owned them is gone.
-fn exchange_then_drop(cfg: &HwConfig) -> Vec<std::sync::Weak<dyn comb_hw::Nic>> {
+/// Run a two-rank eager + 300 KiB rendezvous exchange, to its end or, with
+/// `stop`, until that instant, and return weak references to both NICs
+/// after everything that owned them is gone.
+fn exchange_then_drop(
+    cfg: &HwConfig,
+    stop: Option<SimTime>,
+) -> Vec<std::sync::Weak<dyn comb_hw::Nic>> {
     let mut sim = Simulation::new();
     let cluster = Cluster::build(&sim.handle(), cfg, 2);
     let world = MpiWorld::attach(&cluster);
@@ -23,25 +30,45 @@ fn exchange_then_drop(cfg: &HwConfig) -> Vec<std::sync::Weak<dyn comb_hw::Nic>> 
         let (st, _) = m1.recv(ctx, Rank(0), Tag(2));
         assert_eq!(st.len, 300 * 1024);
     });
-    sim.run().expect("exchange completes");
-    let nics = (0..2)
-        .map(|i| Arc::downgrade(&cluster.node(NodeId(i)).nic))
-        .collect();
+    let nic = |i| &cluster.node(NodeId(i)).nic;
+    match stop {
+        None => sim.run().map(drop).expect("exchange completes"),
+        Some(t) => {
+            sim.run_until(t).expect("partial run");
+            let sent = nic(0).stats().packets_tx + nic(1).stats().packets_tx;
+            let received = nic(0).stats().packets_rx + nic(1).stats().packets_rx;
+            assert!(
+                0 < received && received < sent,
+                "the stop must land mid-transfer on {}: {received} of {sent} packets in",
+                cfg.name
+            );
+        }
+    }
+    let nics = (0..2).map(|i| Arc::downgrade(nic(i))).collect();
     drop(sim);
     drop(world);
     drop(cluster);
     nics
 }
 
-#[test]
-fn dropped_simulation_frees_its_nics() {
+fn assert_freed(stop: Option<SimTime>) {
     for cfg in [HwConfig::gm_myrinet(), HwConfig::portals_myrinet()] {
-        for (i, nic) in exchange_then_drop(&cfg).iter().enumerate() {
+        for (i, nic) in exchange_then_drop(&cfg, stop).iter().enumerate() {
             assert!(
                 nic.upgrade().is_none(),
-                "node {i}'s NIC outlived its simulation on {}",
+                "node {i}'s NIC outlived its simulation on {} (stopped at {stop:?})",
                 cfg.name
             );
         }
     }
+}
+
+#[test]
+fn dropped_simulation_frees_its_nics() {
+    assert_freed(None);
+}
+
+#[test]
+fn a_simulation_stopped_mid_flight_frees_its_nics() {
+    assert_freed(Some(SimTime::from_nanos(1_000_000)));
 }

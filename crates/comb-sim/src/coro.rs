@@ -12,6 +12,13 @@
 //! `MAP_NORESERVE`, so only the pages a process touches are committed, and
 //! with an inaccessible guard page below them: a process that overflows its
 //! stack dies with `SIGSEGV` instead of silently writing over other memory.
+//! A coroutine that ran to its end gives its stack, guard page and all, to
+//! a free list of the thread it ran on, and the next coroutine created on
+//! that thread takes it instead of mapping one: a run of many short
+//! simulations maps as many stacks as a thread ever had processes alive at
+//! once, not one per process. A coroutine dropped while still suspended is
+//! unmapped, so a stale pointer into it faults rather than reading a
+//! reused stack; the free list is unmapped when its thread exits.
 //!
 //! A coroutine is pinned to the OS thread that first resumed it. Code on
 //! its stack may hold thread-local addresses, and the compiler is free to
@@ -28,7 +35,7 @@ compile_error!(
      frame for its target in this file"
 );
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::ffi::c_void;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -125,6 +132,37 @@ fn thread_tag() -> u64 {
     })
 }
 
+static G_MAPPED: AtomicU64 = AtomicU64::new(0);
+static G_UNMAPPED: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide counts of the coroutine stacks mapped and unmapped so far.
+/// Their difference is the stacks alive now, in use or on a thread's free
+/// list.
+#[doc(hidden)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct StackStats {
+    /// Stacks mapped (a stack taken from a free list is not counted again).
+    pub mapped: u64,
+    /// Stacks unmapped.
+    pub unmapped: u64,
+}
+
+impl StackStats {
+    /// The counts so far, across every thread.
+    pub fn global() -> StackStats {
+        StackStats {
+            mapped: G_MAPPED.load(Ordering::Relaxed),
+            unmapped: G_UNMAPPED.load(Ordering::Relaxed),
+        }
+    }
+}
+
+thread_local! {
+    /// Stacks of the coroutines that finished on this thread, for the next
+    /// ones created here. Dropped, and so unmapped, when the thread exits.
+    static FREE: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
+}
+
 /// An anonymous mapping of [`STACK_SIZE`] usable bytes above one
 /// inaccessible guard page.
 struct Stack {
@@ -153,7 +191,15 @@ extern "C" {
 impl Stack {
     const LEN: usize = GUARD_SIZE + STACK_SIZE;
 
+    /// A stack from this thread's free list, or a fresh mapping.
     fn new() -> Stack {
+        FREE.try_with(|free| free.borrow_mut().pop())
+            .ok()
+            .flatten()
+            .unwrap_or_else(Stack::map)
+    }
+
+    fn map() -> Stack {
         // SAFETY: a fresh private anonymous mapping aliases nothing; the
         // arguments are valid for mmap(2).
         let p = unsafe {
@@ -185,6 +231,7 @@ impl Stack {
             "protecting a process stack's guard page failed: {}",
             std::io::Error::last_os_error()
         );
+        G_MAPPED.fetch_add(1, Ordering::Relaxed);
         stack
     }
 
@@ -200,6 +247,7 @@ impl Drop for Stack {
         // stack guarantees no suspended frame on it will ever run again
         // (see `Coroutine`).
         unsafe { munmap(self.base.as_ptr(), Self::LEN) };
+        G_UNMAPPED.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -208,7 +256,9 @@ impl Drop for Stack {
 /// Dropping a coroutine unmaps its stack without running anything on it:
 /// frames still suspended there are never unwound, and what they own is
 /// leaked. Callers that want those frames unwound resume the coroutine on
-/// its home thread first and have it finish (see `process.rs`).
+/// its home thread first and have it finish (see `process.rs`). A
+/// coroutine that ran to its end is passed to [`Coroutine::finish`]
+/// instead, which keeps its stack for reuse.
 pub(crate) struct Coroutine {
     stack: Stack,
     /// Stack pointer the coroutine is suspended at.
@@ -255,6 +305,21 @@ impl Coroutine {
     /// coroutine's home thread, or the coroutine has never run.
     pub(crate) fn is_home(&self) -> bool {
         self.home == 0 || self.home == thread_tag()
+    }
+
+    /// Put the stack of a coroutine that ran to its end on this thread's
+    /// free list, for the next [`Coroutine::new`] here. Past the end of the
+    /// thread's life, when the list is gone, the stack is unmapped.
+    ///
+    /// # Safety
+    ///
+    /// The coroutine has switched away for good: nothing on its stack will
+    /// run or be read again.
+    pub(crate) unsafe fn finish(self) {
+        let stack = self.stack;
+        // When the list is gone, the closure, and the stack with it, is
+        // dropped unrun.
+        let _ = FREE.try_with(move |free| free.borrow_mut().push(stack));
     }
 
     /// Switch into the coroutine, handing it `arg`, and return the word it

@@ -89,11 +89,14 @@ impl EventId {
     }
 }
 
-/// Capacity (in machine words) of the inline-closure fast path. Three
-/// words cover the recurring kernel closures (an `Arc` + a `Signal`, a
-/// handle + a counter) while keeping `EventKind` — which every slot
-/// embeds and every pop moves — small.
-pub(crate) const INLINE_WORDS: usize = 3;
+/// Capacity (in machine words) of the inline-closure fast path. Nine
+/// words hold the largest closure on the hardware's hot path, a wire
+/// delivery that owns its destination NIC, its source and its packet or
+/// burst (comb-hw's `Fabric::transmit`), so no per-packet or per-message
+/// event is boxed. Every slot embeds an `EventKind` and every pop moves
+/// one, so the budget grows only as far as such a closure needs.
+#[doc(hidden)]
+pub const INLINE_WORDS: usize = 9;
 
 type InlineBuf = [usize; INLINE_WORDS];
 

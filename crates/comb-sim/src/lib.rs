@@ -55,6 +55,10 @@ pub mod stats;
 mod time;
 
 pub use cell::{SimCell, SimRefMut};
+#[doc(hidden)]
+pub use coro::StackStats;
+#[doc(hidden)]
+pub use event::INLINE_WORDS;
 pub use event::{EventId, KernelStats};
 pub use kernel::{Probe, SimError, SimHandle, Simulation, WatchdogConfig};
 pub use process::{ProcCtx, ProcId};

@@ -156,7 +156,8 @@ enum State {
     New(Box<Start>),
     /// Started and suspended in `park`.
     Suspended(Coroutine),
-    /// Its function returned or panicked; its stack is gone.
+    /// Its function returned or panicked; its stack is back on the free
+    /// list.
     Finished,
 }
 
@@ -212,8 +213,13 @@ impl Proc {
         if word == PARKED {
             return Ok(());
         }
-        // The process has switched out for the last time: free its stack.
-        self.state = State::Finished;
+        // The process has switched out for the last time: its stack goes
+        // back to this thread's free list.
+        if let State::Suspended(coro) = std::mem::replace(&mut self.state, State::Finished) {
+            // SAFETY: `entry` ended with its last switch; nothing on the
+            // stack runs again.
+            unsafe { coro.finish() };
+        }
         // SAFETY: a non-PARKED word is the box `entry` leaked on its way out.
         let end = unsafe { Box::from_raw(word as *mut Result<(), String>) };
         end.map_err(|message| SimError::ProcessPanicked {
@@ -241,7 +247,8 @@ impl Drop for Proc {
         }
         // On any other thread the stack is unmapped without being unwound:
         // its frames never run here, and whatever they own is leaked.
-        // (Dropping `self.state` after this does the unmapping.)
+        // (Dropping `self.state` after this does the unmapping, on either
+        // thread: a stack dropped while suspended is never reused.)
     }
 }
 
@@ -252,7 +259,7 @@ extern "C" fn entry(t: Transfer) -> ! {
     // SAFETY: `loop_sp` is where the loop was suspended when it last
     // resumed this process. Nothing on this stack owns anything any more
     // (`run_body` returned), and the loop never resumes a finished process,
-    // so this frame is simply abandoned and its stack unmapped.
+    // so this frame is simply abandoned and its stack reused or unmapped.
     unsafe { switch(loop_sp, end) };
     // Unreachable: nothing ever switches back here.
     std::process::abort()

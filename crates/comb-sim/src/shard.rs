@@ -581,6 +581,20 @@ fn run_epoch(
     *slot.lock() = Some(error);
 }
 
+impl Drop for ShardedSimulation {
+    fn drop(&mut self) {
+        // A run that stopped mid-epoch can leave events in the mailboxes,
+        // and what they own (a wire delivery owns its NIC) may hold handles
+        // of these shards. Drop the shards first, then those events,
+        // outside the mailbox locks: their captures may schedule.
+        self.sims.clear();
+        for mailbox in self.router.mailboxes.iter().flatten() {
+            let stranded = std::mem::take(&mut *mailbox.lock());
+            drop(stranded);
+        }
+    }
+}
+
 /// Tells the shard workers to exit when dropped.
 struct ReleaseWorkers<'a>(&'a EpochSync);
 

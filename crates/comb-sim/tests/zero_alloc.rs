@@ -157,7 +157,7 @@ fn over_budget_captures_fall_back_to_exactly_one_box() {
     // one word past the inline budget means exactly one boxed closure.
     let mut sim = Simulation::new();
     let h = sim.handle();
-    let cap = [0usize, 1, 2, 3];
+    let cap = [0usize; comb_sim::INLINE_WORDS + 1];
     h.schedule_in(SimDuration::from_nanos(1), move || {
         std::hint::black_box(cap);
     });

@@ -6,13 +6,16 @@
 //! event must still charge that event, so these numbers stay put while the
 //! work behind them shrinks. A warm rerun from the store the cold pass
 //! filled simulates nothing: it fires no event and answers every cell from
-//! disk. `KernelStats::global` is process-wide, so this is the only test in
-//! its binary.
+//! disk. Process stacks are reused once their process ends, so the cold
+//! pass maps only as many as its one worker ever has processes alive at
+//! once, and the warm pass maps none. `KernelStats::global` and
+//! `StackStats::global` are process-wide, so this is the only test in its
+//! binary.
 
 use comb::core::{CacheMode, CellCache};
 use comb::hw::burst_batched_packets_total;
 use comb::report::{run_figures_cached, Fidelity, FigureId};
-use comb::sim::KernelStats;
+use comb::sim::{KernelStats, StackStats};
 use std::sync::Arc;
 
 #[test]
@@ -34,9 +37,13 @@ fn smoke_figure_set_fires_the_pinned_kernel_counts() {
         (csvs, cache.stats())
     };
 
-    let (k0, b0) = (KernelStats::global(), burst_batched_packets_total());
+    let (k0, b0, s0) = (
+        KernelStats::global(),
+        burst_batched_packets_total(),
+        StackStats::global(),
+    );
     let (cold_csvs, cold) = pass();
-    let k = KernelStats::global();
+    let (k, s) = (KernelStats::global(), StackStats::global());
     assert_eq!(k.fired - k0.fired, 1_003_586, "fired");
     assert_eq!(k.scheduled - k0.scheduled, 1_184_638, "scheduled");
     assert_eq!(k.cancelled - k0.cancelled, 181_052, "cancelled");
@@ -49,6 +56,7 @@ fn smoke_figure_set_fires_the_pinned_kernel_counts() {
         33_535,
         "burst-batched packets"
     );
+    assert_eq!(s.mapped - s0.mapped, 2, "stacks mapped by the cold pass");
     assert_eq!(cold.stored, 104, "cells stored by the cold pass");
 
     let (warm_csvs, warm) = pass();
@@ -56,6 +64,11 @@ fn smoke_figure_set_fires_the_pinned_kernel_counts() {
         KernelStats::global().fired - k.fired,
         0,
         "warm events fired"
+    );
+    assert_eq!(
+        StackStats::global().mapped - s.mapped,
+        0,
+        "warm stacks mapped"
     );
     assert_eq!(warm.misses, 0, "warm misses");
     assert_eq!(warm.hits_disk, 104, "warm disk hits");
