@@ -196,13 +196,15 @@ impl Cpu {
     /// Steal `d` of CPU time for an interrupt service routine: extends any
     /// computation in progress and accumulates the steal counters.
     pub fn steal(&self, d: SimDuration) {
-        steal_from(&self.shared, d);
-    }
-
-    /// A one-word steal handle onto this CPU (see [`Stealer`]).
-    pub fn stealer(&self) -> Stealer {
-        Stealer {
-            shared: Arc::clone(&self.shared),
+        if d.is_zero() {
+            return;
+        }
+        let mut inner = self.shared.inner.borrow_mut();
+        inner.stats.stolen_total += d;
+        inner.stats.steal_events += 1;
+        if let Some(c) = inner.computing.as_mut() {
+            c.deadline += d;
+            self.handle.postpone(c.completion, c.deadline);
         }
     }
 
@@ -214,38 +216,6 @@ impl Cpu {
     /// True if a computation is currently in progress.
     pub fn is_computing(&self) -> bool {
         self.shared.inner.borrow_mut().computing.is_some()
-    }
-}
-
-/// A one-word handle for charging CPU steals from scheduled events.
-///
-/// `Cpu` itself is five words (config + handle + flags + shared state),
-/// and cloning it bumps two reference counts. A `Stealer` carries only the
-/// shared state, so the kernel NIC's per-packet send-path steal event
-/// captures two words and clones one `Arc`.
-#[derive(Clone)]
-pub struct Stealer {
-    shared: Arc<CpuShared>,
-}
-
-impl Stealer {
-    /// Steal `d` of CPU time, exactly like [`Cpu::steal`].
-    pub fn steal(&self, d: SimDuration) {
-        steal_from(&self.shared, d);
-    }
-}
-
-/// Shared body of [`Cpu::steal`] and [`Stealer::steal`].
-fn steal_from(shared: &Arc<CpuShared>, d: SimDuration) {
-    if d.is_zero() {
-        return;
-    }
-    let mut inner = shared.inner.borrow_mut();
-    inner.stats.stolen_total += d;
-    inner.stats.steal_events += 1;
-    if let Some(c) = inner.computing.as_mut() {
-        c.deadline += d;
-        shared.inner.handle().postpone(c.completion, c.deadline);
     }
 }
 
@@ -342,7 +312,7 @@ mod tests {
         sim.spawn("w", move |ctx| p.set(c.compute(ctx, us(10))));
         // Queued ahead, this event also keeps the computation from running
         // in place; it fires after the completion is armed.
-        let (st, h2) = (cpu.stealer(), h.clone());
+        let (st, h2) = (cpu.clone(), h.clone());
         h.schedule_in(us(5), move || {
             h2.schedule_at(SimTime::ZERO + us(10), move || st.steal(us(3)));
         });
@@ -365,11 +335,11 @@ mod tests {
         let us = SimDuration::from_micros;
         sim.spawn("w", move |ctx| p.set(c.compute(ctx, us(10))));
         let rekey = || {
-            let st = cpu.stealer();
+            let st = cpu.clone();
             h.schedule_in(us(5), move || st.steal(us(3)));
         };
         let queue_tie = || {
-            let (st, h2) = (cpu.stealer(), h.clone());
+            let (st, h2) = (cpu.clone(), h.clone());
             h.schedule_in(us(at_us), move || {
                 h2.schedule_at(SimTime::ZERO + us(13), move || st.steal(us(2)));
             });
@@ -445,7 +415,7 @@ mod tests {
             // queued first, it fires before the completion.
             let mut samples = [a; 3];
             for (i, at) in [us(5), us(10)].into_iter().enumerate() {
-                let st = c.stealer();
+                let st = c.clone();
                 ctx.handle().schedule_in(at, move || st.steal(us(3)));
                 samples[i + 1] = c.compute(ctx, us(10));
             }

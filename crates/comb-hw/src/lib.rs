@@ -26,7 +26,7 @@ pub use config::{
     CpuConfig, HwConfig, LinkConfig, MpiCostConfig, NicConfig, NicKind, ProgressModel,
     RndvRetryConfig, SmpConfig,
 };
-pub use cpu::{ComputeSample, Cpu, CpuStats, Stealer};
+pub use cpu::{ComputeSample, Cpu, CpuStats};
 pub use fault::{DegradeSpec, FaultPlan, FaultStats, LossSpec, NoiseSpec, StallSpec, StormSpec};
 pub use nic::{
     burst_batched_packets_total, DeliveryClass, Nic, NicStats, NodeId, RxHandler, TxDone, WireMsg,

@@ -117,7 +117,6 @@ impl Nic for KernelNic {
             packets: n as u64,
         });
         let tx_host = self.cfg.tx_host_per_packet;
-        let stealer = self.cpu.stealer();
         let expedited = msg.expedited;
         if expedited {
             assert!(n == 1, "expedited messages must fit one packet");
@@ -157,12 +156,9 @@ impl Nic for KernelNic {
             };
             if !tx_host.is_zero() {
                 // The kernel send path for this packet runs on the host.
-                // A `Stealer` plus the duration is two words: the
-                // per-packet steal event clones one `Arc`, not a `Cpu`.
                 inner.stats.host_stolen += tx_host;
-                let stealer = stealer.clone();
-                self.handle
-                    .schedule_at(start, move || stealer.steal(tx_host));
+                let cpu = self.cpu.clone();
+                self.handle.schedule_at(start, move || cpu.steal(tx_host));
             }
             let pkt = Packet {
                 bytes,

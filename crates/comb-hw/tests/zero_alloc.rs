@@ -26,7 +26,7 @@ fn warm_compute_allocs(steal: bool) -> (u64, ComputeSample) {
     let mut sim = Simulation::new();
     let h = sim.handle();
     let cpu = Cpu::new(&h, CpuConfig::default());
-    let stealer = cpu.stealer();
+    let stealer = cpu.clone();
     let probe = sim.probe::<(u64, ComputeSample)>();
     let p = probe.clone();
     sim.spawn("compute", move |ctx| {

@@ -583,11 +583,12 @@ fn run_epoch(
 
 impl Drop for ShardedSimulation {
     fn drop(&mut self) {
-        // A run that stopped mid-epoch can leave events in the mailboxes,
-        // and what they own (a wire delivery owns its NIC) may hold handles
-        // of these shards. Drop the shards first, then those events,
-        // outside the mailbox locks: their captures may schedule.
-        self.sims.clear();
+        // A run stopped by a shard's error leaves the events routed during
+        // its last epoch in the mailboxes, and what they own (a wire
+        // delivery owns its NIC, whose handle holds its shard, which holds
+        // this router) would keep them alive in a cycle. Drop them before
+        // the shards, whose drops then empty their queues, and outside the
+        // mailbox locks: their captures may schedule.
         for mailbox in self.router.mailboxes.iter().flatten() {
             let stranded = std::mem::take(&mut *mailbox.lock());
             drop(stranded);

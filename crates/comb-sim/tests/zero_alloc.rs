@@ -23,10 +23,10 @@ fn schedule_batch(sim: &Simulation) {
     for i in 0..EVENTS {
         // Zero-capture closure: always fits the inline representation.
         h.schedule_in(SimDuration::from_nanos(i + 1), || {});
-        // Budget-edge closure: exactly three words of capture — the shape
-        // of the hardware hot paths (slab owner + slot, stealer +
-        // duration) — must ride inline too.
-        let cap = [i as usize, 1, 2];
+        // Budget-edge closure: exactly `INLINE_WORDS` words of capture —
+        // the size of the fabric's wire deliveries — must ride inline too.
+        let mut cap = [1usize; comb_sim::INLINE_WORDS];
+        cap[0] = i as usize;
         h.schedule_in(SimDuration::from_nanos(i + 1), move || {
             std::hint::black_box(cap);
         });
