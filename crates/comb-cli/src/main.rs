@@ -175,9 +175,6 @@ OPTIONS (soak):
     --fault-seed <n>               master scenario seed (default 42)
     --jobs <n>                     worker threads (default: $COMB_JOBS, else
                                    all cores)
-    --attempts <n>                 attempts per scenario, >= 1; retryable
-                                   failures retry with a reseeded fault plan
-                                   (default 2)
     --manifest <file>              failure manifest path
                                    (default soak-failures.json)
     --serve                        serve chaos mode instead: a seeded
@@ -315,14 +312,16 @@ enum Arity {
     Gone(Removed),
 }
 
-/// A removed flag whose message names the cache directory: an
-/// interrupted run now resumes from the cell cache.
+/// A removed flag, and what its usage error says instead.
 #[derive(Clone, Copy)]
 enum Removed {
-    /// `--resume <ckpt>` on the campaign commands.
+    /// `--resume <ckpt>` on the campaign commands: an interrupted run
+    /// resumes from the cell cache.
     Resume,
-    /// `comb serve --journal <file>`.
+    /// `comb serve --journal <file>`, likewise.
     Journal,
+    /// `comb soak --attempts <n>`: a failing scenario is never rerun.
+    Attempts,
 }
 
 /// One row of the option table.
@@ -412,7 +411,7 @@ const OPTIONS: &[Opt] = &[
     opt("--net-fault", &[Serve, Soak], Value(|o, v| set_push(&mut o.net_faults, v))),
     opt("--iters", &[Soak], Value(|o, v| set(&mut o.soak.iters, int(v)?))),
     opt("--start", &[Soak], Value(|o, v| set(&mut o.soak.start, int(v)?))),
-    opt("--attempts", &[Soak], Value(|o, v| set(&mut o.soak.max_attempts, at_least_one(v)?))),
+    opt("--attempts", &[Soak], Gone(Removed::Attempts)),
     opt("--manifest", &[Soak], Value(|o, v| set(&mut o.manifest, Some(v.into())))),
     opt("--serve", &[Soak], Switch(|o| o.soak_serve = true)),
     opt("--requests", &[Soak], Value(|o, v| set(&mut o.requests, Some(int(v)?)))),
@@ -766,8 +765,8 @@ fn fallback(row: &Opt, env: &impl Fn(&str) -> Option<String>) -> Option<(&'stati
     })
 }
 
-/// The usage error for a removed flag, naming the directory the
-/// arguments (or the environment) chose for the cell cache.
+/// The usage error for a removed flag. A flag the cell cache replaced
+/// names the directory the arguments (or the environment) chose for it.
 fn removed_error(flag: Removed, cache_dir: Option<&Path>) -> String {
     let dir = match cache_dir {
         Some(d) => d.display().to_string(),
@@ -784,6 +783,10 @@ fn removed_error(flag: Removed, cache_dir: Option<&Path>) -> String {
              its stored cells replay from the cell cache in {dir} \
              (--no-cache servers cannot resume)"
         ),
+        Removed::Attempts => "--attempts was removed: a failing soak scenario is reported, \
+             never rerun under another fault seed, so its repro command replays \
+             exactly the failure"
+            .to_string(),
     }
 }
 
@@ -1331,15 +1334,14 @@ fn kernel_summary() -> String {
 fn cmd_soak(o: Opts) -> Result<(), CombError> {
     let config = o.soak;
     println!(
-        "soak: {} scenarios from index {} (seed {}), {} attempt(s) each",
-        config.iters, config.start, config.fault_seed, config.max_attempts
+        "soak: {} scenarios from index {} (seed {})",
+        config.iters, config.start, config.fault_seed
     );
     let started = Instant::now();
     let report = comb_report::run_soak(&config);
     println!(
-        "soak: {} passed ({} after retry), {} failed, {:.1}s",
+        "soak: {} passed, {} failed, {:.1}s",
         report.passed,
-        report.retried,
         report.failures.len(),
         started.elapsed().as_secs_f64()
     );
@@ -1625,10 +1627,16 @@ mod tests {
 
     #[test]
     fn zero_counts_the_library_would_clamp_are_usage_errors() {
-        assert!(parse(&["soak", "--attempts", "0"]).is_err());
         assert!(parse(&["soak", "--serve", "--clients", "0"]).is_err());
         assert!(parse(&["soak", "--clients", "2"]).is_err(), "needs --serve");
-        assert!(parse(&["soak", "--serve", "--clients", "2", "--attempts", "1"]).is_ok());
+        assert!(parse(&["soak", "--serve", "--clients", "2"]).is_ok());
+        for args in [
+            &["soak", "--attempts", "0"][..],
+            &["soak", "--attempts", "2"],
+        ] {
+            let e = parse(args).err().unwrap().to_string();
+            assert!(e.contains("--attempts was removed"), "{e}");
+        }
     }
 
     #[test]

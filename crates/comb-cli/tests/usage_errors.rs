@@ -9,9 +9,11 @@
 //! the flag is rejected, naming that cache directory, before anything is
 //! bound. Both errors are raised once the whole argument list is parsed,
 //! so a `--cache-dir` after the removed flag is the directory named.
+//! `comb soak --attempts` is gone too: a failing scenario is reported
+//! under its own seed, never rerun, and the flag is rejected saying so.
 //! `sweep` and `trace` reject the range and the zero knobs that
-//! `comb serve` rejects in a sweep request, and `soak` rejects the zero
-//! attempt and client counts its library would quietly raise to one.
+//! `comb serve` rejects in a sweep request, and `soak --serve` rejects the
+//! zero client count its library would quietly raise to one.
 //!
 //! An environment default (`COMB_JOBS`, `COMB_SHARDS`) that does not parse
 //! is a usage error naming the variable, in the commands that take the
@@ -39,7 +41,8 @@ fn unrunnable_inputs_are_usage_errors_that_run_nothing() {
     let resume_other: &[&str] = &["--resume was removed", "rerun", &other_dir];
     let journal_other: &[&str] = &["--journal was removed", "resend", &other_dir];
     let bad_range: &[&str] = &["range needs 1 <= lo <= hi and per_decade >= 1"];
-    let table: [(Env, &[&str], &[&str]); 24] = [
+    let attempts_gone: &[&str] = &["--attempts was removed", "never rerun"];
+    let table: [(Env, &[&str], &[&str]); 25] = [
         (&[], &["all", "--resume", "x"], resume),
         (&[], &["figure", "fig08", "--resume", "x"], resume),
         (&[], &["report", "--resume", "x"], resume),
@@ -126,11 +129,8 @@ fn unrunnable_inputs_are_usage_errors_that_run_nothing() {
             &["latency"],
             &["COMB_SHARDS", "--shards"],
         ),
-        (
-            &[],
-            &["soak", "--attempts", "0"],
-            &["--attempts", "must be >= 1"],
-        ),
+        (&[], &["soak", "--attempts", "0"], attempts_gone),
+        (&[], &["soak", "--attempts", "2"], attempts_gone),
         (
             &[],
             &["soak", "--serve", "--clients", "0"],

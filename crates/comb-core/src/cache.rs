@@ -38,9 +38,8 @@
 //!
 //! What the key deliberately **excludes**: `jobs` (worker count never
 //! affects results) and the watchdog (supervision observes a run without
-//! perturbing it).
-//! Faulted retries key on the hardware the caller actually resolved, so
-//! `FaultPlan::for_attempt` reseeding produces distinct keys per attempt.
+//! perturbing it). Faulted cells key on the hardware the caller actually
+//! resolved, fault plan and seed included, so two seeds are two cells.
 
 use crate::codec::{self, PointSample};
 use crate::polling::PollingParams;
@@ -117,7 +116,7 @@ impl fmt::Display for CellMethod {
 /// Render a cell's exact simulated inputs as one canonical line.
 ///
 /// The hardware description is the one the caller actually passes to the
-/// runner (faults resolved, per-attempt reseeding applied), rendered via
+/// runner (fault plan and seed resolved), rendered via
 /// `Debug` — any change to the hardware model's fields automatically
 /// changes the description and therefore invalidates stale entries.
 /// `jobs` and the watchdog are excluded on purpose (see module docs).
@@ -619,8 +618,8 @@ impl CellCache {
 
 /// Run one sweep cell through the cache (when one is configured), or
 /// directly. This is the executor campaign planners and sweeps share:
-/// `hw` must be the hardware the caller resolved (fault plan applied,
-/// per-attempt reseeding included) so the key covers the exact inputs.
+/// `hw` must be the hardware the caller resolved (fault plan and seed
+/// applied) so the key covers the exact inputs.
 ///
 /// `budget` is the deterministic interruption hook: each fresh
 /// computation first takes one unit from it, and a cell that finds it
@@ -1033,29 +1032,15 @@ mod tests {
                 1000
             ))
         );
-    }
 
-    #[test]
-    fn fault_reseeding_separates_attempt_keys() {
-        let mut cfg = MethodConfig::new(Transport::Gm, 102_400);
-        cfg.fault = comb_hw::FaultPlan::from_specs(&["loss=uniform:0.01"], Some(42)).unwrap();
-        let hw0: HwConfig = {
+        // So does a fault plan's seed: one plan under two seeds is two cells.
+        let seeded = |seed: u64| {
             let mut c = cfg.clone();
-            c.fault = c.fault.for_attempt(0);
-            c.resolved_hw()
+            c.fault = comb_hw::FaultPlan::from_specs(&["loss=uniform:0.01"], Some(seed)).unwrap();
+            k(&cell_desc(&c.resolved_hw(), &c, CellMethod::Polling, 1000))
         };
-        let hw1: HwConfig = {
-            let mut c = cfg.clone();
-            c.fault = c.fault.for_attempt(1);
-            c.resolved_hw()
-        };
-        let d0 = cell_desc(&hw0, &cfg, CellMethod::Polling, 10);
-        let d1 = cell_desc(&hw1, &cfg, CellMethod::Polling, 10);
-        assert_ne!(
-            CellKey::from_desc(&d0),
-            CellKey::from_desc(&d1),
-            "reseeded attempts must be distinct cells"
-        );
+        assert_eq!(seeded(42), seeded(42));
+        assert_ne!(seeded(42), seeded(43));
     }
 
     #[test]

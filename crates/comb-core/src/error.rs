@@ -1,11 +1,10 @@
 //! Structured error taxonomy for the campaign stack.
 //!
 //! Everything above the raw simulation speaks [`CombError`]: a typed
-//! [`ErrorKind`], a human-readable message, the identity of the sweep
-//! cell that failed (when there is one), and a *retryability* flag the
-//! resilient pool ([`crate::runner::pool::run_cells`]) consults before
-//! burning a retry attempt. The CLI maps kinds onto its exit-code
-//! contract via [`CombError::exit_code`]:
+//! [`ErrorKind`], a human-readable message, and the identity of the sweep
+//! cell that failed (when there is one). Nothing is retried: every run is
+//! deterministic, so a failure replays exactly from its inputs. The CLI
+//! maps kinds onto its exit-code contract via [`CombError::exit_code`]:
 //!
 //! | exit | meaning                                   |
 //! |------|-------------------------------------------|
@@ -18,8 +17,8 @@ use crate::runner::RunError;
 use comb_sim::SimError;
 use std::fmt;
 
-/// Coarse classification of a [`CombError`]. Drives exit codes, retry
-/// defaults, and failure-manifest categorization.
+/// Coarse classification of a [`CombError`]. Drives exit codes and
+/// failure-manifest categorization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorKind {
     /// The user asked for something malformed (bad flag, unknown id).
@@ -34,7 +33,7 @@ pub enum ErrorKind {
     Io,
     /// The campaign was interrupted before completing (resumable).
     Interrupted,
-    /// A harness invariant broke — always a bug, never retryable.
+    /// A harness invariant broke — always a bug.
     Internal,
 }
 
@@ -53,8 +52,8 @@ impl ErrorKind {
     }
 }
 
-/// A structured campaign error: kind, message, the sweep cell it came
-/// from, and whether a retry (with a reseeded fault plan) could succeed.
+/// A structured campaign error: kind, message, and the sweep cell it came
+/// from.
 #[derive(Debug, Clone)]
 pub struct CombError {
     /// What class of failure this is.
@@ -64,10 +63,6 @@ pub struct CombError {
     /// Identity of the sweep cell that failed, e.g.
     /// `polling|GM|102400 @ x=1000`, when the error came from one.
     pub cell: Option<String>,
-    /// Whether retrying (under a per-attempt reseeded fault plan) is
-    /// meaningful. Deterministic failures — panics, usage errors,
-    /// unfaulted sim failures — are not.
-    pub retryable: bool,
 }
 
 impl CombError {
@@ -76,7 +71,6 @@ impl CombError {
             kind,
             message: message.into(),
             cell: None,
-            retryable: false,
         }
     }
 
@@ -104,18 +98,6 @@ impl CombError {
     /// This error tagged with the sweep cell it came from.
     pub fn with_cell(mut self, cell: impl Into<String>) -> CombError {
         self.cell = Some(cell.into());
-        self
-    }
-
-    /// This error marked retryable iff `cond` — e.g. iff the run had an
-    /// active fault plan whose randomness a retry would redraw.
-    pub fn retryable_if(mut self, cond: bool) -> CombError {
-        // Panics and usage errors replay identically no matter the seed.
-        self.retryable = cond
-            && matches!(
-                self.kind,
-                ErrorKind::Sim | ErrorKind::Watchdog | ErrorKind::Io
-            );
         self
     }
 
@@ -203,21 +185,6 @@ mod tests {
         });
         assert_eq!(wd.kind, ErrorKind::Watchdog);
         assert_eq!(wd.exit_code(), 3);
-    }
-
-    #[test]
-    fn retryability_is_gated_by_kind() {
-        let sim = CombError::from(SimError::Deadlock { parked: vec![] });
-        assert!(sim.clone().retryable_if(true).retryable);
-        assert!(!sim.retryable_if(false).retryable);
-        let panic = CombError::from(RunError::WorkerPanic {
-            message: "boom".into(),
-        });
-        assert!(
-            !panic.retryable_if(true).retryable,
-            "panics replay identically; retry is wasted work"
-        );
-        assert!(!CombError::usage("x").retryable_if(true).retryable);
     }
 
     #[test]

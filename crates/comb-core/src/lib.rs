@@ -75,8 +75,7 @@ pub use netperf::{NetperfParams, NetperfSample};
 pub use polling::{PollingPairs, PollingParams, DATA_TAG, STOP_TAG};
 pub use pww::{InterleavedParams, PwwParams};
 pub use runner::pool::{
-    available_jobs, effective_jobs, run_cells, run_ordered, AdmissionGate, AdmissionPermit,
-    CellOutcome, RetryPolicy,
+    available_jobs, catch_worker_panic, effective_jobs, run_ordered, AdmissionGate, AdmissionPermit,
 };
 pub use runner::{
     run, run_polling_pairs, run_polling_point, run_pww_point, run_sweep, RunError, RunSpec,

@@ -14,14 +14,15 @@
 //! unclaimed item, so long points (small poll intervals simulate many
 //! more events) do not leave the other workers idle behind a static
 //! partition. A worker panic or point error aborts the remaining work
-//! and is reported as a [`RunError`] instead of hanging the pool.
+//! and is reported as a [`RunError`] instead of hanging the pool. A caller
+//! that wants every item's outcome (the chaos soak) returns each outcome
+//! as a value and catches its own panics with [`catch_worker_panic`], so
+//! nothing aborts the drain.
 
-use crate::error::CombError;
 use crate::runner::RunError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Number of workers the platform supports (`available_parallelism`,
 /// falling back to 1 when unknown).
@@ -103,12 +104,7 @@ where
     let jobs = effective_jobs(jobs).min(items.len().max(1));
     let slots = slots(items.len());
     drain(jobs, items.len(), |i| {
-        let result = match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
-            Ok(r) => r,
-            Err(payload) => Err(E::from(RunError::WorkerPanic {
-                message: panic_message(payload.as_ref()),
-            })),
-        };
+        let result = catch_worker_panic(|| f(&items[i]));
         let ok = result.is_ok();
         fill(&slots[i], result);
         ok
@@ -136,139 +132,16 @@ where
     }
 }
 
-/// How many times a failing cell is attempted and how long workers back
-/// off between attempts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per cell (first try included). `1` disables
-    /// retries entirely.
-    pub max_attempts: u32,
-    /// Sleep before the first retry; doubles on each further attempt.
-    /// Backoff spends wall-clock only — it cannot affect any sample,
-    /// because every attempt is an independent deterministic simulation.
-    pub backoff: Duration,
-}
-
-impl RetryPolicy {
-    /// No retries: one attempt per cell.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-        }
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::none()
-    }
-}
-
-/// The fate of one cell under [`run_cells`].
-#[derive(Debug, Clone)]
-pub enum CellOutcome<T> {
-    /// The cell produced a value on attempt `attempts` (1-based count of
-    /// attempts consumed).
-    Done {
-        /// The cell's result.
-        value: T,
-        /// Attempts consumed, including the successful one.
-        attempts: u32,
-    },
-    /// Every permitted attempt failed; `error` is the last failure.
-    Failed {
-        /// The final attempt's error.
-        error: CombError,
-        /// Attempts consumed.
-        attempts: u32,
-    },
-}
-
-impl<T> CellOutcome<T> {
-    /// The value, if the cell succeeded.
-    pub fn value(self) -> Option<T> {
-        match self {
-            CellOutcome::Done { value, .. } => Some(value),
-            CellOutcome::Failed { .. } => None,
-        }
-    }
-
-    /// The error, if the cell failed.
-    pub fn error(&self) -> Option<&CombError> {
-        match self {
-            CellOutcome::Done { .. } => None,
-            CellOutcome::Failed { error, .. } => Some(error),
-        }
-    }
-}
-
-/// Run `f` over every item on up to `jobs` workers (`0` = auto, see
-/// [`effective_jobs`]) and return one [`CellOutcome`] per item, **in
-/// input order** — the resilient counterpart of [`run_ordered`], with the
-/// calling thread as one of the workers in the same way.
-///
-/// Unlike [`run_ordered`], nothing aborts the pool: a failing or
-/// panicking cell is recorded as [`CellOutcome::Failed`] and the
-/// remaining cells keep draining. A panic inside `f` is caught per
-/// attempt and becomes an
-/// [`ErrorKind::WorkerPanic`](crate::error::ErrorKind::WorkerPanic) error
-/// (panics are deterministic replays, so they are never retried). An
-/// error the producer marked [`CombError::retryable`] is retried up to
-/// [`RetryPolicy::max_attempts`] times with doubling backoff; `f`
-/// receives the attempt number (0-based) so it can reseed per-attempt
-/// randomness, e.g. via `FaultPlan::for_attempt`.
-pub fn run_cells<I, T>(
-    jobs: usize,
-    items: &[I],
-    policy: RetryPolicy,
-    f: impl Fn(&I, u32) -> Result<T, CombError> + Sync,
-) -> Vec<CellOutcome<T>>
-where
-    I: Sync,
-    T: Send,
-{
-    let max_attempts = policy.max_attempts.max(1);
-    let run_one = |item: &I| -> CellOutcome<T> {
-        let mut attempt = 0u32;
-        loop {
-            let result = match catch_unwind(AssertUnwindSafe(|| f(item, attempt))) {
-                Ok(r) => r,
-                Err(payload) => Err(CombError::from(RunError::WorkerPanic {
-                    message: panic_message(payload.as_ref()),
-                })),
-            };
-            let attempts = attempt + 1;
-            match result {
-                Ok(value) => return CellOutcome::Done { value, attempts },
-                Err(error) => {
-                    if !error.retryable || attempts >= max_attempts {
-                        return CellOutcome::Failed { error, attempts };
-                    }
-                    if !policy.backoff.is_zero() {
-                        std::thread::sleep(policy.backoff * (1 << attempt.min(16)));
-                    }
-                    attempt = attempts;
-                }
-            }
-        }
-    };
-
-    let jobs = effective_jobs(jobs).min(items.len().max(1));
-    let slots = slots(items.len());
-    drain(jobs, items.len(), |i| {
-        fill(&slots[i], run_one(&items[i]));
-        true
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            take(slot).unwrap_or_else(|| CellOutcome::Failed {
-                error: CombError::internal("cell never ran (pool bug)"),
-                attempts: 0,
-            })
-        })
-        .collect()
+/// Run `f`, converting a panic inside it into
+/// [`RunError::WorkerPanic`] carrying the panic message. [`run_ordered`]
+/// wraps every item in it; a closure that returns each item's outcome as a
+/// value wraps its own work in it so a panic is that item's outcome.
+pub fn catch_worker_panic<T, E: From<RunError>>(f: impl FnOnce() -> Result<T, E>) -> Result<T, E> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(E::from(RunError::WorkerPanic {
+            message: panic_message(payload.as_ref()),
+        }))
+    })
 }
 
 /// Bounded admission control in front of a campaign pool.
@@ -368,7 +241,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::ErrorKind;
+    use crate::error::{CombError, ErrorKind};
+    use std::time::Duration;
 
     #[test]
     fn admission_gate_caps_and_releases() {
@@ -485,12 +359,17 @@ mod tests {
             other => panic!("expected WorkerPanic, got {other:?}"),
         }
 
+        // A closure that returns each outcome as a value catches the panic
+        // itself, so only the calling thread's item fails.
         let meet = std::sync::Barrier::new(2);
-        let outcomes = run_cells(2, &items, RetryPolicy::none(), |&i, _| {
-            panic_on_the_calling_thread(i, &meet, caller);
-            Ok::<u64, CombError>(i)
-        });
-        let failed: Vec<&CombError> = outcomes.iter().filter_map(|o| o.error()).collect();
+        let outcomes = run_ordered(2, &items, |&i| {
+            Ok::<_, CombError>(catch_worker_panic(|| {
+                panic_on_the_calling_thread(i, &meet, caller);
+                Ok::<u64, CombError>(i)
+            }))
+        })
+        .unwrap();
+        let failed: Vec<&CombError> = outcomes.iter().filter_map(|o| o.as_ref().err()).collect();
         assert_eq!(failed.len(), 1, "exactly the calling thread's item fails");
         assert_eq!(failed[0].kind, ErrorKind::WorkerPanic);
         assert!(failed[0].message.contains("calling thread"));
@@ -524,124 +403,29 @@ mod tests {
     }
 
     #[test]
-    fn run_cells_isolates_panics_and_keeps_draining() {
+    fn caught_panics_are_outcomes_and_the_drain_goes_on() {
         let items: Vec<u64> = (0..32).collect();
         for jobs in [1, 4] {
-            let outcomes = run_cells(jobs, &items, RetryPolicy::none(), |&i, _| {
-                if i == 7 {
-                    panic!("point {i} exploded");
-                }
-                Ok(i * 10)
-            });
+            let outcomes = run_ordered(jobs, &items, |&i| {
+                Ok::<_, CombError>(catch_worker_panic(|| {
+                    if i == 7 {
+                        panic!("point {i} exploded");
+                    }
+                    Ok::<u64, CombError>(i * 10)
+                }))
+            })
+            .unwrap();
             assert_eq!(outcomes.len(), items.len());
             for (i, outcome) in outcomes.iter().enumerate() {
-                if i == 7 {
-                    let err = outcome.error().expect("cell 7 must fail");
-                    assert_eq!(err.kind, ErrorKind::WorkerPanic);
-                    assert!(err.message.contains("exploded"));
-                    assert!(!err.retryable, "panics must not be retried");
-                } else {
-                    match outcome {
-                        CellOutcome::Done { value, attempts } => {
-                            assert_eq!(*value, i as u64 * 10);
-                            assert_eq!(*attempts, 1);
-                        }
-                        CellOutcome::Failed { error, .. } => {
-                            panic!("cell {i} failed unexpectedly: {error}")
-                        }
+                match outcome {
+                    Err(err) => {
+                        assert_eq!(i, 7, "only item 7 fails (jobs={jobs}): {err}");
+                        assert_eq!(err.kind, ErrorKind::WorkerPanic);
+                        assert!(err.message.contains("exploded"));
                     }
+                    Ok(value) => assert_eq!(*value, i as u64 * 10),
                 }
             }
-        }
-    }
-
-    #[test]
-    fn run_cells_retries_only_retryable_errors() {
-        use std::sync::atomic::AtomicU32;
-        let calls = AtomicU32::new(0);
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::ZERO,
-        };
-        // Succeeds on the third attempt.
-        let out = run_cells(1, &[0u64], policy, |_, attempt| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            if attempt < 2 {
-                Err(CombError::internal("transient")
-                    .retryable_if(true)
-                    .with_cell("x=0"))
-            } else {
-                Ok(attempt)
-            }
-        });
-        // `internal` is never retryable, so this must fail after 1 call.
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
-        assert!(matches!(&out[0], CellOutcome::Failed { attempts: 1, .. }));
-
-        calls.store(0, Ordering::Relaxed);
-        let out = run_cells(1, &[0u64], policy, |_, attempt| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            if attempt < 2 {
-                Err(
-                    CombError::from(comb_sim::SimError::Deadlock { parked: vec![] })
-                        .retryable_if(true),
-                )
-            } else {
-                Ok(attempt)
-            }
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
-        match &out[0] {
-            CellOutcome::Done { value, attempts } => {
-                assert_eq!(*value, 2, "f must see the attempt number");
-                assert_eq!(*attempts, 3);
-            }
-            CellOutcome::Failed { error, .. } => panic!("expected success, got {error}"),
-        }
-    }
-
-    #[test]
-    fn run_cells_exhausts_attempts_then_reports_last_error() {
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            backoff: Duration::ZERO,
-        };
-        let out = run_cells(4, &[1u64, 2, 3], policy, |&i, attempt| {
-            if i == 2 {
-                Err(
-                    CombError::from(comb_sim::SimError::Deadlock { parked: vec![] })
-                        .retryable_if(true)
-                        .with_cell(format!("x={i} attempt={attempt}")),
-                )
-            } else {
-                Ok::<u64, CombError>(i)
-            }
-        });
-        assert!(matches!(out[0], CellOutcome::Done { value: 1, .. }));
-        assert!(matches!(out[2], CellOutcome::Done { value: 3, .. }));
-        match &out[1] {
-            CellOutcome::Failed { error, attempts } => {
-                assert_eq!(*attempts, 2);
-                assert_eq!(error.kind, ErrorKind::Sim);
-                assert!(
-                    error.cell.as_deref() == Some("x=2 attempt=1"),
-                    "last attempt's error must win, got {:?}",
-                    error.cell
-                );
-            }
-            CellOutcome::Done { .. } => panic!("cell 2 must fail"),
-        }
-    }
-
-    #[test]
-    fn run_cells_preserves_input_order_for_any_job_count() {
-        let items: Vec<u64> = (0..57).collect();
-        for jobs in [1, 2, 4, 64] {
-            let out = run_cells(jobs, &items, RetryPolicy::none(), |&i, _| {
-                Ok::<u64, CombError>(i * 3)
-            });
-            let values: Vec<u64> = out.into_iter().map(|o| o.value().unwrap()).collect();
-            assert_eq!(values, items.iter().map(|i| i * 3).collect::<Vec<_>>());
         }
     }
 }

@@ -84,8 +84,7 @@ pub struct MethodConfig {
     pub fault: FaultPlan,
     /// Kernel watchdog bounding every point of this configuration
     /// (`None`, the default, runs unwatched). A tripped watchdog aborts
-    /// only the offending point — under the resilient pool its sweep
-    /// keeps draining. The watchdog observes the simulation without
+    /// only the offending point, as that point's error. The watchdog observes the simulation without
     /// perturbing it, so arming it cannot change any sample.
     pub watchdog: Option<comb_sim::WatchdogConfig>,
 }

@@ -62,9 +62,8 @@ pub fn stream_seed(seed: u64, salt: u64, tag: u64) -> u64 {
 
 const TAG_LOSS: u64 = 1;
 const TAG_DROP_CTL: u64 = 2;
-/// Stream tag for deriving per-retry-attempt plan seeds
-/// ([`FaultPlan::for_attempt`]).
-const TAG_ATTEMPT: u64 = 3;
+// Tag 3 is retired. A stream's seed depends on its tag, so tags are never
+// renumbered.
 const TAG_NOISE: u64 = 4;
 
 /// Packet-loss process selection.
@@ -197,27 +196,6 @@ impl FaultPlan {
             noise: None,
             seed: 0x000F_A017_5EED,
         }
-    }
-
-    /// The same plan reseeded for a retry attempt.
-    ///
-    /// Attempt `0` is the original plan, byte for byte, so first runs are
-    /// unaffected. Attempt `n > 0` derives a fresh seed from
-    /// `(seed, n)` via [`stream_seed`] — the retry replays the *same*
-    /// declared fault sources against *different* randomness, which is
-    /// what makes retrying a deterministic simulation meaningful: a
-    /// failure caused by an unlucky draw (e.g. every rendezvous control
-    /// message of a handshake dropped) resolves on retry, while a failure
-    /// inherent to the configuration keeps failing and exhausts the retry
-    /// budget. The derivation is pure, so campaigns that retry stay
-    /// reproducible from `(plan, attempt)` alone.
-    pub fn for_attempt(&self, attempt: u32) -> FaultPlan {
-        if attempt == 0 {
-            return self.clone();
-        }
-        let mut plan = self.clone();
-        plan.seed = stream_seed(self.seed, attempt as u64, TAG_ATTEMPT);
-        plan
     }
 
     /// True if the plan injects nothing.
@@ -875,25 +853,6 @@ mod tests {
         assert_ne!(hits(1, 0), hits(1, 1), "salts must decorrelate");
         let count = hits(1, 0).iter().filter(|&&h| h).count();
         assert!((30..90).contains(&count), "drop count {count} far from 30%");
-    }
-
-    #[test]
-    fn for_attempt_replays_the_plan_with_derived_seeds() {
-        let plan = FaultPlan::from_specs(&["loss=burst:0.02", "dropctl=0.1"], Some(42)).unwrap();
-        // Attempt 0 is the plan itself — first runs see no perturbation.
-        assert_eq!(plan.for_attempt(0), plan);
-        // Later attempts keep every declared source but reseed.
-        let a1 = plan.for_attempt(1);
-        let a2 = plan.for_attempt(2);
-        assert_eq!(a1.loss, plan.loss);
-        assert_eq!(a1.drop_ctl, plan.drop_ctl);
-        assert_ne!(a1.seed, plan.seed);
-        assert_ne!(a1.seed, a2.seed, "attempts must decorrelate");
-        // The derivation is pure: same (plan, attempt) -> same seed.
-        assert_eq!(plan.for_attempt(1), a1);
-        // Distinct base seeds stay distinct per attempt.
-        let other = FaultPlan::from_specs(&["loss=burst:0.02"], Some(43)).unwrap();
-        assert_ne!(other.for_attempt(1).seed, a1.seed);
     }
 
     #[test]

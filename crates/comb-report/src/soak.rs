@@ -5,11 +5,12 @@
 //! x value, fault plan — from `stream_seed(fault_seed, iter, TAG_SOAK)`,
 //! so a soak is fully reproducible from its seed, and any single failing
 //! iteration can be replayed alone with `--start <iter> --iters 1` and
-//! the same `--fault-seed`. Scenarios run through the resilient pool
-//! ([`comb_core::run_cells`]): a panicking, livelocked, or failing
-//! iteration is recorded and the soak keeps going. Retryable failures
-//! (faulted sim errors) are retried once with a reseeded plan
-//! ([`comb_hw::FaultPlan::for_attempt`]) before counting as failures.
+//! the same `--fault-seed`. Scenarios run through the one worker pool
+//! ([`comb_core::run_ordered`]), each returning its outcome as a value
+//! with its panics caught ([`comb_core::catch_worker_panic`]): a
+//! panicking, livelocked, or failing iteration is recorded and the soak
+//! keeps going. A failure is never retried: it is reported under the seed
+//! it failed with, so its replay command reproduces it.
 //!
 //! Invariants checked on every surviving sample:
 //! * the simulation terminated (enforced by the watchdog),
@@ -21,7 +22,7 @@
 //! ([`SoakReport::to_json`]) carrying the reproducing seed and command.
 
 use comb_core::{
-    run_cells, CellMethod, CellOutcome, CombError, MethodConfig, PointSample, RetryPolicy, RunSpec,
+    catch_worker_panic, run_ordered, CellMethod, CombError, MethodConfig, PointSample, RunSpec,
     Transport,
 };
 use comb_hw::fault::{stream_seed, DetRng};
@@ -31,7 +32,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 /// Stream tag decorrelating soak scenario seeds from the fault streams
-/// themselves (which use tags 1–3).
+/// themselves (which use tags 1, 2 and 4).
 const TAG_SOAK: u64 = 0x50AC;
 
 /// Soak run parameters.
@@ -47,9 +48,6 @@ pub struct SoakConfig {
     pub fault_seed: u64,
     /// Worker threads (`0` = auto).
     pub jobs: usize,
-    /// Attempts per scenario (first try included); retryable failures
-    /// are retried with a reseeded fault plan.
-    pub max_attempts: u32,
 }
 
 impl Default for SoakConfig {
@@ -59,13 +57,12 @@ impl Default for SoakConfig {
             start: 0,
             fault_seed: 42,
             jobs: 0,
-            max_attempts: 2,
         }
     }
 }
 
 /// One failed soak iteration, with everything needed to replay it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoakFailure {
     /// Iteration index.
     pub iter: u64,
@@ -77,8 +74,6 @@ pub struct SoakFailure {
     pub kind: &'static str,
     /// The failure message.
     pub message: String,
-    /// Attempts consumed.
-    pub attempts: u32,
     /// CLI command reproducing exactly this scenario.
     pub repro: String,
 }
@@ -90,8 +85,6 @@ pub struct SoakReport {
     pub config: SoakConfig,
     /// Iterations whose invariants all held.
     pub passed: u64,
-    /// Iterations that needed more than one attempt but then passed.
-    pub retried: u64,
     /// Iterations that failed (invariant violation, watchdog abort,
     /// sim error, or panic).
     pub failures: Vec<SoakFailure>,
@@ -111,19 +104,17 @@ impl SoakReport {
         let _ = writeln!(out, "  \"start\": {},", self.config.start);
         let _ = writeln!(out, "  \"iters\": {},", self.config.iters);
         let _ = writeln!(out, "  \"passed\": {},", self.passed);
-        let _ = writeln!(out, "  \"retried\": {},", self.retried);
         out.push_str("  \"failures\": [");
         for (i, f) in self.failures.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             let _ = write!(
                 out,
                 "    {{\"iter\": {}, \"seed\": {}, \"scenario\": \"{}\", \"kind\": \"{}\", \
-                 \"attempts\": {}, \"message\": \"{}\", \"repro\": \"{}\"}}",
+                 \"message\": \"{}\", \"repro\": \"{}\"}}",
                 f.iter,
                 f.seed,
                 json_escape(&f.scenario),
                 f.kind,
-                f.attempts,
                 json_escape(&f.message),
                 json_escape(&f.repro),
             );
@@ -289,16 +280,8 @@ fn check_invariants(
     Ok(())
 }
 
-fn run_scenario(s: &Scenario, attempt: u32) -> Result<(), CombError> {
-    // A retry redraws every fault stream while staying reproducible:
-    // the effective plan is a pure function of (plan, attempt).
-    let mut cfg = s.cfg.clone();
-    cfg.fault = s.cfg.fault.for_attempt(attempt);
-    let sample = s
-        .method
-        .run(&cfg, s.x, &RunSpec::of(&cfg))
-        .map_err(|e| CombError::from(e).retryable_if(!cfg.fault.is_none()))?
-        .sample;
+fn run_scenario(s: &Scenario) -> Result<(), CombError> {
+    let sample = s.method.run(&s.cfg, s.x, &RunSpec::of(&s.cfg))?.sample;
     let messages = match &sample {
         PointSample::Polling(p) => Some(p.messages_received),
         PointSample::Pww(_) => None,
@@ -307,42 +290,44 @@ fn run_scenario(s: &Scenario, attempt: u32) -> Result<(), CombError> {
         .map_err(|msg| CombError::internal(format!("invariant violated: {msg}")))
 }
 
+/// The scenarios `config` names, in iteration order.
+fn scenarios(config: &SoakConfig) -> Vec<Scenario> {
+    (config.start..config.start + config.iters)
+        .map(|i| scenario(config.fault_seed, i))
+        .collect()
+}
+
 /// Run the soak. Never returns an error: every kind of per-iteration
 /// failure — including worker panics and watchdog aborts — is captured
 /// in the report while the remaining iterations keep running.
 pub fn run_soak(config: &SoakConfig) -> SoakReport {
-    let scenarios: Vec<Scenario> = (config.start..config.start + config.iters)
-        .map(|i| scenario(config.fault_seed, i))
-        .collect();
-    let policy = RetryPolicy {
-        max_attempts: config.max_attempts.max(1),
-        backoff: std::time::Duration::ZERO,
-    };
-    let outcomes = run_cells(config.jobs, &scenarios, policy, |s, attempt| {
-        run_scenario(s, attempt).map_err(|e| e.with_cell(format!("iter={}", s.iter)))
-    });
+    run_scenarios(config, &scenarios(config))
+}
+
+/// Run `scenarios` on `config.jobs` workers and report each failure with
+/// the command that replays it.
+fn run_scenarios(config: &SoakConfig, scenarios: &[Scenario]) -> SoakReport {
+    // Every closure returns its scenario's outcome as a value, so nothing
+    // aborts the drain and the pool has no error of its own to return.
+    let outcomes = run_ordered(config.jobs, scenarios, |s| {
+        Ok::<_, CombError>(catch_worker_panic(|| run_scenario(s)))
+    })
+    .unwrap_or_else(|e| vec![Err(e); scenarios.len()]);
 
     let mut report = SoakReport {
         config: *config,
         passed: 0,
-        retried: 0,
         failures: Vec::new(),
     };
     for (s, outcome) in scenarios.iter().zip(outcomes) {
         match outcome {
-            CellOutcome::Done { attempts, .. } => {
-                report.passed += 1;
-                if attempts > 1 {
-                    report.retried += 1;
-                }
-            }
-            CellOutcome::Failed { error, attempts } => report.failures.push(SoakFailure {
+            Ok(()) => report.passed += 1,
+            Err(error) => report.failures.push(SoakFailure {
                 iter: s.iter,
                 seed: s.seed,
                 scenario: s.summary.clone(),
                 kind: error.kind.label(),
-                message: error.message.clone(),
-                attempts,
+                message: error.message,
                 repro: format!(
                     "comb soak --iters 1 --start {} --fault-seed {}",
                     s.iter, config.fault_seed
@@ -381,7 +366,6 @@ mod tests {
             start: 0,
             fault_seed: 42,
             jobs: 2,
-            max_attempts: 2,
         };
         let report = run_soak(&cfg);
         assert_eq!(report.passed + report.failures.len() as u64, cfg.iters);
@@ -396,14 +380,12 @@ mod tests {
         let report = SoakReport {
             config: SoakConfig::default(),
             passed: 24,
-            retried: 1,
             failures: vec![SoakFailure {
                 iter: 3,
                 seed: 0xDEAD,
                 scenario: "pww Portals msg=102400 x=10000 fault=[loss=0.01]".into(),
                 kind: "watchdog",
                 message: "deadline exceeded\nlast events:\n  t=4 \"rts\"".into(),
-                attempts: 2,
                 repro: "comb soak --iters 1 --start 3 --fault-seed 42".into(),
             }],
         };
@@ -429,5 +411,50 @@ mod tests {
         assert!(check_invariants(0.5, -1.0, None).is_err());
         assert!(check_invariants(0.5, f64::INFINITY, None).is_err());
         assert!(check_invariants(0.5, 80.0, Some(0)).is_err());
+    }
+
+    #[test]
+    fn sabotaged_scenarios_fail_under_their_own_seed_and_replay_alone() {
+        // Every scenario runs under a 1 µs virtual deadline, which no
+        // benchmark point meets, so the watchdog aborts each one.
+        let sabotaged = |config: &SoakConfig| -> Vec<Scenario> {
+            let mut scenarios = scenarios(config);
+            for s in &mut scenarios {
+                s.cfg.watchdog =
+                    Some(WatchdogConfig::lenient().with_deadline(SimTime::from_nanos(1_000)));
+            }
+            scenarios
+        };
+        let config = |start, iters, jobs| SoakConfig {
+            iters,
+            start,
+            fault_seed: 7,
+            jobs,
+        };
+        let serial = config(0, 6, 1);
+        let report = run_scenarios(&serial, &sabotaged(&serial));
+        assert_eq!(report.passed, 0, "a sabotaged scenario was rescued");
+        assert_eq!(report.failures.len(), 6);
+        for (iter, f) in (0..).zip(&report.failures) {
+            assert_eq!(f.iter, iter);
+            assert_eq!(f.kind, "watchdog", "iter {iter}: {}", f.message);
+            assert_eq!(f.seed, scenario(7, iter).seed, "the scenario's own seed");
+            assert_eq!(
+                f.repro,
+                format!("comb soak --iters 1 --start {iter} --fault-seed 7")
+            );
+        }
+
+        let parallel = config(0, 6, 4);
+        let json = report.to_json();
+        assert_eq!(
+            run_scenarios(&parallel, &sabotaged(&parallel)).to_json(),
+            json,
+            "the manifest depends on the worker count"
+        );
+
+        let replay = config(4, 1, 1);
+        let alone = run_scenarios(&replay, &sabotaged(&replay));
+        assert_eq!(alone.failures, [report.failures[4].clone()]);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Serves COMB sweep and figure results over a dependency-free HTTP/1.1
 //! server (`std::net` only, matching the repo's vendored-offline
-//! constraint), layered on the resilient worker pool and the
+//! constraint), layered on the worker pool and the
 //! content-addressed cell cache:
 //!
 //! * `POST /v1/sweep` — canonical JSON sweep description → the exact

@@ -1,5 +1,5 @@
 //! The HTTP server: a bounded acceptor/worker model in front of the
-//! resilient pool and the content-addressed cell cache.
+//! worker pool and the content-addressed cell cache.
 //!
 //! ## Threading model
 //!

@@ -1,11 +1,12 @@
 //! Campaign resilience: a panicking worker or a watchdog-aborted
 //! (livelocked / over-deadline) point must never take down the rest of
-//! the campaign — the pool keeps draining, the failure is recorded
-//! against its cell, and every other cell still produces its sample.
+//! the campaign. Each cell returns its outcome as a value, with its panic
+//! caught, so the pool keeps draining, the failure is recorded against
+//! its cell, and every other cell still produces its sample.
 
 use comb::core::{
-    run_cells, run_polling_point, CellOutcome, CombError, ErrorKind, MethodConfig, RetryPolicy,
-    Transport,
+    catch_worker_panic, run_ordered, run_polling_point, CombError, ErrorKind, MethodConfig,
+    PollingSample, Transport,
 };
 use comb::sim::{SimTime, WatchdogConfig};
 
@@ -17,12 +18,24 @@ fn small_cfg() -> MethodConfig {
     cfg
 }
 
+/// Every cell's outcome, in input order, on `jobs` workers.
+fn outcomes(
+    jobs: usize,
+    xs: &[u64],
+    cell: impl Fn(u64) -> Result<PollingSample, CombError> + Sync,
+) -> Vec<Result<PollingSample, CombError>> {
+    run_ordered(jobs, xs, |&x| {
+        Ok::<_, CombError>(catch_worker_panic(|| cell(x)))
+    })
+    .unwrap()
+}
+
 #[test]
 fn panicking_worker_cannot_take_down_a_campaign() {
     let cfg = small_cfg();
     let xs: Vec<u64> = vec![1_000, 10_000, 100_000, 1_000_000];
     for jobs in [1usize, 4] {
-        let outcomes = run_cells(jobs, &xs, RetryPolicy::none(), |&x, _| {
+        let outcomes = outcomes(jobs, &xs, |x| {
             if x == 10_000 {
                 panic!("worker bug at x={x}");
             }
@@ -31,15 +44,15 @@ fn panicking_worker_cannot_take_down_a_campaign() {
         assert_eq!(outcomes.len(), xs.len());
         for (&x, outcome) in xs.iter().zip(&outcomes) {
             match outcome {
-                CellOutcome::Failed { error, .. } => {
+                Err(error) => {
                     assert_eq!(x, 10_000, "only the panicking cell may fail (jobs={jobs})");
                     assert_eq!(error.kind, ErrorKind::WorkerPanic);
                     assert!(error.message.contains("worker bug at x=10000"));
                 }
-                CellOutcome::Done { value, .. } => {
+                Ok(sample) => {
                     assert_ne!(x, 10_000);
                     assert!(
-                        value.messages_received > 0,
+                        sample.messages_received > 0,
                         "surviving cells ran (jobs={jobs})"
                     );
                 }
@@ -57,65 +70,22 @@ fn watchdog_aborted_point_leaves_the_campaign_running() {
     doomed.watchdog = Some(WatchdogConfig::lenient().with_deadline(SimTime::from_nanos(1_000)));
     let xs: Vec<u64> = vec![1_000, 10_000, 100_000];
     for jobs in [1usize, 4] {
-        let outcomes = run_cells(jobs, &xs, RetryPolicy::none(), |&x, _| {
+        let outcomes = outcomes(jobs, &xs, |x| {
             let cfg = if x == 10_000 { &doomed } else { &cfg };
             run_polling_point(cfg, x).map_err(CombError::from)
         });
         let mut failed = 0;
         for (&x, outcome) in xs.iter().zip(&outcomes) {
             match outcome {
-                CellOutcome::Failed { error, .. } => {
+                Err(error) => {
                     failed += 1;
                     assert_eq!(x, 10_000);
                     assert_eq!(error.kind, ErrorKind::Watchdog, "jobs={jobs}: {error}");
                     assert_eq!(error.exit_code(), 3, "watchdog aborts map to exit 3");
                 }
-                CellOutcome::Done { .. } => assert_ne!(x, 10_000),
+                Ok(_) => assert_ne!(x, 10_000),
             }
         }
         assert_eq!(failed, 1, "exactly the watched cell fails (jobs={jobs})");
     }
-}
-
-#[test]
-fn retryable_failures_burn_bounded_attempts_and_panics_do_not() {
-    use std::sync::atomic::{AtomicU32, Ordering};
-    let calls = AtomicU32::new(0);
-    let policy = RetryPolicy {
-        max_attempts: 3,
-        backoff: std::time::Duration::ZERO,
-    };
-    // A panic is deterministic — it must consume exactly one attempt.
-    let outcomes = run_cells(2, &[0u32], policy, |_, _| -> Result<(), CombError> {
-        calls.fetch_add(1, Ordering::SeqCst);
-        panic!("always");
-    });
-    assert_eq!(calls.load(Ordering::SeqCst), 1, "panics are never retried");
-    assert!(matches!(
-        outcomes[0],
-        CellOutcome::Failed { attempts: 1, .. }
-    ));
-}
-
-#[test]
-fn soak_manifest_carries_reproducing_seed_for_injected_failures() {
-    // A soak whose scenarios all run under a sabotaged deadline still
-    // completes, and each failure carries a replay command + seed.
-    use comb::report::{run_soak, SoakConfig};
-    let report = run_soak(&SoakConfig {
-        iters: 3,
-        start: 0,
-        fault_seed: 42,
-        jobs: 2,
-        max_attempts: 1,
-    });
-    assert_eq!(report.passed + report.failures.len() as u64, 3);
-    for f in &report.failures {
-        assert!(f.repro.contains("--fault-seed 42"));
-        assert!(f.repro.contains(&format!("--start {}", f.iter)));
-    }
-    // The manifest is machine-readable JSON whether or not anything failed.
-    let json = report.to_json();
-    assert!(json.contains("\"suite\": \"comb-soak\""));
-    assert!(json.contains("\"fault_seed\": 42"));
 }
